@@ -11,8 +11,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import functools
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.check import CheckConfig, check_trace
 from repro.config.comm import CommParams
@@ -21,9 +23,9 @@ from repro.config.system import SystemConfig
 from repro.core.design_point import DesignPoint
 from repro.core.space import DesignSpace
 from repro.core.programmability import table5_dict
-from repro.errors import CheckError, ConfigError, DesignSpaceError
+from repro.errors import CheckError, ConfigError, DesignSpaceError, SimulationError
+from repro.exec import sweepjob
 from repro.exec.cache import SHARED_TRACE_CACHE, ResultCache, TraceCache
-from repro.exec.checkpoint import SweepCheckpoint, sweep_signature
 from repro.exec.job import SimJob
 from repro.exec.retry import RetryPolicy
 from repro.exec.runner import ParallelRunner
@@ -38,8 +40,10 @@ from repro.sim.fast import FastSimulator
 from repro.sim.mmu import stage_shared_trace
 from repro.sim.results import SimulationResult
 from repro.store.cache import StoreBackedResultCache
+from repro.store.keys import stable_digest
 from repro.store.store import ResultStore
 from repro.taxonomy import AddressSpaceKind, CommMechanism
+from repro.trace.stream import KernelTrace
 
 __all__ = ["Explorer", "DesignPointEvaluation"]
 
@@ -50,6 +54,31 @@ _log = get_logger("core.explorer")
 #: passes enabled and logs every finding, but — like ``warn`` — never
 #: refuses to simulate: optimization opportunities are not violations.
 CHECK_MODES = ("off", "warn", "error", "optimize")
+
+#: Store namespace for rank-sweep records: one per timing-key group.
+SWEEP_KIND = "sweep"
+
+
+@functools.lru_cache(maxsize=None)
+def _comm_lines_by_space() -> Mapping[AddressSpaceKind, int]:
+    """Table V's total comm-handling lines per address space.
+
+    Constant for a given repo state, but derived by lowering every
+    program spec (~1 ms), so it is computed once per process; the cached
+    mapping is read-only because every caller shares it.
+    """
+    table5 = table5_dict()
+    return MappingProxyType(
+        {
+            space: sum(per_kernel[space] for per_kernel in table5.values())
+            for space in AddressSpaceKind
+        }
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _locality_options(space: AddressSpaceKind) -> int:
+    return len(feasible_schemes(space))
 
 
 @dataclass(frozen=True)
@@ -70,6 +99,24 @@ class DesignPointEvaluation:
         last (the paper shows address space barely affects performance).
         """
         return (-self.locality_options, self.comm_lines_total, self.mean_seconds)
+
+    @classmethod
+    def of(
+        cls, point: DesignPoint, mean_seconds: float, mean_comm_fraction: float
+    ) -> "DesignPointEvaluation":
+        """An evaluation from a point's simulated means.
+
+        The analytic columns — Table V comm lines and the locality option
+        count — depend only on the address space, so simulated and stored
+        evaluations alike are rebuilt here.
+        """
+        return cls(
+            point=point,
+            mean_seconds=mean_seconds,
+            mean_comm_fraction=mean_comm_fraction,
+            comm_lines_total=_comm_lines_by_space()[point.address_space],
+            locality_options=_locality_options(point.address_space),
+        )
 
 
 class Explorer:
@@ -468,38 +515,11 @@ class Explorer:
             for kernel in kernels
         ]
 
-    @staticmethod
-    def _comm_lines_by_space() -> Dict[AddressSpaceKind, int]:
-        """Table V's total comm-handling lines per address space.
-
-        Constant for a given repo state, but derived by lowering every
-        program spec — expensive enough that ranking 1933 points must not
-        recompute it per point.
-        """
-        table5 = table5_dict()
-        return {
-            space: sum(per_kernel[space] for per_kernel in table5.values())
-            for space in AddressSpaceKind
-        }
-
     def _evaluation(
-        self,
-        point: DesignPoint,
-        results: Sequence[SimulationResult],
-        comm_lines_by_space: Optional[Dict[AddressSpaceKind, int]] = None,
+        self, point: DesignPoint, results: Sequence[SimulationResult]
     ) -> DesignPointEvaluation:
         """Aggregate one point's per-kernel results into an evaluation."""
-        totals = [r.total_seconds for r in results]
-        comm_fracs = [r.breakdown.communication_fraction for r in results]
-        if comm_lines_by_space is None:
-            comm_lines_by_space = self._comm_lines_by_space()
-        return DesignPointEvaluation(
-            point=point,
-            mean_seconds=sum(totals) / len(totals),
-            mean_comm_fraction=sum(comm_fracs) / len(comm_fracs),
-            comm_lines_total=comm_lines_by_space[point.address_space],
-            locality_options=len(feasible_schemes(point.address_space)),
-        )
+        return DesignPointEvaluation.of(point, *sweepjob.mean_metrics(results))
 
     def evaluate_design_point(
         self,
@@ -520,37 +540,28 @@ class Explorer:
         self,
         points: Optional[Iterable[DesignPoint]] = None,
         kernels: Optional[Sequence[Kernel]] = None,
-        checkpoint: Optional[str] = None,
-        checkpoint_chunk: int = 8,
         shards: Optional[int] = None,
     ) -> List[DesignPointEvaluation]:
         """Evaluate and rank design points (best first).
 
-        The whole batch — every (point, kernel) pair — fans out through the
-        runner in one submission, so worker processes stay busy and the
-        memo layer collapses points that differ only in axes that cannot
-        affect timing (locality, coherence, consistency) into one
-        simulation each. Results come back in submission order; the
-        evaluation per point is arithmetically identical to the serial
-        per-point path.
+        The points are partitioned into ``shards`` timing-key-aware shards
+        (:func:`~repro.exec.sweepjob.plan_shards`; ``None`` means one
+        shard, run in-process) and each shard is evaluated whole by
+        :func:`~repro.exec.sweepjob.run_shard`, in waves of ``jobs``
+        through the runner's persistent pool. Points that differ only in
+        axes that cannot affect timing (locality, coherence, consistency)
+        share one simulation per kernel; under a fault plan every
+        (point, kernel) job runs with its own retries instead. The ranking
+        is identical for every shard and job count.
 
-        With ``checkpoint`` the sweep instead processes points in chunks of
-        ``checkpoint_chunk``, persisting each completed evaluation to a
-        JSONL file (see :class:`~repro.exec.checkpoint.SweepCheckpoint`);
-        a killed sweep re-run with the same checkpoint path resumes from
-        the completed points and produces identical output to an
-        uninterrupted run. Without it, the one-shot path is untouched.
-
-        With ``shards`` > 1 the sweep instead partitions the points into
-        timing-key-aware shards (:func:`~repro.exec.sweepjob.plan_shards`)
-        and evaluates whole shards inside workers — the full-space scaling
-        path: per-point job construction, dedup, and aggregation all move
-        off the parent process. The merged ranking is byte-identical to
-        the flat/serial paths, the checkpoint file interoperates both
-        directions (a killed sharded sweep resumes where a flat one would,
-        and vice versa), and distinct results still write through the
-        explorer's memo/durable store. Fault-injected or check-gated runs
-        fall back to the flat path — those features are parent-side.
+        The static-check gate runs here, in the parent, before any shard
+        is planned. With a durable store each completed timing-key group
+        is committed as one record keyed by (:meth:`_sweep_signature`,
+        timing key) after its wave; a rerun of the same sweep — at any
+        shard count — takes finished groups from the store and simulates
+        only the rest, so a killed sweep resumes with identical output.
+        Distinct results also write through the memo. :attr:`last_results`
+        holds the simulations this call actually ran.
         """
         if points is None:
             points = DesignSpace().feasible_points()
@@ -558,223 +569,91 @@ class Explorer:
         kernels = list(kernels or all_kernels())
         if shards is not None and shards < 1:
             raise ConfigError(f"shards must be >= 1, got {shards}")
-        if shards is not None and shards > 1 and points:
-            if self.faults is not None or self.check != "off":
-                _log.debug(
-                    "sharded rank unavailable with faults/check enabled; "
-                    "falling back to the flat path"
-                )
-            else:
-                return sorted(
-                    self._rank_sharded(points, kernels, shards, checkpoint),
-                    key=DesignPointEvaluation.score,
-                )
-        if checkpoint is not None:
-            evaluations = self._rank_checkpointed(
-                points, kernels, checkpoint, max(1, checkpoint_chunk)
-            )
-        else:
-            jobs: List[SimJob] = []
-            for point in points:
-                jobs.extend(self._point_jobs(point, kernels))
-            flat = self.runner.run_jobs(
-                jobs, result_cache=self.result_cache, stage="rank"
-            )
-            self.last_results = flat
-            comm_lines = self._comm_lines_by_space()
-            evaluations = [
-                self._evaluation(
-                    point,
-                    flat[i * len(kernels) : (i + 1) * len(kernels)],
-                    comm_lines_by_space=comm_lines,
-                )
-                for i, point in enumerate(points)
-            ]
-        if not evaluations:
+        if not points:
             raise DesignSpaceError("no feasible design points to rank")
-        return sorted(evaluations, key=DesignPointEvaluation.score)
-
-    def _rank_sharded(
-        self,
-        points: Sequence[DesignPoint],
-        kernels: Sequence[Kernel],
-        shards: int,
-        checkpoint: Optional[str],
-    ) -> List[DesignPointEvaluation]:
-        """The sharded rank engine behind ``rank_design_points(shards=)``.
-
-        Shards dispatch through the persistent pool in waves of ``jobs``;
-        after each wave the completed points append to the checkpoint (when
-        one is open) and the wave's distinct results write through the memo
-        layer. The checkpoint signature is exactly
-        :meth:`_rank_checkpointed`'s, so resume interoperates across modes.
-        """
-        from repro.exec.sweepjob import ShardJob, plan_shards, run_shard
-
-        signature = sweep_signature(
-            [point.label for point in points],
-            [kernel.name for kernel in kernels],
-            [],
-        )
+        for point in points:
+            point.require_feasible()
+        traces = tuple(self.trace_cache.get(kernel) for kernel in kernels)
+        if self.check != "off":
+            configs = dict.fromkeys(
+                CheckConfig.from_design_point(point) for point in points
+            )
+            for config in configs:
+                for trace in traces:
+                    self._gate(trace, config)
         by_label = {point.label: point for point in points}
         evaluations: Dict[str, DesignPointEvaluation] = {}
-        store: Optional[SweepCheckpoint] = None
-        loaded: Dict[str, Dict] = {}
-        if checkpoint is not None:
-            store = SweepCheckpoint(checkpoint)
-            loaded = store.load(signature)
-            for label, entry in loaded.items():
-                point = by_label.get(label)
-                if point is None:
-                    continue
-                evaluations[label] = DesignPointEvaluation(
-                    point=point,
-                    mean_seconds=entry["mean_seconds"],
-                    mean_comm_fraction=entry["mean_comm_fraction"],
-                    comm_lines_total=entry["comm_lines_total"],
-                    locality_options=entry["locality_options"],
+
+        def adopt(rows: Iterable[Tuple[str, float, float]]) -> None:
+            for label, mean_seconds, mean_comm_fraction in rows:
+                evaluations[label] = DesignPointEvaluation.of(
+                    by_label[label], mean_seconds, mean_comm_fraction
                 )
-            if evaluations:
-                _log.debug(
-                    "checkpoint %s: resuming with %d/%d point(s) already "
-                    "evaluated",
-                    checkpoint,
-                    len(evaluations),
-                    len(points),
-                )
-        remaining = [point for point in points if point.label not in evaluations]
-        for point in remaining:
-            point.require_feasible()
-        comm_lines = self._comm_lines_by_space()
-        comm_lines_pairs = tuple(
-            sorted(comm_lines.items(), key=lambda pair: str(pair[0]))
-        )
-        kernel_names = tuple(kernel.name for kernel in kernels)
+
+        signature = ""
+        if self.store is not None:
+            signature = self._sweep_signature(points, traces)
+            for key in dict.fromkeys(sweepjob.timing_key(p) for p in points):
+                adopt(self.store.get_object((signature, key), kind=SWEEP_KIND) or ())
+        remaining = [p for p in points if p.label not in evaluations]
         shard_jobs = [
-            ShardJob(
-                points=tuple(points[index] for index in bucket),
-                kernel_names=kernel_names,
+            sweepjob.ShardJob(
+                points=tuple(remaining[index] for index in bucket),
+                traces=traces,
                 system=self.system,
                 comm_params=self.comm_params,
-                comm_lines=comm_lines_pairs,
+                fault_plan=self.faults,
+                retry=self.runner.retry,
             )
-            for bucket in plan_shards(remaining, shards)
+            for bucket in sweepjob.plan_shards(remaining, shards or 1)
             if bucket
         ]
-        collected: List[SimulationResult] = []
-        if store is not None:
-            store.open(signature, resume=bool(loaded))
-        try:
-            wave = max(1, self.jobs)
-            for start in range(0, len(shard_jobs), wave):
-                outcomes = self.runner.map(
-                    run_shard, shard_jobs[start : start + wave], stage="rank-shards"
-                )
-                for outcome in outcomes:
-                    self.run_stats.record_cache(
-                        outcome.dedup_hits, outcome.sim_runs
-                    )
-                    for cache_key, result in outcome.distinct:
+        ran: List[SimulationResult] = []
+        wave = max(1, self.jobs)
+        for start in range(0, len(shard_jobs), wave):
+            outcomes = self.runner.map(
+                sweepjob.run_shard,
+                shard_jobs[start : start + wave],
+                stage="rank-shards",
+            )
+            for outcome in outcomes:
+                self.run_stats.record_cache(outcome.cache_hits, outcome.cache_misses)
+                self.run_stats.record_retry(outcome.retry_sleep, count=outcome.retries)
+                if outcome.error is not None:
+                    self.run_stats.record_retry_exhausted()
+                    raise SimulationError(outcome.error)
+                for cache_key, result in outcome.ran:
+                    if cache_key is not None:
                         self.result_cache.put(cache_key, result)
-                        collected.append(result)
-                    for label, mean_s, mean_cf, lines, options in outcome.evaluations:
-                        evaluation = DesignPointEvaluation(
-                            point=by_label[label],
-                            mean_seconds=mean_s,
-                            mean_comm_fraction=mean_cf,
-                            comm_lines_total=lines,
-                            locality_options=options,
-                        )
-                        evaluations[label] = evaluation
-                        if store is not None:
-                            store.append(
-                                {
-                                    "label": label,
-                                    "mean_seconds": mean_s,
-                                    "mean_comm_fraction": mean_cf,
-                                    "comm_lines_total": lines,
-                                    "locality_options": options,
-                                }
-                            )
-        finally:
-            if store is not None:
-                store.close()
-        self.last_results = collected
-        return [evaluations[point.label] for point in points]
-
-    def _rank_checkpointed(
-        self,
-        points: Sequence[DesignPoint],
-        kernels: Sequence[Kernel],
-        checkpoint: str,
-        chunk: int,
-    ) -> List[DesignPointEvaluation]:
-        """The resumable rank engine behind ``rank_design_points(checkpoint=)``.
-
-        Completed evaluations persist as JSONL entries; floats round-trip
-        through JSON bit-exactly, so a resumed sweep's ranking is
-        byte-identical to an uninterrupted one. The checkpoint signature
-        covers point labels, kernel names, and the fault plan — resuming
-        against a changed sweep starts fresh rather than mixing results.
-        """
-        signature = sweep_signature(
-            [point.label for point in points],
-            [kernel.name for kernel in kernels],
-            [self.faults.describe()] if self.faults is not None else [],
+                    ran.append(result)
+                adopt(outcome.evaluations)
+                if self.store is None:
+                    continue
+                # plan_shards keeps each timing-key group inside one shard,
+                # so this outcome holds every row of the groups it touches.
+                groups: Dict[Tuple[str, str], List[Tuple[str, float, float]]] = {}
+                for row in outcome.evaluations:
+                    key = sweepjob.timing_key(by_label[row[0]])
+                    groups.setdefault(key, []).append(row)
+                for key, rows in groups.items():
+                    self.store.put_object((signature, key), tuple(rows), kind=SWEEP_KIND)
+        self.last_results = ran
+        return sorted(
+            (evaluations[point.label] for point in points),
+            key=DesignPointEvaluation.score,
         )
-        store = SweepCheckpoint(checkpoint)
-        loaded = store.load(signature)
-        by_label = {point.label: point for point in points}
-        evaluations: Dict[str, DesignPointEvaluation] = {}
-        for label, entry in loaded.items():
-            point = by_label.get(label)
-            if point is None:
-                continue
-            evaluations[label] = DesignPointEvaluation(
-                point=point,
-                mean_seconds=entry["mean_seconds"],
-                mean_comm_fraction=entry["mean_comm_fraction"],
-                comm_lines_total=entry["comm_lines_total"],
-                locality_options=entry["locality_options"],
-            )
-        if evaluations:
-            # Debug, not info: resumed stdout stays byte-identical to an
-            # uninterrupted run (the resume CI check diffs them).
-            _log.debug(
-                "checkpoint %s: resuming with %d/%d point(s) already evaluated",
-                checkpoint,
-                len(evaluations),
-                len(points),
-            )
-        remaining = [point for point in points if point.label not in evaluations]
-        comm_lines = self._comm_lines_by_space()
-        store.open(signature, resume=bool(loaded))
-        try:
-            for start in range(0, len(remaining), chunk):
-                batch = remaining[start : start + chunk]
-                jobs: List[SimJob] = []
-                for point in batch:
-                    jobs.extend(self._point_jobs(point, kernels))
-                flat = self.runner.run_jobs(
-                    jobs, result_cache=self.result_cache, stage="rank"
-                )
-                self.last_results = flat
-                for i, point in enumerate(batch):
-                    evaluation = self._evaluation(
-                        point,
-                        flat[i * len(kernels) : (i + 1) * len(kernels)],
-                        comm_lines_by_space=comm_lines,
-                    )
-                    evaluations[point.label] = evaluation
-                    store.append(
-                        {
-                            "label": point.label,
-                            "mean_seconds": evaluation.mean_seconds,
-                            "mean_comm_fraction": evaluation.mean_comm_fraction,
-                            "comm_lines_total": evaluation.comm_lines_total,
-                            "locality_options": evaluation.locality_options,
-                        }
-                    )
-        finally:
-            store.close()
-        return [evaluations[point.label] for point in points]
+
+    def _sweep_signature(
+        self, points: Sequence[DesignPoint], traces: Sequence[KernelTrace]
+    ) -> str:
+        """A stable digest of everything a stored sweep group depends on.
+
+        The point set (order-insensitive), the traces, the machine
+        parameters and any active fault plan: a rerun against a changed
+        sweep finds no records and starts fresh instead of mixing results.
+        """
+        labels = "\n".join(sorted(point.label for point in points))
+        faults = self.faults.describe() if self.faults is not None else None
+        return stable_digest(
+            (labels, tuple(traces), self.system, self.comm_params, faults)
+        )

@@ -23,7 +23,6 @@ __all__ = [
     "ProgramError",
     "CheckError",
     "FaultSpecError",
-    "CheckpointError",
     "StoreError",
     "StoreCorruptionError",
     "ServeError",
@@ -108,10 +107,6 @@ class FaultSpecError(ConfigError):
     A :class:`ConfigError` subclass so the CLI maps bad ``--faults``
     grammar onto the configuration exit code.
     """
-
-
-class CheckpointError(ReproError):
-    """A sweep checkpoint file cannot be read or written."""
 
 
 class StoreError(ReproError):

@@ -7,7 +7,7 @@ design-space exploration:
   fast-simulator run, and the worker entry point;
 - :mod:`repro.exec.sweepjob` — :class:`SweepBatchJob`, N design points
   batched against one trace for the compiled hot path's design-point axis
-  (:mod:`repro.perf.sweep`), and its worker entry point;
+  (:mod:`repro.perf.sweep`), and the rank engine's shards;
 - :mod:`repro.exec.runner` — :class:`ParallelRunner`, an order-preserving
   process-pool fan-out with a deterministic in-process fallback;
 - :mod:`repro.exec.cache` — :class:`TraceCache` and :class:`ResultCache`
@@ -15,16 +15,16 @@ design-space exploration:
 - :mod:`repro.exec.stats` — :class:`RunStats`, per-stage wall-clock and
   job/cache/resilience counters;
 - :mod:`repro.exec.retry` — :class:`RetryPolicy`, deterministic seeded
-  exponential backoff for failed jobs;
-- :mod:`repro.exec.checkpoint` — :class:`SweepCheckpoint`, JSONL
-  checkpoint/resume for long ranking sweeps.
+  exponential backoff for failed jobs.
+
+Resume state for long ranking sweeps lives in the durable store
+(:mod:`repro.store`), one record per completed timing-key group.
 
 Parallel runs preserve submission order and are bit-identical to serial
 runs; see tests/exec/.
 """
 
 from repro.exec.cache import SHARED_TRACE_CACHE, MemoCache, ResultCache, TraceCache
-from repro.exec.checkpoint import SweepCheckpoint, sweep_signature
 from repro.exec.job import SimJob, run_sim_job
 from repro.exec.retry import NO_RETRY, RetryPolicy, backoff_delay, backoff_schedule
 from repro.exec.runner import ParallelRunner
@@ -43,8 +43,6 @@ __all__ = [
     "NO_RETRY",
     "backoff_delay",
     "backoff_schedule",
-    "SweepCheckpoint",
-    "sweep_signature",
     "MemoCache",
     "TraceCache",
     "ResultCache",

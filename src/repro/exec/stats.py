@@ -86,8 +86,8 @@ class RunStats:
         self._cache_hits.inc(hits)
         self._cache_misses.inc(misses)
 
-    def record_retry(self, slept_seconds: float = 0.0) -> None:
-        self._retry_attempts.inc()
+    def record_retry(self, slept_seconds: float = 0.0, count: int = 1) -> None:
+        self._retry_attempts.inc(count)
         self._retry_sleep.inc(slept_seconds)
 
     def record_retry_exhausted(self) -> None:
@@ -145,6 +145,10 @@ class RunStats:
     @property
     def retry_attempts(self) -> int:
         return self._retry_attempts.value
+
+    @property
+    def retry_sleep_seconds(self) -> float:
+        return self._retry_sleep.value
 
     @property
     def retries_exhausted(self) -> int:

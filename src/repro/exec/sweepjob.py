@@ -17,19 +17,18 @@ operation-for-operation the detailed simulator's, its timing-equivalence
 dedup mirrors :class:`~repro.exec.cache.ResultCache` relabel-on-hit, and
 ``tests/perf/test_sweep.py`` pins both.
 
-The second half of the module is the *sharded* full-space rank engine:
+The second half of the module is the rank engine's unit of work:
 :func:`plan_shards` partitions a design-point list into timing-key-aware
 shards (points that dedup to the same simulation always co-locate, so
-in-shard memoization stays as effective as the global
-:class:`~repro.exec.cache.ResultCache`), :class:`ShardJob` is the
-picklable unit of pool work, and :func:`run_shard` evaluates one shard
-entirely inside a worker — building traces from the process-global
-:data:`~repro.exec.cache.SHARED_TRACE_CACHE`, simulating each distinct
-timing key once, and aggregating per-point evaluations with the exact
-float-operation order of :meth:`repro.core.explorer.Explorer._evaluation`
-— returning a compact :class:`ShardOutcome` instead of thousands of
-pickled results. The merged ranking is byte-identical to the serial path
-(``tests/exec/test_shard.py`` pins it).
+in-shard memoization is as effective as a global memo), :class:`ShardJob`
+is the picklable unit of pool work, and :func:`run_shard` evaluates one
+shard whole — simulating each distinct timing key once (or, under a
+fault plan, every job with its own retries) and aggregating per-point
+means with :func:`mean_metrics` — returning a compact
+:class:`ShardOutcome` instead of thousands of pickled results.
+:meth:`repro.core.explorer.Explorer.rank_design_points` runs every
+ranking this way, one shard in-process by default
+(``tests/exec/test_shard.py`` pins identity across shard and job counts).
 """
 
 from __future__ import annotations
@@ -39,14 +38,17 @@ from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tupl
 
 from repro.config.comm import CommParams
 from repro.config.system import SystemConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.exec.job import SimJob, run_sim_job
+from repro.exec.retry import RetryPolicy
+from repro.exec.runner import ParallelRunner
+from repro.faults.spec import FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import would cycle through repro.core
     from repro.core.design_point import DesignPoint
 from repro.perf.sweep import SweepPoint, SweepSimulator
 from repro.sim.results import SimulationResult
-from repro.taxonomy import AddressSpaceKind, CommMechanism
+from repro.taxonomy import CommMechanism
 from repro.trace.stream import KernelTrace
 
 __all__ = [
@@ -59,6 +61,7 @@ __all__ = [
     "plan_shards",
     "ShardJob",
     "ShardOutcome",
+    "mean_metrics",
     "run_shard",
 ]
 
@@ -236,101 +239,114 @@ def plan_shards(points: Sequence[DesignPoint], shards: int) -> List[List[int]]:
 class ShardJob:
     """One shard of a rank sweep — a picklable unit of pool work.
 
-    Carries the shard's points, the kernel *names* (workers rebuild traces
-    from the registry through their process-global trace cache instead of
-    unpickling N copies of each trace), the machine parameters, and the
-    parent's precomputed Table V comm-line totals (as sorted pairs — the
-    dataclass stays hashable/frozen).
+    Carries the shard's points, the kernel traces themselves (all six
+    pickle to ~5 KB, and shipping them means a worker and an in-process
+    shard read the very traces the parent's trace cache built), the
+    machine parameters, and the resilience knobs: an active
+    ``fault_plan`` and the ``retry`` policy of the parent's runner,
+    applied to each job.
     """
 
     points: Tuple[DesignPoint, ...]
-    kernel_names: Tuple[str, ...]
+    traces: Tuple[KernelTrace, ...]
     system: Optional[SystemConfig] = None
     comm_params: Optional[CommParams] = None
-    comm_lines: Tuple[Tuple[AddressSpaceKind, int], ...] = ()
+    fault_plan: Optional[FaultPlan] = None
+    retry: Optional[RetryPolicy] = None
 
 
 @dataclass(frozen=True)
 class ShardOutcome:
     """What a shard sends back: evaluations, not result objects.
 
-    ``evaluations`` holds one ``(label, mean_seconds, mean_comm_fraction,
-    comm_lines_total, locality_options)`` tuple per point, in shard order.
-    ``distinct`` carries the few genuinely distinct ``(cache_key, result)``
-    pairs (one per timing key x kernel) so the parent can write them
-    through its memo/durable store; the thousands of deduplicated results
-    never cross the process boundary. ``sim_runs``/``dedup_hits`` feed the
-    parent's cache counters.
+    ``evaluations`` holds one ``(label, mean_seconds, mean_comm_fraction)``
+    tuple per point. ``ran`` carries one ``(cache_key, result)`` pair per
+    simulation the shard actually ran — a few per timing key without
+    faults, every (point, kernel) job with them (``cache_key`` is then
+    ``None``: fault-injected results are never memoized) — so the parent
+    can write them through its memo/durable store. ``cache_hits`` /
+    ``cache_misses`` are the in-shard dedup counts, ``retries`` /
+    ``retry_sleep`` the per-job re-attempts, and ``error`` the message of
+    a job that failed every attempt (the shard's evaluations are then
+    empty).
     """
 
-    evaluations: Tuple[Tuple[str, float, float, int, int], ...]
-    distinct: Tuple[Tuple[Hashable, SimulationResult], ...]
-    sim_runs: int = 0
-    dedup_hits: int = 0
+    evaluations: Tuple[Tuple[str, float, float], ...]
+    ran: Tuple[Tuple[Optional[Hashable], SimulationResult], ...]
+    cache_hits: int = 0
+    cache_misses: int = 0
+    retries: int = 0
+    retry_sleep: float = 0.0
+    error: Optional[str] = None
+
+
+def mean_metrics(results: Sequence[SimulationResult]) -> Tuple[float, float]:
+    """``(mean_seconds, mean_comm_fraction)`` over one point's kernels.
+
+    Sums in kernel order before one division — the single definition of
+    a point's aggregate, shared by the rank engine and
+    :meth:`repro.core.explorer.Explorer.evaluate_design_point`.
+    """
+    totals = [r.total_seconds for r in results]
+    comm_fracs = [r.breakdown.communication_fraction for r in results]
+    return sum(totals) / len(totals), sum(comm_fracs) / len(comm_fracs)
 
 
 def run_shard(shard: ShardJob) -> ShardOutcome:
-    """Evaluate one shard inside a worker process.
+    """Evaluate one shard (in a worker, or in-process for a single shard).
 
-    Per point this performs exactly the serial path's arithmetic: each
-    distinct timing key simulates once per kernel (``run_sim_job``, same
-    job parameters the explorer's ``_point_jobs`` builds), and the
-    per-point aggregation sums totals/fractions in kernel order before one
-    division — so the merged ranking is bit-identical to
-    :meth:`repro.core.explorer.Explorer._evaluation` over an unsharded run.
+    Without faults each distinct :func:`timing_key` simulates once per
+    kernel and every point sharing it reuses those results. A fault plan
+    seeds each job's faults from its own label, so under faults every
+    (point, kernel) job runs on its own. Either way the jobs go through
+    an in-shard :class:`~repro.exec.runner.ParallelRunner` carrying the
+    shard's retry policy, so each job sees the attempts and fault seeds
+    the parent's runner would give it.
     """
-    from repro.exec.cache import SHARED_TRACE_CACHE
-    from repro.kernels.registry import kernel as kernel_by_name
-    from repro.locality.schemes import feasible_schemes
-
-    kernels = [kernel_by_name(name) for name in shard.kernel_names]
-    traces = [SHARED_TRACE_CACHE.get(k) for k in kernels]
-    comm_lines = dict(shard.comm_lines)
-    memo: "Dict[Tuple[str, str], List[SimulationResult]]" = {}
-    distinct: List[Tuple[Hashable, SimulationResult]] = []
-    evaluations: List[Tuple[str, float, float, int, int]] = []
-    sim_runs = 0
-    dedup_hits = 0
+    dedup = shard.fault_plan is None
+    groups: "Dict[Hashable, List[DesignPoint]]" = {}
     for point in shard.points:
-        point.require_feasible()
-        key = timing_key(point)
-        results = memo.get(key)
-        if results is None:
-            jobs = [
-                SimJob(
-                    trace=trace,
-                    system=shard.system,
-                    comm_params=shard.comm_params,
-                    mechanism=point.comm,
-                    async_overlap=point.comm is CommMechanism.DMA_ASYNC,
-                    address_space=point.address_space,
-                    system_name=point.label,
-                )
-                for trace in traces
-            ]
-            results = [run_sim_job(job) for job in jobs]
-            memo[key] = results
-            sim_runs += len(results)
-            for job, result in zip(jobs, results):
-                cache_key = job.cache_key()
-                if cache_key is not None:
-                    distinct.append((cache_key, result))
-        else:
-            dedup_hits += len(results)
-        totals = [r.total_seconds for r in results]
-        comm_fracs = [r.breakdown.communication_fraction for r in results]
-        evaluations.append(
-            (
-                point.label,
-                sum(totals) / len(totals),
-                sum(comm_fracs) / len(comm_fracs),
-                comm_lines[point.address_space],
-                len(feasible_schemes(point.address_space)),
-            )
+        key = timing_key(point) if dedup else point.label
+        groups.setdefault(key, []).append(point)
+    jobs = [
+        SimJob(
+            trace=trace,
+            system=shard.system,
+            comm_params=shard.comm_params,
+            mechanism=first.comm,
+            async_overlap=first.comm is CommMechanism.DMA_ASYNC,
+            address_space=first.address_space,
+            system_name=first.label,
+            fault_plan=shard.fault_plan,
+        )
+        for first in (members[0] for members in groups.values())
+        for trace in shard.traces
+    ]
+    runner = ParallelRunner(jobs=1, retry=shard.retry)
+    try:
+        results = runner.map(run_sim_job, jobs, stage="shard")
+    except SimulationError as exc:
+        return ShardOutcome(
+            evaluations=(),
+            ran=(),
+            retries=runner.stats.retry_attempts,
+            retry_sleep=runner.stats.retry_sleep_seconds,
+            error=str(exc),
+        )
+    width = len(shard.traces)
+    evaluations: List[Tuple[str, float, float]] = []
+    for index, members in enumerate(groups.values()):
+        mean_seconds, mean_comm_fraction = mean_metrics(
+            results[index * width : (index + 1) * width]
+        )
+        evaluations.extend(
+            (point.label, mean_seconds, mean_comm_fraction) for point in members
         )
     return ShardOutcome(
         evaluations=tuple(evaluations),
-        distinct=tuple(distinct),
-        sim_runs=sim_runs,
-        dedup_hits=dedup_hits,
+        ran=tuple((job.cache_key(), result) for job, result in zip(jobs, results)),
+        cache_hits=len(shard.points) * width - len(jobs) if dedup else 0,
+        cache_misses=len(jobs) if dedup else 0,
+        retries=runner.stats.retry_attempts,
+        retry_sleep=runner.stats.retry_sleep_seconds,
     )

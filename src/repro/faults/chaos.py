@@ -23,8 +23,8 @@ to appear in ``docs/chaos-scenarios.md`` and ``tests/faults/test_chaos.py``):
 - ``sweep-sigkill`` — kill a ``rank --store`` subprocess mid-sweep;
   rerun must be byte-identical to a storeless run, with store hits.
 - ``shard-sigkill`` — kill a sharded ``rank --checkpoint`` subprocess
-  mid-sweep; the sharded rerun (and a flat resume of the same file)
-  must be byte-identical to a clean flat run.
+  mid-sweep; the sharded rerun (and an unsharded resume of the same
+  store) must be byte-identical to a clean run.
 - ``worker-kill`` — SIGKILL a pool worker mid-batch; the supervised
   runner must deliver results equal to the serial clean run.
 - ``store-torn-write`` — a crash mid-append leaves a torn record;
@@ -390,25 +390,29 @@ def _sweep_sigkill(context: ChaosContext) -> str:
 @_scenario(
     "shard-sigkill",
     "SIGKILL a sharded rank --checkpoint sweep mid-run; the sharded rerun "
-    "resumes the checkpoint and is byte-identical to the clean flat run",
+    "and an unsharded resume of the same store are byte-identical to a "
+    "clean run",
 )
 def _shard_sigkill(context: ChaosContext) -> str:
-    checkpoint = context.workdir / "sweep.jsonl"
+    from repro.store import ResultStore
+
+    store_dir = context.workdir / "sweep.store"
     rank_args = ("rank", "--sample", "0", "--top", "5")
     shard_args = (*rank_args, "--shards", "4", "--jobs", "2")
     code, clean = context.run_cli(*rank_args)
     if code != 0:
-        raise context.fail(f"clean flat rank exited {code}")
-    proc = context.spawn_cli(*shard_args, "--checkpoint", str(checkpoint))
+        raise context.fail(f"clean rank exited {code}")
+    proc = context.spawn_cli(*shard_args, "--checkpoint", str(store_dir))
+    journal = store_dir / "journal.jsonl"
     deadline = time.monotonic() + SCENARIO_TIMEOUT / 2
     killed = False
     try:
-        # Kill as soon as the checkpoint holds bytes — mid-sweep, with
-        # some shard waves committed and others still in flight.
+        # Kill as soon as the store journal holds a commit — mid-sweep,
+        # with some shard waves committed and others still in flight.
         while time.monotonic() < deadline:
             if proc.poll() is not None:
                 break
-            if checkpoint.exists() and checkpoint.stat().st_size > 0:
+            if journal.exists() and journal.stat().st_size > 0:
                 proc.send_signal(signal.SIGKILL)
                 killed = True
                 break
@@ -418,26 +422,23 @@ def _shard_sigkill(context: ChaosContext) -> str:
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
-    code, rerun = context.run_cli(*shard_args, "--checkpoint", str(checkpoint))
+    code, rerun = context.run_cli(*shard_args, "--checkpoint", str(store_dir))
     if code != 0:
-        raise context.fail(f"sharded rerun against the checkpoint exited {code}")
+        raise context.fail(f"sharded rerun against the store exited {code}")
     if rerun != clean:
-        raise context.fail(
-            "sharded rerun output is not byte-identical to the clean flat run"
-        )
-    # Checkpoint interop: a *flat* resume of the sharded file must agree.
-    code, flat_resume = context.run_cli(*rank_args, "--checkpoint", str(checkpoint))
+        raise context.fail("sharded rerun output is not byte-identical to the clean run")
+    # Resume works across shard counts: an unsharded rerun must agree.
+    code, unsharded = context.run_cli(*rank_args, "--checkpoint", str(store_dir))
     if code != 0:
-        raise context.fail(f"flat resume of the sharded checkpoint exited {code}")
-    if flat_resume != clean:
-        raise context.fail(
-            "flat resume of the sharded checkpoint is not byte-identical"
-        )
-    entries = max(0, len(checkpoint.read_bytes().splitlines()) - 1)
+        raise context.fail(f"unsharded resume of the store exited {code}")
+    if unsharded != clean:
+        raise context.fail("unsharded resume of the store is not byte-identical")
+    with ResultStore(store_dir) as store:
+        entries = len(store)
     return (
         f"{'killed mid-sweep' if killed else 'sweep finished before the kill'}; "
-        f"sharded rerun and flat resume byte-identical "
-        f"({entries} checkpointed evaluation(s))"
+        f"sharded rerun and unsharded resume byte-identical "
+        f"({entries} store entries)"
     )
 
 

@@ -26,15 +26,16 @@ off (``coherence="none"``) and once per hardware protocol. The recorded
 
 A fourth mode, :func:`run_store_bench`, measures the durable result
 store's warm-start payoff: the same rank-style sweep run cold (fresh
-store, every point simulated and written through) and warm (fresh
-explorer and caches against the store the cold run populated, so every
-result is a disk hit). Both evaluation lists are asserted equal before
-either timing is reported.
+store, every group of points simulated and written through) and warm
+(fresh explorer and caches against the store the cold run populated, so
+every group is a disk hit). Both evaluation lists are asserted equal
+before either timing is reported.
 
 A fifth mode, :func:`run_scale_bench`, measures the machine-saturation
-path: the full 1933-point rank once flat (per-point jobs fanned through
-the pool) and once sharded through :mod:`repro.exec.sweepjob` with a
-prestarted pool, plus a detailed sweep run cold (empty shared compile
+path: the full 1933-point rank as one in-process shard and as
+``2 x jobs`` shards on a prestarted pool (identity-checked; the rank
+engine's own speed record is the ``rank-full`` workload of the repository
+benchmark), plus a detailed sweep run cold (empty shared compile
 region, workers compile) and warm (region populated, workers pre-warmed
 by :func:`repro.perf.warm.attach_region` — steady-state worker compile
 misses must be ~0). Its document section is named ``scaling`` because
@@ -522,12 +523,10 @@ def run_scale_bench(
     Two measurements, both identity-checked before any timing is reported:
 
     - *rank*: every ``rank_stride``-th feasible design point (stride 1 =
-      the full 1933-point space) ranked once flat — per-point jobs fanned
-      through a ``jobs``-wide pool, the pre-sharding path — and once
-      through ``rank_design_points(shards=2*jobs)`` with the pool
-      prestarted. The flattened evaluation lists must match exactly; the
-      recorded speedup is the acceptance criterion's "sharded + warm pool
-      vs flat at ``--jobs 4``" ratio.
+      the full 1933-point space) ranked with ``shards=1`` (one shard,
+      in-process) and with ``shards=2*jobs`` on the prestarted pool. The
+      flattened evaluation lists must match exactly; the speedup is
+      recorded but not gated.
     - *pool*: a detailed batched sweep (``sweep=True``) over the bounding
       kernels, run cold — fresh shared compile region, every worker
       compiles its segments — then warm — a new explorer and pool against
@@ -573,18 +572,15 @@ def run_scale_bench(
             for e in evaluations
         ]
 
-    # -- rank: flat vs sharded ------------------------------------------
-    explorer = Explorer(jobs=jobs, trace_cache=TraceCache())
-    try:
-        start = time.perf_counter()
-        flat_evaluations = explorer.rank_design_points(points, selected)
-        flat_seconds = time.perf_counter() - start
-    finally:
-        explorer.runner.close()
-
+    # -- rank: one shard vs 2 x jobs shards -----------------------------
     explorer = Explorer(jobs=jobs, trace_cache=TraceCache())
     try:
         explorer.runner.prestart()
+        start = time.perf_counter()
+        one_shard_evaluations = explorer.rank_design_points(
+            points, selected, shards=1
+        )
+        one_shard_seconds = time.perf_counter() - start
         start = time.perf_counter()
         sharded_evaluations = explorer.rank_design_points(
             points, selected, shards=shards
@@ -593,10 +589,10 @@ def run_scale_bench(
     finally:
         explorer.runner.close()
 
-    if _flat_evals(sharded_evaluations) != _flat_evals(flat_evaluations):
+    if _flat_evals(sharded_evaluations) != _flat_evals(one_shard_evaluations):
         raise SimulationError(
-            "scale bench identity violation: sharded ranking differs "
-            "from the flat pool path"
+            "scale bench identity violation: the sharded ranking differs "
+            "from the one-shard ranking"
         )
 
     # -- pool: cold vs warm shared compile region -----------------------
@@ -657,10 +653,12 @@ def run_scale_bench(
                 "stride": rank_stride,
                 "shards": shards,
                 "kernels": [k.name for k in selected],
-                "flat_seconds": flat_seconds,
+                "one_shard_seconds": one_shard_seconds,
                 "sharded_seconds": sharded_seconds,
                 "speedup": (
-                    flat_seconds / sharded_seconds if sharded_seconds > 0 else 0.0
+                    one_shard_seconds / sharded_seconds
+                    if sharded_seconds > 0
+                    else 0.0
                 ),
             },
             "pool": {
@@ -781,7 +779,7 @@ def format_bench(doc: Dict) -> str:
         rows = [
             (
                 f"rank ({rank_cell['points']} pts, {rank_cell['shards']} shards)",
-                f"{rank_cell['flat_seconds']:.3f}",
+                f"{rank_cell['one_shard_seconds']:.3f}",
                 f"{rank_cell['sharded_seconds']:.3f}",
                 f"{rank_cell['speedup']:.2f}x",
             ),
@@ -794,7 +792,7 @@ def format_bench(doc: Dict) -> str:
         ]
         lines.append(
             format_table(
-                ("workload", "flat/cold s", "sharded/warm s", "speedup"),
+                ("workload", "1 shard/cold s", "sharded/warm s", "speedup"),
                 rows,
                 title=(
                     f"Machine-scale sweep — {scaling['jobs']} jobs, warm "
@@ -890,16 +888,7 @@ def compare_to_baseline(
             )
     if current.get("scaling"):
         cur_scaling = current["scaling"]
-        if baseline.get("scaling"):
-            base_rank = baseline["scaling"]["rank"]
-            cur_rank = cur_scaling["rank"]
-            floor = base_rank["speedup"] * (1.0 - tolerance)
-            if cur_rank["speedup"] < floor:
-                problems.append(
-                    f"scaling/rank: sharded speedup {cur_rank['speedup']:.2f}x "
-                    f"fell below {floor:.2f}x "
-                    f"(baseline {base_rank['speedup']:.2f}x - {tolerance:.0%})"
-                )
+        # The rank cell carries no floor: its identity check is the gate.
         # Not baseline-relative: a warm pool recompiling is a warm-start
         # bug regardless of what any stored run did — unless shared
         # memory is off, where private caches legitimately recompile.

@@ -266,7 +266,9 @@ class SweepSimulator:
                 f"interleave quantum must be >= 1, got {interleave_quantum}"
             )
         self.interleave_quantum = interleave_quantum
-        self.compile_cache = compile_cache or SHARED_COMPILE_CACHE
+        self.compile_cache = (
+            compile_cache if compile_cache is not None else SHARED_COMPILE_CACHE
+        )
 
     def run(
         self,

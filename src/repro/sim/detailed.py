@@ -77,7 +77,9 @@ class DetailedSimulator:
         self.interleave_quantum = interleave_quantum
         #: Segment-compilation memo; defaults to the process-wide cache so
         #: design points sharing a trace compile each segment once.
-        self.compile_cache = compile_cache or SHARED_COMPILE_CACHE
+        self.compile_cache = (
+            compile_cache if compile_cache is not None else SHARED_COMPILE_CACHE
+        )
         self.last_machine: Optional[Machine] = None
         self.last_mmus: "Optional[Dict[ProcessingUnit, TranslationFront]]" = None
 

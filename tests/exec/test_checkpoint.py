@@ -1,171 +1,188 @@
-"""Tests for JSONL sweep checkpointing and explorer-level resume."""
+"""Tests for store-backed sweep checkpointing and explorer-level resume.
 
-import json
+A rank with a durable :class:`~repro.store.ResultStore` commits one
+``sweep`` record per completed timing-key group, keyed by the sweep
+signature and the group's timing key. These tests pin the checkpoint
+contract on top of that: the signature, the records a sweep leaves
+behind, recovery of a torn store, and that a killed-and-resumed sweep
+ranks exactly like an uninterrupted one.
+"""
 
-import pytest
+from pathlib import Path
 
-from repro.core.explorer import Explorer
+from repro.core.explorer import SWEEP_KIND, Explorer
 from repro.core.space import DesignSpace
-from repro.errors import CheckpointError
 from repro.exec.cache import ResultCache, TraceCache
-from repro.exec.checkpoint import FORMAT_VERSION, SweepCheckpoint, sweep_signature
+from repro.exec.sweepjob import timing_key
 from repro.kernels.registry import all_kernels
+from repro.store import ResultStore
+
+#: Six points in six timing-key groups, so a sweep commits several records.
+POINTS = DesignSpace().feasible_points()[::300][:6]
+KERNELS = all_kernels()[:2]
+
+
+def _flat(evaluations):
+    return [
+        (
+            e.point.label,
+            e.mean_seconds,
+            e.mean_comm_fraction,
+            e.comm_lines_total,
+            e.locality_options,
+        )
+        for e in evaluations
+    ]
+
+
+def _explorer(store=None):
+    if store is not None:
+        # The store also backs the result memo, as under ``rank --store``.
+        return Explorer(trace_cache=TraceCache(), store=store)
+    return Explorer(trace_cache=TraceCache(), result_cache=ResultCache())
+
+
+def _rank(root, points=POINTS, kernels=KERNELS):
+    """Rank ``points`` against a store at ``root``; (evaluations, explorer)."""
+    with ResultStore(root) as store:
+        explorer = _explorer(store)
+        return explorer.rank_design_points(points, kernels), explorer
+
+
+def _signature(points=POINTS, kernels=KERNELS):
+    explorer = _explorer()
+    traces = [explorer.trace_cache.get(kernel) for kernel in kernels]
+    return explorer._sweep_signature(points, traces)
+
+
+def _groups(root, points=POINTS, kernels=KERNELS):
+    """The stored rows of every timing-key group of the sweep (None = absent)."""
+    signature = _signature(points, kernels)
+    with ResultStore(root) as store:
+        return {
+            key: store.get_object((signature, key), kind=SWEEP_KIND)
+            for key in dict.fromkeys(timing_key(p) for p in points)
+        }
+
+
+def _keep_commits(root, count):
+    """Simulate a kill: keep only the first ``count`` journal commits."""
+    journal = Path(root) / "journal.jsonl"
+    lines = journal.read_bytes().splitlines(keepends=True)
+    assert len(lines) > count
+    journal.write_bytes(b"".join(lines[:count]))
+    return len(lines)
 
 
 class TestSignature:
     def test_order_insensitive_within_a_part(self):
-        assert sweep_signature(["b", "a"], ["k"]) == sweep_signature(["a", "b"], ["k"])
-
-    def test_parts_are_not_interchangeable(self):
-        assert sweep_signature(["a"], ["b"]) != sweep_signature(["b"], ["a"])
+        assert _signature(POINTS[::-1]) == _signature(POINTS)
 
     def test_content_sensitive(self):
-        assert sweep_signature(["a"], ["k"]) != sweep_signature(["a", "c"], ["k"])
+        assert _signature(POINTS[:5]) != _signature(POINTS)
+        assert _signature(kernels=KERNELS[:1]) != _signature()
 
 
 class TestStore:
     def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "cp.jsonl")
-        store = SweepCheckpoint(path)
-        store.open("sig", resume=False)
-        store.append({"label": "p1", "mean_seconds": 0.25})
-        store.append({"label": "p2", "mean_seconds": 0.5})
-        store.close()
-        entries = SweepCheckpoint(path).load("sig")
-        assert entries["p1"]["mean_seconds"] == 0.25
-        assert list(entries) == ["p1", "p2"]
+        evaluations, _ = _rank(tmp_path / "cp")
+        stored = {}
+        for rows in _groups(tmp_path / "cp").values():
+            assert rows is not None
+            stored.update({label: (s, c) for label, s, c in rows})
+        assert stored == {
+            e.point.label: (e.mean_seconds, e.mean_comm_fraction) for e in evaluations
+        }
 
     def test_missing_file_loads_empty(self, tmp_path):
-        assert SweepCheckpoint(str(tmp_path / "absent.jsonl")).load("sig") == {}
-
-    def test_signature_mismatch_starts_fresh(self, tmp_path):
-        path = str(tmp_path / "cp.jsonl")
-        with SweepCheckpoint(path) as store:
-            store.open("old-sweep", resume=False)
-            store.append({"label": "p1"})
-        assert SweepCheckpoint(path).load("new-sweep") == {}
-
-    def test_version_mismatch_starts_fresh(self, tmp_path):
-        path = tmp_path / "cp.jsonl"
-        path.write_text(
-            json.dumps({"version": FORMAT_VERSION + 1, "signature": "sig"}) + "\n"
-        )
-        assert SweepCheckpoint(str(path)).load("sig") == {}
-
-    def test_corrupt_header_starts_fresh(self, tmp_path):
-        path = tmp_path / "cp.jsonl"
-        path.write_text("not json\n")
-        assert SweepCheckpoint(str(path)).load("sig") == {}
-
-    def test_truncated_trailing_entry_keeps_the_rest(self, tmp_path):
-        """A kill can land mid-write; everything before it must survive."""
-        path = tmp_path / "cp.jsonl"
-        with SweepCheckpoint(str(path)) as store:
-            store.open("sig", resume=False)
-            store.append({"label": "p1", "mean_seconds": 1.0})
-            store.append({"label": "p2", "mean_seconds": 2.0})
-        path.write_text(path.read_text() + '{"label": "p3", "mean_s')
-        entries = SweepCheckpoint(str(path)).load("sig")
-        assert sorted(entries) == ["p1", "p2"]
-
-    def test_unterminated_trailing_entry_is_torn(self, tmp_path):
-        """A parseable last line with no newline is still a torn write."""
-        path = tmp_path / "cp.jsonl"
-        with SweepCheckpoint(str(path)) as store:
-            store.open("sig", resume=False)
-            store.append({"label": "p1", "mean_seconds": 1.0})
-        path.write_text(path.read_text() + '{"label": "p2", "mean_seconds": 2.0}')
-        entries = SweepCheckpoint(str(path)).load("sig")
-        assert sorted(entries) == ["p1"]
+        assert set(_groups(tmp_path / "absent").values()) == {None}
+        _, fresh = _rank(tmp_path / "absent")
+        plain = _explorer()
+        plain.rank_design_points(POINTS, KERNELS)
+        assert fresh.run_stats.cache_misses == plain.run_stats.cache_misses > 0
 
     def test_resume_truncates_the_torn_tail(self, tmp_path):
-        """Kill-mid-write regression: appending after a torn trailing line
-        must not concatenate the partial line with the next entry."""
-        path = tmp_path / "cp.jsonl"
-        with SweepCheckpoint(str(path)) as store:
-            store.open("sig", resume=False)
-            store.append({"label": "p1", "mean_seconds": 1.0})
-        path.write_text(path.read_text() + '{"label": "p2", "mean_s')
-        store = SweepCheckpoint(str(path))
-        loaded = store.load("sig")
-        assert sorted(loaded) == ["p1"]
-        with store:
-            store.open("sig", resume=True)
-            store.append({"label": "p2", "mean_seconds": 2.0})
-            store.append({"label": "p3", "mean_seconds": 3.0})
-        # Every line in the healed file parses; nothing was concatenated.
-        lines = path.read_text().splitlines()
-        assert [json.loads(line).get("label") for line in lines[1:]] == [
-            "p1",
-            "p2",
-            "p3",
-        ]
-        entries = SweepCheckpoint(str(path)).load("sig")
-        assert sorted(entries) == ["p1", "p2", "p3"]
+        root = tmp_path / "cp"
+        full, _ = _rank(root)
+        (segment,) = sorted((root / "segments").glob("seg-*.jsonl"))
+        committed = segment.stat().st_size
+        # A crash mid-append: half a record past the last commit, and a
+        # torn journal line describing it.
+        with open(segment, "ab") as handle:
+            handle.write(b'{"k": "sweep/torn", "s": "')
+        with open(root / "journal.jsonl", "ab") as handle:
+            handle.write(b'{"segment": "seg-')
+        resumed, explorer = _rank(root)
+        assert _flat(resumed) == _flat(full)
+        assert explorer.run_stats.cache_misses == 0
+        assert segment.stat().st_size == committed
 
-    def test_append_requires_open(self, tmp_path):
-        store = SweepCheckpoint(str(tmp_path / "cp.jsonl"))
-        with pytest.raises(CheckpointError):
-            store.append({"label": "p1"})
+    def test_signature_mismatch_starts_fresh(self, tmp_path):
+        root = tmp_path / "cp"
+        _rank(root, kernels=KERNELS[:1])
+        # Same points, another kernel set: a different sweep signature, so
+        # none of the first sweep's group records is taken.
+        assert set(_groups(root).values()) == {None}
+        resumed, explorer = _rank(root)
+        assert explorer.run_stats.cache_misses > 0
+        assert _flat(resumed) == _flat(_explorer().rank_design_points(POINTS, KERNELS))
 
-    def test_double_open_rejected(self, tmp_path):
-        store = SweepCheckpoint(str(tmp_path / "cp.jsonl"))
-        store.open("sig", resume=False)
-        try:
-            with pytest.raises(CheckpointError):
-                store.open("sig", resume=False)
-        finally:
-            store.close()
+    def test_truncated_trailing_entry_keeps_the_rest(self, tmp_path):
+        root = tmp_path / "cp"
+        full, _ = _rank(root)
+        with ResultStore(root) as store:
+            entries = len(store)
+        # Drop the last commit and cut its record short in the segment.
+        total = _keep_commits(root, entries - 1)
+        assert total == entries
+        (segment,) = sorted((root / "segments").glob("seg-*.jsonl"))
+        raw = segment.read_bytes()
+        segment.write_bytes(raw[: raw.rstrip(b"\n").rfind(b"\n") + 1 + 10])
+        with ResultStore(root) as store:
+            assert len(store) == entries - 1
+        resumed, _ = _rank(root)
+        assert _flat(resumed) == _flat(full)
+
+    def test_unterminated_trailing_entry_is_torn(self, tmp_path):
+        root = tmp_path / "cp"
+        full, _ = _rank(root)
+        with ResultStore(root) as store:
+            entries = len(store)
+        # No journal to consult and a final record missing its newline:
+        # the clean prefix ends before it.
+        (root / "journal.jsonl").unlink()
+        (segment,) = sorted((root / "segments").glob("seg-*.jsonl"))
+        segment.write_bytes(segment.read_bytes().rstrip(b"\n"))
+        with ResultStore(root) as store:
+            assert len(store) == entries - 1
+        resumed, _ = _rank(root)
+        assert _flat(resumed) == _flat(full)
 
 
 class TestExplorerResume:
     """The acceptance check: killed-and-resumed sweep == uninterrupted sweep."""
 
-    def _explorer(self):
-        return Explorer(trace_cache=TraceCache(), result_cache=ResultCache())
-
-    def _rank(self, checkpoint=None):
-        points = DesignSpace().feasible_points()[:6]
-        kernels = all_kernels()[:2]
-        return self._explorer().rank_design_points(
-            points, kernels, checkpoint=checkpoint, checkpoint_chunk=2
-        )
-
-    @staticmethod
-    def _flat(evaluations):
-        return [
-            (
-                e.point.label,
-                e.mean_seconds,
-                e.mean_comm_fraction,
-                e.comm_lines_total,
-                e.locality_options,
-            )
-            for e in evaluations
-        ]
-
     def test_checkpointed_matches_plain(self, tmp_path):
-        plain = self._rank()
-        checkpointed = self._rank(checkpoint=str(tmp_path / "cp.jsonl"))
-        assert self._flat(checkpointed) == self._flat(plain)
+        plain = _explorer().rank_design_points(POINTS, KERNELS)
+        checkpointed, _ = _rank(tmp_path / "cp")
+        assert _flat(checkpointed) == _flat(plain)
 
     def test_resume_after_a_kill_is_identical(self, tmp_path):
-        path = tmp_path / "cp.jsonl"
-        full = self._rank(checkpoint=str(path))
-        lines = path.read_text().splitlines()
-        assert len(lines) == 7  # header + 6 points
-        # Simulate a kill after the first chunk: keep header + 2 entries.
-        path.write_text("\n".join(lines[:3]) + "\n")
-        resumed = self._rank(checkpoint=str(path))
-        assert self._flat(resumed) == self._flat(full)
-        # The resumed run completed the file.
-        assert len(path.read_text().splitlines()) == 7
+        root = tmp_path / "cp"
+        full, _ = _rank(root)
+        _keep_commits(root, 3)
+        assert None in _groups(root).values()
+        resumed, explorer = _rank(root)
+        assert _flat(resumed) == _flat(full)
+        assert explorer.run_stats.cache_misses > 0
+        # The resumed run completed the store.
+        assert None not in _groups(root).values()
 
     def test_relabel_on_hit_lands_with_its_own_label(self, tmp_path):
-        # Satellite check: points equal on every timing axis (only the
-        # label-bearing axes differ) trigger ResultCache relabel-on-hit;
-        # the checkpoint row must record the *point's* label, and a resume
-        # loading such a row must stay byte-identical to a fresh run.
+        # Points equal on every timing axis (only the label-bearing axes
+        # differ) share one simulation; the group record must hold each
+        # *point's* label, and a resume loading it must stay identical to
+        # a fresh run.
         all_points = DesignSpace().feasible_points()
         first = all_points[0]
         twins = [
@@ -174,35 +191,28 @@ class TestExplorerResume:
             if (p.address_space, p.comm) == (first.address_space, first.comm)
         ][:4]
         assert len(twins) >= 2  # same timing key, distinct labels
-        kernels = all_kernels()[:1]
-        path = tmp_path / "cp.jsonl"
-        full = self._explorer().rank_design_points(
-            twins, kernels, checkpoint=str(path), checkpoint_chunk=1
-        )
-        import json
-
-        rows = [json.loads(line) for line in path.read_text().splitlines()[1:]]
-        assert [row["label"] for row in rows] == [p.label for p in twins]
-        # Kill after the first (cache-priming) point; the resumed run's
-        # remaining points are all relabel-on-hit.
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:2]) + "\n")
-        resumed = self._explorer().rank_design_points(
-            twins, kernels, checkpoint=str(path), checkpoint_chunk=1
-        )
-        assert self._flat(resumed) == self._flat(full)
-        plain = self._explorer().rank_design_points(twins, kernels)
-        assert self._flat(resumed) == self._flat(plain)
+        kernels = KERNELS[:1]
+        root = tmp_path / "cp"
+        full, _ = _rank(root, twins, kernels)
+        (rows,) = _groups(root, twins, kernels).values()
+        assert [row[0] for row in rows] == [p.label for p in twins]
+        # Kill after the simulation committed but before the group record.
+        _keep_commits(root, 1)
+        resumed, _ = _rank(root, twins, kernels)
+        assert _flat(resumed) == _flat(full)
+        plain = _explorer().rank_design_points(twins, kernels)
+        assert _flat(resumed) == _flat(plain)
 
     def test_changed_sweep_is_not_mixed_in(self, tmp_path):
-        path = tmp_path / "cp.jsonl"
-        self._rank(checkpoint=str(path))
-        points = DesignSpace().feasible_points()[:3]  # different point set
-        kernels = all_kernels()[:2]
-        explorer = self._explorer()
-        evaluations = explorer.rank_design_points(
-            points, kernels, checkpoint=str(path)
-        )
+        root = tmp_path / "cp"
+        _rank(root)
+        points = POINTS[:3]  # different point set
+        evaluations, explorer = _rank(root, points)
         assert len(evaluations) == 3
-        # The file was rewritten for the new sweep (header + 3 entries).
-        assert len(path.read_text().splitlines()) == 4
+        assert explorer.run_stats.cache_misses > 0
+        assert _flat(evaluations) == _flat(
+            _explorer().rank_design_points(points, KERNELS)
+        )
+        # Both sweeps' records are in the store, each under its own signature.
+        assert None not in _groups(root).values()
+        assert None not in _groups(root, points).values()

@@ -1,12 +1,14 @@
-"""The sharded full-space rank engine: partition laws and byte-identity.
+"""The rank engine: partition laws, byte-identity and store resume.
 
-Two layers. :func:`~repro.exec.sweepjob.plan_shards` must be a true,
+Three layers. :func:`~repro.exec.sweepjob.plan_shards` must be a true,
 deterministic, timing-key-colocating partition — Hypothesis pins the set
-algebra. Above it, ``rank_design_points(shards=)`` must produce a ranking
-byte-identical to the flat and serial paths, interoperate with
-checkpoints in both directions, and keep the persistent pool at its full
-width across uneven shard waves (the pool-sizing regression).
+algebra. Above it, ``rank_design_points`` must produce the same ranking
+at every shard and job count, resume from any committed prefix of a
+durable store at any shard count, and keep the persistent pool at its full width across
+uneven shard waves (the pool-sizing regression).
 """
+
+import shutil
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +16,9 @@ import pytest
 
 from repro.core.explorer import Explorer
 from repro.core.space import DesignSpace
-from repro.errors import ConfigError
-from repro.exec.cache import ResultCache, TraceCache
+from repro.errors import ConfigError, SimulationError
+from repro.exec.cache import SHARED_TRACE_CACHE, ResultCache, TraceCache
+from repro.exec.retry import RetryPolicy
 from repro.exec.runner import ParallelRunner
 from repro.exec.sweepjob import (
     ShardJob,
@@ -23,9 +26,13 @@ from repro.exec.sweepjob import (
     run_shard,
     timing_key,
 )
+from repro.faults.spec import FaultPlan
 from repro.kernels.registry import all_kernels
+from repro.store import ResultStore
 
 POINTS = DesignSpace().feasible_points()
+#: A stride through the space: many timing-key groups, several points each.
+SPREAD = POINTS[::24]
 KERNELS = list(all_kernels())[:2]
 
 
@@ -103,48 +110,59 @@ class TestRunShard:
         points = POINTS[:12]
         shard = ShardJob(
             points=tuple(points),
-            kernel_names=tuple(k.name for k in KERNELS),
-            comm_lines=tuple(
-                sorted(
-                    Explorer._comm_lines_by_space().items(),
-                    key=lambda pair: str(pair[0]),
-                )
-            ),
+            traces=tuple(SHARED_TRACE_CACHE.get(k) for k in KERNELS),
         )
         outcome = run_shard(shard)
         assert len(outcome.evaluations) == len(points)
         distinct_keys = {timing_key(p) for p in points}
-        assert outcome.sim_runs == len(distinct_keys) * len(KERNELS)
-        assert outcome.dedup_hits == (len(points) - len(distinct_keys)) * len(
+        assert outcome.cache_misses == len(distinct_keys) * len(KERNELS)
+        assert outcome.cache_hits == (len(points) - len(distinct_keys)) * len(
             KERNELS
         )
-        assert len(outcome.distinct) == outcome.sim_runs
+        assert len(outcome.ran) == outcome.cache_misses
+
+    def test_exhausted_retries_raise_in_the_parent(self):
+        explorer = Explorer(
+            trace_cache=TraceCache(),
+            faults=FaultPlan.parse("pcie:fail=1.0"),
+            retry=RetryPolicy(retries=1, base_delay=0.0),
+        )
+        with pytest.raises(SimulationError, match="failed after 2 attempt"):
+            explorer.rank_design_points(POINTS[:6], KERNELS)
+        # The shard's per-job retry reached the parent's counters; the
+        # shard itself was not re-run.
+        assert explorer.run_stats.retry_attempts == 1
+        assert explorer.run_stats.retries_exhausted == 1
+
+
+def _auto(jobs):
+    return max(2 * jobs, 1)
 
 
 class TestShardedRankIdentity:
-    def test_sharded_equals_flat_equals_serial(self):
-        points = POINTS[:80]
-        serial = Explorer(
-            trace_cache=TraceCache(), result_cache=ResultCache()
-        ).rank_design_points(points, KERNELS)
-        flat = Explorer(
-            jobs=2, trace_cache=TraceCache(), result_cache=ResultCache()
-        ).rank_design_points(points, KERNELS)
-        sharded = Explorer(
-            jobs=2, trace_cache=TraceCache(), result_cache=ResultCache()
-        ).rank_design_points(points, KERNELS, shards=4)
-        assert _flat(sharded) == _flat(serial)
-        assert _flat(flat) == _flat(serial)
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return _flat(
+            Explorer(
+                trace_cache=TraceCache(), result_cache=ResultCache()
+            ).rank_design_points(SPREAD, KERNELS)
+        )
 
-    def test_shards_one_uses_the_flat_path(self):
-        points = POINTS[:20]
-        one = Explorer(trace_cache=TraceCache()).rank_design_points(
-            points, KERNELS, shards=1
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("shards", [None, 1, 3, "auto"])
+    def test_one_engine_is_identical(self, reference, shards, jobs):
+        explorer = Explorer(
+            jobs=jobs, trace_cache=TraceCache(), result_cache=ResultCache()
         )
-        serial = Explorer(trace_cache=TraceCache()).rank_design_points(
-            points, KERNELS
-        )
-        assert _flat(one) == _flat(serial)
+        try:
+            ranked = explorer.rank_design_points(
+                SPREAD,
+                KERNELS,
+                shards=_auto(jobs) if shards == "auto" else shards,
+            )
+        finally:
+            explorer.runner.close()
+        assert _flat(ranked) == reference
 
     def test_rejects_nonpositive_shards(self):
         with pytest.raises(ConfigError):
@@ -171,51 +189,88 @@ class TestShardedRankIdentity:
         )
 
 
+def _store_rank(root, points, shards=None, jobs=2):
+    """Rank against a store at ``root``; (flattened ranking, explorer)."""
+    store = ResultStore(root)
+    try:
+        explorer = Explorer(jobs=jobs, trace_cache=TraceCache(), store=store)
+        try:
+            ranked = explorer.rank_design_points(
+                points, KERNELS, shards=shards
+            )
+        finally:
+            explorer.runner.close()
+        return _flat(ranked), explorer
+    finally:
+        store.close()
+
+
+def _keep_commits(root, count):
+    """Simulate a kill: keep only the first ``count`` journal commits."""
+    journal = root / "journal.jsonl"
+    lines = journal.read_bytes().splitlines(keepends=True)
+    assert len(lines) > count
+    journal.write_bytes(b"".join(lines[:count]))
+
+
+class TestStoreResume:
+    POINTS = POINTS[::150]
+
+    def test_every_journal_prefix_resumes_identically(self, tmp_path):
+        """A kill after any commit: the rerun recomputes only what the
+        store lost, and every rerun gives the same ranking."""
+        full, _ = _store_rank(tmp_path / "full", self.POINTS, shards=4)
+        journal = (tmp_path / "full" / "journal.jsonl").read_bytes()
+        lines = journal.splitlines(keepends=True)
+        # One commit per distinct result plus one per timing-key group.
+        groups = {timing_key(p) for p in self.POINTS}
+        assert len(groups) > 1
+        assert len(lines) == len(groups) * (len(KERNELS) + 1)
+        for keep in range(len(lines) + 1):
+            root = tmp_path / f"cut-{keep}"
+            shutil.copytree(tmp_path / "full", root)
+            (root / "journal.jsonl").write_bytes(b"".join(lines[:keep]))
+            resumed, _ = _store_rank(
+                root, self.POINTS, shards=None if keep % 2 else 3
+            )
+            assert resumed == full, f"resume after {keep} commit(s) differs"
+
+
 class TestCheckpointInterop:
+    """A store written at one shard count resumes at any other."""
+
+    GROUPS = len({timing_key(p) for p in SPREAD})
+
+    def _kill_late(self, root):
+        """Drop the last commits, so half the group records are lost."""
+        lines = (root / "journal.jsonl").read_bytes().splitlines()
+        _keep_commits(root, len(lines) - self.GROUPS // 2)
+
     def test_sharded_resumes_a_flat_checkpoint(self, tmp_path):
-        path = str(tmp_path / "cp.jsonl")
-        points = POINTS[:30]
-        serial = Explorer(trace_cache=TraceCache()).rank_design_points(
-            points, KERNELS
-        )
-        # A flat checkpointed run over the first half of the points only.
-        Explorer(trace_cache=TraceCache()).rank_design_points(
-            points[:15], KERNELS, checkpoint=path
-        )
-        # Different point set -> different signature; same set resumes.
-        resumed = Explorer(jobs=2, trace_cache=TraceCache()).rank_design_points(
-            points[:15], KERNELS, checkpoint=path, shards=4
-        )
-        flat_half = Explorer(trace_cache=TraceCache()).rank_design_points(
-            points[:15], KERNELS
-        )
-        assert _flat(resumed) == _flat(flat_half)
-        assert _flat(serial)  # sanity: full run unaffected
+        root = tmp_path / "store"
+        # One in-process shard, killed before its last group records.
+        serial, _ = _store_rank(root, SPREAD, jobs=1)
+        self._kill_late(root)
+        resumed, explorer = _store_rank(root, SPREAD, shards=4)
+        assert resumed == serial
+        assert 0 < explorer.run_stats.cache_misses < self.GROUPS * len(KERNELS)
 
     def test_flat_resumes_a_sharded_checkpoint(self, tmp_path):
-        path = str(tmp_path / "cp.jsonl")
-        points = POINTS[:30]
-        sharded = Explorer(jobs=2, trace_cache=TraceCache()).rank_design_points(
-            points, KERNELS, checkpoint=path, shards=4
-        )
-        resumed = Explorer(trace_cache=TraceCache()).rank_design_points(
-            points, KERNELS, checkpoint=path
-        )
-        assert _flat(resumed) == _flat(sharded)
+        root = tmp_path / "store"
+        sharded, _ = _store_rank(root, SPREAD, shards=4)
+        self._kill_late(root)
+        resumed, explorer = _store_rank(root, SPREAD, jobs=1)
+        assert resumed == sharded
+        assert 0 < explorer.run_stats.cache_misses < self.GROUPS * len(KERNELS)
 
     def test_sharded_checkpoint_round_trips_bit_exact(self, tmp_path):
-        path = str(tmp_path / "cp.jsonl")
-        points = POINTS[:30]
-        first = Explorer(jobs=2, trace_cache=TraceCache()).rank_design_points(
-            points, KERNELS, checkpoint=path, shards=4
-        )
-        # Everything is checkpointed: the rerun loads, simulates nothing.
-        rerun = Explorer(jobs=2, trace_cache=TraceCache())
-        evaluations = rerun.rank_design_points(
-            points, KERNELS, checkpoint=path, shards=4
-        )
-        assert _flat(evaluations) == _flat(first)
-        assert rerun.run_stats.cache_misses == 0
+        root = tmp_path / "store"
+        first, _ = _store_rank(root, SPREAD, shards=4)
+        # Every group is stored: the rerun loads, simulates nothing.
+        rerun, explorer = _store_rank(root, SPREAD, shards=4)
+        assert rerun == first
+        assert explorer.run_stats.cache_misses == 0
+        assert explorer.last_results == []
 
 
 class TestPoolSizing:

@@ -186,7 +186,7 @@ def scaling_doc(rank_speedup=3.0, warm_misses=0, shm=True):
                 "stride": 1,
                 "shards": 8,
                 "kernels": ["reduction"],
-                "flat_seconds": rank_speedup,
+                "one_shard_seconds": rank_speedup,
                 "sharded_seconds": 1.0,
                 "speedup": rank_speedup,
             },
@@ -207,11 +207,13 @@ class TestScalingSection:
     def test_identical_docs_have_no_regressions(self):
         assert compare_to_baseline(scaling_doc(), scaling_doc()) == []
 
-    def test_rank_speedup_regression_detected(self):
+    def test_rank_speedup_is_not_gated(self):
+        # The rank cell's gate is its identity check; a slower sharded
+        # run is recorded, not a regression.
         problems = compare_to_baseline(
-            scaling_doc(rank_speedup=1.2), scaling_doc(rank_speedup=3.0)
+            scaling_doc(rank_speedup=0.5), scaling_doc(rank_speedup=3.0)
         )
-        assert any(p.startswith("scaling/rank") for p in problems)
+        assert problems == []
 
     def test_rank_speedup_within_tolerance_passes(self):
         problems = compare_to_baseline(

@@ -181,6 +181,29 @@ class TestCompileCache:
         compiled = compile_segment(segment)
         assert SHARED_COMPILE_CACHE.get(segment) is compiled
 
+    @pytest.mark.parametrize("simulator", ["detailed", "sweep"])
+    def test_empty_private_cache_is_used(self, simulator):
+        """An empty private cache is falsy (``__len__`` is 0) but must
+        still replace the shared one, not fall back to it."""
+        from repro.config.presets import case_study
+        from repro.kernels.registry import kernel
+        from repro.perf.sweep import SweepPoint, SweepSimulator
+        from repro.sim.detailed import DetailedSimulator
+
+        trace = kernel("reduction").build().scaled(0.002)
+        private = SegmentCompileCache()
+        shared_before = SHARED_COMPILE_CACHE.stats()
+        if simulator == "detailed":
+            DetailedSimulator(compile_cache=private).run(
+                trace, case=case_study("Fusion")
+            )
+        else:
+            SweepSimulator(compile_cache=private).run(
+                trace, [SweepPoint(case=case_study("Fusion"))]
+            )
+        assert private.misses > 0
+        assert SHARED_COMPILE_CACHE.stats() == shared_before
+
 
 class TestEagerEvents:
     """``from_segment`` builds the event stream eagerly (regression).

@@ -267,13 +267,16 @@ class TestCheckpointFlag:
     def test_kill_and_resume_reproduces_the_uninterrupted_output(
         self, tmp_path, capsys
     ):
-        path = tmp_path / "sweep.jsonl"
+        path = tmp_path / "sweep.store"
         args = ["rank", "--sample", "6", "--checkpoint", str(path)]
         assert main(args) == 0
         full = capsys.readouterr().out
-        # Simulate a mid-sweep kill: drop everything after the first chunk.
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:3]) + "\n")
+        # Simulate a mid-sweep kill: keep only the first two journal
+        # commits, so reopening drops every later record.
+        journal = path / "journal.jsonl"
+        lines = journal.read_bytes().splitlines(keepends=True)
+        assert len(lines) > 2
+        journal.write_bytes(b"".join(lines[:2]))
         assert main(args) == 0
         assert capsys.readouterr().out == full
 
@@ -281,7 +284,7 @@ class TestCheckpointFlag:
         assert main(["rank", "--sample", "6"]) == 0
         plain = capsys.readouterr().out
         assert main(
-            ["rank", "--sample", "6", "--checkpoint", str(tmp_path / "cp.jsonl")]
+            ["rank", "--sample", "6", "--checkpoint", str(tmp_path / "cp.store")]
         ) == 0
         assert capsys.readouterr().out == plain
 
