@@ -911,13 +911,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_bench = sub.add_parser(
         "bench",
         help="benchmark the detailed simulator's compiled hot path against "
-        "the legacy generator path (exit 1 on regression)",
+        "the reference generator expansion (exit 1 on regression)",
     )
     p_bench.add_argument(
         "--mode",
         choices=("hotpath", "sweep", "coherence", "store", "scale", "all"),
         default="hotpath",
-        help="hotpath: legacy vs compiled per kernel; sweep: per-point vs "
+        help="hotpath: reference oracle vs production per kernel; sweep: per-point vs "
         "batched design-point axis on a rank-style workload; coherence: "
         "protocol-on vs protocol-off simulation overhead; store: "
         "warm-store vs cold sweep wall-clock; scale: sharded-vs-flat "

@@ -12,9 +12,10 @@ figure sweeps fan out *batches of points* instead of individual jobs;
 worker-side compile-cache deltas, for warm-pool observability).
 
 Results are bit-identical to running each job through
-:func:`~repro.exec.job.run_sim_job`: the sweep engine's per-point walk is
-operation-for-operation the detailed simulator's, its timing-equivalence
-dedup mirrors :class:`~repro.exec.cache.ResultCache` relabel-on-hit, and
+:func:`~repro.exec.job.run_sim_job`: the sweep engine and the detailed
+simulator run the same phase walk (:func:`repro.perf.sweep.walk_phases`,
+with N points or one), its timing-equivalence dedup mirrors
+:class:`~repro.exec.cache.ResultCache` relabel-on-hit, and
 ``tests/perf/test_sweep.py`` pins both.
 
 The second half of the module is the rank engine's unit of work:
@@ -77,7 +78,6 @@ class SweepBatchJob:
     interleave_parallel: bool = True
     l1_prefetch: bool = False
     gpu_mode: str = "heuristic"
-    interleave_quantum: int = 1
 
 
 def run_sweep_batch(job: SweepBatchJob) -> List[SimulationResult]:
@@ -88,7 +88,6 @@ def run_sweep_batch(job: SweepBatchJob) -> List[SimulationResult]:
         interleave_parallel=job.interleave_parallel,
         l1_prefetch=job.l1_prefetch,
         gpu_mode=job.gpu_mode,
-        interleave_quantum=job.interleave_quantum,
     )
     return simulator.run(job.trace, list(job.points))
 
@@ -151,7 +150,6 @@ def partition_jobs(
     interleave_parallel: bool = True,
     l1_prefetch: bool = False,
     gpu_mode: str = "heuristic",
-    interleave_quantum: int = 1,
 ) -> Optional[List[Tuple[SweepBatchJob, List[int]]]]:
     """Partition detailed jobs into per-trace sweep batches.
 
@@ -180,7 +178,6 @@ def partition_jobs(
                     interleave_parallel=interleave_parallel,
                     l1_prefetch=l1_prefetch,
                     gpu_mode=gpu_mode,
-                    interleave_quantum=interleave_quantum,
                 ),
                 indices,
             )

@@ -23,7 +23,8 @@ to appear in ``docs/chaos-scenarios.md`` and ``tests/faults/test_chaos.py``):
 - ``sweep-sigkill`` — kill a ``rank --store`` subprocess mid-sweep;
   rerun must be byte-identical to a storeless run, with store hits.
 - ``shard-sigkill`` — kill a sharded ``rank --checkpoint`` subprocess
-  mid-sweep; the sharded rerun (and an unsharded resume of the same
+  and its pool workers (the whole process group) mid-sweep; none may
+  survive, and the sharded rerun (and an unsharded resume of the same
   store) must be byte-identical to a clean run.
 - ``worker-kill`` — SIGKILL a pool worker mid-batch; the supervised
   runner must deliver results equal to the serial clean run.
@@ -34,8 +35,9 @@ to appear in ``docs/chaos-scenarios.md`` and ``tests/faults/test_chaos.py``):
 - ``serve-comm-faults`` — inject comm faults against a live server; the
   response must be a typed error, and the next clean response
   byte-identical to the pre-fault baseline.
-- ``serve-overload`` — flood a bounded queue; overflow must shed with a
-  typed 503 while accepted jobs finish and readiness recovers.
+- ``serve-overload`` — flood a bounded queue once its occupier is
+  observed running; overflow must shed with a typed 503 while accepted
+  jobs finish and readiness recovers.
 - ``serve-deadline`` — an idle tiny-deadline request must time out
   typed (504); a queued detailed request under pressure must degrade to
   the fast model and say so.
@@ -131,11 +133,14 @@ class ChaosContext:
         return proc.returncode, proc.stdout
 
     def spawn_cli(self, *args: str) -> "subprocess.Popen[bytes]":
+        """Start the CLI in its own session, so its process group (the CLI
+        plus any pool workers it forks) can be killed as a whole."""
         return subprocess.Popen(
             [sys.executable, "-m", "repro.cli", *args],
             env=self.cli_env(),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            start_new_session=True,
         )
 
 
@@ -387,6 +392,21 @@ def _sweep_sigkill(context: ChaosContext) -> str:
     )
 
 
+def _group_members(pgid: int) -> List[int]:
+    """Live (non-zombie) processes in process group ``pgid``, from /proc."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            text = stat.read_text()
+        except OSError:
+            continue  # exited while scanning
+        # Fields after the parenthesised command: state, ppid, pgrp, ...
+        state, _ppid, pgrp = text[text.rindex(")") + 2 :].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(stat.parent.name))
+    return sorted(members)
+
+
 @_scenario(
     "shard-sigkill",
     "SIGKILL a sharded rank --checkpoint sweep mid-run; the sharded rerun "
@@ -409,18 +429,29 @@ def _shard_sigkill(context: ChaosContext) -> str:
     try:
         # Kill as soon as the store journal holds a commit — mid-sweep,
         # with some shard waves committed and others still in flight.
+        # The whole process group goes: the parent and its pool workers.
         while time.monotonic() < deadline:
             if proc.poll() is not None:
                 break
             if journal.exists() and journal.stat().st_size > 0:
-                proc.send_signal(signal.SIGKILL)
+                os.killpg(proc.pid, signal.SIGKILL)
                 killed = True
                 break
             time.sleep(0.002)
         proc.wait(timeout=SCENARIO_TIMEOUT / 2)
+        survivors = _group_members(proc.pid)
+        settle = time.monotonic() + 10.0
+        while survivors and time.monotonic() < settle:
+            time.sleep(0.05)
+            survivors = _group_members(proc.pid)
+        if survivors:
+            raise context.fail(f"processes survived the group kill: {survivors}")
     finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
         if proc.poll() is None:
-            proc.kill()
             proc.wait(timeout=10)
     code, rerun = context.run_cli(*shard_args, "--checkpoint", str(store_dir))
     if code != 0:
@@ -598,29 +629,47 @@ def _serve_overload(context: ChaosContext) -> str:
     try:
         base = server.address
         label = _first_point_label()
-        kernels = ["reduction", "matrix mul", "convolution", "dct"]
-        # One slow occupier (detailed, several seconds) plus enough
-        # distinct detailed submissions to pass the pending bound of 2.
-        accepted: List[str] = []
-        shed = 0
-        shed_name = ""
-        for index, kernel in enumerate(kernels):
-            status, body = _http(
+
+        def submit(kernel: str) -> Tuple[int, bytes]:
+            return _http(
                 "POST",
                 base + "/v1/jobs",
                 {"point": label, "fidelity": "detailed", "kernels": [kernel]},
             )
+
+        # The occupier: the largest detailed trace. The flood starts only
+        # once the dispatcher reports it running, so the queue's bound is
+        # tested against observed state rather than request timing.
+        kernels = ["k-mean", "reduction", "matrix mul", "convolution", "dct", "merge sort"]
+        status, body = submit(kernels[0])
+        if status != 202:
+            raise context.fail(f"occupier submission got unexpected status {status}")
+        occupier = json.loads(body)["job"]
+        accepted: List[str] = [occupier]
+        deadline = time.monotonic() + SCENARIO_TIMEOUT / 4
+        state = "pending"
+        while state == "pending" and time.monotonic() < deadline:
+            _, body = _http("GET", f"{base}/v1/jobs/{occupier}")
+            state = json.loads(body).get("state", "?")
+            if state == "pending":
+                time.sleep(0.01)
+        if state != "running":
+            raise context.fail(f"occupier never observed running (state {state!r})")
+        # The flood: distinct detailed submissions until one is shed.
+        shed = 0
+        shed_name = ""
+        for index, kernel in enumerate(kernels[1:], start=1):
+            status, body = submit(kernel)
             if status == 202:
                 accepted.append(json.loads(body)["job"])
             elif status == 503:
                 shed += 1
                 shed_name = _typed_error(body, "QueueFullError")
+                break
             else:
                 raise context.fail(f"submission {index} got unexpected status {status}")
         if shed == 0:
             raise context.fail("queue never shed load past its bound")
-        if not accepted:
-            raise context.fail("no submission was accepted")
         # Coalescing: resubmitting an accepted request returns the same job.
         status, body = _http(
             "POST",

@@ -99,17 +99,6 @@ class Cache(MemoryLevel):
         line = addr // self._line
         return line % self._num_sets, line // self._num_sets
 
-    @property
-    def geometry(self) -> "tuple[int, int]":
-        """``(line_bytes, num_sets)`` — the address decomposition parameters.
-
-        Two caches with equal geometry map any address to the same
-        ``(index, tag)`` pair, which is what lets the batched sweep loops
-        decompose an address once and probe N per-point caches with it
-        (:meth:`access_latency_located`).
-        """
-        return self._line, self._num_sets
-
     def _find(self, index: int, tag: int) -> Optional[int]:
         return self._tags[index].get(tag)
 
@@ -176,45 +165,6 @@ class Cache(MemoryLevel):
         line = addr // self._line
         index = line % self._num_sets
         tag = line // self._num_sets
-        way = self._tags[index].get(tag)
-        if way is not None:
-            self._hit(index, way, is_write, explicit)
-            return self._hit_latency
-        return self._miss(
-            MemRequest(
-                addr=addr,
-                size=size,
-                is_write=is_write,
-                pu=pu,
-                explicit=explicit,
-                shared_space=shared_space,
-                issue_time=issue_time,
-            ),
-            index,
-            tag,
-        ).latency
-
-    def access_latency_located(
-        self,
-        index: int,
-        tag: int,
-        addr: int,
-        size: int,
-        is_write: bool,
-        pu,
-        explicit: bool = False,
-        shared_space: bool = False,
-        issue_time: float = 0.0,
-    ) -> float:
-        """:meth:`access_latency` with the set ``index``/``tag`` precomputed.
-
-        The batched design-point sweep decomposes each memory event's
-        address once and probes every per-point cache with the shared
-        ``(index, tag)`` pair — valid whenever the caches' :attr:`geometry`
-        matches. Bookkeeping and latency are identical to
-        :meth:`access_latency` on the same address.
-        """
-        self._tick += 1
         way = self._tags[index].get(tag)
         if way is not None:
             self._hit(index, way, is_write, explicit)

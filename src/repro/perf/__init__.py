@@ -10,10 +10,13 @@ and memoizes the result per segment so every (system x locality x
 fault-rate) design point that replays the same trace shares one
 compilation.
 
-The compiled path is bit-identical to the legacy generator path — the
-parity suite in ``tests/perf`` asserts equal
-:class:`~repro.sim.results.SimulationResult` timings and counters — and is
-the :class:`~repro.sim.detailed.DetailedSimulator` default.
+:mod:`repro.perf.sweep` holds the one phase walk of the detailed machine
+over these compiled segments, for N design points at once;
+:class:`~repro.sim.detailed.DetailedSimulator` is its N=1 case. It is
+bit-identical to the per-instruction generator expansion kept as the
+reference oracle in :mod:`repro.sim.reference` — the parity suite in
+``tests/perf`` asserts equal :class:`~repro.sim.results.SimulationResult`
+timings and counters.
 """
 
 from repro.perf.compiled import (
@@ -25,12 +28,7 @@ from repro.perf.compiled import (
     SHARED_COMPILE_CACHE,
     compile_segment,
 )
-from repro.perf.sweep import (
-    BatchedDesignPoints,
-    SweepPoint,
-    SweepSimulator,
-    run_design_sweep,
-)
+from repro.perf.sweep import BatchedDesignPoints, SweepPoint, SweepSimulator
 
 __all__ = [
     "CompiledSegment",
@@ -43,5 +41,4 @@ __all__ = [
     "SweepPoint",
     "BatchedDesignPoints",
     "SweepSimulator",
-    "run_design_sweep",
 ]

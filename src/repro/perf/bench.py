@@ -1,19 +1,20 @@
-"""The hot-path perf harness: legacy vs compiled wall-clock per kernel.
+"""The hot-path perf harness: reference oracle vs production per kernel.
 
-Measures :meth:`repro.sim.detailed.DetailedSimulator.run` on the six
-Table III kernels at a reduced scale, once through the legacy generator
-path (``compiled=False``) and once through the compiled hot path, at two
-fidelities — ``serial`` (cores run back-to-back, the batched
-``run_compiled`` loops) and ``interleaved`` (timestamp-ordered parallel
-phases, the per-instruction steppers) — plus the analytic
-:class:`~repro.sim.fast.FastSimulator` as a reference row. The result
-feeds ``BENCH_hotpath.json``: the repo's perf trajectory, and what the CI
-perf-smoke job regresses against.
+Times the six Table III kernels at a reduced scale, once through the
+reference oracle (:class:`repro.sim.reference.ReferenceSimulator`, the
+per-instruction generator expansion; the ``legacy_seconds`` column) and
+once through production :meth:`repro.sim.detailed.DetailedSimulator.run`
+(the compiled walk; ``compiled_seconds``), at two fidelities — ``serial``
+(cores run back-to-back, the batched core loops) and ``interleaved``
+(timestamp-ordered parallel phases, the per-instruction compiled
+steppers) — plus the analytic :class:`~repro.sim.fast.FastSimulator` as a
+reference row. The result feeds ``BENCH_hotpath.json``: the repo's perf
+trajectory, and what the CI perf-smoke job regresses against.
 
 A second mode, :func:`run_sweep_bench`, measures the design-point axis
 (:mod:`repro.perf.sweep`) on a rank-style workload: a stride sample of
 the full feasible design space evaluated per kernel, once point-by-point
-through ``DetailedSimulator(compiled=True)`` and once as one
+through ``DetailedSimulator`` (N=1 walks) and once as one
 :class:`~repro.perf.sweep.BatchedDesignPoints` pass. The two result lists
 are asserted equal before either timing is reported, so the recorded
 speedup is only ever for bit-identical output.
@@ -52,7 +53,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config.presets import case_study
 from repro.errors import ConfigError, SimulationError
@@ -60,6 +61,7 @@ from repro.kernels.registry import all_kernels, kernel
 from repro.perf.compiled import SegmentCompileCache
 from repro.sim.detailed import DetailedSimulator
 from repro.sim.fast import FastSimulator
+from repro.sim.results import SimulationResult
 
 __all__ = [
     "SCHEMA",
@@ -109,24 +111,24 @@ def _geomean(values: Sequence[float]) -> float:
 
 
 def _time_detailed(
+    simulator_class,
     trace,
     case,
-    compiled: bool,
     interleave: bool,
     repeats: int,
     compile_cache: SegmentCompileCache,
-) -> float:
+) -> Tuple[float, SimulationResult]:
+    """Best-of-N wall clock of one simulator cell, and its result."""
     best = math.inf
+    result = None
     for _ in range(repeats):
-        sim = DetailedSimulator(
-            compiled=compiled,
-            interleave_parallel=interleave,
-            compile_cache=compile_cache,
+        sim = simulator_class(
+            interleave_parallel=interleave, compile_cache=compile_cache
         )
         start = time.perf_counter()
-        sim.run(trace, case=case)
+        result = sim.run(trace, case=case)
         best = min(best, time.perf_counter() - start)
-    return best
+    return best, result
 
 
 def run_hotpath_bench(
@@ -148,6 +150,8 @@ def run_hotpath_bench(
         raise ConfigError(f"bench scale must be positive, got {scale}")
     if repeats < 1:
         raise ConfigError(f"bench repeats must be >= 1, got {repeats}")
+    from repro.sim.reference import ReferenceSimulator
+
     case = case_study(case_name)
     if kernels:
         selected = [kernel(name) for name in kernels]
@@ -164,11 +168,20 @@ def run_hotpath_bench(
         trace = k.build().scaled(scale)
         # Warm the compile cache (and any lazy kernel state) off the clock.
         DetailedSimulator(
-            compiled=True, interleave_parallel=False, compile_cache=compile_cache
+            interleave_parallel=False, compile_cache=compile_cache
         ).run(trace, case=case)
         for name, interleave in FIDELITIES:
-            legacy = _time_detailed(trace, case, False, interleave, repeats, compile_cache)
-            compiled = _time_detailed(trace, case, True, interleave, repeats, compile_cache)
+            legacy, expected = _time_detailed(
+                ReferenceSimulator, trace, case, interleave, repeats, compile_cache
+            )
+            compiled, got = _time_detailed(
+                DetailedSimulator, trace, case, interleave, repeats, compile_cache
+            )
+            if got != expected:
+                raise SimulationError(
+                    f"{k.name} ({name}): production result differs from "
+                    "the reference oracle"
+                )
             fidelities[name]["kernels"][k.name] = {
                 "legacy_seconds": legacy,
                 "compiled_seconds": compiled,
@@ -198,7 +211,7 @@ def _time_coherent(trace, case, coherence: str, repeats: int, compile_cache):
     best = math.inf
     result = None
     for _ in range(repeats):
-        sim = DetailedSimulator(compiled=True, compile_cache=compile_cache)
+        sim = DetailedSimulator(compile_cache=compile_cache)
         start = time.perf_counter()
         out = sim.run(trace, case=case, coherence=coherence)
         elapsed = time.perf_counter() - start
@@ -244,7 +257,7 @@ def run_coherence_bench(
         )
         # Warm the compile cache off the clock; coherence runs reuse the
         # same compiled segments, so one warm pass covers every cell.
-        DetailedSimulator(compiled=True, compile_cache=compile_cache).run(
+        DetailedSimulator(compile_cache=compile_cache).run(
             trace, case=case, coherence="none"
         )
         off_seconds, _ = _time_coherent(trace, case, "none", repeats, compile_cache)
@@ -311,7 +324,7 @@ def run_sweep_bench(
     The workload is rank-style: every ``stride``-th feasible design point
     of the full space (stride 3 samples ~645 of the 1933 points), each
     kernel's trace evaluated against all of them — once per point through
-    ``DetailedSimulator(compiled=True)`` (the single-point compiled path)
+    ``DetailedSimulator`` (a walk with N=1)
     and once as a single :class:`~repro.perf.sweep.SweepSimulator` pass.
     Both runs share a pre-warmed compile cache so neither pays
     compilation, and their result lists are asserted equal before any
@@ -334,7 +347,7 @@ def run_sweep_bench(
     system = SystemConfig()
     params = CommParams()
     points = _rank_style_points(stride)
-    batch = BatchedDesignPoints(points, system, params)
+    batch = BatchedDesignPoints(points)
     compile_cache = SegmentCompileCache()
     rows: Dict[str, Dict] = {}
     for k in selected:
@@ -354,7 +367,6 @@ def run_sweep_bench(
                 sim = DetailedSimulator(
                     system=system,
                     comm_params=params,
-                    compiled=True,
                     compile_cache=compile_cache,
                 )
                 channel = make_channel(

@@ -8,7 +8,7 @@ of millions of per-instruction dataclass objects. On top of the arrays we
 build a *batched event encoding* — maximal runs of plain compute
 instructions collapse into a single ``(EV_COMPUTE_RUN, count)`` record —
 which is what the cores' batched loops actually execute
-(:meth:`repro.sim.cpu.core.CpuCore.run_compiled`).
+(:func:`repro.sim.cpu.core.run_compiled_batch`).
 
 Compilation is memoized per segment (:class:`SegmentCompileCache`), so the
 many (system x locality x fault-rate) design points that replay the same
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 #: First program-counter value the CPU core's gshare predictor sees; the
-#: legacy loop advances it by 4 per instruction, so compiled branch events
+#: reference loop advances it by 4 per instruction, so compiled branch events
 #: carry ``PC_BASE + 4 * (index + 1)`` precomputed.
 PC_BASE = 0x400000
 
@@ -71,7 +71,7 @@ class CompiledSegment:
     ``opcodes`` (uint8) indexes :data:`repro.isa.opcodes.CODE_TO_OPCODE`;
     ``addrs`` (int64) is ``-1`` for non-memory records; ``sizes`` (int32)
     and ``taken`` (bool) complete the record. ``events`` is the batched
-    encoding consumed by the cores' ``run_compiled`` loops —
+    encoding consumed by the cores' batched loops and steppers —
     :meth:`from_segment` builds it eagerly, so compiled segments shipped
     into worker processes never rebuild it.
     """

@@ -1,30 +1,34 @@
-"""The design-point axis of the compiled hot path.
+"""The detailed machine's phase walk, and the design-point axis it runs on.
 
-Ranking and figure sweeps replay the same six kernel traces across dozens
-of design points; until this module the :class:`~repro.sim.detailed.DetailedSimulator`
-consumed each point one at a time, re-decoding the same
-:class:`~repro.perf.compiled.CompiledSegment` event stream per point. Here
-the points become an *axis*:
+:func:`walk_phases` is the one production phase walk of the detailed
+Table II machine. It drives N per-point machines through one trace in a
+single pass: sequential and serial parallel phases run the batched core
+loops (:func:`repro.sim.cpu.core.run_compiled_batch`,
+:func:`repro.sim.gpu.core.run_compiled_batch`), which decode each compiled
+event record once for all N machines; interleaved parallel phases step
+each point's two cores in timestamp order through
+:func:`~repro.sim.engine.run_parallel_interleaved`. A single-point run
+(:meth:`repro.sim.detailed.DetailedSimulator.run`) is a walk with N=1.
+
+The design-point axis on top of it:
 
 - :class:`SweepPoint` — one design point's simulation parameters (the
   pure-data subset of a :class:`~repro.exec.job.SimJob`);
-- :class:`BatchedDesignPoints` — a batch of points with their
-  latency/bandwidth/capacity/issue-width parameters stacked into parallel
-  numpy arrays, the timing-equivalence dedup (points differing only in
-  display label share one simulation, mirroring
-  :class:`~repro.exec.cache.ResultCache` relabel-on-hit), and the
-  execution grouping (points that can share one phase walk);
+- :class:`BatchedDesignPoints` — a batch of points with the
+  timing-equivalence dedup (points differing only in display label share
+  one simulation, mirroring :class:`~repro.exec.cache.ResultCache`
+  relabel-on-hit) and the execution grouping (points that can share one
+  phase walk);
 - :class:`SweepSimulator` — evaluates one trace against every point of a
-  batch: per execution group the phase walk runs *once*, driving the
-  batched core loops (:func:`repro.sim.cpu.core.run_compiled_batch`,
-  :func:`repro.sim.gpu.core.run_compiled_batch`) so each event record is
-  decoded once for N per-point machines.
+  batch, one walk per execution group.
 
 Bit-identity contract: for every point, the returned
-:class:`~repro.sim.results.SimulationResult` equals what
-``DetailedSimulator(compiled=True).run`` produces for that point alone —
-``tests/perf/test_sweep.py`` pins this for all six kernels across the five
-case-study systems and for rank-style mechanism/space points.
+:class:`~repro.sim.results.SimulationResult` equals what the reference
+oracle (:class:`repro.sim.reference.ReferenceSimulator`, the
+per-instruction generator expansion) produces for that point alone —
+``tests/perf/test_parity.py`` and ``tests/perf/test_sweep.py`` pin this
+for all six kernels across the five case-study systems and for rank-style
+mechanism/space points.
 """
 
 from __future__ import annotations
@@ -32,13 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.addrspace.base import AddressSpace, make_address_space
 from repro.config.comm import CommParams
 from repro.config.presets import CaseStudy
 from repro.config.system import SystemConfig
-from repro.comm.base import make_channel
+from repro.comm.base import CommChannel, make_channel
 from repro.errors import SimulationError
 from repro.mem.cache.replacement import ReplacementPolicy
 from repro.mem.coherence.api import resolve_protocol_kind
@@ -48,7 +50,7 @@ from repro.sim.engine import run_parallel_interleaved
 from repro.sim.gpu.core import run_compiled_batch as gpu_run_compiled_batch
 from repro.sim.mmu import TranslationFront, stage_trace
 from repro.sim.results import PhaseTiming, SimulationResult, TimeBreakdown
-from repro.sim.system import build_machine
+from repro.sim.system import Machine, build_machine
 from repro.taxonomy import (
     AddressSpaceKind,
     CoherenceKind,
@@ -59,11 +61,170 @@ from repro.trace.phase import CommPhase, Direction, ParallelPhase, SequentialPha
 from repro.trace.stream import KernelTrace
 
 __all__ = [
+    "walk_phases",
+    "install_translation",
+    "merged_counters",
     "SweepPoint",
     "BatchedDesignPoints",
     "SweepSimulator",
-    "run_design_sweep",
 ]
+
+#: Per-point MMU fronts of a machine with address translation installed.
+Mmus = Dict[ProcessingUnit, TranslationFront]
+
+
+def walk_phases(
+    trace: KernelTrace,
+    machines: Sequence[Machine],
+    channels: Sequence[CommChannel],
+    compile_cache: SegmentCompileCache,
+    interleave_parallel: bool = True,
+) -> List[Tuple[TimeBreakdown, Tuple[PhaseTiming, ...]]]:
+    """Walk ``trace``'s phases once over N per-point machines.
+
+    ``machines[i]`` (MMU fronts already installed, if any) and
+    ``channels[i]`` belong to point ``i``; every machine sees the same
+    event stream, so only clocks, cache contents and channels differ per
+    point. Returns each point's ``(breakdown, phase timings)``, in order.
+
+    H2D copies are deferred: an asynchronous channel overlaps them with the
+    parallel phase that *follows* the copy. Every other transfer overlaps
+    with the parallel phase before it.
+    """
+    n = len(machines)
+    cpu_cores = [machine.cpu_core for machine in machines]
+    gpu_cores = [machine.gpu_core for machine in machines]
+    cpu_freqs = [core.config.frequency for core in cpu_cores]
+    gpu_freqs = [core.config.frequency for core in gpu_cores]
+    compile_get = compile_cache.get
+
+    sequential = [0.0] * n
+    parallel = [0.0] * n
+    communication = [0.0] * n
+    now = [0.0] * n
+    last_parallel_seconds = [0.0] * n
+    pending_h2d: List[CommPhase] = []
+    phase_timings: List[List[PhaseTiming]] = [[] for _ in range(n)]
+
+    def communicate(i: int, comm: CommPhase, window: float) -> None:
+        result = channels[i].transfer(comm, overlap_window=window)
+        communication[i] += result.exposed
+        now[i] += result.exposed
+        phase_timings[i].append(
+            PhaseTiming(
+                label=comm.label,
+                kind="communication",
+                seconds=result.exposed,
+                overlapped_seconds=result.overlapped,
+            )
+        )
+
+    for phase in trace.phases:
+        if isinstance(phase, SequentialPhase):
+            cycles = cpu_run_compiled_batch(cpu_cores, compile_get(phase.segment), now)
+            for i in range(n):
+                seconds = cpu_freqs[i].cycles_to_seconds(cycles[i])
+                sequential[i] += seconds
+                now[i] += seconds
+                phase_timings[i].append(
+                    PhaseTiming(
+                        label=phase.label,
+                        kind="sequential",
+                        seconds=seconds,
+                        cpu_seconds=seconds,
+                    )
+                )
+        elif isinstance(phase, ParallelPhase):
+            cpu_compiled = compile_get(phase.cpu)
+            gpu_compiled = compile_get(phase.gpu)
+            if interleave_parallel:
+                outcomes = [
+                    run_parallel_interleaved(
+                        cpu_cores[i].step_compiled(cpu_compiled, now[i]),
+                        gpu_cores[i].step_compiled(gpu_compiled, now[i]),
+                        cpu_freqs[i],
+                        gpu_freqs[i],
+                    )
+                    for i in range(n)
+                ]
+                cpu_seconds = [outcome.cpu_seconds for outcome in outcomes]
+                gpu_seconds = [outcome.gpu_seconds for outcome in outcomes]
+            else:
+                cpu_cycles = cpu_run_compiled_batch(cpu_cores, cpu_compiled, now)
+                gpu_cycles = gpu_run_compiled_batch(gpu_cores, gpu_compiled, now)
+                cpu_seconds = [
+                    freq.cycles_to_seconds(c) for freq, c in zip(cpu_freqs, cpu_cycles)
+                ]
+                gpu_seconds = [
+                    freq.cycles_to_seconds(c) for freq, c in zip(gpu_freqs, gpu_cycles)
+                ]
+            for i in range(n):
+                seconds = max(cpu_seconds[i], gpu_seconds[i])
+                for comm in pending_h2d:
+                    communicate(i, comm, seconds)
+                parallel[i] += seconds
+                now[i] += seconds
+                last_parallel_seconds[i] = seconds
+                phase_timings[i].append(
+                    PhaseTiming(
+                        label=phase.label,
+                        kind="parallel",
+                        seconds=seconds,
+                        cpu_seconds=cpu_seconds[i],
+                        gpu_seconds=gpu_seconds[i],
+                    )
+                )
+            pending_h2d.clear()
+        elif isinstance(phase, CommPhase):
+            if phase.direction is Direction.H2D:
+                pending_h2d.append(phase)
+                continue
+            for i in range(n):
+                communicate(i, phase, last_parallel_seconds[i])
+        else:
+            raise SimulationError(f"unknown phase type {type(phase).__name__}")
+    for i in range(n):
+        for comm in pending_h2d:
+            communicate(i, comm, 0.0)
+
+    return [
+        (
+            TimeBreakdown(
+                sequential=sequential[i],
+                parallel=parallel[i],
+                communication=communication[i],
+            ),
+            tuple(phase_timings[i]),
+        )
+        for i in range(n)
+    ]
+
+
+def install_translation(machine: Machine, space: AddressSpace) -> Mmus:
+    """Put a TLB + page-table front in front of both cores' memory."""
+    mmus: Mmus = {}
+    for pu, core in (
+        (ProcessingUnit.CPU, machine.cpu_core),
+        (ProcessingUnit.GPU, machine.gpu_core),
+    ):
+        mmus[pu] = core.memory = TranslationFront(pu, space, core.memory)
+    return mmus
+
+
+def merged_counters(
+    channel: CommChannel, machine: Machine, mmus: Optional[Mmus] = None
+) -> Dict[str, float]:
+    """One run's counters: the channel's, then each machine component's
+    (``component.key``), then each MMU front's (``mmu.<pu>.key``)."""
+    counters: Dict[str, float] = dict(channel.stats())
+    for component, stats in machine.stats().items():
+        for key, value in stats.items():
+            counters[f"{component}.{key}"] = value
+    if mmus is not None:
+        for pu, mmu in mmus.items():
+            for key, value in mmu.stats().items():
+                counters[f"mmu.{pu}.{key}"] = value
+    return counters
 
 
 @dataclass(frozen=True)
@@ -142,52 +303,20 @@ class SweepPoint:
 class BatchedDesignPoints:
     """A batch of :class:`SweepPoint`\\ s prepared for one-pass evaluation.
 
-    Stacks each point's machine parameters into parallel numpy arrays
-    (``issue_widths``, ``cpu_hertz``, ``gpu_hertz``, ``l1d_latencies``,
-    ``l1d_capacities``, ``l3_capacities``, ``pci_bandwidths`` — one entry
-    per point), computes the timing-equivalence partition
-    (:attr:`distinct` representatives plus the :attr:`inverse` map), and
-    groups the representatives into execution groups that can share a
-    single phase walk: equal machine parameters, equal address-space
-    staging, equal coherence — so the per-point machines see identical
-    event streams and only channels, clocks, and cache contents differ.
+    Computes the timing-equivalence partition (:attr:`distinct`
+    representatives plus the :attr:`inverse` map) and groups the
+    representatives into execution groups that can share a single phase
+    walk: equal machine parameters, equal address-space staging, equal
+    coherence — so the per-point machines see identical event streams and
+    only channels, clocks, and cache contents differ. A point's ``None``
+    system or comm params mean the simulator's defaults, which the
+    :class:`SweepSimulator` resolves when it runs the batch.
     """
 
-    def __init__(
-        self,
-        points: Sequence[SweepPoint],
-        system: Optional[SystemConfig] = None,
-        comm_params: Optional[CommParams] = None,
-    ) -> None:
+    def __init__(self, points: Sequence[SweepPoint]) -> None:
         if not points:
             raise SimulationError("a batch needs at least one design point")
         self.points: Tuple[SweepPoint, ...] = tuple(points)
-        self.default_system = system or SystemConfig()
-        self.default_comm_params = comm_params or CommParams()
-
-        systems = [p.system or self.default_system for p in self.points]
-        params = [p.comm_params or self.default_comm_params for p in self.points]
-        self.issue_widths = np.asarray(
-            [s.cpu.issue_width for s in systems], dtype=np.int64
-        )
-        self.cpu_hertz = np.asarray(
-            [s.cpu.frequency.hertz for s in systems], dtype=np.float64
-        )
-        self.gpu_hertz = np.asarray(
-            [s.gpu.frequency.hertz for s in systems], dtype=np.float64
-        )
-        self.l1d_latencies = np.asarray(
-            [s.cpu.l1d.latency for s in systems], dtype=np.int64
-        )
-        self.l1d_capacities = np.asarray(
-            [s.cpu.l1d.size_bytes for s in systems], dtype=np.int64
-        )
-        self.l3_capacities = np.asarray(
-            [s.l3.size_bytes for s in systems], dtype=np.int64
-        )
-        self.pci_bandwidths = np.asarray(
-            [p.pci_bandwidth.bytes_per_second for p in params], dtype=np.float64
-        )
 
         #: Indices (into ``points``) of the timing-distinct representatives,
         #: in first-appearance order; ``inverse[i]`` is the position in
@@ -207,13 +336,6 @@ class BatchedDesignPoints:
     def __len__(self) -> int:
         return len(self.points)
 
-    def resolved(self, point: SweepPoint) -> Tuple[SystemConfig, CommParams]:
-        """The (system, comm params) this point actually simulates under."""
-        return (
-            point.system or self.default_system,
-            point.comm_params or self.default_comm_params,
-        )
-
     def groups(self) -> List[List[int]]:
         """Execution groups over the distinct representatives.
 
@@ -226,8 +348,7 @@ class BatchedDesignPoints:
         grouped: Dict[Tuple, List[int]] = {}
         for position, index in enumerate(self.distinct):
             point = self.points[index]
-            system, params = self.resolved(point)
-            key = (system, point.address_space, point.protocol_kind)
+            key = (point.system, point.address_space, point.protocol_kind)
             grouped.setdefault(key, []).append(position)
         return list(grouped.values())
 
@@ -235,13 +356,9 @@ class BatchedDesignPoints:
 class SweepSimulator:
     """Evaluates one trace against a batch of design points in shared passes.
 
-    Construction knobs mirror :class:`~repro.sim.detailed.DetailedSimulator`
-    (the per-point parity oracle); the compiled hot path is always on —
-    batching *is* the compiled event encoding applied across a point axis.
-    Interleaved parallel phases are inherently per-point (the engine steps
-    the two cores of one machine in timestamp order), so they fall back to
-    :func:`~repro.sim.engine.run_parallel_interleaved` per point while
-    sequential and serial parallel phases run the batched core loops.
+    Construction knobs are :class:`~repro.sim.detailed.DetailedSimulator`'s;
+    ``system`` and ``comm_params`` are the defaults for every point that
+    does not set its own.
     """
 
     def __init__(
@@ -252,7 +369,6 @@ class SweepSimulator:
         interleave_parallel: bool = True,
         l1_prefetch: bool = False,
         gpu_mode: str = "heuristic",
-        interleave_quantum: int = 1,
         compile_cache: Optional[SegmentCompileCache] = None,
     ) -> None:
         self.system = system or SystemConfig()
@@ -261,11 +377,6 @@ class SweepSimulator:
         self.interleave_parallel = interleave_parallel
         self.l1_prefetch = l1_prefetch
         self.gpu_mode = gpu_mode
-        if interleave_quantum < 1:
-            raise SimulationError(
-                f"interleave quantum must be >= 1, got {interleave_quantum}"
-            )
-        self.interleave_quantum = interleave_quantum
         self.compile_cache = (
             compile_cache if compile_cache is not None else SHARED_COMPILE_CACHE
         )
@@ -287,7 +398,7 @@ class SweepSimulator:
         batch = (
             points
             if isinstance(points, BatchedDesignPoints)
-            else BatchedDesignPoints(points, self.system, self.comm_params)
+            else BatchedDesignPoints(points)
         )
         if scale != 1.0:
             trace = trace.scaled(scale)
@@ -313,50 +424,33 @@ class SweepSimulator:
         group: Sequence[int],
         out: List[Optional[SimulationResult]],
     ) -> None:
-        """One shared phase walk over the group's per-point machines.
-
-        The walk is :meth:`repro.sim.detailed.DetailedSimulator.run` with
-        every piece of per-run state turned into a per-point list; the
-        order of operations per point is preserved exactly.
-        """
+        """One shared :func:`walk_phases` over the group's per-point machines."""
         points = [batch.points[batch.distinct[g]] for g in group]
-        n = len(points)
-        system, _ = batch.resolved(points[0])
-        cpu_freq = system.cpu.frequency
-        gpu_freq = system.gpu.frequency
+        system = points[0].system or self.system
         space_kind = points[0].address_space
-        protocol_kind = points[0].protocol_kind
 
         channels = []
         for point in points:
-            _, params = batch.resolved(point)
-            if point.case is not None:
-                channels.append(
-                    make_channel(
-                        point.case.comm,
-                        params=params,
-                        system=system,
-                        async_overlap=point.case.async_overlap,
-                    )
+            case = point.case
+            channels.append(
+                make_channel(
+                    case.comm if case is not None else point.mechanism,
+                    params=point.comm_params or self.comm_params,
+                    system=system,
+                    async_overlap=(
+                        case.async_overlap if case is not None else point.async_overlap
+                    ),
                 )
-            else:
-                channels.append(
-                    make_channel(
-                        point.mechanism,
-                        params=params,
-                        system=system,
-                        async_overlap=point.async_overlap,
-                    )
-                )
+            )
 
         staged = trace
-        spaces: Optional[List[AddressSpace]] = None
+        spaces: List[Optional[AddressSpace]] = [None] * len(points)
         if space_kind is not None:
             # Stage per point: staging allocates in the point's own page
             # tables (the MMUs translate against them), but the rebased
             # trace is deterministic, so every point stages identically and
             # the first staging is the shared event stream.
-            spaces = [make_address_space(space_kind, system) for _ in range(n)]
+            spaces = [make_address_space(space_kind, system) for _ in points]
             staged = stage_trace(trace, spaces[0])
             for space in spaces[1:]:
                 stage_trace(trace, space)
@@ -365,175 +459,25 @@ class SweepSimulator:
             build_machine(
                 system,
                 l3_policy=self.l3_policy,
-                coherence=protocol_kind,
+                coherence=points[0].protocol_kind,
                 l1_prefetch=self.l1_prefetch,
                 gpu_mode=self.gpu_mode,
             )
-            for _ in range(n)
+            for _ in points
         ]
-        mmus: Optional[List[Dict[ProcessingUnit, TranslationFront]]] = None
-        if spaces is not None:
-            mmus = []
-            for machine, space in zip(machines, spaces):
-                cpu_mmu = TranslationFront(
-                    ProcessingUnit.CPU, space, machine.cpu_core.memory
-                )
-                gpu_mmu = TranslationFront(
-                    ProcessingUnit.GPU, space, machine.gpu_core.memory
-                )
-                machine.cpu_core.memory = cpu_mmu
-                machine.gpu_core.memory = gpu_mmu
-                mmus.append(
-                    {ProcessingUnit.CPU: cpu_mmu, ProcessingUnit.GPU: gpu_mmu}
-                )
-
-        cpu_cores = [machine.cpu_core for machine in machines]
-        gpu_cores = [machine.gpu_core for machine in machines]
-        compile_get = self.compile_cache.get
-
-        sequential = [0.0] * n
-        parallel = [0.0] * n
-        communication = [0.0] * n
-        now = [0.0] * n
-        last_parallel_seconds = [0.0] * n
-        pending_h2d: List[List[CommPhase]] = [[] for _ in range(n)]
-        phase_timings: List[List[PhaseTiming]] = [[] for _ in range(n)]
-
-        def resolve_pending(i: int, window: float) -> None:
-            for comm in pending_h2d[i]:
-                result = channels[i].transfer(comm, overlap_window=window)
-                communication[i] += result.exposed
-                now[i] += result.exposed
-                phase_timings[i].append(
-                    PhaseTiming(
-                        label=comm.label,
-                        kind="communication",
-                        seconds=result.exposed,
-                        overlapped_seconds=result.overlapped,
-                    )
-                )
-            pending_h2d[i].clear()
-
-        for phase in staged.phases:
-            if isinstance(phase, SequentialPhase):
-                compiled = compile_get(phase.segment)
-                cycles = cpu_run_compiled_batch(cpu_cores, compiled, now)
-                for i in range(n):
-                    seconds = cpu_freq.cycles_to_seconds(cycles[i])
-                    sequential[i] += seconds
-                    now[i] += seconds
-                    phase_timings[i].append(
-                        PhaseTiming(
-                            label=phase.label,
-                            kind="sequential",
-                            seconds=seconds,
-                            cpu_seconds=seconds,
-                        )
-                    )
-            elif isinstance(phase, ParallelPhase):
-                if self.interleave_parallel:
-                    cpu_compiled = compile_get(phase.cpu)
-                    gpu_compiled = compile_get(phase.gpu)
-                    cpu_seconds_list = [0.0] * n
-                    gpu_seconds_list = [0.0] * n
-                    for i in range(n):
-                        outcome = run_parallel_interleaved(
-                            cpu_cores[i],
-                            gpu_cores[i],
-                            cpu_compiled,
-                            gpu_compiled,
-                            start_seconds=now[i],
-                            quantum=self.interleave_quantum,
-                        )
-                        cpu_seconds_list[i] = outcome.cpu_seconds
-                        gpu_seconds_list[i] = outcome.gpu_seconds
-                else:
-                    cpu_cycles = cpu_run_compiled_batch(
-                        cpu_cores, compile_get(phase.cpu), now
-                    )
-                    gpu_cycles = gpu_run_compiled_batch(
-                        gpu_cores, compile_get(phase.gpu), now
-                    )
-                    cpu_seconds_list = [
-                        cpu_freq.cycles_to_seconds(c) for c in cpu_cycles
-                    ]
-                    gpu_seconds_list = [
-                        gpu_freq.cycles_to_seconds(c) for c in gpu_cycles
-                    ]
-                for i in range(n):
-                    cpu_seconds = cpu_seconds_list[i]
-                    gpu_seconds = gpu_seconds_list[i]
-                    seconds = max(cpu_seconds, gpu_seconds)
-                    resolve_pending(i, seconds)
-                    parallel[i] += seconds
-                    now[i] += seconds
-                    last_parallel_seconds[i] = seconds
-                    phase_timings[i].append(
-                        PhaseTiming(
-                            label=phase.label,
-                            kind="parallel",
-                            seconds=seconds,
-                            cpu_seconds=cpu_seconds,
-                            gpu_seconds=gpu_seconds,
-                        )
-                    )
-            elif isinstance(phase, CommPhase):
-                if phase.direction is Direction.H2D:
-                    for i in range(n):
-                        pending_h2d[i].append(phase)
-                    continue
-                for i in range(n):
-                    result = channels[i].transfer(
-                        phase, overlap_window=last_parallel_seconds[i]
-                    )
-                    communication[i] += result.exposed
-                    now[i] += result.exposed
-                    phase_timings[i].append(
-                        PhaseTiming(
-                            label=phase.label,
-                            kind="communication",
-                            seconds=result.exposed,
-                            overlapped_seconds=result.overlapped,
-                        )
-                    )
-            else:
-                raise SimulationError(f"unknown phase type {type(phase).__name__}")
-        for i in range(n):
-            resolve_pending(i, 0.0)
-
+        mmus = [
+            install_translation(machine, space) if space is not None else None
+            for machine, space in zip(machines, spaces)
+        ]
+        walked = walk_phases(
+            staged, machines, channels, self.compile_cache, self.interleave_parallel
+        )
         for i, (g, point) in enumerate(zip(group, points)):
-            counters: Dict[str, float] = dict(channels[i].stats())
-            for component, stats in machines[i].stats().items():
-                for key, value in stats.items():
-                    counters[f"{component}.{key}"] = value
-            if mmus is not None:
-                for pu, mmu in mmus[i].items():
-                    for key, value in mmu.stats().items():
-                        counters[f"mmu.{pu}.{key}"] = value
+            breakdown, phases = walked[i]
             out[g] = SimulationResult(
                 kernel=staged.name,
                 system=point.label(),
-                breakdown=TimeBreakdown(
-                    sequential=sequential[i],
-                    parallel=parallel[i],
-                    communication=communication[i],
-                ),
-                phases=tuple(phase_timings[i]),
-                counters=counters,
+                breakdown=breakdown,
+                phases=phases,
+                counters=merged_counters(channels[i], machines[i], mmus[i]),
             )
-
-
-def run_design_sweep(
-    trace: KernelTrace,
-    points: Sequence[SweepPoint],
-    system: Optional[SystemConfig] = None,
-    comm_params: Optional[CommParams] = None,
-    scale: float = 1.0,
-    **kwargs,
-) -> List[SimulationResult]:
-    """Convenience wrapper: batch ``points`` and evaluate ``trace`` once.
-
-    ``kwargs`` pass through to :class:`SweepSimulator`.
-    """
-    simulator = SweepSimulator(system=system, comm_params=comm_params, **kwargs)
-    return simulator.run(trace, points, scale=scale)

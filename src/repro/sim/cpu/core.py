@@ -13,13 +13,11 @@ A trace-driven approximation of a Sandy-Bridge-class core:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 from repro.config.system import CpuConfig
 from repro.errors import SimulationError
-from repro.mem.cache.cache import Cache
 from repro.mem.level import MemoryLevel
-from repro.mem.request import MemRequest
 from repro.perf.compiled import EV_COMPUTE_RUN, EV_MEMORY, CompiledSegment
 from repro.sim.cpu.branch import GsharePredictor
 from repro.taxonomy import ProcessingUnit
@@ -49,164 +47,19 @@ class CpuCore:
         self.memory_stall_cycles = 0.0
         self.branch_stall_cycles = 0
 
-    def run_stepwise(
-        self,
-        instructions: Iterable,
-        start_seconds: float = 0.0,
-        explicit_addrs: Optional[object] = None,
-    ) -> Iterator[float]:
-        """Execute instructions one at a time, yielding cumulative cycles.
-
-        The interleaving engine alternates between the two cores' steppers
-        so that concurrent accesses reach the shared L3/DRAM in timestamp
-        order (contention-aware parallel phases). The last yielded value is
-        the segment's final cycle count, including the trailing partial
-        issue group.
-
-        ``explicit_addrs`` is an optional predicate ``addr -> bool`` that
-        marks accesses to explicitly managed data (sets the locality bit in
-        the caches).
-
-        A :class:`~repro.perf.compiled.CompiledSegment` may be passed in
-        place of the instruction iterable; it is stepped through the
-        batched decoder (:meth:`step_compiled`), with identical yields.
-        """
-        if isinstance(instructions, CompiledSegment):
-            yield from self.step_compiled(instructions, start_seconds, explicit_addrs)
-            return
-        freq = self.config.frequency
-        issue_width = self.config.issue_width
-        penalty = self.config.branch_mispredict_penalty
-        hit_latency = freq.cycles_to_seconds(self.config.l1d.latency)
-
-        cycles = 0.0
-        slot = 0
-        count = 0
-        pc = 0x400000
-        for inst in instructions:
-            count += 1
-            pc += 4
-            slot += 1
-            if slot >= issue_width:
-                cycles += 1
-                slot = 0
-            opcode = inst.opcode
-            if opcode.is_memory:
-                explicit = bool(explicit_addrs and explicit_addrs(inst.addr))
-                request = MemRequest(
-                    addr=inst.addr,
-                    size=inst.size,
-                    is_write=opcode.is_store,
-                    pu=ProcessingUnit.CPU,
-                    explicit=explicit,
-                    issue_time=start_seconds + freq.cycles_to_seconds(int(cycles)),
-                )
-                result = self.memory.access(request)
-                if result.latency > hit_latency:
-                    stall = (result.latency - hit_latency) / self.mlp
-                    stall_cycles = stall * freq.hertz
-                    cycles += stall_cycles
-                    self.memory_stall_cycles += stall_cycles
-            elif opcode.value == "branch":
-                if not self.predictor.predict_and_update(pc, inst.taken):
-                    cycles += penalty
-                    self.branch_stall_cycles += penalty
-                    slot = 0
-            yield cycles
-        if slot:
-            cycles += 1
-        self.instructions_retired += count
-        yield cycles
-
-    def run_compiled(
-        self,
-        compiled: CompiledSegment,
-        start_seconds: float = 0.0,
-        explicit_addrs: Optional[object] = None,
-    ) -> int:
-        """Batched fast path over a compiled segment; returns cycles.
-
-        Cycle-for-cycle identical to draining :meth:`run_stepwise` on the
-        segment's instruction stream (the ``tests/perf`` parity suite pins
-        this), but executes whole compute runs per event record and never
-        constructs an :class:`~repro.trace.instruction.Instruction` or
-        (on an L1 hit) a :class:`~repro.mem.request.MemRequest`.
-
-        Exactness notes: issue-group wraps are added one ``+= 1.0`` at a
-        time whenever ``cycles`` carries a fractional part (float addition
-        is not associative, and the legacy loop adds sequentially); when
-        ``cycles`` is integer-valued the batched add is exact. Stalls
-        accumulate onto the instance attributes per miss, in stream order,
-        exactly like the legacy loop.
-        """
-        freq = self.config.frequency
-        hertz = freq.hertz
-        issue_width = self.config.issue_width
-        penalty = self.config.branch_mispredict_penalty
-        hit_latency = freq.cycles_to_seconds(self.config.l1d.latency)
-        mlp = self.mlp
-        access_latency = self.memory.access_latency
-        predict_and_update = self.predictor.predict_and_update
-        pu = ProcessingUnit.CPU
-
-        cycles = 0.0
-        slot = 0
-        for kind, a, b, c in compiled.events:
-            if kind == EV_COMPUTE_RUN:
-                slot += a
-                wraps = slot // issue_width
-                slot -= wraps * issue_width
-                if wraps:
-                    if cycles.is_integer():
-                        cycles += wraps
-                    else:
-                        for _ in range(wraps):
-                            cycles += 1.0
-            elif kind == EV_MEMORY:
-                slot += 1
-                if slot >= issue_width:
-                    cycles += 1.0
-                    slot = 0
-                explicit = bool(explicit_addrs is not None and explicit_addrs(a))
-                latency = access_latency(
-                    a,
-                    b,
-                    bool(c),
-                    pu,
-                    explicit,
-                    False,
-                    start_seconds + int(cycles) / hertz,
-                )
-                if latency > hit_latency:
-                    stall = (latency - hit_latency) / mlp
-                    stall_cycles = stall * hertz
-                    cycles += stall_cycles
-                    self.memory_stall_cycles += stall_cycles
-            else:  # EV_BRANCH
-                slot += 1
-                if slot >= issue_width:
-                    cycles += 1.0
-                    slot = 0
-                if not predict_and_update(b, bool(a)):
-                    cycles += penalty
-                    self.branch_stall_cycles += penalty
-                    slot = 0
-        if slot:
-            cycles += 1
-        self.instructions_retired += compiled.length
-        return int(cycles)
-
     def step_compiled(
-        self,
-        compiled: CompiledSegment,
-        start_seconds: float = 0.0,
-        explicit_addrs: Optional[object] = None,
+        self, compiled: CompiledSegment, start_seconds: float = 0.0
     ) -> Iterator[float]:
-        """Per-instruction stepper over a compiled segment.
+        """Execute a compiled segment one instruction at a time.
 
-        Yield-for-yield identical to :meth:`run_stepwise` on the decoded
-        stream — the interleaving engine needs the per-instruction
-        granularity — but skips Instruction decoding and hit-path request
+        Yields the cumulative cycle count after every instruction; the last
+        yield is the segment's final count, including the trailing partial
+        issue group. The interleaving engine
+        (:func:`repro.sim.engine.run_parallel_interleaved`) alternates two
+        such steppers so concurrent accesses reach the shared L3/DRAM in
+        timestamp order. Yield-for-yield identical to the reference
+        per-instruction loop (:func:`repro.sim.reference.cpu_steps`) on the
+        decoded stream, without building Instruction or hit-path request
         objects.
         """
         freq = self.config.frequency
@@ -235,15 +88,8 @@ class CpuCore:
                 cycles += 1.0
                 slot = 0
             if kind == EV_MEMORY:
-                explicit = bool(explicit_addrs is not None and explicit_addrs(a))
                 latency = access_latency(
-                    a,
-                    b,
-                    bool(c),
-                    pu,
-                    explicit,
-                    False,
-                    start_seconds + int(cycles) / hertz,
+                    a, b, bool(c), pu, False, False, start_seconds + int(cycles) / hertz
                 )
                 if latency > hit_latency:
                     stall = (latency - hit_latency) / mlp
@@ -262,23 +108,18 @@ class CpuCore:
         yield cycles
 
     def run_segment(
-        self,
-        instructions: Iterable,
-        start_seconds: float = 0.0,
-        explicit_addrs: Optional[object] = None,
+        self, compiled: CompiledSegment, start_seconds: float = 0.0
     ) -> int:
-        """Execute a whole stream; returns cycles consumed.
+        """Execute a whole compiled segment; returns cycles consumed.
 
-        Accepts either an iterable of instructions (the legacy generator
-        path) or a :class:`~repro.perf.compiled.CompiledSegment` (the
-        batched fast path).
+        A batch of one through :func:`run_compiled_batch`. The benchmark's
+        ``cpu.run`` span (``perfbench/layers.py``) wraps this method and
+        :attr:`run_compiled`, so both names stay.
         """
-        if isinstance(instructions, CompiledSegment):
-            return self.run_compiled(instructions, start_seconds, explicit_addrs)
-        cycles = 0.0
-        for cycles in self.run_stepwise(instructions, start_seconds, explicit_addrs):
-            pass
-        return int(cycles)
+        return run_compiled_batch([self], compiled, [start_seconds])[0]
+
+    #: Alias of :meth:`run_segment`, kept for the ``cpu.run`` span hook.
+    run_compiled = run_segment
 
     @property
     def ipc(self) -> float:
@@ -303,23 +144,22 @@ def run_compiled_batch(
     cores: Sequence[CpuCore],
     compiled: CompiledSegment,
     start_seconds: Sequence[float],
-    explicit_addrs: Optional[Sequence[Optional[object]]] = None,
 ) -> List[int]:
     """Run one compiled event stream through N cores in a single pass.
 
-    The design-point axis of the compiled hot path: each core belongs to a
-    different design point's machine, and the batch loop decodes every
-    event record exactly once, applying it to all N per-point states
-    (cycles, issue slot, predictor, memory hierarchy). Per point, the
-    arithmetic is operation-for-operation the same sequence as
-    :meth:`CpuCore.run_compiled`, so results are bit-identical to running
-    the cores one at a time — ``tests/perf/test_sweep.py`` pins this.
+    The one whole-segment CPU loop: each core belongs to a different design
+    point's machine (N=1 for a single-point run), and every event record is
+    decoded exactly once and applied to all N per-point states (cycles,
+    issue slot, predictor, memory hierarchy). Per point, the arithmetic is
+    operation-for-operation the reference per-instruction loop
+    (:func:`repro.sim.reference.cpu_steps`), so results are bit-identical
+    to running the cores one at a time — ``tests/perf`` pins this.
 
-    When every core's memory is a bare :class:`~repro.mem.cache.cache.Cache`
-    with equal :attr:`~repro.mem.cache.cache.Cache.geometry`, each memory
-    event's set index and tag are computed once and the per-point caches
-    are probed through
-    :meth:`~repro.mem.cache.cache.Cache.access_latency_located`.
+    Exactness notes: issue-group wraps are added one ``+= 1.0`` at a time
+    whenever the cycle count carries a fractional part (float addition is
+    not associative, and the reference loop adds sequentially); when it is
+    integer-valued the batched add is exact. Stalls accumulate onto the
+    core attributes per miss, in stream order, exactly like the reference.
 
     Returns each core's cycle count, in core order.
     """
@@ -328,10 +168,6 @@ def run_compiled_batch(
         raise SimulationError(
             f"need one start time per core: {n} cores, {len(start_seconds)} times"
         )
-    if explicit_addrs is None:
-        explicit_addrs = [None] * n
-    if n == 1:
-        return [cores[0].run_compiled(compiled, start_seconds[0], explicit_addrs[0])]
 
     hertz = [core.config.frequency.hertz for core in cores]
     issue_width = [core.config.issue_width for core in cores]
@@ -341,19 +177,9 @@ def run_compiled_batch(
         for core in cores
     ]
     mlp = [core.mlp for core in cores]
-    memories = [core.memory for core in cores]
-    access = [memory.access_latency for memory in memories]
+    access = [core.memory.access_latency for core in cores]
     predict = [core.predictor.predict_and_update for core in cores]
     pu = ProcessingUnit.CPU
-
-    # Shared address decomposition: legal only when every point's top level
-    # is a raw cache and all geometries agree (no MMU/coherence fronts).
-    located = None
-    if all(type(memory) is Cache for memory in memories):
-        geometries = {memory.geometry for memory in memories}
-        if len(geometries) == 1:
-            line_bytes, num_sets = geometries.pop()
-            located = [memory.access_latency_located for memory in memories]
 
     cycles = [0.0] * n
     slots = [0] * n
@@ -374,10 +200,6 @@ def run_compiled_batch(
                         cycles[i] = cy
         elif kind == EV_MEMORY:
             is_write = bool(c)
-            if located is not None:
-                line = a // line_bytes
-                index = line % num_sets
-                tag = line // num_sets
             for i in range(n):
                 slot = slots[i] + 1
                 cy = cycles[i]
@@ -385,17 +207,9 @@ def run_compiled_batch(
                     cy += 1.0
                     slot = 0
                 slots[i] = slot
-                marker = explicit_addrs[i]
-                explicit = bool(marker is not None and marker(a))
-                issue_time = start_seconds[i] + int(cy) / hertz[i]
-                if located is not None:
-                    latency = located[i](
-                        index, tag, a, b, is_write, pu, explicit, False, issue_time
-                    )
-                else:
-                    latency = access[i](
-                        a, b, is_write, pu, explicit, False, issue_time
-                    )
+                latency = access[i](
+                    a, b, is_write, pu, False, False, start_seconds[i] + int(cy) / hertz[i]
+                )
                 hit = hit_latency[i]
                 if latency > hit:
                     stall = (latency - hit) / mlp[i]

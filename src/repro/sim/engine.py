@@ -12,13 +12,9 @@ traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator
 
-from repro.errors import SimulationError
-from repro.perf.compiled import CompiledSegment
-from repro.sim.cpu.core import CpuCore
-from repro.sim.gpu.core import GpuCore
-from repro.trace.phase import Segment
+from repro.units import Frequency
 
 __all__ = ["ParallelOutcome", "run_parallel_interleaved"]
 
@@ -35,61 +31,24 @@ class ParallelOutcome:
         return max(self.cpu_seconds, self.gpu_seconds)
 
 
-def _stepper(
-    core,
-    segment: "Union[Segment, CompiledSegment]",
-    start_seconds: float,
-    explicit_addrs: Optional[object],
-) -> Iterator[float]:
-    """A per-instruction cycle stepper for either segment representation."""
-    if isinstance(segment, CompiledSegment):
-        return core.step_compiled(segment, start_seconds, explicit_addrs)
-    return core.run_stepwise(segment.instructions(), start_seconds, explicit_addrs)
-
-
-def _thinned(steps: Iterator[float], quantum: int) -> Iterator[float]:
-    """Yield every ``quantum``-th step, always including the final one."""
-    count = 0
-    last = 0.0
-    for last in steps:
-        count += 1
-        if count % quantum == 0:
-            yield last
-    if count % quantum:
-        yield last
-
-
 def run_parallel_interleaved(
-    cpu_core: CpuCore,
-    gpu_core: GpuCore,
-    cpu_segment: "Union[Segment, CompiledSegment]",
-    gpu_segment: "Union[Segment, CompiledSegment]",
-    start_seconds: float = 0.0,
-    explicit_addrs: Optional[object] = None,
-    quantum: int = 1,
+    cpu_steps: Iterator[float],
+    gpu_steps: Iterator[float],
+    cpu_frequency: Frequency,
+    gpu_frequency: Frequency,
 ) -> ParallelOutcome:
-    """Run both sides of a parallel phase with timestamp-ordered accesses.
+    """Merge two per-instruction cycle steppers by wall-clock time.
 
-    Segments may be given as plain :class:`~repro.trace.phase.Segment`
-    objects (expanded through the legacy generator) or pre-compiled
-    :class:`~repro.perf.compiled.CompiledSegment` streams (the fast path).
-
-    ``quantum`` is the interleave granularity in instructions: 1 (the
-    default) re-compares wall-clock time after every instruction and is
-    exact; a larger quantum advances a core up to ``quantum`` instructions
-    between comparisons, a documented approximation that coarsens the
-    contention ordering (and therefore perturbs shared-hierarchy timing)
-    in exchange for fewer generator switches.
+    Each stepper yields its core's cumulative cycle count after every
+    instruction, the last yield being the segment's final count — the
+    protocol of the cores' ``step_compiled`` and of the reference loops in
+    :mod:`repro.sim.reference`, so production and the reference oracle
+    share this engine. The side that is behind (ties go to the CPU)
+    executes its next instruction, so every memory access reaches the
+    shared hierarchy in timestamp order.
     """
-    if quantum < 1:
-        raise SimulationError(f"interleave quantum must be >= 1, got {quantum}")
-    cpu_to_seconds = cpu_core.config.frequency.cycles_to_seconds
-    gpu_to_seconds = gpu_core.config.frequency.cycles_to_seconds
-    cpu_steps = _stepper(cpu_core, cpu_segment, start_seconds, explicit_addrs)
-    gpu_steps = _stepper(gpu_core, gpu_segment, start_seconds, explicit_addrs)
-    if quantum > 1:
-        cpu_steps = _thinned(cpu_steps, quantum)
-        gpu_steps = _thinned(gpu_steps, quantum)
+    cpu_to_seconds = cpu_frequency.cycles_to_seconds
+    gpu_to_seconds = gpu_frequency.cycles_to_seconds
 
     cpu_t = gpu_t = 0.0
     cpu_done = gpu_done = False

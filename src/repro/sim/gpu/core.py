@@ -17,7 +17,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.config.system import GpuConfig
 from repro.errors import SimulationError
-from repro.mem.cache.cache import Cache
 from repro.mem.level import MemoryLevel
 from repro.mem.request import MemRequest
 from repro.perf.compiled import EV_COMPUTE_RUN, EV_MEMORY, CompiledSegment
@@ -65,74 +64,15 @@ class GpuCore:
         self.branch_stall_cycles = 0
         self.scratchpad_hits = 0
 
-    def run_stepwise(
-        self,
-        instructions: Iterable,
-        start_seconds: float = 0.0,
-        explicit_addrs: Optional[object] = None,
+    def step_warp(
+        self, instructions: Iterable, start_seconds: float = 0.0
     ) -> Iterator[float]:
-        """Execute instructions one at a time, yielding cumulative cycles.
+        """Warp-mode stepper: greedy warp scheduling over an instruction
+        stream, yielding cumulative cycles per instruction.
 
-        See :meth:`repro.sim.cpu.core.CpuCore.run_stepwise` for the
-        stepping protocol used by the interleaving engine. A
-        :class:`~repro.perf.compiled.CompiledSegment` may be passed in
-        place of the instruction iterable.
+        The issue slot goes to the earliest-ready warp; memory latency
+        parks the issuing warp, not the core.
         """
-        if isinstance(instructions, CompiledSegment):
-            yield from self.step_compiled(instructions, start_seconds, explicit_addrs)
-            return
-        if self.mode == "warp":
-            yield from self._run_stepwise_warp(
-                instructions, start_seconds, explicit_addrs
-            )
-            return
-        freq = self.config.frequency
-        branch_stall = self.config.branch_stall_cycles if self.config.stall_on_branch else 0
-        hit_latency = freq.cycles_to_seconds(self.config.l1d.latency)
-
-        cycles = 0.0
-        count = 0
-        for inst in instructions:
-            count += 1
-            cycles += 1
-            opcode = inst.opcode
-            if opcode.is_memory:
-                smem = self.scratchpad.access(inst.addr)
-                if smem is not None:
-                    self.scratchpad_hits += 1
-                    cycles += max(smem - 1, 0)
-                    yield cycles
-                    continue
-                explicit = bool(explicit_addrs and explicit_addrs(inst.addr))
-                request = MemRequest(
-                    addr=inst.addr,
-                    size=inst.size,
-                    is_write=opcode.is_store,
-                    pu=ProcessingUnit.GPU,
-                    explicit=explicit,
-                    issue_time=start_seconds + freq.cycles_to_seconds(int(cycles)),
-                )
-                result = self.memory.access(request)
-                if result.latency > hit_latency:
-                    stall = (result.latency - hit_latency) / self.warps
-                    stall_cycles = stall * freq.hertz
-                    cycles += stall_cycles
-                    self.memory_stall_cycles += stall_cycles
-            elif opcode.value == "branch":
-                cycles += branch_stall
-                self.branch_stall_cycles += branch_stall
-            yield cycles
-        self.instructions_retired += count
-        yield cycles
-
-    def _run_stepwise_warp(
-        self,
-        instructions: Iterable,
-        start_seconds: float = 0.0,
-        explicit_addrs: Optional[object] = None,
-    ) -> Iterator[float]:
-        """Greedy warp scheduling: the issue slot goes to the earliest-ready
-        warp; memory latency parks the issuing warp, not the core."""
         freq = self.config.frequency
         branch_stall = self.config.branch_stall_cycles if self.config.stall_on_branch else 0
         hit_latency_cycles = float(self.config.l1d.latency)
@@ -159,13 +99,11 @@ class GpuCore:
                     ready[warp] = cycle + max(smem - 1, 0)
                     yield cycle
                     continue
-                explicit = bool(explicit_addrs and explicit_addrs(inst.addr))
                 request = MemRequest(
                     addr=inst.addr,
                     size=inst.size,
                     is_write=opcode.is_store,
                     pu=ProcessingUnit.GPU,
-                    explicit=explicit,
                     issue_time=start_seconds + freq.cycles_to_seconds(int(cycle)),
                 )
                 result = self.memory.access(request)
@@ -182,88 +120,18 @@ class GpuCore:
         self.instructions_retired += count
         yield cycle
 
-    def run_compiled(
-        self,
-        compiled: CompiledSegment,
-        start_seconds: float = 0.0,
-        explicit_addrs: Optional[object] = None,
-    ) -> int:
-        """Batched fast path over a compiled segment; returns GPU cycles.
-
-        Heuristic mode only — warp mode keeps its scheduler and simply
-        decodes the compiled stream (latency hiding there depends on
-        per-instruction warp state). Cycle accounting matches the legacy
-        loop exactly; see :meth:`repro.sim.cpu.core.CpuCore.run_compiled`
-        for the float-exactness rules.
-        """
-        if self.mode == "warp":
-            cycles = 0.0
-            for cycles in self._run_stepwise_warp(
-                compiled.instructions(), start_seconds, explicit_addrs
-            ):
-                pass
-            return int(cycles)
-        freq = self.config.frequency
-        hertz = freq.hertz
-        branch_stall = self.config.branch_stall_cycles if self.config.stall_on_branch else 0
-        hit_latency = freq.cycles_to_seconds(self.config.l1d.latency)
-        warps = self.warps
-        access_latency = self.memory.access_latency
-        scratchpad_access = self.scratchpad.access
-        pu = ProcessingUnit.GPU
-
-        cycles = 0.0
-        for kind, a, b, c in compiled.events:
-            if kind == EV_COMPUTE_RUN:
-                if cycles.is_integer():
-                    cycles += a
-                else:
-                    for _ in range(a):
-                        cycles += 1.0
-            elif kind == EV_MEMORY:
-                cycles += 1.0
-                smem = scratchpad_access(a)
-                if smem is not None:
-                    self.scratchpad_hits += 1
-                    cycles += max(smem - 1, 0)
-                    continue
-                explicit = bool(explicit_addrs is not None and explicit_addrs(a))
-                latency = access_latency(
-                    a,
-                    b,
-                    bool(c),
-                    pu,
-                    explicit,
-                    False,
-                    start_seconds + int(cycles) / hertz,
-                )
-                if latency > hit_latency:
-                    stall = (latency - hit_latency) / warps
-                    stall_cycles = stall * hertz
-                    cycles += stall_cycles
-                    self.memory_stall_cycles += stall_cycles
-            else:  # EV_BRANCH
-                cycles += 1.0
-                cycles += branch_stall
-                self.branch_stall_cycles += branch_stall
-        self.instructions_retired += compiled.length
-        return int(cycles)
-
     def step_compiled(
-        self,
-        compiled: CompiledSegment,
-        start_seconds: float = 0.0,
-        explicit_addrs: Optional[object] = None,
+        self, compiled: CompiledSegment, start_seconds: float = 0.0
     ) -> Iterator[float]:
-        """Per-instruction stepper over a compiled segment.
+        """Execute a compiled segment one instruction at a time.
 
-        Yield-for-yield identical to :meth:`run_stepwise` on the decoded
-        stream; warp mode decodes into its scheduler unchanged.
+        The stepping protocol of
+        :meth:`repro.sim.cpu.core.CpuCore.step_compiled`; yield-for-yield
+        identical to the reference loop (:func:`repro.sim.reference.gpu_steps`)
+        on the decoded stream. Warp mode decodes into :meth:`step_warp`.
         """
         if self.mode == "warp":
-            yield from self._run_stepwise_warp(
-                compiled.instructions(), start_seconds, explicit_addrs
-            )
+            yield from self.step_warp(compiled.instructions(), start_seconds)
             return
         freq = self.config.frequency
         hertz = freq.hertz
@@ -289,15 +157,8 @@ class GpuCore:
                     cycles += max(smem - 1, 0)
                     yield cycles
                     continue
-                explicit = bool(explicit_addrs is not None and explicit_addrs(a))
                 latency = access_latency(
-                    a,
-                    b,
-                    bool(c),
-                    pu,
-                    explicit,
-                    False,
-                    start_seconds + int(cycles) / hertz,
+                    a, b, bool(c), pu, False, False, start_seconds + int(cycles) / hertz
                 )
                 if latency > hit_latency:
                     stall = (latency - hit_latency) / warps
@@ -312,22 +173,18 @@ class GpuCore:
         yield cycles
 
     def run_segment(
-        self,
-        instructions: Iterable,
-        start_seconds: float = 0.0,
-        explicit_addrs: Optional[object] = None,
+        self, compiled: CompiledSegment, start_seconds: float = 0.0
     ) -> int:
-        """Execute a whole stream; returns GPU cycles consumed.
+        """Execute a whole compiled segment; returns GPU cycles consumed.
 
-        Accepts either an iterable of instructions or a
-        :class:`~repro.perf.compiled.CompiledSegment` (batched fast path).
+        A batch of one through :func:`run_compiled_batch`. The benchmark's
+        ``gpu.run`` span (``perfbench/layers.py``) wraps this method and
+        :attr:`run_compiled`, so both names stay.
         """
-        if isinstance(instructions, CompiledSegment):
-            return self.run_compiled(instructions, start_seconds, explicit_addrs)
-        cycles = 0.0
-        for cycles in self.run_stepwise(instructions, start_seconds, explicit_addrs):
-            pass
-        return int(cycles)
+        return run_compiled_batch([self], compiled, [start_seconds])[0]
+
+    #: Alias of :meth:`run_segment`, kept for the ``gpu.run`` span hook.
+    run_compiled = run_segment
 
     def push(self, base: int, size: int) -> None:
         """Explicitly place a region into the software-managed cache."""
@@ -349,17 +206,16 @@ def run_compiled_batch(
     cores: Sequence[GpuCore],
     compiled: CompiledSegment,
     start_seconds: Sequence[float],
-    explicit_addrs: Optional[Sequence[Optional[object]]] = None,
 ) -> List[int]:
     """Run one compiled event stream through N GPU cores in a single pass.
 
-    The GPU side of the design-point axis: event records are decoded once
-    and applied to every per-point core state. Heuristic-mode accounting is
-    operation-for-operation :meth:`GpuCore.run_compiled`; any core in warp
-    mode makes the whole batch fall back to per-core execution (warp
-    latency hiding depends on per-instruction scheduler state that cannot
-    share a decode pass). Shared ``(index, tag)`` cache probing mirrors
-    :func:`repro.sim.cpu.core.run_compiled_batch`.
+    The GPU side of :func:`repro.sim.cpu.core.run_compiled_batch` (same
+    float-exactness rules): event records are decoded once and applied to
+    every per-point core state, operation-for-operation the reference
+    heuristic loop (:func:`repro.sim.reference.gpu_steps`). Any core in
+    warp mode makes the whole batch drain :meth:`GpuCore.step_warp` per
+    core instead (warp latency hiding depends on per-instruction scheduler
+    state that cannot share a decode pass).
 
     Returns each core's cycle count, in core order.
     """
@@ -368,13 +224,14 @@ def run_compiled_batch(
         raise SimulationError(
             f"need one start time per core: {n} cores, {len(start_seconds)} times"
         )
-    if explicit_addrs is None:
-        explicit_addrs = [None] * n
-    if n == 1 or any(core.mode == "warp" for core in cores):
-        return [
-            core.run_compiled(compiled, start_seconds[i], explicit_addrs[i])
-            for i, core in enumerate(cores)
-        ]
+    if any(core.mode == "warp" for core in cores):
+        out = []
+        for core, start in zip(cores, start_seconds):
+            cycles = 0.0
+            for cycles in core.step_compiled(compiled, start):
+                pass
+            out.append(int(cycles))
+        return out
 
     hertz = [core.config.frequency.hertz for core in cores]
     branch_stall = [
@@ -386,17 +243,9 @@ def run_compiled_batch(
         for core in cores
     ]
     warps = [core.warps for core in cores]
-    memories = [core.memory for core in cores]
-    access = [memory.access_latency for memory in memories]
+    access = [core.memory.access_latency for core in cores]
     scratchpad = [core.scratchpad.access for core in cores]
     pu = ProcessingUnit.GPU
-
-    located = None
-    if all(type(memory) is Cache for memory in memories):
-        geometries = {memory.geometry for memory in memories}
-        if len(geometries) == 1:
-            line_bytes, num_sets = geometries.pop()
-            located = [memory.access_latency_located for memory in memories]
 
     cycles = [0.0] * n
     for kind, a, b, c in compiled.events:
@@ -411,10 +260,6 @@ def run_compiled_batch(
                     cycles[i] = cy
         elif kind == EV_MEMORY:
             is_write = bool(c)
-            if located is not None:
-                line = a // line_bytes
-                index = line % num_sets
-                tag = line // num_sets
             for i in range(n):
                 cy = cycles[i] + 1.0
                 smem = scratchpad[i](a)
@@ -423,17 +268,9 @@ def run_compiled_batch(
                     cy += max(smem - 1, 0)
                     cycles[i] = cy
                     continue
-                marker = explicit_addrs[i]
-                explicit = bool(marker is not None and marker(a))
-                issue_time = start_seconds[i] + int(cy) / hertz[i]
-                if located is not None:
-                    latency = located[i](
-                        index, tag, a, b, is_write, pu, explicit, False, issue_time
-                    )
-                else:
-                    latency = access[i](
-                        a, b, is_write, pu, explicit, False, issue_time
-                    )
+                latency = access[i](
+                    a, b, is_write, pu, False, False, start_seconds[i] + int(cy) / hertz[i]
+                )
                 hit = hit_latency[i]
                 if latency > hit:
                     stall = (latency - hit) / warps[i]

@@ -226,6 +226,39 @@ class TestChaosCatalogCoverage:
         assert result.returncode == 0, result.stderr
 
 
+class TestReferenceOracleImports:
+    """L007: only the hotpath bench may import the reference oracle."""
+
+    def library_violations(self, source, path="src/repro/sim/detailed.py"):
+        return [
+            (rule, line)
+            for _, line, rule, _ in lint_rules.lint_source(source, Path(path))
+        ]
+
+    def test_import_forms_flagged_in_library_code(self):
+        assert self.library_violations("import repro.sim.reference\n") == [
+            ("L007", 1)
+        ]
+        assert self.library_violations(
+            "from repro.sim.reference import ReferenceSimulator\n"
+        ) == [("L007", 1)]
+        assert self.library_violations("from repro.sim import reference\n") == [
+            ("L007", 1)
+        ]
+
+    def test_hotpath_bench_may_import(self):
+        source = "from repro.sim.reference import ReferenceSimulator\n"
+        assert self.library_violations(source, "src/repro/perf/bench.py") == []
+
+    def test_tests_may_import(self):
+        source = "from repro.sim.reference import run_segment\n"
+        assert self.library_violations(source, "tests/sim/test_cores.py") == []
+
+    def test_sibling_modules_allowed(self):
+        source = "from repro.sim import detailed, engine\nimport repro.sim.reference_data\n"
+        assert self.library_violations(source) == []
+
+
 class TestMesiStateOwnership:
     def test_state_assignment_flagged_outside_coherence(self):
         assert violations("block.state = MESIState.MODIFIED\n") == [("L004", 1)]

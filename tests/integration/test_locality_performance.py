@@ -19,6 +19,7 @@ import pytest
 from repro.locality.manager import LocalityManager
 from repro.mem.cache.replacement import HybridLocalityPolicy
 from repro.mem.request import MemRequest
+from repro.sim.reference import run_segment
 from repro.sim.system import build_machine
 from repro.taxonomy import AddressSpaceKind, LocalityScheme, ProcessingUnit
 from repro.trace.instruction import Instruction
@@ -58,10 +59,10 @@ class TestScratchpadTradeoff:
             footprint_bytes=12 * KB,
         )
         implicit = build_machine()
-        implicit_cycles = implicit.gpu_core.run_segment(segment.instructions())
+        implicit_cycles = run_segment(implicit.gpu_core, segment.instructions())
         explicit = build_machine()
         explicit.gpu_core.push(TABLE, 12 * KB)
-        explicit_cycles = explicit.gpu_core.run_segment(segment.instructions())
+        explicit_cycles = run_segment(explicit.gpu_core, segment.instructions())
         assert explicit_cycles >= implicit_cycles
 
     def test_thrashed_table_prefers_explicit_placement(self):
@@ -69,12 +70,12 @@ class TestScratchpadTradeoff:
         pinned table always hits the scratchpad and its demand traffic
         disappears; implicit caching gets a ~0% table hit rate."""
         implicit = build_machine()
-        implicit_cycles = implicit.gpu_core.run_segment(thrashing_workload())
+        implicit_cycles = run_segment(implicit.gpu_core, thrashing_workload())
         implicit_hit_rate = implicit.gpu_l1d.hits / implicit.gpu_l1d.accesses
 
         explicit = build_machine()
         explicit.gpu_core.push(TABLE, 4 * KB)
-        explicit_cycles = explicit.gpu_core.run_segment(thrashing_workload())
+        explicit_cycles = run_segment(explicit.gpu_core, thrashing_workload())
 
         assert implicit_hit_rate < 0.05  # the stream destroys the table
         assert explicit.gpu_core.scratchpad_hits == 2000  # every table access

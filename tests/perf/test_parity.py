@@ -1,19 +1,22 @@
-"""Bit-identity of the compiled hot path against the legacy generator path.
+"""Bit-identity of the production detailed walk against the reference oracle.
 
-The compiled path is only allowed to exist because it changes nothing:
-every timing (to the last float bit) and every counter of the
-:class:`~repro.sim.results.SimulationResult` must match the legacy
-per-instruction expansion, for all six paper kernels across all five
-case-study systems, in both interleaved and serial parallel-phase modes.
+Production runs one phase walk (:func:`repro.perf.sweep.walk_phases`, a
+batch of one for :class:`~repro.sim.detailed.DetailedSimulator`) over
+compiled segments. It is only allowed to exist because it changes
+nothing: every timing (to the last float bit) and every counter of the
+:class:`~repro.sim.results.SimulationResult` must match the reference
+oracle (:class:`~repro.sim.reference.ReferenceSimulator`, the
+per-instruction generator expansion), for all six paper kernels across
+all five case-study systems, in both interleaved and serial parallel-phase
+modes, and for every batched sweep point against its own run.
 """
 
 import pytest
 
 from repro.config.presets import case_study, case_study_names
-from repro.errors import SimulationError
 from repro.kernels.registry import all_kernels, kernel
 from repro.sim.detailed import DetailedSimulator
-from repro.sim.engine import run_parallel_interleaved
+from repro.sim.reference import ReferenceSimulator
 from repro.taxonomy import AddressSpaceKind
 
 #: Small enough to keep the full 6x5x2 sweep under ~10 s, large enough
@@ -25,17 +28,17 @@ CASES = list(case_study_names())
 
 
 def run_pair(trace, case, **kwargs):
-    legacy = DetailedSimulator(compiled=False, **kwargs).run(trace, case=case)
-    compiled = DetailedSimulator(compiled=True, **kwargs).run(trace, case=case)
-    return legacy, compiled
+    reference = ReferenceSimulator(**kwargs).run(trace, case=case)
+    production = DetailedSimulator(**kwargs).run(trace, case=case)
+    return reference, production
 
 
-def assert_identical(legacy, compiled):
-    assert legacy.breakdown == compiled.breakdown
-    assert legacy.phases == compiled.phases
-    assert set(legacy.counters) == set(compiled.counters)
-    for key, value in legacy.counters.items():
-        assert compiled.counters[key] == value, key
+def assert_identical(reference, production):
+    assert reference.breakdown == production.breakdown
+    assert reference.phases == production.phases
+    assert set(reference.counters) == set(production.counters)
+    for key, value in reference.counters.items():
+        assert production.counters[key] == value, key
 
 
 class TestKernelsBySystem:
@@ -43,88 +46,52 @@ class TestKernelsBySystem:
     @pytest.mark.parametrize("case_name", CASES)
     def test_interleaved_bit_identical(self, kernel_name, case_name):
         trace = kernel(kernel_name).build().scaled(SCALE)
-        legacy, compiled = run_pair(trace, case_study(case_name))
-        assert_identical(legacy, compiled)
+        reference, production = run_pair(trace, case_study(case_name))
+        assert_identical(reference, production)
 
     @pytest.mark.parametrize("kernel_name", KERNELS)
     def test_serial_bit_identical(self, kernel_name):
         trace = kernel(kernel_name).build().scaled(SCALE)
-        legacy, compiled = run_pair(
+        reference, production = run_pair(
             trace, case_study("CPU+GPU"), interleave_parallel=False
         )
-        assert_identical(legacy, compiled)
+        assert_identical(reference, production)
 
 
 class TestVariantModes:
     def test_warp_mode_bit_identical(self):
         trace = kernel("reduction").build().scaled(SCALE)
-        legacy, compiled = run_pair(trace, case_study("CPU+GPU"), gpu_mode="warp")
-        assert_identical(legacy, compiled)
+        reference, production = run_pair(trace, case_study("CPU+GPU"), gpu_mode="warp")
+        assert_identical(reference, production)
 
     def test_hardware_coherence_bit_identical(self):
         # IDEAL-HETERO runs the hardware directory.
         trace = kernel("k-mean").build().scaled(SCALE)
-        legacy, compiled = run_pair(trace, case_study("IDEAL-HETERO"))
-        assert_identical(legacy, compiled)
+        reference, production = run_pair(trace, case_study("IDEAL-HETERO"))
+        assert_identical(reference, production)
 
     def test_l1_prefetch_bit_identical(self):
         trace = kernel("convolution").build().scaled(SCALE)
-        legacy, compiled = run_pair(trace, case_study("CPU+GPU"), l1_prefetch=True)
-        assert_identical(legacy, compiled)
+        reference, production = run_pair(trace, case_study("CPU+GPU"), l1_prefetch=True)
+        assert_identical(reference, production)
 
     def test_mmu_staged_bit_identical(self):
         trace = kernel("merge sort").build().scaled(SCALE)
         case = case_study("CPU+GPU")
-        legacy = DetailedSimulator(compiled=False).run(
+        reference = ReferenceSimulator().run(
             trace, case=case, address_space=AddressSpaceKind.DISJOINT
         )
-        compiled = DetailedSimulator(compiled=True).run(
+        production = DetailedSimulator().run(
             trace, case=case, address_space=AddressSpaceKind.DISJOINT
         )
-        assert_identical(legacy, compiled)
-
-
-class TestInterleaveQuantum:
-    def test_quantum_one_is_default_and_exact(self):
-        sim = DetailedSimulator()
-        assert sim.interleave_quantum == 1
-        assert sim.compiled is True
-
-    def test_quantum_must_be_positive(self):
-        with pytest.raises(SimulationError):
-            DetailedSimulator(interleave_quantum=0)
-        with pytest.raises(SimulationError):
-            run_parallel_interleaved(None, None, None, None, quantum=0)
-
-    def test_large_quantum_still_completes_every_instruction(self):
-        trace = kernel("reduction").build().scaled(SCALE)
-        case = case_study("CPU+GPU")
-        exact = DetailedSimulator(compiled=True).run(trace, case=case)
-        coarse = DetailedSimulator(compiled=True, interleave_quantum=64).run(
-            trace, case=case
-        )
-        # Retired-instruction counters are invariant under the quantum;
-        # only shared-hierarchy contention ordering (and thus timing) may
-        # shift, within a sane band.
-        for side in ("cpu_core", "gpu_core"):
-            key = f"{side}.instructions"
-            assert coarse.counters[key] == exact.counters[key]
-        assert coarse.breakdown.parallel == pytest.approx(
-            exact.breakdown.parallel, rel=0.2
-        )
-
-    def test_quantum_approximation_is_documented_nonidentical_knob(self):
-        # Guard against someone "optimizing" quantum>1 into the default:
-        # the default configuration must stay exact (quantum == 1).
-        sim = DetailedSimulator(interleave_quantum=4)
-        assert sim.interleave_quantum == 4
+        assert_identical(reference, production)
 
 
 class TestBatchedSweepParity:
     """The design-point axis: every point of a batch matches its own run.
 
     The deeper suite lives in tests/perf/test_sweep.py; this pins the
-    headline contract next to the legacy-vs-compiled parity it extends.
+    headline contract against the reference oracle itself.
     """
 
     @pytest.mark.parametrize("kernel_name", KERNELS)
@@ -135,7 +102,7 @@ class TestBatchedSweepParity:
         points = [SweepPoint(case=case_study(name)) for name in CASES]
         batched = SweepSimulator().run(trace, points)
         for point, result in zip(points, batched):
-            single = DetailedSimulator(compiled=True).run(trace, case=point.case)
+            single = ReferenceSimulator().run(trace, case=point.case)
             assert single.breakdown == result.breakdown
             assert single.phases == result.phases
             assert single.counters == result.counters
@@ -156,9 +123,9 @@ class TestCompileCacheSharing:
 class TestCoherentDesignPoints:
     """The coherence axis rides the same bit-identity contract.
 
-    A protocol-on machine runs the per-access coherent front; the compiled
-    path must drive it through exactly the same access sequence as the
-    legacy generator — timings, protocol counters, everything.
+    A protocol-on machine runs the per-access coherent front; production
+    must drive it through exactly the same access sequence as the
+    reference oracle — timings, protocol counters, everything.
     """
 
     def _staged(self, kernel_name):
@@ -172,15 +139,11 @@ class TestCoherentDesignPoints:
     def test_protocol_bit_identical(self, protocol):
         trace = self._staged("reduction")
         case = case_study("CPU+GPU")
-        legacy = DetailedSimulator(compiled=False).run(
-            trace, case=case, coherence=protocol
-        )
-        compiled = DetailedSimulator(compiled=True).run(
-            trace, case=case, coherence=protocol
-        )
-        assert_identical(legacy, compiled)
+        reference = ReferenceSimulator().run(trace, case=case, coherence=protocol)
+        production = DetailedSimulator().run(trace, case=case, coherence=protocol)
+        assert_identical(reference, production)
         # The parity only means something if the protocol actually fired.
-        assert compiled.counters[f"{protocol}.tracked_lines"] > 0
+        assert production.counters[f"{protocol}.tracked_lines"] > 0
 
     def test_batched_sweep_matches_single_runs_per_protocol(self):
         from repro.perf.sweep import SweepPoint, SweepSimulator
@@ -193,7 +156,7 @@ class TestCoherentDesignPoints:
         ]
         batched = SweepSimulator().run(trace, points)
         for point, result in zip(points, batched):
-            single = DetailedSimulator(compiled=True).run(
+            single = ReferenceSimulator().run(
                 trace,
                 case=case,
                 coherence=point.coherence,

@@ -3,12 +3,14 @@
 The sweep engine (:mod:`repro.perf.sweep`) is only allowed to exist
 because it changes nothing: for every point of a batch, the returned
 :class:`~repro.sim.results.SimulationResult` must equal — to the last
-float bit and counter — what ``DetailedSimulator(compiled=True)`` produces
-for that point alone. Pinned here for all six paper kernels across the
+float bit and counter — what ``DetailedSimulator`` (a walk with N=1)
+produces for that point alone. Pinned here for all six paper kernels across the
 five case-study systems, for rank-style mechanism/address-space batches
 (including duplicate-label relabel-on-scatter), for the variant machine
 modes, and as a hypothesis property over singleton batches.
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.comm.base import make_channel
 from repro.config.presets import case_study, case_study_names
+from repro.config.system import SystemConfig
 from repro.core.explorer import Explorer
 from repro.core.space import DesignSpace
 from repro.errors import SimulationError
@@ -70,7 +73,7 @@ def rank_style_points(count=24, stride=60):
 
 def run_single(trace, point, **kwargs):
     """The per-point parity oracle: one DetailedSimulator run per point."""
-    sim = DetailedSimulator(compiled=True, **kwargs)
+    sim = DetailedSimulator(**kwargs)
     if point.case is not None:
         return sim.run(trace, case=point.case, system_name=point.system_name)
     channel = make_channel(
@@ -149,7 +152,7 @@ class TestRankStyleBatchParity:
     def test_variant_machine_modes_bit_identical(self):
         trace = kernel("convolution").build().scaled(SCALE)
         points = rank_style_points(count=8)
-        kwargs = dict(gpu_mode="warp", l1_prefetch=True, interleave_quantum=4)
+        kwargs = dict(gpu_mode="warp", l1_prefetch=True)
         batched = SweepSimulator(**kwargs).run(trace, points)
         for point, result in zip(points, batched):
             assert_identical(run_single(trace, point, **kwargs), result)
@@ -166,26 +169,26 @@ class TestBatchedDesignPoints:
         with pytest.raises(SimulationError):
             SweepPoint(case=case_study("CPU+GPU"), mechanism=CommMechanism.PCIE)
 
-    def test_parameter_arrays_stack_per_point(self):
-        points = case_points()
-        batch = BatchedDesignPoints(points)
-        n = len(points)
-        for name in (
-            "issue_widths",
-            "cpu_hertz",
-            "gpu_hertz",
-            "l1d_latencies",
-            "l1d_capacities",
-            "l3_capacities",
-            "pci_bandwidths",
-        ):
-            assert getattr(batch, name).shape == (n,)
-
     def test_groups_partition_the_distinct_points(self):
         points = rank_style_points() + case_points()
         batch = BatchedDesignPoints(points)
         positions = sorted(pos for group in batch.groups() for pos in group)
         assert positions == list(range(len(batch.distinct)))
+
+    def test_prebuilt_batch_runs_under_the_simulators_defaults(self):
+        # A batch carries no machine defaults: points without their own
+        # system simulate under the SweepSimulator's, however passed.
+        base = SystemConfig()
+        system = replace(base, cpu=replace(base.cpu, issue_width=1))
+        trace = kernel("reduction").build().scaled(SCALE)
+        points = case_points()
+        simulator = SweepSimulator(system=system)
+        from_list = simulator.run(trace, points)
+        from_batch = simulator.run(trace, BatchedDesignPoints(points))
+        for listed, batched in zip(from_list, from_batch):
+            assert_identical(listed, batched)
+        default = SweepSimulator().run(trace, points)
+        assert from_batch[0].breakdown != default[0].breakdown
 
 
 class TestSingletonBatchProperty:
@@ -243,7 +246,7 @@ class TestSweepJobs:
             for index, result in zip(indices, results):
                 scattered[index] = result
         for job, result in zip(jobs, scattered):
-            single = DetailedSimulator(compiled=True).run(job.trace, case=job.case)
+            single = DetailedSimulator().run(job.trace, case=job.case)
             assert_identical(single, result)
 
     def test_batch_job_is_picklable(self):

@@ -8,6 +8,7 @@ from repro.mem.level import FixedLatencyMemory
 from repro.sim.cpu.core import CpuCore
 from repro.sim.gpu.core import GpuCore
 from repro.sim.gpu.smem import Scratchpad
+from repro.sim.reference import run_segment
 from repro.trace.instruction import Instruction
 
 
@@ -28,21 +29,21 @@ class TestCpuCore:
 
     def test_issue_width_bounds_throughput(self):
         core = self.make()
-        cycles = core.run_segment(compute_stream(400))
+        cycles = run_segment(core, compute_stream(400))
         assert cycles == pytest.approx(100, abs=2)  # 4-wide issue
 
     def test_memory_stalls_slow_execution(self):
         fast = self.make(latency=FAST_MEM)
         slow = self.make(latency=100e-9)
-        fast_cycles = fast.run_segment(load_stream(100))
-        slow_cycles = slow.run_segment(load_stream(100))
+        fast_cycles = run_segment(fast, load_stream(100))
+        slow_cycles = run_segment(slow, load_stream(100))
         assert slow_cycles > fast_cycles * 2
 
     def test_mlp_divides_stall(self):
         no_mlp = CpuCore(CpuConfig(), FixedLatencyMemory(100e-9), mlp=1.0)
         high_mlp = CpuCore(CpuConfig(), FixedLatencyMemory(100e-9), mlp=8.0)
-        base = no_mlp.run_segment(load_stream(64))
-        overlapped = high_mlp.run_segment(load_stream(64))
+        base = run_segment(no_mlp, load_stream(64))
+        overlapped = run_segment(high_mlp, load_stream(64))
         assert overlapped < base / 2
 
     def test_branch_mispredictions_cost_cycles(self):
@@ -52,13 +53,13 @@ class TestCpuCore:
         predictable = [Instruction.branch(True) for _ in range(500)]
         noisy = [Instruction.branch(rng.random() < 0.5) for _ in range(500)]
         core_a, core_b = self.make(), self.make()
-        cheap = core_a.run_segment(predictable)
-        costly = core_b.run_segment(noisy)
+        cheap = run_segment(core_a, predictable)
+        costly = run_segment(core_b, noisy)
         assert costly > cheap
 
     def test_instruction_count_tracked(self):
         core = self.make()
-        core.run_segment(compute_stream(123))
+        run_segment(core, compute_stream(123))
         assert core.instructions_retired == 123
 
     def test_rejects_mlp_below_one(self):
@@ -67,7 +68,7 @@ class TestCpuCore:
 
     def test_stats_keys(self):
         core = self.make()
-        core.run_segment(load_stream(10))
+        run_segment(core, load_stream(10))
         stats = core.stats()
         assert set(stats) >= {"instructions", "memory_stall_cycles", "branch_stall_cycles"}
 
@@ -78,27 +79,27 @@ class TestGpuCore:
 
     def test_in_order_cpi_one(self):
         core = self.make()
-        cycles = core.run_segment(compute_stream(400))
+        cycles = run_segment(core, compute_stream(400))
         assert cycles == 400
 
     def test_stall_on_every_branch(self):
         core = self.make()
         branches = [Instruction.branch(True) for _ in range(100)]
-        cycles = core.run_segment(branches)
+        cycles = run_segment(core, branches)
         assert cycles == 100 * (1 + GpuConfig().branch_stall_cycles)
 
     def test_warps_hide_memory_latency(self):
         single = self.make(latency=400e-9, warps=1)
         many = self.make(latency=400e-9, warps=16)
-        slow = single.run_segment(load_stream(32))
-        fast = many.run_segment(load_stream(32))
+        slow = run_segment(single, load_stream(32))
+        fast = run_segment(many, load_stream(32))
         assert fast < slow / 4
 
     def test_scratchpad_bypasses_memory(self):
         backing = FixedLatencyMemory(1e-6)
         core = GpuCore(GpuConfig(), backing)
         core.push(0x0, 4096)
-        cycles = core.run_segment(load_stream(32, stride=64))
+        cycles = run_segment(core, load_stream(32, stride=64))
         assert backing.stats()["accesses"] == 0
         assert core.scratchpad_hits == 32
         assert cycles < 32 * 4  # smem latency, not memory latency

@@ -6,6 +6,7 @@ from repro.config.presets import case_study
 from repro.config.system import CpuConfig, GpuConfig
 from repro.kernels.registry import kernel
 from repro.mem.level import FixedLatencyMemory
+from repro.perf.compiled import compile_segment
 from repro.sim.cpu.core import CpuCore
 from repro.sim.detailed import DetailedSimulator
 from repro.sim.engine import ParallelOutcome, run_parallel_interleaved
@@ -27,7 +28,18 @@ def seg(pu, total, footprint=4096):
         mix = InstructionMix(simd_loads=loads, simd_alu=total - loads)
     else:
         mix = InstructionMix(loads=loads, int_alu=total - loads)
-    return Segment(pu=pu, mix=mix, base_addr=0, footprint_bytes=footprint)
+    return compile_segment(
+        Segment(pu=pu, mix=mix, base_addr=0, footprint_bytes=footprint)
+    )
+
+
+def interleave(cpu, gpu, cpu_segment, gpu_segment):
+    return run_parallel_interleaved(
+        cpu.step_compiled(cpu_segment),
+        gpu.step_compiled(gpu_segment),
+        cpu.config.frequency,
+        gpu.config.frequency,
+    )
 
 
 class TestOutcome:
@@ -39,9 +51,7 @@ class TestOutcome:
 class TestInterleaving:
     def test_both_sides_fully_executed(self):
         cpu, gpu = make_cores()
-        run_parallel_interleaved(
-            cpu, gpu, seg(ProcessingUnit.CPU, 1000), seg(ProcessingUnit.GPU, 800)
-        )
+        interleave(cpu, gpu, seg(ProcessingUnit.CPU, 1000), seg(ProcessingUnit.GPU, 800))
         assert cpu.instructions_retired == 1000
         assert gpu.instructions_retired == 800
 
@@ -49,12 +59,12 @@ class TestInterleaving:
         """With private fixed-latency memories there is no contention, so
         interleaved and back-to-back execution must agree exactly."""
         cpu_a, gpu_a = make_cores()
-        outcome = run_parallel_interleaved(
+        outcome = interleave(
             cpu_a, gpu_a, seg(ProcessingUnit.CPU, 2000), seg(ProcessingUnit.GPU, 1500)
         )
         cpu_b, gpu_b = make_cores()
-        cpu_cycles = cpu_b.run_segment(seg(ProcessingUnit.CPU, 2000).instructions())
-        gpu_cycles = gpu_b.run_segment(seg(ProcessingUnit.GPU, 1500).instructions())
+        cpu_cycles = cpu_b.run_segment(seg(ProcessingUnit.CPU, 2000))
+        gpu_cycles = gpu_b.run_segment(seg(ProcessingUnit.GPU, 1500))
         assert outcome.cpu_seconds == pytest.approx(
             cpu_b.config.frequency.cycles_to_seconds(
                 cpu_cycles
@@ -67,7 +77,7 @@ class TestInterleaving:
 
     def test_empty_side_handled(self):
         cpu, gpu = make_cores()
-        outcome = run_parallel_interleaved(
+        outcome = interleave(
             cpu,
             gpu,
             seg(ProcessingUnit.CPU, 0, footprint=0),

@@ -31,6 +31,12 @@
   reference in ``tests/faults/test_chaos.py`` (an untested drill rots
   silently). Runs automatically whenever the linted set includes the
   scenario catalog.
+- **L007 — the reference oracle stays out of production.**
+  ``repro.sim.reference`` (the per-instruction generator expansion the
+  parity suite checks the compiled walk against) may be imported by the
+  tests and by the ``bench --mode hotpath`` harness
+  (``repro/perf/bench.py``) only; any other module under ``repro``
+  importing it would make the oracle a second production path.
 
 Usage::
 
@@ -75,6 +81,11 @@ RULE_CATALOG = "repro/check/rules.py"
 #: L006 cross-checks it against the docs and the test suite.
 CHAOS_CATALOG = "repro/faults/chaos.py"
 
+#: The reference oracle (L007) and the one library module that may
+#: import it.
+REFERENCE_MODULE = "repro.sim.reference"
+REFERENCE_IMPORTER = "repro/perf/bench.py"
+
 
 def _called_name(node: ast.Call) -> str | None:
     if isinstance(node.func, ast.Name):
@@ -94,12 +105,38 @@ def _is_mutable_default(node: ast.expr) -> bool:
     )
 
 
+def _imported_modules(node: ast.AST) -> List[str]:
+    """Every module an absolute import statement may bind."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module and not node.level:
+        return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+    return []
+
+
 def lint_source(source: str, path: Path) -> List[Violation]:
     """All violations in one python source file."""
     violations: List[Violation] = []
     tree = ast.parse(source, filename=str(path))
     owns_mesi_state = COHERENCE_PACKAGE in path.as_posix()
+    guards_reference = "repro" in path.parts and not path.as_posix().endswith(
+        REFERENCE_IMPORTER
+    )
     for node in ast.walk(tree):
+        if guards_reference and any(
+            name == REFERENCE_MODULE or name.startswith(REFERENCE_MODULE + ".")
+            for name in _imported_modules(node)
+        ):
+            violations.append(
+                (
+                    path,
+                    node.lineno,
+                    "L007",
+                    f"{REFERENCE_MODULE} imported in library code; the "
+                    "reference oracle is for tests and the hotpath bench "
+                    f"({REFERENCE_IMPORTER}) only",
+                )
+            )
         if not owns_mesi_state:
             targets: List[ast.expr] = []
             if isinstance(node, ast.Assign):
