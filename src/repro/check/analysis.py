@@ -51,10 +51,12 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.check.config import CheckConfig
 from repro.check.findings import CheckReport, Finding
+from repro.check.ir import cfg_from_trace
 from repro.check.passes import (
     access_mode_findings,
     dead_transfer_findings,
     redundant_transfer_findings,
+    stale_read_reachable,
     staleness_findings,
 )
 from repro.check.rules import rule
@@ -282,34 +284,7 @@ def _check_transfers(trace: KernelTrace, config: CheckConfig) -> Iterable[Findin
                     )
 
 
-# -- LOC: staleness under explicit locality (dataflow-backed) -----------------
-
-
-def _check_staleness(trace: KernelTrace, config: CheckConfig) -> Iterable[Finding]:
-    """LOC001 via the reaching-transfers fixpoint (check v2): same
-    obligations as the PR-3 segment walk — reads see the state before
-    their phase's writes, a transfer pushes everything its source PU
-    produced — but computed as a dataflow fact and litmus-confirmed."""
-    return staleness_findings(trace, config)
-
-
 # -- COH: access-mode declaration discipline ----------------------------------
-
-
-def _stale_read_reachable(config: CheckConfig) -> bool:
-    """Litmus confirmation for COH001: compile the undeclared write to the
-    minimal producer/consumer exchange — a store the runtime was never told
-    about, read by the peer with nothing ordering the two — and ask the
-    executor whether the stale observation is reachable under the design
-    point's cross-PU model."""
-    program = Program(
-        threads={
-            ProcessingUnit.CPU: (Store("data", 1),),
-            ProcessingUnit.GPU: (Load("data", "r0"),),
-        }
-    )
-    model = model_for_design(config.consistency, config.coherence)
-    return is_allowed(program, {"r0": 0}, model)
 
 
 def _unmerged_reduce_nondeterministic(config: CheckConfig) -> bool:
@@ -354,7 +329,7 @@ def _check_coherence(trace: KernelTrace, config: CheckConfig) -> Iterable[Findin
                 "access declaration covers it; the runtime keeps remote "
                 "copies of the range and the peer can read them stale",
                 segment=segment.label,
-                confirmed=_stale_read_reachable(config),
+                confirmed=stale_read_reachable(config),
             )
 
     # COH002 — a reduce-declared range both PUs accumulate into must be
@@ -394,29 +369,7 @@ def _check_coherence(trace: KernelTrace, config: CheckConfig) -> Iterable[Findin
             )
 
 
-# -- OPT/INF: advisory optimization passes (optimize mode only) ---------------
-
-
-def _check_optimizations(
-    trace: KernelTrace, config: CheckConfig
-) -> Iterable[Finding]:
-    """The dataflow optimization rules: dead transfers (OPT001),
-    redundant transfers (OPT002), and inferable declarations (INF001).
-    Advisory only — check_trace runs them only with ``optimize=True``."""
-    yield from dead_transfer_findings(trace)
-    yield from redundant_transfer_findings(trace)
-    yield from access_mode_findings(trace, config)
-
-
 # -- entry points -------------------------------------------------------------
-
-_PASSES = (
-    _check_races,
-    _check_ownership,
-    _check_transfers,
-    _check_staleness,
-    _check_coherence,
-)
 
 
 def check_trace(
@@ -427,12 +380,22 @@ def check_trace(
     ``optimize=True`` additionally runs the OPT/INF dataflow passes —
     advisory warnings about transfer traffic the program could drop; the
     default keeps the correctness rules only, so clean programs stay
-    clean."""
+    clean. The trace is lowered to the analysis IR at most once, and only
+    when a dataflow pass will read it: LOC001 (explicit shared locality)
+    or the optimize passes."""
     findings: List[Finding] = []
-    for check in _PASSES:
-        findings.extend(check(trace, config))
+    findings.extend(_check_races(trace, config))
+    findings.extend(_check_ownership(trace, config))
+    findings.extend(_check_transfers(trace, config))
+    lowered = optimize or config.explicit_shared_locality
+    ir = cfg_from_trace(trace) if lowered else None
+    if lowered:
+        findings.extend(staleness_findings(ir, config))
+    findings.extend(_check_coherence(trace, config))
     if optimize:
-        findings.extend(_check_optimizations(trace, config))
+        findings.extend(dead_transfer_findings(ir))
+        findings.extend(redundant_transfer_findings(ir))
+        findings.extend(access_mode_findings(ir, config))
     return CheckReport(trace=trace.name, config=config.label, findings=tuple(findings))
 
 

@@ -1,8 +1,11 @@
 """The dataflow passes of check v2, phrased over the analysis IR.
 
-Each pass lowers the trace (or program) with :mod:`repro.check.ir`,
-states a gen/kill problem for :func:`repro.check.dataflow.solve`, and
-reads findings off the fixpoint facts:
+Each pass reads an analysis IR from :mod:`repro.check.ir` — a trace's
+:class:`~repro.check.ir.TraceIR`, which
+:func:`~repro.check.analysis.check_trace` lowers once and hands to every
+trace pass, or a program's — states a gen/kill problem for
+:func:`repro.check.dataflow.solve`, and reads findings off the fixpoint
+facts:
 
 ======================  ========  ============  ==========================
 pass                    direction join          fact (one bit per atom×space)
@@ -48,7 +51,6 @@ from repro.check.ir import (
     Space,
     TraceIR,
     cfg_from_program,
-    cfg_from_trace,
 )
 from repro.check.rules import rule
 from repro.consistency.litmus import model_for_design
@@ -60,10 +62,10 @@ from repro.progmodel.lowering import lower
 from repro.progmodel.spec import KernelProgramSpec, program_spec
 from repro.taxonomy import AddressSpaceKind, ProcessingUnit
 from repro.trace.phase import CommPhase, ParallelPhase
-from repro.trace.stream import KernelTrace
 
 __all__ = [
     "reaching_transfers",
+    "stale_read_reachable",
     "staleness_findings",
     "buffer_liveness",
     "dead_transfer_findings",
@@ -142,10 +144,12 @@ def reaching_transfers(ir: TraceIR) -> DataflowSolution:
     return solve(ir.cfg, problem)
 
 
-def _stale_observation_reachable(config: CheckConfig) -> bool:
-    """Litmus confirmation for LOC001: the minimal producer/consumer
-    exchange with nothing pushing the store — reachable exactly when the
-    design point's cross-PU model lets a read miss a remote write."""
+def stale_read_reachable(config: CheckConfig) -> bool:
+    """Litmus confirmation for LOC001 and COH001: the minimal
+    producer/consumer exchange — a store nothing pushes (or the runtime
+    was never told about), read by the peer with nothing ordering the
+    two — reachable exactly when the design point's cross-PU model lets a
+    read miss a remote write."""
     program = Program(
         threads={
             ProcessingUnit.CPU: (Store("data", 1),),
@@ -156,18 +160,15 @@ def _stale_observation_reachable(config: CheckConfig) -> bool:
     return is_allowed(program, {"r0": 0}, model)
 
 
-def staleness_findings(
-    trace: KernelTrace, config: CheckConfig
-) -> Iterable[Finding]:
+def staleness_findings(ir: TraceIR, config: CheckConfig) -> Iterable[Finding]:
     """LOC001 off the reaching-transfers fixpoint: a USE whose atoms are
     dirty in the *other* space reads data whose producing writes were
     never pushed."""
     if not config.explicit_shared_locality:
         return
-    ir = cfg_from_trace(trace)
     atoms = ir.atoms
     solution = reaching_transfers(ir)
-    confirmed = _stale_observation_reachable(config)
+    confirmed = stale_read_reachable(config)
     # Replay producer labels: which segment last dirtied each atom.
     producer: Dict[Space, Dict[int, str]] = {Space.HOST: {}, Space.DEVICE: {}}
     for node in ir.cfg.nodes:
@@ -241,11 +242,10 @@ def buffer_liveness(ir: TraceIR) -> DataflowSolution:
     return solve(ir.cfg, problem)
 
 
-def dead_transfer_findings(trace: KernelTrace) -> Iterable[Finding]:
+def dead_transfer_findings(ir: TraceIR) -> Iterable[Finding]:
     """OPT001: a transfer none of whose delivered atoms are live in the
     destination space right after it — every byte it moves is overwritten
     or simply never read again."""
-    ir = cfg_from_trace(trace)
     atoms = ir.atoms
     if not len(atoms):
         return
@@ -302,12 +302,11 @@ def available_copies(ir: TraceIR) -> DataflowSolution:
     return solve(ir.cfg, problem)
 
 
-def redundant_transfer_findings(trace: KernelTrace) -> Iterable[Finding]:
+def redundant_transfer_findings(ir: TraceIR) -> Iterable[Finding]:
     """OPT002: a transfer whose destination already holds a current copy
     of everything it delivers, on every incoming path. The bytes-saved
     estimate is the phase's transfer size (dropping it removes exactly
     that traffic) and flows to the ``check.opt.bytes_saved.*`` metrics."""
-    ir = cfg_from_trace(trace)
     atoms = ir.atoms
     if not len(atoms):
         return
@@ -363,14 +362,13 @@ def infer_access_modes(spec: KernelProgramSpec) -> Dict[str, AccessMode]:
     return modes
 
 
-def access_mode_findings(
-    trace: KernelTrace, config: CheckConfig
-) -> Iterable[Finding]:
+def access_mode_findings(ir: TraceIR, config: CheckConfig) -> Iterable[Finding]:
     """INF001: the program carries no access declarations, but declaring
     the inferred modes would let the runtime elide communication lines
     under this address space (the Table V "with declarations" delta)."""
     if config.has_declarations:
         return  # already declared; nothing to infer
+    trace = ir.trace
     try:
         spec = program_spec(trace.name)
     except ProgramError:
@@ -387,7 +385,6 @@ def access_mode_findings(
     decls = " ".join(
         AccessDecl(name, modes[name]).render() for name in spec.buffer_names
     )
-    ir = cfg_from_trace(trace)
     node_index = next(
         (
             node.index

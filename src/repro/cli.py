@@ -210,7 +210,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 1 if failed else EXIT_OK
 
 
+def _require_at_least(flag: str, value: int, minimum: int) -> None:
+    """Reject an out-of-range integer flag as a ConfigError (exit code 2)."""
+    if value < minimum:
+        raise ConfigError(f"{flag} must be >= {minimum}, got {value}")
+
+
 def _cmd_rank(args: argparse.Namespace) -> int:
+    _require_at_least("--top", args.top, 1)
+    _require_at_least("--sample", args.sample, 0)
     explorer = _explorer_from_args(args)
     points = DesignSpace().feasible_points()
     if args.sample and args.sample < len(points):
@@ -534,6 +542,8 @@ def _cmd_litmus(args: argparse.Namespace) -> int:
 def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.core.resilience import DEFAULT_FAULT_RATES, fault_sensitivity
 
+    _require_at_least("--top", args.top, 1)
+    _require_at_least("--sample", args.sample, 0)
     if args.rates:
         try:
             rates = tuple(float(token) for token in args.rates.split(","))
@@ -621,7 +631,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
     from repro.core.report import format_table
     from repro.store import ResultStore
 
-    with ResultStore(args.root) as store:
+    with ResultStore.open_existing(args.root) as store:
         if args.action == "stat":
             rows = [
                 (name, f"{value:g}") for name, value in sorted(store.stat().items())

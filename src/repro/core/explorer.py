@@ -35,8 +35,6 @@ from repro.kernels.base import Kernel
 from repro.kernels.registry import all_kernels
 from repro.locality.schemes import feasible_schemes
 from repro.obs.log import get_logger
-from repro.obs.tracing import NULL_TRACER, Tracer
-from repro.sim.fast import FastSimulator
 from repro.sim.mmu import stage_shared_trace
 from repro.sim.results import SimulationResult
 from repro.store.cache import StoreBackedResultCache
@@ -126,31 +124,21 @@ class Explorer:
         self,
         system: Optional[SystemConfig] = None,
         comm_params: Optional[CommParams] = None,
-        detailed: bool = False,
         detailed_scale: float = 0.02,
         jobs: int = 1,
         trace_cache: Optional[TraceCache] = None,
         result_cache: Optional[ResultCache] = None,
-        tracer: Tracer = NULL_TRACER,
         check: str = "off",
         faults: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
         job_timeout: Optional[float] = None,
-        sweep: bool = False,
         store: Optional[ResultStore] = None,
         warm_dir: Optional[str] = None,
     ) -> None:
         self.system = system or SystemConfig()
         self.comm_params = comm_params or CommParams()
-        #: Span tracer handed to directly-driven simulators. Worker
-        #: processes cannot stream into it; batch runs synthesize their
-        #: trace post-hoc from result phases (:func:`trace_from_results`).
-        self.tracer = tracer
-        self.simulator = FastSimulator(self.system, self.comm_params, tracer=tracer)
-        #: With ``detailed`` the case-study suite also runs through the
-        #: per-instruction machine at ``detailed_scale`` (see
-        #: :meth:`run_case_studies_detailed`).
-        self.detailed = detailed
+        #: Trace scale of every detailed suite
+        #: (:meth:`run_case_studies_detailed`, :meth:`run_coherence_overhead`).
         self.detailed_scale = detailed_scale
         #: The exploration runtime: ``jobs`` worker processes (1 = fully
         #: in-process), a trace memo shared across explorers by default,
@@ -217,14 +205,6 @@ class Explorer:
             )
         self.check = check
         self._check_memo: Dict[Tuple, bool] = {}
-        #: Route detailed point sweeps through the batched design-point
-        #: axis (:mod:`repro.perf.sweep`): points partition into per-trace
-        #: batches instead of per-point jobs, sharing one compiled event
-        #: stream pass per batch. Results are bit-identical to the per-job
-        #: path (the parity suite pins it); fault-injected runs fall back
-        #: automatically. Off by default — the per-job path stays the
-        #: oracle.
-        self.sweep = sweep
 
     @property
     def jobs(self) -> int:
@@ -237,8 +217,9 @@ class Explorer:
         these as ``exec.cache.*``, serve as ``/metrics`` lines):
         ``compile`` is this process's segment-compile cache, whose
         ``shared_hits``/``published`` counters show the shared region
-        working; worker-side compile activity arrives separately through
-        the ``exec.compile.*`` counters.
+        working; the compile activity of every job the runner ran, in a
+        worker or in-process, arrives separately through the
+        ``exec.compile.*`` counters.
         """
         from repro.perf.compiled import SHARED_COMPILE_CACHE
 
@@ -315,7 +296,9 @@ class Explorer:
             for kernel in kernels
             for case in cases
         ]
-        flat = self._run_detailed_jobs(jobs, stage="case-studies-detailed")
+        flat = self.runner.run_jobs(
+            jobs, result_cache=self.result_cache, stage="case-studies-detailed"
+        )
         self.last_results = flat
         results: Dict[str, Dict[str, SimulationResult]] = {}
         for i, kernel in enumerate(kernels):
@@ -324,41 +307,6 @@ class Explorer:
                 case.name: result for case, result in zip(cases, row)
             }
         return results
-
-    def _run_detailed_jobs(
-        self, jobs: List[SimJob], stage: str
-    ) -> List[SimulationResult]:
-        """Detailed batches: per-point jobs, or batched sweeps when opted in.
-
-        With :attr:`sweep` set, the points partition into per-trace
-        :class:`~repro.exec.sweepjob.SweepBatchJob`\\ s (one compiled event
-        stream pass per trace) and fan out through the runner; ineligible
-        batches (faults, explicit channels) fall back to the per-job path.
-        Either way the results come back in submission order, bit-identical
-        to per-job execution.
-        """
-        if self.sweep:
-            from repro.exec.sweepjob import partition_jobs, run_sweep_batch_stats
-
-            batches = partition_jobs(jobs)
-            if batches is not None:
-                computed = self.runner.map(
-                    run_sweep_batch_stats,
-                    [batch for batch, _ in batches],
-                    stage=stage,
-                )
-                flat: List[Optional[SimulationResult]] = [None] * len(jobs)
-                for (_, indices), (batch_results, compile_delta) in zip(
-                    batches, computed
-                ):
-                    self.run_stats.record_compile(compile_delta)
-                    for index, result in zip(indices, batch_results):
-                        flat[index] = result
-                assert all(r is not None for r in flat)
-                return flat  # type: ignore[return-value]
-        return self.runner.run_jobs(
-            jobs, result_cache=self.result_cache, stage=stage
-        )
 
     # -- coherence-overhead experiment ----------------------------------------
 
@@ -402,7 +350,9 @@ class Explorer:
             for protocol in protocols
             for kernel in kernels
         ]
-        flat = self._run_detailed_jobs(jobs, stage="coherence-overhead")
+        flat = self.runner.run_jobs(
+            jobs, result_cache=self.result_cache, stage="coherence-overhead"
+        )
         self.last_results = flat
         results: Dict[str, Dict[str, Dict[str, SimulationResult]]] = {}
         index = 0

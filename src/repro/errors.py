@@ -121,11 +121,13 @@ class StoreError(ReproError):
 
 
 class StoreCorruptionError(StoreError):
-    """An explicit integrity check found corrupt store entries.
+    """An explicit integrity check found corrupt store entries, or no store.
 
     Raised by :meth:`~repro.store.store.ResultStore.verify` in strict
-    mode so ``repro-explore store verify`` can map corruption onto its
-    own exit code (5) distinct from configuration or simulation errors.
+    mode, and by :meth:`~repro.store.store.ResultStore.open_existing` for
+    a root holding no store, so the ``repro-explore store`` commands can
+    map both onto their own exit code (5) distinct from configuration or
+    simulation errors.
     """
 
 

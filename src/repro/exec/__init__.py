@@ -4,10 +4,8 @@ Everything the explorer, the sweeps, and the benchmarks use to scale
 design-space exploration:
 
 - :mod:`repro.exec.job` — :class:`SimJob`, a picklable description of one
-  fast-simulator run, and the worker entry point;
-- :mod:`repro.exec.sweepjob` — :class:`SweepBatchJob`, N design points
-  batched against one trace for the compiled hot path's design-point axis
-  (:mod:`repro.perf.sweep`), and the rank engine's shards;
+  simulator run (fast or detailed), and the worker entry points;
+- :mod:`repro.exec.sweepjob` — the rank engine's timing-key-aware shards;
 - :mod:`repro.exec.runner` — :class:`ParallelRunner`, an order-preserving
   process-pool fan-out with a deterministic in-process fallback;
 - :mod:`repro.exec.cache` — :class:`TraceCache` and :class:`ResultCache`
@@ -29,14 +27,10 @@ from repro.exec.job import SimJob, run_sim_job
 from repro.exec.retry import NO_RETRY, RetryPolicy, backoff_delay, backoff_schedule
 from repro.exec.runner import ParallelRunner
 from repro.exec.stats import RunStats
-from repro.exec.sweepjob import SweepBatchJob, partition_jobs, run_sweep_batch
 
 __all__ = [
     "SimJob",
     "run_sim_job",
-    "SweepBatchJob",
-    "run_sweep_batch",
-    "partition_jobs",
     "ParallelRunner",
     "RunStats",
     "RetryPolicy",

@@ -6,7 +6,10 @@ an explicit channel object), the address space, the machine parameters,
 and optionally a :class:`~repro.faults.spec.FaultPlan` perturbing the
 channel. Jobs are plain frozen dataclasses so they pickle cleanly into
 :class:`concurrent.futures.ProcessPoolExecutor` workers; :func:`run_sim_job`
-is the module-level function the pool executes.
+is the module-level function the pool executes, and
+:func:`run_sim_job_counted` is the same worker plus the job's
+segment-compile cache delta (folded in by
+:meth:`~repro.exec.runner.ParallelRunner.run_jobs`).
 
 Because the fast simulator is pure deterministic float arithmetic and the
 job carries everything the run depends on — fault injection included,
@@ -18,7 +21,7 @@ since the plan's RNG seeds derive from (plan seed, job identity, attempt)
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.config.comm import CommParams
 from repro.config.presets import CaseStudy
@@ -28,7 +31,11 @@ from repro.faults.spec import FaultPlan
 from repro.sim.results import SimulationResult
 from repro.taxonomy import AddressSpaceKind, CoherenceKind, CommMechanism
 
-__all__ = ["SimJob", "run_sim_job"]
+__all__ = ["SimJob", "run_sim_job", "run_sim_job_counted"]
+
+#: The :data:`~repro.perf.compiled.SHARED_COMPILE_CACHE` counters a job's
+#: compile delta reports (the ``exec.compile.*`` metrics).
+_COMPILE_COUNTERS = ("hits", "misses", "shared_hits", "published")
 
 
 @dataclass(frozen=True)
@@ -220,3 +227,27 @@ def run_sim_job(job: SimJob) -> SimulationResult:
         system_name=system_name,
         coherence=job.coherence,
     )
+
+
+def _compile_counts() -> Tuple[int, ...]:
+    from repro.perf.compiled import SHARED_COMPILE_CACHE
+
+    return tuple(getattr(SHARED_COMPILE_CACHE, name) for name in _COMPILE_COUNTERS)
+
+
+def run_sim_job_counted(job: SimJob) -> Tuple[SimulationResult, Dict[str, int]]:
+    """:func:`run_sim_job` plus this call's compile-cache delta.
+
+    The delta comes off the executing process's global
+    :data:`~repro.perf.compiled.SHARED_COMPILE_CACHE` and counts only this
+    job's lookups, so a persistent worker's history does not leak in. The
+    runner folds it into the ``exec.compile.*`` counters: with a
+    warm-started pool (:func:`repro.perf.warm.attach_region`) a warm
+    run's ``misses`` is ~0, and that is what this makes observable.
+    """
+    before = _compile_counts()
+    result = run_sim_job(job)
+    after = _compile_counts()
+    return result, {
+        name: now - then for name, now, then in zip(_COMPILE_COUNTERS, after, before)
+    }

@@ -43,7 +43,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, TypeVar
 
 from repro.errors import ConfigError, SimulationError
 from repro.exec.cache import ResultCache
-from repro.exec.job import SimJob, run_sim_job
+from repro.exec.job import SimJob, run_sim_job_counted
 from repro.exec.retry import NO_RETRY, RetryPolicy, backoff_delay
 from repro.exec.stats import RunStats
 from repro.obs.log import get_logger
@@ -438,7 +438,8 @@ class ParallelRunner:
         Jobs whose :meth:`~SimJob.cache_key` is already cached are served
         without simulating; duplicate keys within the batch simulate once.
         Uncacheable jobs (explicit channels, fault-injected jobs) always
-        run.
+        run. Each simulated job's segment-compile delta, taken where it
+        ran, is folded into the ``exec.compile.*`` counters.
         """
         jobs = list(jobs)
         hits_before = result_cache.hits if result_cache is not None else 0
@@ -467,9 +468,10 @@ class ParallelRunner:
             to_run.append(job)
             run_slots.append(index)
 
-        computed = self.map(run_sim_job, to_run, stage=stage)
+        computed = self.map(run_sim_job_counted, to_run, stage=stage)
         degraded = 0
-        for slot, job, result in zip(run_slots, to_run, computed):
+        for slot, job, (result, compile_delta) in zip(run_slots, to_run, computed):
+            self.stats.record_compile(compile_delta)
             results[slot] = result
             if result.degraded:
                 degraded += 1

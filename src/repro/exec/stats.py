@@ -54,9 +54,11 @@ class RunStats:
         self._degraded = self.metrics.counter(
             "degraded_results", unit="jobs", description="results produced by a degraded (fallback) simulator"
         )
-        #: Worker-side segment-compile cache activity, folded in per batch
-        #: from :func:`~repro.exec.sweepjob.run_sweep_batch_stats` deltas.
-        #: ``compile.misses`` ~0 across a batch is the warm-start success
+        #: Segment-compile cache activity wherever a job ran (pool worker
+        #: or in-process), folded in per job from
+        #: :func:`~repro.exec.job.run_sim_job_counted` deltas by
+        #: :meth:`~repro.exec.runner.ParallelRunner.run_jobs`.
+        #: ``compile.misses`` ~0 across a warm run is the warm-start success
         #: signal: every worker served compilations from its pre-warmed
         #: cache or the shared region instead of recompiling.
         self._compile_hits = self.metrics.counter(
@@ -103,7 +105,7 @@ class RunStats:
         self._degraded.inc(count)
 
     def record_compile(self, delta: Dict[str, int]) -> None:
-        """Fold one worker batch's compile-cache delta into the counters."""
+        """Fold one job's compile-cache delta into the counters."""
         self._compile_hits.inc(int(delta.get("hits", 0)))
         self._compile_misses.inc(int(delta.get("misses", 0)))
         self._compile_shared_hits.inc(int(delta.get("shared_hits", 0)))

@@ -539,13 +539,15 @@ def run_scale_bench(
       in-process) and with ``shards=2*jobs`` on the prestarted pool. The
       flattened evaluation lists must match exactly; the speedup is
       recorded but not gated.
-    - *pool*: a detailed batched sweep (``sweep=True``) over the bounding
-      kernels, run cold — fresh shared compile region, every worker
-      compiles its segments — then warm — a new explorer and pool against
-      the region the cold run populated, workers pre-warmed by the
-      :func:`~repro.perf.warm.attach_region` initializer. The warm run's
-      ``exec.compile.misses`` is recorded; with shared memory available it
-      is ~0, and the CI baseline comparison gates on that.
+    - *pool*: the detailed case-study grid over the bounding kernels,
+      through the Explorer's one detailed path (one job per point, via
+      :meth:`~repro.exec.runner.ParallelRunner.run_jobs`, as ``figure``
+      and ``serve`` run it), run cold — fresh shared compile region,
+      every worker compiles its segments — then warm — a new explorer and
+      pool against the region the cold run populated, workers pre-warmed
+      by the :func:`~repro.perf.warm.attach_region` initializer. The warm
+      run's ``exec.compile.misses`` is recorded; with shared memory
+      available it is ~0, and the CI baseline comparison gates on that.
 
     When shared memory is unavailable the region disables itself and the
     pool comparison degrades to private caches (misses stay nonzero); the
@@ -614,7 +616,6 @@ def run_scale_bench(
     try:
         explorer = Explorer(
             jobs=jobs,
-            sweep=True,
             detailed_scale=pool_scale,
             trace_cache=TraceCache(),
             warm_dir=warm_root,
@@ -629,7 +630,6 @@ def run_scale_bench(
 
         explorer = Explorer(
             jobs=jobs,
-            sweep=True,
             detailed_scale=pool_scale,
             trace_cache=TraceCache(),
             warm_dir=warm_root,
@@ -646,7 +646,7 @@ def run_scale_bench(
 
         if warm_results != cold_results:
             raise SimulationError(
-                "scale bench identity violation: warm-pool detailed sweep "
+                "scale bench identity violation: warm-pool detailed grid "
                 "differs from the cold run that populated the region"
             )
     finally:

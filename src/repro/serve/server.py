@@ -613,6 +613,8 @@ def run_server(
     from repro.exec.retry import RetryPolicy
     from repro.store import ResultStore
 
+    if not 0 <= port <= 65535:
+        raise ConfigError(f"port must be in 0..65535, got {port}")
     store = ResultStore(store_path) if store_path else None
 
     def factory() -> Explorer:

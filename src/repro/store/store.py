@@ -187,6 +187,19 @@ class ResultStore:
         self._closed = True
         self._open()
 
+    @classmethod
+    def open_existing(cls, root: "str | Path") -> "ResultStore":
+        """Open a store that must already exist, creating nothing.
+
+        The maintenance commands (``repro-explore store stat|verify|gc|
+        export``) inspect a store; pointed at a directory without
+        ``META.json`` they raise :class:`StoreCorruptionError` instead of
+        initializing an empty store there and reporting it healthy.
+        """
+        if not (Path(root) / _META_NAME).is_file():
+            raise StoreCorruptionError(f"{root} is not a result store (no {_META_NAME})")
+        return cls(root)
+
     # -- paths -------------------------------------------------------------
 
     @property

@@ -108,8 +108,8 @@ class TestReachingTransfers:
             _par(gpu=_seg(ProcessingUnit.GPU, stores=4, label="prod")),
             _par(cpu=_seg(ProcessingUnit.CPU, loads=4, label="cons")),
         )
-        assert list(staleness_findings(trace, _IMPLICIT)) == []
-        found = list(staleness_findings(trace, _EXPLICIT))
+        assert list(staleness_findings(cfg_from_trace(trace), _IMPLICIT)) == []
+        found = list(staleness_findings(cfg_from_trace(trace), _EXPLICIT))
         assert [f.rule for f in found] == ["LOC001"]
         assert found[0].phase_index == 2
         assert "'prod'" in found[0].message
@@ -120,7 +120,7 @@ class TestReachingTransfers:
             _d2h(label="push"),
             _par(cpu=_seg(ProcessingUnit.CPU, loads=4, label="cons")),
         )
-        assert list(staleness_findings(trace, _EXPLICIT)) == []
+        assert list(staleness_findings(cfg_from_trace(trace), _EXPLICIT)) == []
 
 
 class TestBufferLiveness:
@@ -131,7 +131,7 @@ class TestBufferLiveness:
             _d2h(label="ret"),
             _h2d(label="preload-unused"),
         )
-        found = list(dead_transfer_findings(trace))
+        found = list(dead_transfer_findings(cfg_from_trace(trace)))
         assert [f.rule for f in found] == ["OPT001"]
         assert found[0].phase_index == 3
         assert found[0].bytes_saved == 4 * KB
@@ -141,7 +141,7 @@ class TestBufferLiveness:
         # The exit boundary keeps host atoms live: a trailing D2H that
         # returns results is NOT dead.
         trace = _trace(_h2d(), _par(), _d2h())
-        assert list(dead_transfer_findings(trace)) == []
+        assert list(dead_transfer_findings(cfg_from_trace(trace))) == []
 
     def test_liveness_boundary_is_host_only(self):
         ir = cfg_from_trace(_trace(_h2d(), _par()))
@@ -160,7 +160,7 @@ class TestAvailableCopies:
             _par(gpu=_seg(ProcessingUnit.GPU, loads=4, stores=4, label="g2")),
             _d2h(label="ret"),
         )
-        found = list(redundant_transfer_findings(trace))
+        found = list(redundant_transfer_findings(cfg_from_trace(trace)))
         assert [f.rule for f in found] == ["OPT002"]
         assert found[0].phase_index == 2
         assert found[0].space == "device"
@@ -181,7 +181,7 @@ class TestAvailableCopies:
             _par(gpu=_seg(ProcessingUnit.GPU, loads=4, stores=4, label="g2")),
             _d2h(label="ret"),
         )
-        assert list(redundant_transfer_findings(trace)) == []
+        assert list(redundant_transfer_findings(cfg_from_trace(trace))) == []
 
     def test_entry_boundary_host_resident_device_empty(self):
         ir = cfg_from_trace(_trace(_h2d(), _par()))
@@ -199,7 +199,7 @@ class TestAccessModeInference:
 
     def test_inf001_fires_on_kmean_under_pas(self):
         trace = kernel("k-mean").trace()
-        found = list(access_mode_findings(trace, _IMPLICIT))
+        found = list(access_mode_findings(cfg_from_trace(trace), _IMPLICIT))
         assert [f.rule for f in found] == ["INF001"]
         assert "saves 2 communication line(s)" in found[0].message
         assert "declareAccess(points, read);" in found[0].fix_hint
@@ -215,7 +215,7 @@ class TestAccessModeInference:
             consistency=ConsistencyModel.WEAK,
             name="dis",
         )
-        assert list(access_mode_findings(trace, config)) == []
+        assert list(access_mode_findings(cfg_from_trace(trace), config)) == []
 
     def test_inf001_silent_when_already_declared(self):
         trace = kernel("k-mean").trace()
@@ -226,11 +226,11 @@ class TestAccessModeInference:
             name="declared",
             declared_writes=((BASE, BASE + 4 * KB),),
         )
-        assert list(access_mode_findings(trace, config)) == []
+        assert list(access_mode_findings(cfg_from_trace(trace), config)) == []
 
     def test_inf001_silent_on_unknown_traces(self):
         trace = _trace(_h2d(), _par(), _d2h(), name="not-a-paper-kernel")
-        assert list(access_mode_findings(trace, _IMPLICIT)) == []
+        assert list(access_mode_findings(cfg_from_trace(trace), _IMPLICIT)) == []
 
 
 class TestSpaceHelpers:

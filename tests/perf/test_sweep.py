@@ -22,13 +22,7 @@ from repro.config.system import SystemConfig
 from repro.core.explorer import Explorer
 from repro.core.space import DesignSpace
 from repro.errors import SimulationError
-from repro.exec import ResultCache, SimJob, TraceCache
-from repro.exec.sweepjob import (
-    SweepBatchJob,
-    partition_jobs,
-    point_for_job,
-    run_sweep_batch,
-)
+from repro.exec import ResultCache, TraceCache
 from repro.kernels.registry import all_kernels, kernel
 from repro.perf.sweep import BatchedDesignPoints, SweepPoint, SweepSimulator
 from repro.sim.detailed import DetailedSimulator
@@ -210,87 +204,23 @@ class TestSingletonBatchProperty:
         assert_identical(single, batched[0])
 
 
-class TestSweepJobs:
-    def _detailed_job(self, trace, **kwargs):
-        return SimJob(trace=trace, detailed=True, **kwargs)
-
-    def test_point_for_job_translates_detailed_jobs(self):
-        trace = kernel("reduction").build().scaled(SCALE)
-        job = self._detailed_job(trace, case=case_study("CPU+GPU"))
-        point = point_for_job(job)
-        assert point is not None
-        assert point.case == job.case
-
-    def test_fast_jobs_are_ineligible(self):
-        trace = kernel("reduction").build().scaled(SCALE)
-        job = SimJob(trace=trace, case=case_study("CPU+GPU"))
-        assert point_for_job(job) is None
-        assert partition_jobs([job]) is None
-
-    def test_partition_groups_by_trace_and_scatters_back(self):
-        traces = [
-            kernel("reduction").build().scaled(SCALE),
-            kernel("merge sort").build().scaled(SCALE),
-        ]
-        jobs = [
-            self._detailed_job(traces[i % 2], case=case_study(name))
-            for i, name in enumerate(CASES)
-        ]
-        batches = partition_jobs(jobs)
-        assert batches is not None
-        assert len(batches) == 2
-        scattered = [None] * len(jobs)
-        for batch, indices in batches:
-            assert len(batch.points) == len(indices)
-            results = run_sweep_batch(batch)
-            for index, result in zip(indices, results):
-                scattered[index] = result
-        for job, result in zip(jobs, scattered):
-            single = DetailedSimulator().run(job.trace, case=job.case)
-            assert_identical(single, result)
-
-    def test_batch_job_is_picklable(self):
-        import pickle
-
-        trace = kernel("reduction").build().scaled(SCALE)
-        job = SweepBatchJob(trace=trace, points=tuple(case_points()))
-        clone = pickle.loads(pickle.dumps(job))
-        assert_identical(
-            run_sweep_batch(job)[0], run_sweep_batch(clone)[0]
-        )
-
-
 class TestExplorerSweepAxis:
-    """The exec wiring: Explorer(sweep=True) is bit-identical to per-job."""
+    """The Explorer's detailed grid — one job per point through the
+    runner, its only detailed route — is bit-identical to the batched
+    design-point axis over the same points."""
 
-    def _grid(self, sweep):
+    def test_detailed_grid_bit_identical(self):
         explorer = Explorer(
-            detailed=True,
             detailed_scale=SCALE,
-            sweep=sweep,
             trace_cache=TraceCache(),
             result_cache=ResultCache(),
         )
         kernels = [kernel("reduction"), kernel("merge sort")]
-        return explorer.run_case_studies_detailed(kernels=kernels)
-
-    def test_detailed_grid_bit_identical(self):
-        per_job = self._grid(sweep=False)
-        batched = self._grid(sweep=True)
-        assert set(per_job) == set(batched)
-        for kernel_name, row in per_job.items():
-            assert set(row) == set(batched[kernel_name])
-            for case_name, single in row.items():
-                assert_identical(single, batched[kernel_name][case_name])
-
-    def test_faulted_runs_fall_back_to_per_job(self):
-        from repro.faults import FaultPlan
-
-        trace = kernel("reduction").build().scaled(SCALE)
-        job = SimJob(
-            trace=trace,
-            case=case_study("CPU+GPU"),
-            detailed=True,
-            fault_plan=FaultPlan.parse("pcie:fail=0.5"),
-        )
-        assert partition_jobs([job]) is None
+        grid = explorer.run_case_studies_detailed(kernels=kernels)
+        assert set(grid) == {k.name for k in kernels}
+        for k in kernels:
+            trace = k.trace().scaled(SCALE)
+            batched = SweepSimulator().run(trace, case_points())
+            assert list(grid[k.name]) == CASES
+            for single, point_result in zip(grid[k.name].values(), batched):
+                assert_identical(single, point_result)

@@ -47,6 +47,29 @@ class TestJobsFlag:
         err = capsys.readouterr().err
         assert "configuration error" in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["serve", "--port", "-1"],
+            ["serve", "--port", "70000"],
+            ["rank", "--top", "-1", "--sample", "6"],
+            ["rank", "--top", "0", "--sample", "6"],
+            ["rank", "--sample", "-5"],
+            ["faults", "--top", "-1", "--sample", "4"],
+            ["faults", "--top", "0", "--sample", "4"],
+            ["faults", "--sample", "-5"],
+        ],
+    )
+    def test_rejects_out_of_range_integers(self, args, capsys):
+        """Out-of-range integer flags are configuration errors (exit 2),
+        never a traceback or a silently misread value."""
+        from repro.cli import EXIT_CONFIG_ERROR
+
+        assert main(args) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err
+        assert captured.out == ""
+
 
 class TestVersion:
     def test_version_flag(self, capsys):
@@ -388,11 +411,33 @@ class TestStoreSurfaces:
 
     def test_store_export_requires_out_path(self, tmp_path, capsys):
         from repro.cli import EXIT_CONFIG_ERROR
+        from repro.store.store import ResultStore
 
         store = str(tmp_path / "store")
-        assert main(["store", "stat", store]) == 0
-        capsys.readouterr()
+        ResultStore(store).close()
         assert main(["store", "export", store]) == EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize("action", ["stat", "verify", "gc", "export"])
+    def test_store_commands_refuse_a_missing_store(self, action, tmp_path, capsys):
+        """Maintenance commands inspect a store; they never create one."""
+        from repro.cli import EXIT_STORE_ERROR
+
+        root = tmp_path / "nowhere"
+        args = ["store", action, str(root)]
+        if action == "export":
+            args.append(str(tmp_path / "export.jsonl"))
+        assert main(args) == EXIT_STORE_ERROR
+        assert "not a result store" in capsys.readouterr().err
+        assert not root.exists()
+        assert not (tmp_path / "export.jsonl").exists()
+
+    def test_store_commands_refuse_a_directory_without_meta(self, tmp_path, capsys):
+        from repro.cli import EXIT_STORE_ERROR
+
+        root = tmp_path / "empty"
+        root.mkdir()
+        assert main(["store", "verify", str(root)]) == EXIT_STORE_ERROR
+        assert list(root.iterdir()) == []
 
 
 class TestChaosSurfaces:
