@@ -11,17 +11,15 @@ This package implements the hardware side of the paper's Table II machine:
 - :mod:`repro.mem.cacti` — a CACTI-like latency/energy model calibrated to
   the paper's Table II cache latencies.
 
-All levels speak the :class:`repro.mem.request.MemRequest` /
-:class:`repro.mem.level.MemoryLevel` interface and account time in seconds,
-so components from different clock domains compose.
+Every level implements one scalar method,
+:meth:`repro.mem.level.MemoryLevel.access` (address, write flag, issue
+time, explicit flag in; latency in seconds out), so components from
+different clock domains compose.
 """
 
-from repro.mem.request import AccessResult, MemRequest
 from repro.mem.level import MemoryLevel, FixedLatencyMemory
 
 __all__ = [
-    "MemRequest",
-    "AccessResult",
     "MemoryLevel",
     "FixedLatencyMemory",
 ]

@@ -11,7 +11,6 @@ from repro.mem.cache.mshr import MSHRFile
 from repro.mem.cache.prefetch import NextLinePrefetcher
 from repro.mem.cache.replacement import LRUPolicy, ReplacementPolicy
 from repro.mem.level import MemoryLevel
-from repro.mem.request import AccessResult, MemRequest
 from repro.obs.metrics import MetricRegistry
 from repro.units import Frequency
 
@@ -22,10 +21,11 @@ class Cache(MemoryLevel):
     """A write-back/write-allocate set-associative cache.
 
     Timing is accounted in seconds: hit latency is ``config.latency`` cycles
-    of ``frequency``; a miss adds the next level's access latency. Dirty
-    evictions generate write-back traffic into the next level (counted, and
-    charged to bandwidth statistics rather than the critical path, as in
-    most trace-driven models).
+    of ``frequency``; a miss adds the next level's access latency. A dirty
+    line displaced by a demand or prefetch fill is only counted
+    (``writebacks``): it sends no traffic below. Only :meth:`push_line`
+    evictions and :meth:`flush` send write-back traffic into the next
+    level, off the critical path.
 
     ``policy`` defaults to LRU; pass a
     :class:`~repro.mem.cache.replacement.HybridLocalityPolicy` for the
@@ -125,66 +125,25 @@ class Cache(MemoryLevel):
         if self.next_level is None:
             return
         addr = (block.tag * self._num_sets + index) * self._line
-        self.next_level.access(
-            MemRequest(addr=addr, size=self._line, is_write=True)
-        )
+        self.next_level.access(addr, True)
 
     # -- the MemoryLevel interface ----------------------------------------
 
-    def access(self, request: MemRequest) -> AccessResult:
-        """Service a request; recurse into the next level on a miss."""
-        self._tick += 1
-        line = request.addr // self._line
-        index = line % self._num_sets
-        tag = line // self._num_sets
-        way = self._tags[index].get(tag)
-        if way is not None:
-            self._hit(index, way, request.is_write, request.explicit)
-            return AccessResult(
-                latency=self._hit_latency, hit_level=self.name, was_hit=True
-            )
-        return self._miss(request, index, tag)
-
-    def access_latency(
-        self,
-        addr: int,
-        size: int,
-        is_write: bool,
-        pu,
-        explicit: bool = False,
-        shared_space: bool = False,
-        issue_time: float = 0.0,
+    def access(
+        self, addr: int, is_write: bool = False, issue_time: float = 0.0, explicit: bool = False
     ) -> float:
-        """Scalar fast path: a hit allocates no request/result objects.
+        """Service one access; recurse into the next level on a miss.
 
-        Behaviourally identical to :meth:`access` — same bookkeeping, same
-        latency — but the common case (a top-level hit) touches only plain
-        ints and dicts, which is what makes the compiled core loops cheap.
+        A hit touches only plain ints and dicts, which is what keeps the
+        compiled core loops cheap.
         """
         self._tick += 1
         line = addr // self._line
         index = line % self._num_sets
         tag = line // self._num_sets
         way = self._tags[index].get(tag)
-        if way is not None:
-            self._hit(index, way, is_write, explicit)
-            return self._hit_latency
-        return self._miss(
-            MemRequest(
-                addr=addr,
-                size=size,
-                is_write=is_write,
-                pu=pu,
-                explicit=explicit,
-                shared_space=shared_space,
-                issue_time=issue_time,
-            ),
-            index,
-            tag,
-        ).latency
-
-    def _hit(self, index: int, way: int, is_write: bool, explicit: bool) -> None:
-        """Demand-hit bookkeeping shared by both access entry points."""
+        if way is None:
+            return self._miss(addr, is_write, issue_time, explicit, index, tag)
         self._hits_inc()
         blocks = self._sets[index]
         block = blocks[way]
@@ -197,31 +156,33 @@ class Cache(MemoryLevel):
         if explicit:
             block.explicit = True
         self.policy.on_access(blocks, way, self._tick)
+        return self._hit_latency
 
-    def _miss(self, request: MemRequest, index: int, tag: int) -> AccessResult:
+    def _miss(
+        self, addr: int, is_write: bool, issue_time: float, explicit: bool, index: int, tag: int
+    ) -> float:
         """Demand-miss path: MSHR merge, fetch from below, fill, prefetch."""
+        if addr < 0:
+            raise SimulationError(f"negative address {addr:#x}")
         self._misses_inc()
         # Merged miss? Pay only the residual fill time.
-        line_addr = request.line_addr(self._line)
-        merged = self._mshr.lookup(line_addr, request.issue_time)
+        line_addr = addr & ~(self._line - 1)
+        merged = self._mshr.lookup(line_addr, issue_time)
         if merged is not None:
-            return AccessResult(
-                latency=self._hit_latency + merged, hit_level=self.name, was_hit=False
-            )
+            return self._hit_latency + merged
 
         if self.next_level is None:
             raise SimulationError(f"{self.name}: miss with no next level")
-        below = self.next_level.access(
-            request.with_time(request.issue_time + self._hit_latency)
+        latency = self._hit_latency + self.next_level.access(
+            addr, is_write, issue_time + self._hit_latency, explicit
         )
-        latency = self._hit_latency + below.latency
-        self._mshr.allocate(line_addr, request.issue_time, latency)
-        self._fill(index, tag, request)
+        self._mshr.allocate(line_addr, issue_time, latency)
+        self._fill(index, tag, is_write, explicit)
         if self.prefetcher is not None:
-            self._issue_prefetches(line_addr, request)
-        return AccessResult(latency=latency, hit_level=below.hit_level, was_hit=False)
+            self._issue_prefetches(line_addr, issue_time)
+        return latency
 
-    def _issue_prefetches(self, miss_line_addr: int, request: MemRequest) -> None:
+    def _issue_prefetches(self, miss_line_addr: int, issue_time: float) -> None:
         """Install the prefetcher's chosen lines off the critical path.
 
         Prefetch fills fetch through the next level (traffic is counted
@@ -236,14 +197,7 @@ class Cache(MemoryLevel):
             if tag in tags:
                 continue
             if self.next_level is not None:
-                self.next_level.access(
-                    MemRequest(
-                        addr=line_addr,
-                        size=self._line,
-                        pu=request.pu,
-                        issue_time=request.issue_time,
-                    )
-                )
+                self.next_level.access(line_addr, False, issue_time)
             blocks = self._blocks(index)
             victim = self.policy.victim(blocks, False)
             if victim is None:
@@ -258,12 +212,12 @@ class Cache(MemoryLevel):
             block.fill(tag, self._tick, explicit=False, prefetched=True)
             tags[tag] = victim
 
-    def _fill(self, index: int, tag: int, request: MemRequest) -> None:
+    def _fill(self, index: int, tag: int, is_write: bool, explicit: bool) -> None:
         """Install the fetched line, honouring the replacement policy."""
-        if not self.config.write_allocate and request.is_write:
+        if not self.config.write_allocate and is_write:
             return
         blocks = self._blocks(index)
-        victim = self.policy.victim(blocks, request.explicit)
+        victim = self.policy.victim(blocks, explicit)
         if victim is None:
             self._bypasses.inc()
             return
@@ -274,9 +228,9 @@ class Cache(MemoryLevel):
             if block.dirty and self.config.write_back and self.next_level is not None:
                 self._writebacks.inc()
             del tags[block.tag]
-        block.fill(tag, self._tick, request.explicit)
+        block.fill(tag, self._tick, explicit)
         tags[tag] = victim
-        if request.is_write:
+        if is_write:
             block.dirty = True
         self.policy.on_access(blocks, victim, self._tick)
 

@@ -16,7 +16,6 @@ from repro.errors import ConfigError
 from repro.mem.dram.bank import Bank
 from repro.mem.dram.timing import DramTiming
 from repro.mem.level import MemoryLevel
-from repro.mem.request import AccessResult, MemRequest
 from repro.obs.metrics import MetricRegistry
 from repro.units import Bandwidth
 
@@ -113,9 +112,10 @@ class DramSystem(MemoryLevel):
         line = addr // self.line_bytes
         return self.controllers[line % len(self.controllers)]
 
-    def access(self, request: MemRequest) -> AccessResult:
-        latency = self.controller_for(request.addr).service(request.addr, request.issue_time)
-        return AccessResult(latency=latency, hit_level=self.name, was_hit=True)
+    def access(
+        self, addr: int, is_write: bool = False, issue_time: float = 0.0, explicit: bool = False
+    ) -> float:
+        return self.controller_for(addr).service(addr, issue_time)
 
     def average_latency_seconds(self) -> float:
         """Unloaded average access latency (used by analytic models)."""

@@ -13,7 +13,6 @@ from typing import Dict, List, Sequence
 from repro.errors import ConfigError
 from repro.config.system import InterconnectConfig
 from repro.mem.level import MemoryLevel
-from repro.mem.request import AccessResult, MemRequest
 from repro.obs.metrics import MetricRegistry
 from repro.units import ceil_div
 
@@ -100,15 +99,13 @@ class RingPath(MemoryLevel):
         self.payload_bytes = payload_bytes
         self.name = f"ring[{src}->{dst}]"
 
-    def access(self, request: MemRequest) -> AccessResult:
+    def access(
+        self, addr: int, is_write: bool = False, issue_time: float = 0.0, explicit: bool = False
+    ) -> float:
         request_leg = self.ring.transit_seconds(self.src, self.dst, 16)
-        below = self.below.access(request.with_time(request.issue_time + request_leg))
+        below = self.below.access(addr, is_write, issue_time + request_leg, explicit)
         reply_leg = self.ring.transit_seconds(self.dst, self.src, self.payload_bytes)
-        return AccessResult(
-            latency=request_leg + below.latency + reply_leg,
-            hit_level=below.hit_level,
-            was_hit=below.was_hit,
-        )
+        return request_leg + below + reply_leg
 
     def stats(self) -> Dict[str, int]:
         return self.ring.stats()

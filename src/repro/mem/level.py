@@ -6,14 +6,14 @@ import abc
 from typing import Dict
 
 from repro.errors import SimulationError
-from repro.mem.request import AccessResult, MemRequest
 
 __all__ = ["MemoryLevel", "FixedLatencyMemory"]
 
 
 class MemoryLevel(abc.ABC):
-    """Anything a request can be sent into: cache, link, DRAM, directory.
+    """Anything an access can be sent into: cache, link, DRAM, a front.
 
+    One scalar method, :meth:`access`, walks an access down the hierarchy.
     Levels account time in **seconds** so components clocked differently
     (CPU caches at 3.5 GHz, DRAM at 667 MHz) compose without unit bugs.
     """
@@ -21,38 +21,15 @@ class MemoryLevel(abc.ABC):
     name: str = "memory-level"
 
     @abc.abstractmethod
-    def access(self, request: MemRequest) -> AccessResult:
-        """Service ``request``, returning total latency from this level down."""
-
-    def access_latency(
-        self,
-        addr: int,
-        size: int,
-        is_write: bool,
-        pu,
-        explicit: bool = False,
-        shared_space: bool = False,
-        issue_time: float = 0.0,
+    def access(
+        self, addr: int, is_write: bool = False, issue_time: float = 0.0, explicit: bool = False
     ) -> float:
-        """Service an access described by scalars, returning only latency.
+        """Service one access issued at ``issue_time`` seconds.
 
-        The compiled core loops call this instead of :meth:`access` so that
-        levels with a cheap common case (an L1 hit) can skip constructing
-        :class:`MemRequest`/:class:`AccessResult` objects entirely. The
-        default simply wraps :meth:`access`, so subclasses only override it
-        when they have a genuine fast path — behaviour must stay identical.
+        Returns the total latency in seconds from this level down.
+        ``explicit`` marks accesses to explicitly managed (``push``-ed)
+        data for the §II-B5 hybrid locality replacement policy.
         """
-        return self.access(
-            MemRequest(
-                addr=addr,
-                size=size,
-                is_write=is_write,
-                pu=pu,
-                explicit=explicit,
-                shared_space=shared_space,
-                issue_time=issue_time,
-            )
-        ).latency
 
     def reset_stats(self) -> None:
         """Clear accumulated counters (default: nothing to clear)."""
@@ -78,13 +55,15 @@ class FixedLatencyMemory(MemoryLevel):
         self._reads = 0
         self._writes = 0
 
-    def access(self, request: MemRequest) -> AccessResult:
+    def access(
+        self, addr: int, is_write: bool = False, issue_time: float = 0.0, explicit: bool = False
+    ) -> float:
         self._accesses += 1
-        if request.is_write:
+        if is_write:
             self._writes += 1
         else:
             self._reads += 1
-        return AccessResult(latency=self.latency, hit_level=self.name, was_hit=True)
+        return self.latency
 
     def reset_stats(self) -> None:
         self._accesses = self._reads = self._writes = 0

@@ -20,7 +20,6 @@ from repro.errors import SimulationError
 from repro.mem.level import MemoryLevel
 from repro.perf.compiled import EV_COMPUTE_RUN, EV_MEMORY, CompiledSegment
 from repro.sim.cpu.branch import GsharePredictor
-from repro.taxonomy import ProcessingUnit
 
 __all__ = ["CpuCore", "run_compiled_batch"]
 
@@ -59,8 +58,7 @@ class CpuCore:
         such steppers so concurrent accesses reach the shared L3/DRAM in
         timestamp order. Yield-for-yield identical to the reference
         per-instruction loop (:func:`repro.sim.reference.cpu_steps`) on the
-        decoded stream, without building Instruction or hit-path request
-        objects.
+        decoded stream, without building Instruction objects.
         """
         freq = self.config.frequency
         hertz = freq.hertz
@@ -68,9 +66,8 @@ class CpuCore:
         penalty = self.config.branch_mispredict_penalty
         hit_latency = freq.cycles_to_seconds(self.config.l1d.latency)
         mlp = self.mlp
-        access_latency = self.memory.access_latency
+        access = self.memory.access
         predict_and_update = self.predictor.predict_and_update
-        pu = ProcessingUnit.CPU
 
         cycles = 0.0
         slot = 0
@@ -88,9 +85,7 @@ class CpuCore:
                 cycles += 1.0
                 slot = 0
             if kind == EV_MEMORY:
-                latency = access_latency(
-                    a, b, bool(c), pu, False, False, start_seconds + int(cycles) / hertz
-                )
+                latency = access(a, bool(c), start_seconds + int(cycles) / hertz)
                 if latency > hit_latency:
                     stall = (latency - hit_latency) / mlp
                     stall_cycles = stall * hertz
@@ -177,9 +172,8 @@ def run_compiled_batch(
         for core in cores
     ]
     mlp = [core.mlp for core in cores]
-    access = [core.memory.access_latency for core in cores]
+    access = [core.memory.access for core in cores]
     predict = [core.predictor.predict_and_update for core in cores]
-    pu = ProcessingUnit.CPU
 
     cycles = [0.0] * n
     slots = [0] * n
@@ -207,9 +201,7 @@ def run_compiled_batch(
                     cy += 1.0
                     slot = 0
                 slots[i] = slot
-                latency = access[i](
-                    a, b, is_write, pu, False, False, start_seconds[i] + int(cy) / hertz[i]
-                )
+                latency = access[i](a, is_write, start_seconds[i] + int(cy) / hertz[i])
                 hit = hit_latency[i]
                 if latency > hit:
                     stall = (latency - hit) / mlp[i]

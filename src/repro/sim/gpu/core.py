@@ -18,10 +18,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 from repro.config.system import GpuConfig
 from repro.errors import SimulationError
 from repro.mem.level import MemoryLevel
-from repro.mem.request import MemRequest
 from repro.perf.compiled import EV_COMPUTE_RUN, EV_MEMORY, CompiledSegment
 from repro.sim.gpu.smem import Scratchpad
-from repro.taxonomy import ProcessingUnit
 
 __all__ = ["GpuCore", "run_compiled_batch"]
 
@@ -99,15 +97,12 @@ class GpuCore:
                     ready[warp] = cycle + max(smem - 1, 0)
                     yield cycle
                     continue
-                request = MemRequest(
-                    addr=inst.addr,
-                    size=inst.size,
-                    is_write=opcode.is_store,
-                    pu=ProcessingUnit.GPU,
-                    issue_time=start_seconds + freq.cycles_to_seconds(int(cycle)),
+                latency = self.memory.access(
+                    inst.addr,
+                    opcode.is_store,
+                    start_seconds + freq.cycles_to_seconds(int(cycle)),
                 )
-                result = self.memory.access(request)
-                latency_cycles = result.latency * freq.hertz
+                latency_cycles = latency * freq.hertz
                 ready[warp] = cycle + max(latency_cycles - hit_latency_cycles, 0.0)
             elif opcode.value == "branch":
                 ready[warp] = cycle + branch_stall
@@ -138,9 +133,8 @@ class GpuCore:
         branch_stall = self.config.branch_stall_cycles if self.config.stall_on_branch else 0
         hit_latency = freq.cycles_to_seconds(self.config.l1d.latency)
         warps = self.warps
-        access_latency = self.memory.access_latency
+        access = self.memory.access
         scratchpad_access = self.scratchpad.access
-        pu = ProcessingUnit.GPU
 
         cycles = 0.0
         for kind, a, b, c in compiled.events:
@@ -157,9 +151,7 @@ class GpuCore:
                     cycles += max(smem - 1, 0)
                     yield cycles
                     continue
-                latency = access_latency(
-                    a, b, bool(c), pu, False, False, start_seconds + int(cycles) / hertz
-                )
+                latency = access(a, bool(c), start_seconds + int(cycles) / hertz)
                 if latency > hit_latency:
                     stall = (latency - hit_latency) / warps
                     stall_cycles = stall * hertz
@@ -243,9 +235,8 @@ def run_compiled_batch(
         for core in cores
     ]
     warps = [core.warps for core in cores]
-    access = [core.memory.access_latency for core in cores]
+    access = [core.memory.access for core in cores]
     scratchpad = [core.scratchpad.access for core in cores]
-    pu = ProcessingUnit.GPU
 
     cycles = [0.0] * n
     for kind, a, b, c in compiled.events:
@@ -268,9 +259,7 @@ def run_compiled_batch(
                     cy += max(smem - 1, 0)
                     cycles[i] = cy
                     continue
-                latency = access[i](
-                    a, b, is_write, pu, False, False, start_seconds[i] + int(cy) / hertz[i]
-                )
+                latency = access[i](a, is_write, start_seconds[i] + int(cy) / hertz[i])
                 hit = hit_latency[i]
                 if latency > hit:
                     stall = (latency - hit) / warps[i]

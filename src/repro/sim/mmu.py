@@ -27,7 +27,6 @@ from repro.addrspace.layout import CPU_PRIVATE_BASE, GPU_PRIVATE_BASE, SHARED_BA
 from repro.addrspace.tlb import TLB
 from repro.errors import SimulationError
 from repro.mem.level import MemoryLevel
-from repro.mem.request import AccessResult, MemRequest
 from repro.taxonomy import AddressSpaceKind, ProcessingUnit
 from repro.trace.phase import CommPhase, ParallelPhase, Phase, Segment, SequentialPhase
 from repro.trace.stream import KernelTrace
@@ -66,29 +65,25 @@ class TranslationFront(MemoryLevel):
         self.faults_serviced = 0
         self.translation_latency = 0.0
 
-    def access(self, request: MemRequest) -> AccessResult:
+    def access(
+        self, addr: int, is_write: bool = False, issue_time: float = 0.0, explicit: bool = False
+    ) -> float:
         extra = 0.0
-        frame = self.tlb.lookup(request.addr)
+        frame = self.tlb.lookup(addr)
         if frame is None:
             # Walk the page table; reachability is checked by the space.
             self.walks += 1
             extra += self.walk_seconds
             faults_before = self.page_table.page_faults
-            self.space.translate(self.pu, request.addr, on_demand=True)
+            self.space.translate(self.pu, addr, on_demand=True)
             if self.page_table.page_faults > faults_before:
                 self.faults_serviced += 1
                 extra += self.fault_seconds
-            frame = self.page_table.translate(request.addr) // self.page_table.page_bytes
-            self.tlb.install(request.addr, frame)
+            frame = self.page_table.translate(addr) // self.page_table.page_bytes
+            self.tlb.install(addr, frame)
         self.translation_latency += extra
-        below = self.below.access(request.with_time(request.issue_time + extra))
-        if extra == 0.0:
-            return below
-        return AccessResult(
-            latency=below.latency + extra,
-            hit_level=below.hit_level,
-            was_hit=below.was_hit,
-        )
+        below = self.below.access(addr, is_write, issue_time + extra, explicit)
+        return below + extra
 
     def stats(self) -> Dict[str, float]:
         data: Dict[str, float] = dict(self.tlb.stats())

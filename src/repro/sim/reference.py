@@ -2,8 +2,9 @@
 
 The per-instruction generator expansion the compiled hot path replaced:
 every segment is expanded into :class:`~repro.trace.instruction.Instruction`
-objects and stepped one at a time, with a :class:`~repro.mem.request.MemRequest`
-per access, through a plain single-point phase walk. It is slow and
+objects and stepped one at a time, each memory instruction one scalar
+:meth:`~repro.mem.level.MemoryLevel.access` into the hierarchy, through a
+plain single-point phase walk. It is slow and
 simple on purpose. Production never runs it (lint rule L007 keeps
 :mod:`repro` from importing it, bar the ``bench --mode hotpath`` harness);
 ``tests/perf/test_parity.py`` checks the production walk
@@ -23,14 +24,12 @@ from typing import Iterable, Iterator, List, Tuple
 
 from repro.comm.base import CommChannel
 from repro.errors import SimulationError
-from repro.mem.request import MemRequest
 from repro.sim.cpu.core import CpuCore
 from repro.sim.detailed import DetailedSimulator
 from repro.sim.engine import run_parallel_interleaved
 from repro.sim.gpu.core import GpuCore
 from repro.sim.results import PhaseTiming, TimeBreakdown
 from repro.sim.system import Machine
-from repro.taxonomy import ProcessingUnit
 from repro.trace.phase import CommPhase, Direction, ParallelPhase, SequentialPhase
 from repro.trace.stream import KernelTrace
 
@@ -64,16 +63,13 @@ def cpu_steps(
             slot = 0
         opcode = inst.opcode
         if opcode.is_memory:
-            request = MemRequest(
-                addr=inst.addr,
-                size=inst.size,
-                is_write=opcode.is_store,
-                pu=ProcessingUnit.CPU,
-                issue_time=start_seconds + freq.cycles_to_seconds(int(cycles)),
+            latency = core.memory.access(
+                inst.addr,
+                opcode.is_store,
+                start_seconds + freq.cycles_to_seconds(int(cycles)),
             )
-            result = core.memory.access(request)
-            if result.latency > hit_latency:
-                stall = (result.latency - hit_latency) / core.mlp
+            if latency > hit_latency:
+                stall = (latency - hit_latency) / core.mlp
                 stall_cycles = stall * freq.hertz
                 cycles += stall_cycles
                 core.memory_stall_cycles += stall_cycles
@@ -119,16 +115,13 @@ def gpu_steps(
                 cycles += max(smem - 1, 0)
                 yield cycles
                 continue
-            request = MemRequest(
-                addr=inst.addr,
-                size=inst.size,
-                is_write=opcode.is_store,
-                pu=ProcessingUnit.GPU,
-                issue_time=start_seconds + freq.cycles_to_seconds(int(cycles)),
+            latency = core.memory.access(
+                inst.addr,
+                opcode.is_store,
+                start_seconds + freq.cycles_to_seconds(int(cycles)),
             )
-            result = core.memory.access(request)
-            if result.latency > hit_latency:
-                stall = (result.latency - hit_latency) / core.warps
+            if latency > hit_latency:
+                stall = (latency - hit_latency) / core.warps
                 stall_cycles = stall * freq.hertz
                 cycles += stall_cycles
                 core.memory_stall_cycles += stall_cycles

@@ -23,7 +23,6 @@ from repro.mem.coherence.protocol import set_block_state
 from repro.mem.dram.controller import DramSystem
 from repro.mem.interconnect.ring import RingNetwork, RingPath
 from repro.mem.level import MemoryLevel
-from repro.mem.request import AccessResult, MemRequest
 from repro.sim.cpu.core import CpuCore
 from repro.sim.gpu.core import GpuCore
 from repro.taxonomy import CoherenceKind, ProcessingUnit
@@ -63,31 +62,27 @@ class CoherentFront(MemoryLevel):
         #: (it always does in the standard topology).
         self._block_for = getattr(below, "block_for", None)
 
-    def access(self, request: MemRequest) -> AccessResult:
+    def access(
+        self, addr: int, is_write: bool = False, issue_time: float = 0.0, explicit: bool = False
+    ) -> float:
         extra = 0.0
-        shared = self.shared_predicate(request.addr)
+        shared = self.shared_predicate(addr)
         if shared:
-            action = self.protocol.access(request.addr, self.pu, request.is_write)
+            action = self.protocol.access(addr, self.pu, is_write)
             if action.invalidate_peer:
                 for cache in self.peer_caches:
-                    cache.invalidate_line(request.addr)
+                    cache.invalidate_line(addr)
             if action.extra_latency_messages:
                 extra = action.extra_latency_messages * self.ring.transit_seconds(
                     str(self.pu), str(self.pu.other), 16
                 )
                 self.coherence_latency += extra
-        below = self.below.access(request)
+        below = self.below.access(addr, is_write, issue_time, explicit)
         if shared and self._block_for is not None:
-            block = self._block_for(request.addr)
+            block = self._block_for(addr)
             if block is not None:
-                set_block_state(block, self.protocol.state_of(request.addr, self.pu))
-        if extra == 0.0:
-            return below
-        return AccessResult(
-            latency=below.latency + extra,
-            hit_level=below.hit_level,
-            was_hit=below.was_hit,
-        )
+                set_block_state(block, self.protocol.state_of(addr, self.pu))
+        return below + extra
 
     def stats(self) -> Dict[str, float]:
         data = dict(self.protocol.stats())

@@ -58,10 +58,10 @@ class TestHotLoopAllocations:
         )
         assert violations(source) == [("L003", 3)]
 
-    def test_memrequest_in_step_compiled_flagged(self):
+    def test_cacheblock_in_step_compiled_flagged(self):
         source = (
             "def step_compiled_gpu(self, compiled):\n"
-            "    req = MemRequest(addr, size, True)\n"
+            "    block = CacheBlock(tag, True)\n"
         )
         assert violations(source) == [("L003", 2)]
 
@@ -75,7 +75,7 @@ class TestHotLoopAllocations:
     def test_other_functions_unrestricted(self):
         source = (
             "def run_stepwise(self, instructions):\n"
-            "    req = MemRequest(addr, size, True)\n"
+            "    block = CacheBlock(tag, True)\n"
         )
         assert violations(source) == []
 

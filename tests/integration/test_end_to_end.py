@@ -106,14 +106,11 @@ class TestDetailedMachineWithLocality:
         assert machine.l3.is_explicit(0x3000_0000)
 
     def test_coherent_machine_invalidates_across_pus(self):
-        from repro.mem.request import MemRequest
 
         machine = build_machine(hardware_coherence=True)
         shared = 0x3000_0000
-        machine.cpu_core.memory.access(MemRequest(addr=shared, is_write=False))
-        machine.gpu_core.memory.access(
-            MemRequest(addr=shared, is_write=True, pu=ProcessingUnit.GPU)
-        )
+        machine.cpu_core.memory.access(shared, is_write=False)
+        machine.gpu_core.memory.access(shared, is_write=True)
         assert machine.directory.invalidations_sent == 1
         # CPU's private copy must be gone.
         assert not machine.cpu_l1d.contains(shared)

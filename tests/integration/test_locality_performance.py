@@ -18,7 +18,6 @@ import pytest
 
 from repro.locality.manager import LocalityManager
 from repro.mem.cache.replacement import HybridLocalityPolicy
-from repro.mem.request import MemRequest
 from repro.sim.reference import run_segment
 from repro.sim.system import build_machine
 from repro.taxonomy import AddressSpaceKind, LocalityScheme, ProcessingUnit
@@ -114,16 +113,12 @@ class TestHybridSharedUnderCrossTraffic:
 
         time = 0.0
         for addr in range(0x3010_0000, 0x3010_0000 + 2 * 1024 * KB, line):
-            machine.gpu_core.memory.access(
-                MemRequest(addr=addr, pu=ProcessingUnit.GPU, issue_time=time)
-            )
+            machine.gpu_core.memory.access(addr, issue_time=time)
             time += 1e-9
 
         hits_before = machine.l3.hits
         for addr in range(hot_base, hot_base + 4 * KB, line):
-            machine.cpu_core.memory.access(
-                MemRequest(addr=addr, pu=ProcessingUnit.CPU, explicit=True, issue_time=time)
-            )
+            machine.cpu_core.memory.access(addr, explicit=True, issue_time=time)
             time += 1e-9
         return machine.l3.hits - hits_before
 

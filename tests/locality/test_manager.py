@@ -102,7 +102,6 @@ class TestHybridEndToEnd:
         """§II-B5 end-to-end: explicit L3 lines survive an implicit sweep
         that would evict everything under plain LRU."""
         mgr, machine = manager(LocalityScheme.HYBRID_SHARED, hybrid_l3=True)
-        from repro.mem.request import MemRequest
 
         protected = 0x3000_0000
         mgr.push(protected, 64, "S")
@@ -112,6 +111,6 @@ class TestHybridEndToEnd:
         stride = num_sets * 64
         for i in range(1, 64 + 4):
             addr = protected + i * stride
-            l3.access(MemRequest(addr=addr))
+            l3.access(addr)
         assert l3.is_explicit(protected)
         assert l3.contains(protected)

@@ -7,7 +7,6 @@ from repro.errors import SimulationError
 from repro.mem.cache.cache import Cache
 from repro.mem.cache.replacement import HybridLocalityPolicy
 from repro.mem.level import FixedLatencyMemory
-from repro.mem.request import MemRequest
 from repro.units import GHZ, KB, Frequency
 
 FREQ = Frequency(1 * GHZ)
@@ -20,61 +19,55 @@ def make_cache(size=4 * KB, ways=4, latency=2, policy=None, mshr=16):
     return Cache(config, FREQ, next_level=backing, policy=policy), backing
 
 
-def read(addr, t=0.0, explicit=False):
-    return MemRequest(addr=addr, is_write=False, issue_time=t, explicit=explicit)
-
-
-def write(addr, t=0.0):
-    return MemRequest(addr=addr, is_write=True, issue_time=t)
-
-
 class _RecordingMemory(FixedLatencyMemory):
-    """A backing store that remembers every request it services."""
+    """A backing store that remembers every access it services."""
 
     def __init__(self):
         super().__init__(BACKING_LATENCY, "recording")
         self.requests = []
 
-    def access(self, request):
-        self.requests.append(request)
-        return super().access(request)
+    def access(self, addr, is_write=False, issue_time=0.0, explicit=False):
+        self.requests.append((addr, is_write))
+        return super().access(addr, is_write, issue_time, explicit)
 
 
 class TestHitMiss:
     def test_cold_miss_then_hit(self):
         cache, _ = make_cache()
-        first = cache.access(read(0x100))
-        second = cache.access(read(0x100))
-        assert not first.was_hit
-        assert second.was_hit
-        assert cache.hits == 1 and cache.misses == 1
+        cache.access(0x100)
+        assert (cache.hits, cache.misses) == (0, 1)
+        cache.access(0x100)
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_miss_latency_includes_backing(self):
         cache, _ = make_cache()
-        result = cache.access(read(0x100, t=1.0))
-        assert result.latency == pytest.approx(2e-9 + BACKING_LATENCY)
+        latency = cache.access(0x100, issue_time=1.0)
+        assert latency == pytest.approx(2e-9 + BACKING_LATENCY)
 
     def test_hit_latency(self):
         cache, _ = make_cache()
-        cache.access(read(0x200))
-        assert cache.access(read(0x200)).latency == pytest.approx(2e-9)
+        cache.access(0x200)
+        assert cache.access(0x200) == pytest.approx(2e-9)
 
     def test_same_line_different_offsets_hit(self):
         cache, _ = make_cache()
-        cache.access(read(0x100))
-        assert cache.access(read(0x13C)).was_hit  # same 64B line
+        cache.access(0x100)
+        cache.access(0x13C)  # same 64B line
+        assert cache.hits == 1
 
     def test_hit_level_names(self):
-        cache, _ = make_cache()
-        miss = cache.access(read(0x0))
-        hit = cache.access(read(0x0))
-        assert miss.hit_level == "backing"
-        assert hit.hit_level == "test"
+        # The miss is supplied by the backing store, the hit by this cache.
+        cache, backing = make_cache()
+        cache.access(0x0)
+        assert backing.stats()["accesses"] == 1
+        cache.access(0x0)
+        assert cache.hits == 1
+        assert backing.stats()["accesses"] == 1
 
     def test_miss_rate(self):
         cache, _ = make_cache()
         for addr in range(0, 64 * 10, 64):
-            cache.access(read(addr))
+            cache.access(addr)
         assert cache.miss_rate == 1.0
 
 
@@ -84,39 +77,39 @@ class TestEvictionAndWriteback:
         cache, _ = make_cache()
         stride = 16 * 64
         for i in range(5):  # 5 lines into a 4-way set
-            cache.access(read(i * stride))
+            cache.access(i * stride)
         assert cache.evictions == 1
 
     def test_lru_victim(self):
         cache, _ = make_cache()
         stride = 16 * 64
         for i in range(4):
-            cache.access(read(i * stride))
-        cache.access(read(0))  # refresh line 0
-        cache.access(read(4 * stride))  # evicts line 1 (LRU)
+            cache.access(i * stride)
+        cache.access(0)  # refresh line 0
+        cache.access(4 * stride)  # evicts line 1 (LRU)
         assert cache.contains(0)
         assert not cache.contains(stride)
 
     def test_dirty_eviction_writes_back(self):
         cache, _ = make_cache()
         stride = 16 * 64
-        cache.access(write(0))
+        cache.access(0, is_write=True)
         for i in range(1, 5):
-            cache.access(read(i * stride))
+            cache.access(i * stride)
         assert cache.writebacks == 1
 
     def test_clean_eviction_no_writeback(self):
         cache, _ = make_cache()
         stride = 16 * 64
         for i in range(5):
-            cache.access(read(i * stride))
+            cache.access(i * stride)
         assert cache.writebacks == 0
 
     def test_flush_counts_dirty_lines(self):
         cache, _ = make_cache()
-        cache.access(write(0))
-        cache.access(write(64))
-        cache.access(read(128))
+        cache.access(0, is_write=True)
+        cache.access(64, is_write=True)
+        cache.access(128)
         assert cache.flush() == 2
         assert not cache.contains(0)
 
@@ -124,9 +117,9 @@ class TestEvictionAndWriteback:
         """Regression: a software-coherence flush must push its dirty data
         into the next level, or lower-level traffic stats under-report."""
         cache, backing = make_cache()
-        cache.access(write(0))
-        cache.access(write(64))
-        cache.access(read(128))
+        cache.access(0, is_write=True)
+        cache.access(64, is_write=True)
+        cache.access(128)
         writes_before = backing.stats()["writes"]
         cache.flush()
         assert backing.stats()["writes"] == writes_before + 2
@@ -137,13 +130,25 @@ class TestEvictionAndWriteback:
         config = CacheConfig("test", 4 * KB, ways=4, latency=2)
         cache = Cache(config, FREQ, next_level=recorder)
         addr = 0x1540  # arbitrary line well past set 0
-        cache.access(write(addr))
+        cache.access(addr, is_write=True)
         recorder.requests.clear()
         cache.flush()
-        (req,) = recorder.requests
-        assert req.is_write
-        assert req.addr == (addr // 64) * 64  # the victim's line address
-        assert req.size == 64
+        # One write of the victim's line address.
+        assert recorder.requests == [((addr // 64) * 64, True)]
+
+    def test_dirty_fill_eviction_is_counted_but_sends_no_traffic(self):
+        # A 2-set direct-mapped cache: lines 0 and 128 share set 0.
+        config = CacheConfig("tiny", 128, ways=1, latency=2)
+        backing = FixedLatencyMemory(BACKING_LATENCY, "backing")
+        cache = Cache(config, FREQ, next_level=backing)
+        cache.access(0, is_write=True)
+        cache.access(128, is_write=True)  # evicts dirty line 0
+        assert cache.writebacks == 1
+        assert backing.stats()["accesses"] == 2  # the two demand fetches only
+        # flush does send its dirty line (128) below.
+        cache.flush()
+        assert cache.writebacks == 2
+        assert backing.stats()["accesses"] == 3
 
     def test_push_line_dirty_victim_writes_back_to_next_level(self):
         """Regression: an explicit push evicting a dirty victim dropped the
@@ -151,7 +156,7 @@ class TestEvictionAndWriteback:
         cache, backing = make_cache()
         stride = 16 * 64
         for i in range(4):  # fill one set with dirty lines
-            cache.access(write(i * stride))
+            cache.access(i * stride, is_write=True)
         writes_before = backing.stats()["writes"]
         cache.push_line(4 * stride)
         assert cache.writebacks == 1
@@ -161,7 +166,7 @@ class TestEvictionAndWriteback:
         cache, backing = make_cache()
         stride = 16 * 64
         for i in range(4):
-            cache.access(read(i * stride))
+            cache.access(i * stride)
         accesses_before = backing.stats()["accesses"]
         cache.push_line(4 * stride)
         assert cache.writebacks == 0
@@ -171,18 +176,18 @@ class TestEvictionAndWriteback:
 class TestMSHRMerging:
     def test_concurrent_miss_to_same_line_merges(self):
         cache, backing = make_cache()
-        first = cache.access(read(0x100, t=0.0))
+        first = cache.access(0x100, issue_time=0.0)
         # Within the fill window: flush line first so it misses again.
         cache.invalidate_line(0x100)
-        second = cache.access(read(0x104, t=10e-9))
-        assert second.latency < first.latency
+        second = cache.access(0x104, issue_time=10e-9)
+        assert second < first
 
     def test_merge_after_fill_completes_pays_full(self):
         cache, _ = make_cache()
-        cache.access(read(0x100, t=0.0))
+        cache.access(0x100, issue_time=0.0)
         cache.invalidate_line(0x100)
-        late = cache.access(read(0x100, t=1.0))  # long after fill done
-        assert late.latency == pytest.approx(2e-9 + BACKING_LATENCY)
+        late = cache.access(0x100, issue_time=1.0)  # long after fill done
+        assert late == pytest.approx(2e-9 + BACKING_LATENCY)
 
 
 class TestExplicitManagement:
@@ -195,12 +200,12 @@ class TestExplicitManagement:
 
     def test_explicit_request_sets_bit(self):
         cache, _ = make_cache()
-        cache.access(read(0x500, explicit=True))
+        cache.access(0x500, explicit=True)
         assert cache.is_explicit(0x500)
 
     def test_push_on_resident_line_upgrades(self):
         cache, _ = make_cache()
-        cache.access(read(0x600))
+        cache.access(0x600)
         assert not cache.is_explicit(0x600)
         cache.push_line(0x600)
         assert cache.is_explicit(0x600)
@@ -209,7 +214,7 @@ class TestExplicitManagement:
 class TestInvalidation:
     def test_invalidate_present_line(self):
         cache, _ = make_cache()
-        cache.access(read(0x40))
+        cache.access(0x40)
         assert cache.invalidate_line(0x40)
         assert not cache.contains(0x40)
 
@@ -219,8 +224,8 @@ class TestInvalidation:
 
     def test_stats_and_reset(self):
         cache, _ = make_cache()
-        cache.access(read(0))
-        cache.access(read(0))
+        cache.access(0)
+        cache.access(0)
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         cache.reset_stats()
@@ -236,8 +241,8 @@ class TestInvalidation:
         cache = Cache(
             config, FREQ, next_level=backing, prefetcher=NextLinePrefetcher()
         )
-        cache.access(read(0))  # miss -> prefetch issued
-        cache.access(read(64))  # hits the prefetched line -> useful
+        cache.access(0)  # miss -> prefetch issued
+        cache.access(64)  # hits the prefetched line -> useful
         assert cache.stats()["prefetches_issued"] > 0
         assert cache.stats()["prefetches_useful"] > 0
         cache.reset_stats()
@@ -247,8 +252,15 @@ class TestInvalidation:
 
 
 class TestErrors:
+    def test_negative_address_rejected_on_miss(self):
+        cache, backing = make_cache()
+        with pytest.raises(SimulationError, match="negative address"):
+            cache.access(-64)
+        assert cache.misses == 0
+        assert backing.stats()["accesses"] == 0
+
     def test_miss_without_next_level(self):
         config = CacheConfig("lonely", 4 * KB, ways=4)
         cache = Cache(config, FREQ)
         with pytest.raises(SimulationError):
-            cache.access(read(0))
+            cache.access(0)

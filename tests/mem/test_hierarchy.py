@@ -7,7 +7,6 @@ from repro.mem.cache.hierarchy import build_cpu_hierarchy, build_gpu_hierarchy
 from repro.mem.cache.prefetch import NextLinePrefetcher
 from repro.mem.cache.replacement import HybridLocalityPolicy
 from repro.mem.level import FixedLatencyMemory
-from repro.mem.request import MemRequest
 
 
 @pytest.fixture
@@ -23,16 +22,17 @@ class TestCpuHierarchy:
 
     def test_miss_walks_the_chain(self, backing):
         l1d, l2 = build_cpu_hierarchy(CpuConfig(), backing)
-        result = l1d.access(MemRequest(addr=0x1000))
-        assert result.hit_level == "backing"
+        l1d.access(0x1000)
         assert l1d.misses == 1 and l2.misses == 1
+        assert backing.stats()["accesses"] == 1
 
     def test_l2_hit_after_l1_invalidation(self, backing):
         l1d, l2 = build_cpu_hierarchy(CpuConfig(), backing)
-        l1d.access(MemRequest(addr=0x2000))
+        l1d.access(0x2000)
         l1d.invalidate_line(0x2000)
-        result = l1d.access(MemRequest(addr=0x2000, issue_time=1.0))
-        assert result.hit_level == "cpu.l2"
+        l1d.access(0x2000, issue_time=1.0)
+        assert l1d.misses == 2 and l2.hits == 1
+        assert backing.stats()["accesses"] == 1
 
     def test_custom_policy_and_prefetcher(self, backing):
         prefetcher = NextLinePrefetcher()

@@ -3,59 +3,42 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.mem.level import FixedLatencyMemory
-from repro.mem.request import AccessResult, MemRequest
+from repro.mem.level import FixedLatencyMemory, MemoryLevel
+
+
+class TestMemoryLevel:
+    def test_access_is_the_one_abstract_method(self):
+        assert MemoryLevel.__abstractmethods__ == frozenset({"access"})
+        assert not hasattr(MemoryLevel, "access_latency")
 
 
 class TestFixedLatencyMemory:
     def test_constant_latency(self):
         mem = FixedLatencyMemory(42e-9)
         for addr in (0, 0x1000, 0xFFFF):
-            assert mem.access(MemRequest(addr=addr)).latency == 42e-9
+            assert mem.access(addr) == 42e-9
 
     def test_always_hits(self):
+        # Every access is serviced here at the fixed latency, whatever its
+        # issue time or flags.
         mem = FixedLatencyMemory(1e-9, name="store")
-        result = mem.access(MemRequest(addr=0))
-        assert result.was_hit
-        assert result.hit_level == "store"
+        assert mem.access(0) == 1e-9
+        assert mem.access(0, is_write=True, issue_time=5.0, explicit=True) == 1e-9
+        assert mem.stats()["accesses"] == 2
 
     def test_read_write_accounting(self):
         mem = FixedLatencyMemory(0.0)
-        mem.access(MemRequest(addr=0))
-        mem.access(MemRequest(addr=0, is_write=True))
-        mem.access(MemRequest(addr=0, is_write=True))
+        mem.access(0)
+        mem.access(0, is_write=True)
+        mem.access(0, is_write=True)
         assert mem.stats() == {"accesses": 3, "reads": 1, "writes": 2}
 
     def test_reset_stats(self):
         mem = FixedLatencyMemory(0.0)
-        mem.access(MemRequest(addr=0))
+        mem.access(0)
         mem.reset_stats()
         assert mem.stats()["accesses"] == 0
 
     def test_rejects_negative_latency(self):
         with pytest.raises(SimulationError):
             FixedLatencyMemory(-1.0)
-
-
-class TestRequestAndResult:
-    def test_line_addr(self):
-        request = MemRequest(addr=0x12345)
-        assert request.line_addr(64) == 0x12340
-
-    def test_with_time(self):
-        request = MemRequest(addr=0x100, issue_time=1.0)
-        later = request.with_time(2.0)
-        assert later.issue_time == 2.0
-        assert later.addr == request.addr
-
-    def test_request_validation(self):
-        with pytest.raises(SimulationError):
-            MemRequest(addr=-1)
-        with pytest.raises(SimulationError):
-            MemRequest(addr=0, size=0)
-        with pytest.raises(SimulationError):
-            MemRequest(addr=0, issue_time=-1.0)
-
-    def test_result_validation(self):
-        with pytest.raises(SimulationError):
-            AccessResult(latency=-1.0, hit_level="x", was_hit=True)

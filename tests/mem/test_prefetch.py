@@ -8,7 +8,6 @@ from repro.mem.cache.cache import Cache
 from repro.mem.cache.prefetch import NextLinePrefetcher
 from repro.mem.cache.replacement import HybridLocalityPolicy
 from repro.mem.level import FixedLatencyMemory
-from repro.mem.request import MemRequest
 from repro.units import GHZ, KB, Frequency
 
 
@@ -28,7 +27,7 @@ def make_cache(prefetcher=None, policy=None, size=4 * KB, ways=4):
 def stream(cache, lines, start=0):
     time = 0.0
     for i in range(lines):
-        cache.access(MemRequest(addr=start + i * 64, issue_time=time))
+        cache.access(start + i * 64, issue_time=time)
         time += 1e-9
 
 
@@ -68,23 +67,23 @@ class TestCacheIntegration:
     def test_prefetch_traffic_reaches_next_level(self):
         pf = NextLinePrefetcher()
         cache, backing = make_cache(prefetcher=pf)
-        cache.access(MemRequest(addr=0))
+        cache.access(0)
         # One demand fill plus one prefetch fill.
         assert backing.stats()["accesses"] == 2
 
     def test_prefetch_adds_no_demand_latency(self):
         with_pf, _ = make_cache(prefetcher=NextLinePrefetcher())
         without, _ = make_cache()
-        a = with_pf.access(MemRequest(addr=0))
-        b = without.access(MemRequest(addr=0))
-        assert a.latency == pytest.approx(b.latency)
+        a = with_pf.access(0)
+        b = without.access(0)
+        assert a == pytest.approx(b)
 
     def test_useful_flag_cleared_after_first_hit(self):
         pf = NextLinePrefetcher()
         cache, _ = make_cache(prefetcher=pf)
-        cache.access(MemRequest(addr=0))
-        cache.access(MemRequest(addr=64, issue_time=1.0))  # prefetched hit
-        cache.access(MemRequest(addr=64, issue_time=2.0))  # normal hit
+        cache.access(0)
+        cache.access(64, issue_time=1.0)  # prefetched hit
+        cache.access(64, issue_time=2.0)  # normal hit
         assert pf.useful == 1
 
     def test_random_accesses_waste_prefetches(self):
@@ -94,9 +93,7 @@ class TestCacheIntegration:
 
         rng = random.Random(3)
         for i in range(64):
-            cache.access(
-                MemRequest(addr=rng.randrange(0, 1 << 20, 64), issue_time=float(i))
-            )
+            cache.access(rng.randrange(0, 1 << 20, 64), issue_time=float(i))
         assert pf.accuracy < 0.5
 
     def test_prefetch_never_evicts_explicit_blocks(self):
@@ -116,6 +113,6 @@ class TestCacheIntegration:
 
     def test_stats_include_prefetcher(self):
         cache, _ = make_cache(prefetcher=NextLinePrefetcher())
-        cache.access(MemRequest(addr=0))
+        cache.access(0)
         stats = cache.stats()
         assert stats["prefetches_issued"] == 1

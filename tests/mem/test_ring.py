@@ -6,7 +6,6 @@ from repro.config.system import InterconnectConfig
 from repro.errors import ConfigError
 from repro.mem.interconnect.ring import RingNetwork, RingPath
 from repro.mem.level import FixedLatencyMemory
-from repro.mem.request import MemRequest
 
 
 @pytest.fixture
@@ -66,17 +65,16 @@ class TestRingPath:
     def test_round_trip_added_to_below(self, ring):
         below = FixedLatencyMemory(50e-9, "below")
         path = RingPath(ring, "cpu", "l3", below)
-        result = path.access(MemRequest(addr=0))
-        assert result.latency > 50e-9
-        assert result.hit_level == "below"
+        assert path.access(0) > 50e-9
+        assert below.stats()["accesses"] == 1
 
     def test_issue_time_forwarded_with_request_leg(self, ring):
         class Recorder(FixedLatencyMemory):
-            def access(self, request):
-                self.seen = request.issue_time
-                return super().access(request)
+            def access(self, addr, is_write=False, issue_time=0.0, explicit=False):
+                self.seen = issue_time
+                return super().access(addr, is_write, issue_time, explicit)
 
         below = Recorder(0.0, "rec")
         path = RingPath(ring, "cpu", "l3", below)
-        path.access(MemRequest(addr=0, issue_time=1.0))
+        path.access(0, issue_time=1.0)
         assert below.seen > 1.0

@@ -7,7 +7,6 @@ from repro.config.system import CacheConfig
 from repro.mem.cache.cache import Cache
 from repro.mem.cache.replacement import HybridLocalityPolicy
 from repro.mem.level import FixedLatencyMemory
-from repro.mem.request import MemRequest
 from repro.units import GHZ, KB, Frequency
 
 addresses = st.integers(min_value=0, max_value=1 << 20)
@@ -34,7 +33,7 @@ class TestCacheInvariants:
     def test_hits_plus_misses_equals_accesses(self, trace):
         cache = build_cache()
         for i, (addr, is_write, _explicit) in enumerate(trace):
-            cache.access(MemRequest(addr=addr, is_write=is_write, issue_time=float(i)))
+            cache.access(addr, is_write=is_write, issue_time=float(i))
         assert cache.hits + cache.misses == len(trace)
 
     @given(trace=ops)
@@ -42,28 +41,25 @@ class TestCacheInvariants:
     def test_latency_always_at_least_hit_latency(self, trace):
         cache = build_cache()
         for i, (addr, is_write, _explicit) in enumerate(trace):
-            result = cache.access(
-                MemRequest(addr=addr, is_write=is_write, issue_time=float(i))
-            )
-            assert result.latency >= cache.hit_latency - 1e-15
+            latency = cache.access(addr, is_write=is_write, issue_time=float(i))
+            assert latency >= cache.hit_latency - 1e-15
 
     @given(trace=ops)
     @settings(max_examples=60, deadline=None)
     def test_immediate_reaccess_always_hits(self, trace):
         cache = build_cache()
         for i, (addr, is_write, _explicit) in enumerate(trace):
-            cache.access(MemRequest(addr=addr, is_write=is_write, issue_time=float(i)))
-            again = cache.access(
-                MemRequest(addr=addr, is_write=False, issue_time=float(i) + 0.5)
-            )
-            assert again.was_hit
+            cache.access(addr, is_write=is_write, issue_time=float(i))
+            hits_before = cache.hits
+            cache.access(addr, is_write=False, issue_time=float(i) + 0.5)
+            assert cache.hits == hits_before + 1
 
     @given(trace=ops)
     @settings(max_examples=60, deadline=None)
     def test_writebacks_never_exceed_evictions_plus_flushes(self, trace):
         cache = build_cache()
         for i, (addr, is_write, _explicit) in enumerate(trace):
-            cache.access(MemRequest(addr=addr, is_write=is_write, issue_time=float(i)))
+            cache.access(addr, is_write=is_write, issue_time=float(i))
         dirty_flushed = cache.flush()
         assert cache.writebacks <= cache.evictions + dirty_flushed + 1
 
@@ -80,9 +76,7 @@ class TestHybridInvariant:
         tracked = set()
         for i, (addr, is_write, explicit) in enumerate(trace):
             if explicit:
-                cache.access(
-                    MemRequest(addr=addr, is_write=is_write, explicit=True, issue_time=float(i))
-                )
+                cache.access(addr, is_write=is_write, explicit=True, issue_time=float(i))
                 line_addr = addr & ~(line - 1)
                 if cache.is_explicit(line_addr):
                     tracked.add(line_addr)
@@ -90,9 +84,7 @@ class TestHybridInvariant:
                 tracked = {a for a in tracked if cache.is_explicit(a)}
             else:
                 before = {a for a in tracked if cache.is_explicit(a)}
-                cache.access(
-                    MemRequest(addr=addr, is_write=is_write, issue_time=float(i))
-                )
+                cache.access(addr, is_write=is_write, issue_time=float(i))
                 for resident in before:
                     assert cache.contains(resident)
                     assert cache.is_explicit(resident)

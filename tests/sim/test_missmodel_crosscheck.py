@@ -11,7 +11,6 @@ import pytest
 from repro.config.system import CacheConfig
 from repro.mem.cache.cache import Cache
 from repro.mem.level import FixedLatencyMemory
-from repro.mem.request import MemRequest
 from repro.sim.analytic import AnalyticTiming
 from repro.taxonomy import ProcessingUnit
 from repro.trace.mix import InstructionMix
@@ -29,9 +28,7 @@ def measure_miss_rate(segment, cache_kb=32, ways=8):
     time = 0.0
     for inst in segment.instructions():
         if inst.opcode.is_memory:
-            cache.access(
-                MemRequest(addr=inst.addr, is_write=inst.is_store, issue_time=time)
-            )
+            cache.access(inst.addr, is_write=inst.is_store, issue_time=time)
             time += 1e-9
     return cache.miss_rate
 

@@ -7,7 +7,6 @@ from repro.config.presets import case_study
 from repro.errors import AccessViolationError
 from repro.kernels.registry import kernel
 from repro.mem.level import FixedLatencyMemory
-from repro.mem.request import MemRequest
 from repro.sim.detailed import DetailedSimulator
 from repro.sim.mmu import TranslationFront, stage_trace
 from repro.taxonomy import AddressSpaceKind, ProcessingUnit
@@ -25,23 +24,23 @@ class TestTranslationFront:
     def test_first_access_walks_and_faults(self):
         front, space, _ = make_front()
         addr = 0x1000_0000
-        result = front.access(MemRequest(addr=addr, pu=CPU))
+        latency = front.access(addr)
         assert front.walks == 1
         assert front.faults_serviced == 1
-        assert result.latency > 10e-9
+        assert latency > 10e-9
 
     def test_second_access_hits_tlb(self):
         front, _, _ = make_front()
         addr = 0x1000_0000
-        front.access(MemRequest(addr=addr, pu=CPU))
-        second = front.access(MemRequest(addr=addr + 4, pu=CPU))
+        front.access(addr)
+        second = front.access(addr + 4)
         assert front.tlb.hits == 1
-        assert second.latency == pytest.approx(10e-9)
+        assert second == pytest.approx(10e-9)
 
     def test_mapped_page_walks_without_fault(self):
         front, space, _ = make_front()
         allocation = space.alloc("buf", 4096, pu=CPU)
-        front.access(MemRequest(addr=allocation.addr, pu=CPU))
+        front.access(allocation.addr)
         assert front.walks == 1
         assert front.faults_serviced == 0
 
@@ -51,11 +50,11 @@ class TestTranslationFront:
         front, space, _ = make_front(AddressSpaceKind.DISJOINT, pu=GPU)
         cpu_buf = space.alloc("host", 4096, pu=CPU)
         with pytest.raises(AccessViolationError):
-            front.access(MemRequest(addr=cpu_buf.addr, pu=GPU))
+            front.access(cpu_buf.addr)
 
     def test_stats(self):
         front, _, _ = make_front()
-        front.access(MemRequest(addr=0x1000_0000, pu=CPU))
+        front.access(0x1000_0000)
         stats = front.stats()
         assert stats["walks"] == 1
         assert stats["translation_latency_s"] > 0

@@ -2,12 +2,10 @@
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.mem.cache.replacement import HybridLocalityPolicy
-from repro.mem.request import MemRequest
 from repro.sim.system import CoherentFront, Machine, build_machine
-from repro.taxonomy import ProcessingUnit
 
-CPU, GPU = ProcessingUnit.CPU, ProcessingUnit.GPU
 SHARED = 0x3000_0000
 PRIVATE = 0x1000_0000
 
@@ -24,7 +22,7 @@ class TestBuildMachine:
     def test_hierarchy_wiring(self):
         """A CPU miss must descend L1 -> L2 -> ring -> L3 -> ring -> DRAM."""
         machine = build_machine()
-        machine.cpu_core.memory.access(MemRequest(addr=0x1234))
+        machine.cpu_core.memory.access(0x1234)
         assert machine.cpu_l1d.misses == 1
         assert machine.cpu_l2.misses == 1
         assert machine.l3.misses == 1
@@ -32,7 +30,7 @@ class TestBuildMachine:
 
     def test_gpu_skips_l2(self):
         machine = build_machine()
-        machine.gpu_core.memory.access(MemRequest(addr=0x5678, pu=GPU))
+        machine.gpu_core.memory.access(0x5678)
         assert machine.gpu_l1d.misses == 1
         assert machine.cpu_l2.accesses == 0
         assert machine.l3.misses == 1
@@ -40,9 +38,16 @@ class TestBuildMachine:
     def test_l3_shared_between_pus(self):
         """GPU data fetched once serves later CPU accesses at L3."""
         machine = build_machine()
-        machine.gpu_core.memory.access(MemRequest(addr=0x9000, pu=GPU))
-        machine.cpu_core.memory.access(MemRequest(addr=0x9000, pu=CPU))
+        machine.gpu_core.memory.access(0x9000)
+        machine.cpu_core.memory.access(0x9000)
         assert machine.l3.hits == 1
+
+    @pytest.mark.parametrize("hardware_coherence", [False, True])
+    def test_negative_address_rejected(self, hardware_coherence):
+        machine = build_machine(hardware_coherence=hardware_coherence)
+        with pytest.raises(SimulationError, match="negative address"):
+            machine.cpu_core.memory.access(-64)
+        assert machine.dram.stats()["requests"] == 0
 
     def test_custom_l3_policy(self):
         policy = HybridLocalityPolicy(ways=32)
@@ -68,34 +73,34 @@ class TestBuildMachine:
 class TestCoherentFront:
     def test_private_addresses_skip_the_directory(self):
         machine = build_machine(hardware_coherence=True)
-        machine.cpu_core.memory.access(MemRequest(addr=PRIVATE, is_write=True))
+        machine.cpu_core.memory.access(PRIVATE, is_write=True)
         assert machine.directory.stats()["tracked_lines"] == 0
 
     def test_shared_write_invalidates_peer_caches(self):
         machine = build_machine(hardware_coherence=True)
-        machine.gpu_core.memory.access(MemRequest(addr=SHARED, pu=GPU))
+        machine.gpu_core.memory.access(SHARED)
         assert machine.gpu_l1d.contains(SHARED)
-        machine.cpu_core.memory.access(MemRequest(addr=SHARED, is_write=True, pu=CPU))
+        machine.cpu_core.memory.access(SHARED, is_write=True)
         assert not machine.gpu_l1d.contains(SHARED)
         assert machine.directory.invalidations_sent == 1
 
     def test_coherence_traffic_charged_as_latency(self):
         machine = build_machine(hardware_coherence=True)
-        machine.gpu_core.memory.access(MemRequest(addr=SHARED, pu=GPU))
-        machine.cpu_core.memory.access(MemRequest(addr=SHARED, is_write=True, pu=CPU))
+        machine.gpu_core.memory.access(SHARED)
+        machine.cpu_core.memory.access(SHARED, is_write=True)
         front = machine.cpu_core.memory
         assert isinstance(front, CoherentFront)
         assert front.coherence_latency > 0
 
     def test_read_sharing_needs_no_invalidation(self):
         machine = build_machine(hardware_coherence=True)
-        machine.cpu_core.memory.access(MemRequest(addr=SHARED, pu=CPU))
-        machine.gpu_core.memory.access(MemRequest(addr=SHARED, pu=GPU))
+        machine.cpu_core.memory.access(SHARED)
+        machine.gpu_core.memory.access(SHARED)
         assert machine.directory.invalidations_sent == 0
 
     def test_custom_shared_predicate(self):
         machine = build_machine(
             hardware_coherence=True, shared_predicate=lambda addr: addr >= 0x100
         )
-        machine.cpu_core.memory.access(MemRequest(addr=0x200, is_write=True))
+        machine.cpu_core.memory.access(0x200, is_write=True)
         assert machine.directory.stats()["tracked_lines"] == 1

@@ -9,10 +9,9 @@
   list across every call; use ``None`` plus an in-body default.
 - **L003 — no per-instruction object construction in batched hot
   loops.** Functions named ``run_compiled*`` / ``step_compiled*`` exist
-  precisely to avoid allocating ``Instruction`` / ``MemRequest`` /
-  ``AccessResult`` / ``CacheBlock`` objects per instruction; building
-  one inside them silently reintroduces the overhead the compiled path
-  removed. Allocate outside the loop or use the array records instead.
+  precisely to avoid allocating ``Instruction`` / ``CacheBlock``
+  objects per instruction; building one inside them silently
+  reintroduces the overhead the compiled path removed. Allocate outside the loop or use the array records instead.
 - **L004 — no ``.state`` assignment outside the coherence package.**
   ``CacheBlock.state`` is the MESI coherence state, owned entirely by
   :mod:`repro.mem.coherence`; assigning it anywhere else bypasses the
@@ -65,9 +64,7 @@ HOT_LOOP_PREFIXES = ("run_compiled", "step_compiled")
 
 #: Per-instruction record types that must never be built inside a
 #: batched hot loop (L003).
-HOT_LOOP_FORBIDDEN = frozenset(
-    {"Instruction", "MemRequest", "AccessResult", "CacheBlock"}
-)
+HOT_LOOP_FORBIDDEN = frozenset({"Instruction", "CacheBlock"})
 
 #: The package that owns MESI state transitions; ``.state`` attribute
 #: assignment in any file outside it is L004.
