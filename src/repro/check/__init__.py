@@ -18,30 +18,30 @@ against the operational consistency executors
 them to small litmus programs and upgrades the finding from *possible* to
 *confirmed* when the configured model really permits the bad outcome.
 
-Since check v2 the rules sit on a real dataflow foundation: traces (and
-progmodel programs) lower to an analysis IR — a CFG of phases with
-per-buffer def/use/transfer/ownership events over address atoms
-(:mod:`repro.check.ir`) — and a generic gen/kill worklist solver
-(:mod:`repro.check.dataflow`) runs forward/backward fixpoints over it.
-Four passes live on top (:mod:`repro.check.passes`): reaching-transfers
-(LOC001 as a dataflow fact), buffer liveness (OPT001 dead transfers),
-available copies (OPT002 redundant transfers with bytes-saved
-estimates), and access-mode inference (INF001, Table V-verified
-``declareAccess`` suggestions). The OPT/INF rules are advisory and only
-run in optimize mode.
+Every rule reads one analysis IR: :func:`check_trace` lowers the trace
+once (memoized per trace) to a CFG of phases with per-buffer
+def/use/transfer/ownership events over address atoms
+(:mod:`repro.check.ir`), and each rule family is an in-order scan of its
+nodes. The staleness and optimization rules additionally solve gen/kill
+fixpoints over it with the generic worklist solver
+(:mod:`repro.check.dataflow`). Four passes live there
+(:mod:`repro.check.passes`): reaching-transfers (LOC001 as a dataflow
+fact), buffer liveness (OPT001 dead transfers), available copies (OPT002
+redundant transfers with bytes-saved estimates), and access-mode
+inference (INF001, Table V-verified ``declareAccess`` suggestions). The
+OPT/INF rules are advisory and only run in optimize mode.
 
 Entry points:
 
 - :func:`check_trace` — analyze one trace under one configuration
   (``optimize=True`` adds the OPT/INF passes);
-- :func:`check_pairs` — batch helper over (trace, config) pairs;
 - ``repro-explore check`` — the CLI front door (exit code 4 on
   findings; ``--optimize`` and ``--sarif`` for the v2 surfaces);
 - ``Explorer(check="warn"|"error"|"optimize")`` — the pre-simulation
   gate (optimize reports OPT/INF findings without ever gating).
 """
 
-from repro.check.analysis import check_pairs, check_trace
+from repro.check.analysis import check_trace
 from repro.check.config import CheckConfig
 from repro.check.dataflow import (
     DataflowProblem,
@@ -74,7 +74,6 @@ __all__ = [
     "RULES",
     "rule",
     "check_trace",
-    "check_pairs",
     "merge_reports",
     "Space",
     "EventKind",

@@ -4,9 +4,10 @@ check v2 separates *what a program does to data* from *what each rule
 wants to know about it*. Lowering builds an :class:`AnalysisCFG` whose
 nodes carry :class:`BufferEvent`\\ s — definitions, uses, transfers, and
 ownership moves, each scoped to a :class:`Space` and a bitmask over
-*address atoms* — and the dataflow passes (:mod:`repro.check.passes`)
-phrase their questions as gen/kill problems over those events, solved by
-the generic fixpoint engine in :mod:`repro.check.dataflow`.
+*address atoms*. Every checker rule reads those events: most as an
+in-order scan (:mod:`repro.check.analysis`), the dataflow passes
+(:mod:`repro.check.passes`) as gen/kill problems solved by the generic
+fixpoint engine in :mod:`repro.check.dataflow`.
 
 Two lowerings produce the same IR:
 
@@ -30,19 +31,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import CheckError
 from repro.progmodel.events import StmtEvent, statement_events
 from repro.progmodel.program import Program
 from repro.progmodel.spec import KernelProgramSpec
 from repro.taxonomy import ProcessingUnit
-from repro.trace.phase import (
-    CommPhase,
-    ParallelPhase,
-    Segment,
-    SequentialPhase,
-)
+from repro.trace.phase import CommPhase, ParallelPhase, Segment, SequentialPhase
 from repro.trace.stream import KernelTrace
 
 __all__ = [
@@ -268,7 +264,7 @@ class ProgramIR:
 
 def _segment_events(segment: Segment, atoms: AddressAtoms) -> List[BufferEvent]:
     """USE before DEF: reads observe the state before the phase's writes
-    land (the convention every pass and the legacy checker share)."""
+    land (the convention every rule shares)."""
     space = Space.of(segment.pu)
     mask = atoms.mask_for(
         segment.base_addr, segment.base_addr + segment.footprint_bytes
@@ -285,6 +281,15 @@ def _segment_events(segment: Segment, atoms: AddressAtoms) -> List[BufferEvent]:
     return events
 
 
+#: Each phase type's node kind and the segments it runs, CPU first. The
+#: lowering is the one place the checker looks at phase types.
+_PHASE_SHAPES: Dict[type, Callable[[Any], Tuple[str, Tuple[Segment, ...]]]] = {
+    SequentialPhase: lambda phase: ("sequential", (phase.segment,)),
+    ParallelPhase: lambda phase: ("parallel", (phase.cpu, phase.gpu)),
+    CommPhase: lambda phase: ("comm", ()),
+}
+
+
 def cfg_from_trace(trace: KernelTrace) -> TraceIR:
     """Lower a kernel trace to the analysis IR.
 
@@ -294,24 +299,18 @@ def cfg_from_trace(trace: KernelTrace) -> TraceIR:
     the destination space, plus an ACQUIRE/RELEASE pair recording the
     ownership move the PAS discipline tracks.
     """
-    spans = []
-    for phase in trace.phases:
-        if isinstance(phase, SequentialPhase):
-            segments: Tuple[Segment, ...] = (phase.segment,)
-        elif isinstance(phase, ParallelPhase):
-            segments = (phase.cpu, phase.gpu)
-        else:
-            segments = ()
-        for segment in segments:
-            spans.append(
-                (segment.base_addr, segment.base_addr + segment.footprint_bytes)
-            )
-    atoms = AddressAtoms(spans)
+    shapes = [_PHASE_SHAPES[type(phase)](phase) for phase in trace.phases]
+    atoms = AddressAtoms(
+        (segment.base_addr, segment.base_addr + segment.footprint_bytes)
+        for _, segments in shapes
+        for segment in segments
+    )
 
     nodes: List[IRNode] = [IRNode(index=0, kind="entry", phase_index=-1)]
-    for phase_index, phase in enumerate(trace.phases):
-        index = len(nodes)
-        if isinstance(phase, CommPhase):
+    for phase_index, (phase, (kind, segments)) in enumerate(
+        zip(trace.phases, shapes)
+    ):
+        if kind == "comm":
             dest = Space.of(phase.direction.destination)
             events: Tuple[BufferEvent, ...] = (
                 BufferEvent(
@@ -336,19 +335,15 @@ def cfg_from_trace(trace: KernelTrace) -> TraceIR:
                     num_objects=phase.num_objects,
                 ),
             )
-            kind = "comm"
-        elif isinstance(phase, ParallelPhase):
-            events = tuple(
-                _segment_events(phase.cpu, atoms)
-                + _segment_events(phase.gpu, atoms)
-            )
-            kind = "parallel"
         else:
-            events = tuple(_segment_events(phase.segment, atoms))
-            kind = "sequential"
+            events = tuple(
+                event
+                for segment in segments
+                for event in _segment_events(segment, atoms)
+            )
         nodes.append(
             IRNode(
-                index=index,
+                index=len(nodes),
                 kind=kind,
                 phase_index=phase_index,
                 label=phase.label,
@@ -360,17 +355,21 @@ def cfg_from_trace(trace: KernelTrace) -> TraceIR:
     return TraceIR(trace=trace, cfg=AnalysisCFG(tuple(nodes), edges), atoms=atoms)
 
 
+def _host_name(name: str) -> str:
+    """Fold a device alias ("gpu_x", "x_adsm") onto its host buffer."""
+    if name.startswith("gpu_"):
+        name = name[4:]
+    if name.endswith("_adsm"):
+        name = name[: -len("_adsm")]
+    return name
+
+
 def _program_node_events(
     event: StmtEvent, bits: Dict[str, int], spec: Optional[KernelProgramSpec]
 ) -> List[BufferEvent]:
     mask = 0
     for name in event.buffers:
-        # Device aliases ("gpu_x", "x_adsm") fold onto the host buffer.
-        base = name
-        if base.startswith("gpu_"):
-            base = base[4:]
-        if base.endswith("_adsm"):
-            base = base[: -len("_adsm")]
+        base = _host_name(name)
         if base in bits:
             mask |= 1 << bits[base]
     if not mask:
@@ -461,11 +460,7 @@ def cfg_from_program(
     names: List[str] = []
     for event in events:
         for name in event.buffers:
-            base = name
-            if base.startswith("gpu_"):
-                base = base[4:]
-            if base.endswith("_adsm"):
-                base = base[: -len("_adsm")]
+            base = _host_name(name)
             if base not in names:
                 names.append(base)
     bits = {name: bit for bit, name in enumerate(names)}

@@ -61,9 +61,9 @@ from repro.progmodel.ast import AccessDecl, AccessMode
 from repro.progmodel.lowering import lower
 from repro.progmodel.spec import KernelProgramSpec, program_spec
 from repro.taxonomy import AddressSpaceKind, ProcessingUnit
-from repro.trace.phase import CommPhase, ParallelPhase
 
 __all__ = [
+    "finding_at",
     "reaching_transfers",
     "stale_read_reachable",
     "staleness_findings",
@@ -85,7 +85,7 @@ def _universe(atoms: AddressAtoms) -> int:
     return (1 << (2 * len(atoms))) - 1
 
 
-def _pass_finding(
+def finding_at(
     rule_id: str,
     ir: TraceIR,
     node_index: int,
@@ -96,6 +96,8 @@ def _pass_finding(
     bytes_saved: int = 0,
     space: str = "",
 ) -> Finding:
+    """The finding of every trace rule, located at CFG node ``node_index``
+    (its phase index and label) and filled in from the rule catalog."""
     meta = rule(rule_id)
     node = ir.cfg.nodes[node_index]
     return Finding(
@@ -186,7 +188,7 @@ def staleness_findings(ir: TraceIR, config: CheckConfig) -> Iterable[Finding]:
             label = producer[remote].get(
                 low_bit.bit_length() - 1, str(remote.pu)
             )
-            yield _pass_finding(
+            yield finding_at(
                 "LOC001",
                 ir,
                 node.index,
@@ -254,12 +256,11 @@ def dead_transfer_findings(ir: TraceIR) -> Iterable[Finding]:
         if node.kind != "comm":
             continue
         phase = ir.trace.phases[node.phase_index]
-        assert isinstance(phase, CommPhase)
         dest = Space.of(phase.direction.destination)
         delivered = atoms.all_mask << _shift(dest, atoms)
         if solution.after[node.index] & delivered:
             continue
-        yield _pass_finding(
+        yield finding_at(
             "OPT001",
             ir,
             node.index,
@@ -315,12 +316,11 @@ def redundant_transfer_findings(ir: TraceIR) -> Iterable[Finding]:
         if node.kind != "comm":
             continue
         phase = ir.trace.phases[node.phase_index]
-        assert isinstance(phase, CommPhase)
         dest = Space.of(phase.direction.destination)
         delivered = atoms.all_mask << _shift(dest, atoms)
         if delivered & ~solution.before[node.index]:
             continue
-        yield _pass_finding(
+        yield finding_at(
             "OPT002",
             ir,
             node.index,
@@ -368,9 +368,8 @@ def access_mode_findings(ir: TraceIR, config: CheckConfig) -> Iterable[Finding]:
     under this address space (the Table V "with declarations" delta)."""
     if config.has_declarations:
         return  # already declared; nothing to infer
-    trace = ir.trace
     try:
-        spec = program_spec(trace.name)
+        spec = program_spec(ir.trace.name)
     except ProgramError:
         return  # not one of the paper kernels; no program to reason about
     try:
@@ -386,15 +385,9 @@ def access_mode_findings(ir: TraceIR, config: CheckConfig) -> Iterable[Finding]:
         AccessDecl(name, modes[name]).render() for name in spec.buffer_names
     )
     node_index = next(
-        (
-            node.index
-            for node in ir.cfg.nodes
-            if node.phase_index >= 0
-            and isinstance(trace.phases[node.phase_index], ParallelPhase)
-        ),
-        1,
+        (node.index for node in ir.cfg.nodes if node.kind == "parallel"), 1
     )
-    yield _pass_finding(
+    yield finding_at(
         "INF001",
         ir,
         node_index,

@@ -1248,6 +1248,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ReproError as exc:
         print(f"repro-explore: simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION_ERROR
+    except OSError as exc:
+        # Commands report unreadable inputs themselves; what escapes is an
+        # output path that cannot be written (missing directory, no access).
+        print(
+            f"repro-explore: cannot write {exc.filename}: {exc.strerror}",
+            file=sys.stderr,
+        )
+        return EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

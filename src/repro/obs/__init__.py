@@ -3,15 +3,15 @@
 Every component that used to keep an ad-hoc ``stats()`` dict now *declares*
 typed metrics (:class:`Counter`, :class:`Gauge`, :class:`Histogram`,
 :class:`Timer`) on a :class:`MetricRegistry`; the registry snapshots,
-diffs, resets, and serializes them uniformly. A lightweight
-:class:`Tracer` records spans and counter samples per clock-domain track
-and emits Chrome ``trace_event`` JSON that loads directly in Perfetto;
-:data:`NULL_TRACER` makes the disabled path near-zero overhead.
+diffs, resets, and serializes them uniformly. Tracing is
+:func:`trace_from_results`: it rebuilds a per-clock-domain
+:class:`Tracer` from finished simulation results and emits Chrome
+``trace_event`` JSON that loads directly in Perfetto.
 
 The three sub-modules:
 
 - :mod:`repro.obs.metrics` — typed metric declarations and snapshots;
-- :mod:`repro.obs.tracing` — span/event tracer + Chrome trace export;
+- :mod:`repro.obs.tracing` — traces from results + Chrome trace export;
 - :mod:`repro.obs.log` — structured :mod:`logging` helpers replacing
   bare prints in library code.
 """
@@ -28,12 +28,7 @@ from repro.obs.metrics import (
     write_metrics_csv,
     write_metrics_json,
 )
-from repro.obs.tracing import (
-    NULL_TRACER,
-    TraceEvent,
-    Tracer,
-    trace_from_results,
-)
+from repro.obs.tracing import TraceEvent, Tracer, trace_from_results
 
 __all__ = [
     "Counter",
@@ -47,7 +42,6 @@ __all__ = [
     "write_metrics_json",
     "Tracer",
     "TraceEvent",
-    "NULL_TRACER",
     "trace_from_results",
     "get_logger",
     "configure_logging",

@@ -1,31 +1,27 @@
-"""Span/event tracing with Chrome ``trace_event`` JSON export.
+"""Chrome ``trace_event`` JSON synthesized from finished simulation results.
 
-A :class:`Tracer` records *complete* spans ('X'), instants ('i'), and
-counter samples ('C') onto named tracks. A track is a ``(process,
-thread)`` pair — one process per simulation run (or the exploration
-runtime), one thread per clock domain (CPU core, GPU core, L3, ring, DRAM
-channels, comm link, DMA engine) — so the export opens directly in
+:func:`trace_from_results` is the one way a trace gets built: every
+:class:`~repro.sim.results.SimulationResult` already carries its full
+per-phase timeline, so the trace is rebuilt after the run instead of
+being recorded live (parallel runs simulate in worker processes anyway).
+
+A :class:`Tracer` holds *complete* spans ('X') and counter samples ('C')
+on named tracks. A track is a ``(process, thread)`` pair — one process
+per simulation run (or the exploration runtime), one thread per clock
+domain (CPU core, GPU core, comm link) — so the export opens directly in
 Perfetto / ``chrome://tracing`` with each domain on its own row.
 
-Timestamps are microseconds. Simulators pass *simulated* time; the
-exploration runtime passes wall-clock time relative to the tracer's epoch
-(the two live in different processes/tracks, so mixing units per track is
-fine — Chrome traces have no global unit).
-
-The disabled path is near-zero overhead: every emit method returns after a
-single ``self.enabled`` check, and hot callers can guard on the public
-``enabled`` flag to skip argument construction entirely.
-:data:`NULL_TRACER` is the shared disabled instance.
+Timestamps are microseconds: simulated time for the runs, wall-clock
+stage time for the exploration runtime (the two live in different
+processes, and Chrome traces have no global unit).
 """
 
 from __future__ import annotations
 
 import json
-import time
-from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["TraceEvent", "Tracer", "NULL_TRACER", "trace_from_results"]
+__all__ = ["TraceEvent", "Tracer", "trace_from_results"]
 
 #: A Chrome trace event is just its JSON dict.
 TraceEvent = Dict[str, object]
@@ -34,12 +30,10 @@ TraceEvent = Dict[str, object]
 class Tracer:
     """Collects trace events; serializes to Chrome ``trace_event`` JSON."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._events: List[TraceEvent] = []
         self._tracks: Dict[Tuple[str, str], Tuple[int, int]] = {}
         self._pids: Dict[str, int] = {}
-        self._epoch = time.perf_counter()
 
     # -- track management ---------------------------------------------------
 
@@ -95,37 +89,12 @@ class Tracer:
         args: Optional[Dict[str, object]] = None,
     ) -> None:
         """A complete span ('X'): ``duration_us`` starting at ``start_us``."""
-        if not self.enabled:
-            return
         pid, tid = self.track(process, thread)
         event: TraceEvent = {
             "name": name,
             "ph": "X",
             "ts": start_us,
             "dur": duration_us,
-            "pid": pid,
-            "tid": tid,
-        }
-        if args:
-            event["args"] = args
-        self._events.append(event)
-
-    def instant(
-        self,
-        process: str,
-        thread: str,
-        name: str,
-        ts_us: float,
-        args: Optional[Dict[str, object]] = None,
-    ) -> None:
-        if not self.enabled:
-            return
-        pid, tid = self.track(process, thread)
-        event: TraceEvent = {
-            "name": name,
-            "ph": "i",
-            "ts": ts_us,
-            "s": "t",
             "pid": pid,
             "tid": tid,
         }
@@ -142,8 +111,6 @@ class Tracer:
         values: Dict[str, float],
     ) -> None:
         """A counter sample ('C') — renders as a counter track in Perfetto."""
-        if not self.enabled:
-            return
         pid, tid = self.track(process, thread)
         self._events.append(
             {
@@ -155,32 +122,6 @@ class Tracer:
                 "args": dict(values),
             }
         )
-
-    @contextmanager
-    def span(
-        self,
-        process: str,
-        thread: str,
-        name: str,
-        args: Optional[Dict[str, object]] = None,
-    ) -> Iterator[None]:
-        """Wall-clock span relative to the tracer's epoch."""
-        if not self.enabled:
-            yield
-            return
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            end = time.perf_counter()
-            self.complete(
-                process,
-                thread,
-                name,
-                start_us=(start - self._epoch) * 1e6,
-                duration_us=(end - start) * 1e6,
-                args=args,
-            )
 
     # -- export -------------------------------------------------------------
 
@@ -201,32 +142,20 @@ class Tracer:
             handle.write("\n")
         return path
 
-    def clear(self) -> None:
-        self._events.clear()
-        self._tracks.clear()
-        self._pids.clear()
-
-
-#: The shared disabled tracer: every emit method is a single-flag no-op.
-NULL_TRACER = Tracer(enabled=False)
-
 
 def trace_from_results(
     results: Iterable["SimulationResult"],  # noqa: F821 - circular-import hint only
     run_stats: Optional["RunStats"] = None,  # noqa: F821
-    tracer: Optional[Tracer] = None,
 ) -> Tracer:
     """Synthesize a per-clock-domain trace from finished simulation results.
 
-    Parallel exploration runs simulate in worker processes, where live
-    tracer state cannot be captured; every :class:`SimulationResult`
-    already carries its full per-phase timeline, so the trace is rebuilt
-    losslessly after the fact. One Chrome *process* per run (named
+    The trace is rebuilt losslessly from each result's per-phase
+    timeline. One Chrome *process* per run (named
     ``kernel @ system``), one *thread* per clock domain, spans in
     simulated microseconds. ``run_stats`` adds an ``exploration-runtime``
     process with the wall-clock stage timers.
     """
-    tracer = tracer or Tracer()
+    tracer = Tracer()
     for result in results:
         process = f"{result.kernel} @ {result.system}"
         now_us = 0.0

@@ -258,12 +258,6 @@ class SweepPoint:
             )
 
     @property
-    def hardware_coherence(self) -> bool:
-        return bool(
-            self.case and self.case.coherence is CoherenceKind.HARDWARE_DIRECTORY
-        )
-
-    @property
     def protocol_kind(self) -> str:
         """The protocol variant this point's machine is built with."""
         if self.coherence is not None:

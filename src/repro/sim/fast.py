@@ -22,10 +22,9 @@ from repro.config.system import SystemConfig
 from repro.errors import SimulationError
 from repro.comm.base import CommChannel, make_channel
 from repro.mem.coherence.api import resolve_protocol_kind
-from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.sim.analytic import AnalyticTiming
 from repro.sim.results import PhaseTiming, SimulationResult, TimeBreakdown
-from repro.taxonomy import AddressSpaceKind, CoherenceKind, CommMechanism
+from repro.taxonomy import AddressSpaceKind, CoherenceKind
 from repro.trace.phase import CommPhase, ParallelPhase, Segment, SequentialPhase
 from repro.trace.stream import KernelTrace
 
@@ -50,13 +49,10 @@ class FastSimulator:
         self,
         system: Optional[SystemConfig] = None,
         comm_params: Optional[CommParams] = None,
-        tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.system = system or SystemConfig()
         self.comm_params = comm_params or CommParams()
         self.timing = AnalyticTiming(self.system)
-        #: Span tracer (disabled by default; near-zero overhead when off).
-        self.tracer = tracer
 
     # -- channel selection ----------------------------------------------------
 
@@ -126,12 +122,6 @@ class FastSimulator:
         phase_timings: List[PhaseTiming] = []
         # Analytic memory-event estimates published alongside the timing.
         mem_ops = est_misses = est_dram = 0.0
-        tracer = self.tracer
-        track = f"{trace.name} @ {name}" if tracer.enabled else ""
-        comm_track = (
-            "dma-engine" if channel.mechanism is CommMechanism.DMA_ASYNC else "comm-link"
-        )
-        now = 0.0
         for index, phase in enumerate(trace.phases):
             if isinstance(phase, SequentialPhase):
                 t, _ = compute_seconds[index]
@@ -143,9 +133,6 @@ class FastSimulator:
                 mem_ops += o
                 est_misses += m
                 est_dram += d
-                if tracer.enabled:
-                    tracer.complete(track, "cpu-core", phase.label, now * 1e6, t * 1e6)
-                now += t
             elif isinstance(phase, ParallelPhase):
                 cpu_t, gpu_t = compute_seconds[index]
                 t = max(cpu_t, gpu_t)
@@ -164,10 +151,6 @@ class FastSimulator:
                     mem_ops += o
                     est_misses += m
                     est_dram += d
-                if tracer.enabled:
-                    tracer.complete(track, "cpu-core", phase.label, now * 1e6, cpu_t * 1e6)
-                    tracer.complete(track, "gpu-core", phase.label, now * 1e6, gpu_t * 1e6)
-                now += t
             elif isinstance(phase, CommPhase):
                 target = self._overlap_phase_index(trace, index)
                 window = overlap_budget.get(target, 0.0) if target is not None else 0.0
@@ -185,16 +168,6 @@ class FastSimulator:
                         overlapped_seconds=result.overlapped,
                     )
                 )
-                if tracer.enabled:
-                    tracer.complete(
-                        track,
-                        comm_track,
-                        phase.label,
-                        now * 1e6,
-                        result.exposed * 1e6,
-                        args={"overlapped_us": result.overlapped * 1e6},
-                    )
-                now += result.exposed
             else:
                 raise SimulationError(f"unknown phase type {type(phase).__name__}")
 

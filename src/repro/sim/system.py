@@ -17,7 +17,7 @@ from repro.addrspace.layout import SHARED_BASE
 from repro.mem.cache.cache import Cache
 from repro.mem.cache.hierarchy import build_cpu_hierarchy, build_gpu_hierarchy
 from repro.mem.cache.replacement import HybridLocalityPolicy, ReplacementPolicy
-from repro.mem.coherence.api import CoherenceProtocol, protocol_for, resolve_protocol_kind
+from repro.mem.coherence.api import CoherenceProtocol, protocol_for
 from repro.mem.coherence.directory import Directory
 from repro.mem.coherence.protocol import set_block_state
 from repro.mem.dram.controller import DramSystem
@@ -136,7 +136,6 @@ def _is_shared_addr(addr: int) -> bool:
 def build_machine(
     config: Optional[SystemConfig] = None,
     l3_policy: Optional[ReplacementPolicy] = None,
-    hardware_coherence: bool = False,
     shared_predicate: Callable[[int], bool] = _is_shared_addr,
     l1_prefetch: bool = False,
     gpu_mode: str = "heuristic",
@@ -148,9 +147,8 @@ def build_machine(
     :class:`HybridLocalityPolicy` for the §II-B5 hybrid scheme);
     ``coherence`` selects the protocol variant over the shared window
     (``"none"``, ``"snoop"``, ``"directory"``, or a
-    :class:`~repro.taxonomy.CoherenceKind`); ``hardware_coherence`` is the
-    legacy boolean spelling of ``coherence="directory"`` (``coherence``
-    wins when both are given); ``l1_prefetch`` attaches next-line
+    :class:`~repro.taxonomy.CoherenceKind`; default ``"none"``);
+    ``l1_prefetch`` attaches next-line
     prefetchers to both L1 data caches; ``gpu_mode`` selects the GPU
     scheduler (``"heuristic"`` or ``"warp"``).
     """
@@ -175,11 +173,7 @@ def build_machine(
         l1_prefetcher=NextLinePrefetcher() if l1_prefetch else None,
     )
 
-    if coherence is None:
-        protocol_kind = "directory" if hardware_coherence else "none"
-    else:
-        protocol_kind = resolve_protocol_kind(coherence)
-    protocol = protocol_for(protocol_kind, config.l3.line_bytes)
+    protocol = protocol_for(coherence, config.l3.line_bytes)
     cpu_top: MemoryLevel = cpu_l1d
     gpu_top: MemoryLevel = gpu_l1d
     if protocol is not None:

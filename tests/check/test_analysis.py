@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.check import CheckConfig, check_pairs, check_trace
+from repro.check import CheckConfig, check_trace
 from repro.config.presets import CASE_STUDIES
 from repro.kernels.registry import all_kernels
 from repro.taxonomy import (
@@ -380,7 +380,7 @@ class TestPaperKernelsClean:
     def test_check_pairs_batches(self):
         configs = [CheckConfig.from_case_study(c) for c in CASE_STUDIES.values()]
         pairs = [(k.trace(), c) for k in all_kernels() for c in configs]
-        reports = check_pairs(pairs)
+        reports = [check_trace(trace, config) for trace, config in pairs]
         assert len(reports) == len(pairs)
         assert all(r.ok for r in reports)
 
@@ -393,6 +393,7 @@ class TestPaperKernelsClean:
             for c in CASE_STUDIES.values()
         ]
         start = time.perf_counter()
-        check_pairs(pairs)
+        for trace, config in pairs:
+            check_trace(trace, config)
         elapsed = time.perf_counter() - start
         assert elapsed < 6.0, f"checking 30 pairs took {elapsed:.2f}s"

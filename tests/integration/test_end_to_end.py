@@ -107,7 +107,7 @@ class TestDetailedMachineWithLocality:
 
     def test_coherent_machine_invalidates_across_pus(self):
 
-        machine = build_machine(hardware_coherence=True)
+        machine = build_machine(coherence="directory")
         shared = 0x3000_0000
         machine.cpu_core.memory.access(shared, is_write=False)
         machine.gpu_core.memory.access(shared, is_write=True)

@@ -1,29 +1,12 @@
-"""Tests for the span tracer and its Chrome trace_event export."""
+"""Tests for the results-built tracer and its Chrome trace_event export."""
 
 import json
 
-from repro.config.presets import CASE_STUDIES
 from repro.core.explorer import Explorer
-from repro.obs.tracing import NULL_TRACER, Tracer, trace_from_results
-from repro.sim.fast import FastSimulator
-
-
-def _first_case():
-    return next(iter(CASE_STUDIES.values()))
+from repro.obs.tracing import Tracer, trace_from_results
 
 
 class TestTracer:
-    def test_disabled_tracer_records_nothing(self):
-        t = Tracer(enabled=False)
-        t.complete("p", "t", "span", 0.0, 1.0)
-        t.instant("p", "t", "mark", 0.0)
-        t.counter("p", "t", "c", 0.0, {"v": 1.0})
-        assert t.events == []
-        assert t.track_count == 0
-
-    def test_null_tracer_is_disabled(self):
-        assert NULL_TRACER.enabled is False
-
     def test_tracks_get_stable_ids_and_metadata(self):
         t = Tracer()
         pid1, tid1 = t.track("proc", "cpu-core")
@@ -38,7 +21,6 @@ class TestTracer:
     def test_chrome_json_round_trip(self):
         t = Tracer()
         t.complete("proc", "cpu-core", "work", 0.0, 10.0, args={"n": 1})
-        t.instant("proc", "cpu-core", "mark", 5.0)
         t.counter("proc", "l3", "l3", 10.0, {"hits": 3.0})
         data = json.loads(t.to_json())
         assert data["displayTimeUnit"] == "ms"
@@ -50,7 +32,7 @@ class TestTracer:
             assert "pid" in event
             assert "tid" in event
         phases = {e["ph"] for e in events}
-        assert {"M", "X", "i", "C"} <= phases
+        assert {"M", "X", "C"} <= phases
 
     def test_write_produces_loadable_file(self, tmp_path):
         t = Tracer()
@@ -59,33 +41,6 @@ class TestTracer:
         t.write(str(path))
         data = json.loads(path.read_text())
         assert len(data["traceEvents"]) >= 1
-
-    def test_span_context_manager_measures_wall_clock(self):
-        t = Tracer()
-        with t.span("proc", "runner", "stage"):
-            pass
-        spans = [e for e in t.events if e["ph"] == "X"]
-        assert len(spans) == 1
-        assert spans[0]["dur"] >= 0.0
-
-
-class TestSimulatorTracing:
-    def test_fast_simulator_emits_per_domain_tracks(self):
-        t = Tracer()
-        sim = FastSimulator(tracer=t)
-        from repro.kernels import kernel
-
-        sim.run(kernel("reduction").trace(), case=_first_case())
-        assert t.track_count >= 3  # cpu-core, gpu-core, comm domain
-        spans = [e for e in t.events if e["ph"] == "X"]
-        assert spans
-
-    def test_disabled_tracing_adds_no_events(self):
-        sim = FastSimulator()
-        from repro.kernels import kernel
-
-        sim.run(kernel("reduction").trace(), case=_first_case())
-        assert NULL_TRACER.events == []
 
 
 class TestTraceFromResults:

@@ -42,9 +42,9 @@ class TestBuildMachine:
         machine.cpu_core.memory.access(0x9000)
         assert machine.l3.hits == 1
 
-    @pytest.mark.parametrize("hardware_coherence", [False, True])
-    def test_negative_address_rejected(self, hardware_coherence):
-        machine = build_machine(hardware_coherence=hardware_coherence)
+    @pytest.mark.parametrize("coherence", ["none", "directory"])
+    def test_negative_address_rejected(self, coherence):
+        machine = build_machine(coherence=coherence)
         with pytest.raises(SimulationError, match="negative address"):
             machine.cpu_core.memory.access(-64)
         assert machine.dram.stats()["requests"] == 0
@@ -55,7 +55,7 @@ class TestBuildMachine:
         assert machine.l3.policy is policy
 
     def test_stats_include_all_components(self):
-        machine = build_machine(hardware_coherence=True)
+        machine = build_machine(coherence="directory")
         stats = machine.stats()
         assert set(stats) >= {
             "cpu_core",
@@ -72,12 +72,12 @@ class TestBuildMachine:
 
 class TestCoherentFront:
     def test_private_addresses_skip_the_directory(self):
-        machine = build_machine(hardware_coherence=True)
+        machine = build_machine(coherence="directory")
         machine.cpu_core.memory.access(PRIVATE, is_write=True)
         assert machine.directory.stats()["tracked_lines"] == 0
 
     def test_shared_write_invalidates_peer_caches(self):
-        machine = build_machine(hardware_coherence=True)
+        machine = build_machine(coherence="directory")
         machine.gpu_core.memory.access(SHARED)
         assert machine.gpu_l1d.contains(SHARED)
         machine.cpu_core.memory.access(SHARED, is_write=True)
@@ -85,7 +85,7 @@ class TestCoherentFront:
         assert machine.directory.invalidations_sent == 1
 
     def test_coherence_traffic_charged_as_latency(self):
-        machine = build_machine(hardware_coherence=True)
+        machine = build_machine(coherence="directory")
         machine.gpu_core.memory.access(SHARED)
         machine.cpu_core.memory.access(SHARED, is_write=True)
         front = machine.cpu_core.memory
@@ -93,14 +93,14 @@ class TestCoherentFront:
         assert front.coherence_latency > 0
 
     def test_read_sharing_needs_no_invalidation(self):
-        machine = build_machine(hardware_coherence=True)
+        machine = build_machine(coherence="directory")
         machine.cpu_core.memory.access(SHARED)
         machine.gpu_core.memory.access(SHARED)
         assert machine.directory.invalidations_sent == 0
 
     def test_custom_shared_predicate(self):
         machine = build_machine(
-            hardware_coherence=True, shared_predicate=lambda addr: addr >= 0x100
+            coherence="directory", shared_predicate=lambda addr: addr >= 0x100
         )
         machine.cpu_core.memory.access(0x200, is_write=True)
         assert machine.directory.stats()["tracked_lines"] == 1

@@ -209,6 +209,27 @@ class TestCodegen:
         assert "MemcpyHosttoDevice" in dis
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--json"],
+            ["check", "--sarif"],
+            ["check", "--metrics-out"],
+            ["figure", "5", "--trace-out"],
+            ["export"],
+        ],
+        ids=["check-json", "check-sarif", "check-metrics-out", "figure-trace-out", "export"],
+    )
+    def test_unwritable_path_is_config_error(self, argv, tmp_path, capsys):
+        from repro.cli import EXIT_CONFIG_ERROR
+
+        target = tmp_path / "missing-dir" / "x"
+        assert main(argv + [str(target)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err == f"repro-explore: cannot write {target}: No such file or directory\n"
+
+
 class TestExport:
     def test_export_writes_json(self, tmp_path, capsys):
         import json
