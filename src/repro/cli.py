@@ -168,7 +168,6 @@ def _explorer_from_args(args: argparse.Namespace) -> Explorer:
         retry=RetryPolicy(retries=retries) if retries else None,
         job_timeout=getattr(args, "job_timeout", None),
         store=store,
-        warm_dir=getattr(args, "warm", None),
     )
 
 
@@ -422,7 +421,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         load_bench_json,
         run_coherence_bench,
         run_hotpath_bench,
-        run_scale_bench,
         run_store_bench,
         run_sweep_bench,
         write_bench_json,
@@ -468,15 +466,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             doc["store"] = store_doc["store"]
         else:
             doc = store_doc
-    if args.mode in ("scale", "all"):
-        scale_doc = run_scale_bench(
-            jobs=args.scale_jobs,
-            kernels=args.kernel or None,
-        )
-        if doc:
-            doc["scaling"] = scale_doc["scaling"]
-        else:
-            doc = scale_doc
     _out(format_bench(doc))
     if args.out:
         write_bench_json(args.out, doc)
@@ -620,7 +609,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store_path=args.store,
         retries=args.retries,
         job_timeout=args.job_timeout,
-        warm_dir=args.warm,
     )
     _out(f"serving on {server.address} (Ctrl-C to stop)")
     server.serve_forever()
@@ -708,16 +696,6 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
         help="worker processes for simulation fan-out (default 1 = "
         "in-process; 'auto' = one per CPU core; results are identical at "
         "any job count)",
-    )
-    parser.add_argument(
-        "--warm",
-        metavar="DIR",
-        default=None,
-        help="share compiled trace segments across worker processes "
-        "through a shared-memory region indexed under this directory; "
-        "workers start pre-warmed from it instead of recompiling "
-        "(falls back to private caches where shared memory is "
-        "unavailable)",
     )
     parser.add_argument(
         "--stats",
@@ -925,14 +903,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_bench.add_argument(
         "--mode",
-        choices=("hotpath", "sweep", "coherence", "store", "scale", "all"),
+        choices=("hotpath", "sweep", "coherence", "store", "all"),
         default="hotpath",
         help="hotpath: reference oracle vs production per kernel; sweep: per-point vs "
         "batched design-point axis on a rank-style workload; coherence: "
         "protocol-on vs protocol-off simulation overhead; store: "
-        "warm-store vs cold sweep wall-clock; scale: sharded-vs-flat "
-        "full-space rank and cold-vs-warm pool startup; all: every "
-        "section (default hotpath)",
+        "warm-store vs cold sweep wall-clock; all: every section "
+        "(default hotpath)",
     )
     p_bench.add_argument(
         "--scale",
@@ -964,14 +941,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="N",
         help="sample every Nth feasible design point for the store "
         "workload (default 8 — the cold side simulates every point)",
-    )
-    p_bench.add_argument(
-        "--scale-jobs",
-        type=int,
-        default=4,
-        metavar="N",
-        help="worker processes for the scale mode's flat and sharded "
-        "sides (default 4 — the acceptance criterion's pool width)",
     )
     p_bench.add_argument(
         "--repeats",
@@ -1140,15 +1109,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="N",
         help="worker processes per evaluation (default 1; 'auto' = one "
         "per CPU core)",
-    )
-    p_serve.add_argument(
-        "--warm",
-        metavar="DIR",
-        default=None,
-        help="shared compile-cache region directory: worker pools start "
-        "pre-warmed from it and publish new compilations back "
-        "(falls back to private caches where shared memory is "
-        "unavailable)",
     )
     p_serve.add_argument(
         "--queue-depth",

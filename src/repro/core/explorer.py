@@ -133,7 +133,6 @@ class Explorer:
         retry: Optional[RetryPolicy] = None,
         job_timeout: Optional[float] = None,
         store: Optional[ResultStore] = None,
-        warm_dir: Optional[str] = None,
     ) -> None:
         self.system = system or SystemConfig()
         self.comm_params = comm_params or CommParams()
@@ -151,30 +150,8 @@ class Explorer:
         #: ``job_timeout`` caps each pool job's wall-clock. All default to
         #: off, keeping the clean path byte-identical.
         self.faults = faults if (faults is not None and faults.active) else None
-        #: With ``warm_dir`` the segment-compile cache grows a shared tier
-        #: (:mod:`repro.perf.warm`): this process publishes compilations
-        #: into a shared-memory region under that directory, and every
-        #: pool worker attaches to it — pre-warming its local cache — via
-        #: the runner's initializer. Falls back to private caches (region
-        #: disabled) when shared memory is unavailable.
-        self.warm_region = None
-        initializer = None
-        initargs: tuple = ()
-        if warm_dir is not None:
-            from repro.perf.compiled import SHARED_COMPILE_CACHE
-            from repro.perf.warm import SharedCompileRegion, attach_region
-
-            self.warm_region = SharedCompileRegion(warm_dir)
-            SHARED_COMPILE_CACHE.shared = self.warm_region
-            initializer = attach_region
-            initargs = (warm_dir,)
         self.runner = ParallelRunner(
-            jobs=jobs,
-            stats=self.run_stats,
-            retry=retry,
-            job_timeout=job_timeout,
-            initializer=initializer,
-            initargs=initargs,
+            jobs=jobs, stats=self.run_stats, retry=retry, job_timeout=job_timeout
         )
         self.trace_cache = trace_cache if trace_cache is not None else SHARED_TRACE_CACHE
         #: With ``store`` the result memo is backed by a durable
@@ -213,11 +190,9 @@ class Explorer:
     def cache_stats(self) -> "Dict[str, Dict[str, float]]":
         """The memo layer's stats dicts, keyed by cache name.
 
-        The warm-start observability surface (``--metrics-out`` emits
-        these as ``exec.cache.*``, serve as ``/metrics`` lines):
-        ``compile`` is this process's segment-compile cache, whose
-        ``shared_hits``/``published`` counters show the shared region
-        working; the compile activity of every job the runner ran, in a
+        ``--metrics-out`` emits these as ``exec.cache.*``, serve as
+        ``/metrics`` lines. ``compile`` is this process's segment-compile
+        cache; the compile activity of every job the runner ran, in a
         worker or in-process, arrives separately through the
         ``exec.compile.*`` counters.
         """

@@ -24,7 +24,7 @@ from repro.config.system import SystemConfig
 from repro.core.design_point import DesignPoint
 from repro.core.explorer import Explorer
 from repro.core.space import DesignSpace
-from repro.errors import DesignSpaceError, SimulationError
+from repro.errors import ConfigError, DesignSpaceError, SimulationError
 from repro.exec.retry import RetryPolicy
 from repro.faults.spec import FaultPlan
 from repro.kernels.base import Kernel
@@ -109,13 +109,17 @@ def fault_sensitivity(
     when missing, so each point always has a clean baseline). The fault
     plans and the retry policy are fully seeded — the backoff policy uses
     zero delay, so the sweep never actually sleeps — making the whole
-    ranking deterministic for a given ``seed``.
+    ranking deterministic for a given ``seed``. A rate outside [0, 1]
+    raises :class:`~repro.errors.ConfigError`.
     """
     if points is None:
         points = DesignSpace().feasible_points()
     points = list(points)
     kernels = list(kernels or all_kernels())
     rates = list(rates)
+    bad = [r for r in rates if not 0.0 <= r <= 1.0]
+    if bad:
+        raise ConfigError(f"fault rates must be in [0, 1], got {bad[0]:g}")
     if not rates or rates[0] != 0.0:
         rates = [0.0] + [r for r in rates if r != 0.0]
     if not points:

@@ -35,7 +35,7 @@ __all__ = ["SimJob", "run_sim_job", "run_sim_job_counted"]
 
 #: The :data:`~repro.perf.compiled.SHARED_COMPILE_CACHE` counters a job's
 #: compile delta reports (the ``exec.compile.*`` metrics).
-_COMPILE_COUNTERS = ("hits", "misses", "shared_hits", "published")
+_COMPILE_COUNTERS = ("hits", "misses")
 
 
 @dataclass(frozen=True)
@@ -241,9 +241,7 @@ def run_sim_job_counted(job: SimJob) -> Tuple[SimulationResult, Dict[str, int]]:
     The delta comes off the executing process's global
     :data:`~repro.perf.compiled.SHARED_COMPILE_CACHE` and counts only this
     job's lookups, so a persistent worker's history does not leak in. The
-    runner folds it into the ``exec.compile.*`` counters: with a
-    warm-started pool (:func:`repro.perf.warm.attach_region`) a warm
-    run's ``misses`` is ~0, and that is what this makes observable.
+    runner folds it into the ``exec.compile.*`` counters.
     """
     before = _compile_counts()
     result = run_sim_job(job)

@@ -103,9 +103,7 @@ class ParallelRunner:
     ``jobs`` (never shrunk to a small trailing batch — shard dispatch
     sends uneven waves through the same pool), reused across :meth:`map`
     calls, and torn down only by supervision (crash/timeout rebuilds) or
-    :meth:`close`. ``initializer``/``initargs`` run in every spawned
-    worker — the warm-start hook
-    (:func:`repro.perf.warm.attach_region`) rides in here.
+    :meth:`close`.
     """
 
     def __init__(
@@ -115,8 +113,6 @@ class ParallelRunner:
         retry: Optional[RetryPolicy] = None,
         job_timeout: Optional[float] = None,
         sleep: Callable[[float], None] = time.sleep,
-        initializer: Optional[Callable[..., None]] = None,
-        initargs: Sequence[object] = (),
     ) -> None:
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -129,8 +125,6 @@ class ParallelRunner:
         self.retry = retry or NO_RETRY
         self.job_timeout = job_timeout
         self._sleep = sleep
-        self.initializer = initializer
-        self.initargs = tuple(initargs)
         self._pool: "object | None" = None
 
     # -- pool lifecycle ----------------------------------------------------
@@ -140,11 +134,7 @@ class ParallelRunner:
         if self._pool is None:
             import concurrent.futures
 
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=self.initializer,
-                initargs=self.initargs,
-            )
+            self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.jobs)
         return self._pool
 
     def _teardown_pool(self) -> None:
@@ -175,7 +165,7 @@ class ParallelRunner:
         Pool executors spawn workers lazily per submission and reuse idle
         ones, so a quiet pool may hold fewer than ``jobs`` processes. This
         submits ``jobs`` brief holds that must overlap, forcing every
-        worker (and its initializer) to start before real work arrives.
+        worker to start before real work arrives.
         Best-effort: False when pools are unavailable here.
         """
         if self.jobs <= 1:

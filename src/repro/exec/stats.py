@@ -58,20 +58,11 @@ class RunStats:
         #: or in-process), folded in per job from
         #: :func:`~repro.exec.job.run_sim_job_counted` deltas by
         #: :meth:`~repro.exec.runner.ParallelRunner.run_jobs`.
-        #: ``compile.misses`` ~0 across a warm run is the warm-start success
-        #: signal: every worker served compilations from its pre-warmed
-        #: cache or the shared region instead of recompiling.
         self._compile_hits = self.metrics.counter(
-            "compile.hits", unit="lookups", description="worker compile-cache local hits"
+            "compile.hits", unit="lookups", description="worker compile-cache hits"
         )
         self._compile_misses = self.metrics.counter(
             "compile.misses", unit="lookups", description="worker segment compilations (cold lookups)"
-        )
-        self._compile_shared_hits = self.metrics.counter(
-            "compile.shared_hits", unit="lookups", description="worker compile-cache hits served from the shared region"
-        )
-        self._compile_published = self.metrics.counter(
-            "compile.published", unit="segments", description="compilations published to the shared region"
         )
         #: One wall-clock timer per named stage, created on first use.
         self._stage_timers: Dict[str, Timer] = {}
@@ -108,8 +99,6 @@ class RunStats:
         """Fold one job's compile-cache delta into the counters."""
         self._compile_hits.inc(int(delta.get("hits", 0)))
         self._compile_misses.inc(int(delta.get("misses", 0)))
-        self._compile_shared_hits.inc(int(delta.get("shared_hits", 0)))
-        self._compile_published.inc(int(delta.get("published", 0)))
 
     def _stage_timer(self, name: str) -> Timer:
         timer = self._stage_timers.get(name)
@@ -175,14 +164,6 @@ class RunStats:
     @property
     def compile_misses(self) -> int:
         return self._compile_misses.value
-
-    @property
-    def compile_shared_hits(self) -> int:
-        return self._compile_shared_hits.value
-
-    @property
-    def compile_published(self) -> int:
-        return self._compile_published.value
 
     @property
     def stage_seconds(self) -> Dict[str, float]:

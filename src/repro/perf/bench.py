@@ -32,16 +32,6 @@ store, every group of points simulated and written through) and warm
 every group is a disk hit). Both evaluation lists are asserted equal
 before either timing is reported.
 
-A fifth mode, :func:`run_scale_bench`, measures the machine-saturation
-path: the full 1933-point rank as one in-process shard and as
-``2 x jobs`` shards on a prestarted pool (identity-checked; the rank
-engine's own speed record is the ``rank-full`` workload of the repository
-benchmark), plus a detailed sweep run cold (empty shared compile
-region, workers compile) and warm (region populated, workers pre-warmed
-by :func:`repro.perf.warm.attach_region` — steady-state worker compile
-misses must be ~0). Its document section is named ``scaling`` because
-the hotpath section already uses ``scale`` for the trace-scale factor.
-
 Comparisons against a stored baseline use the *speedup ratio* (or, for
 the coherence section, the slowdown ratio), not raw wall-clock —
 absolute seconds differ across machines, but both sides of each ratio
@@ -69,7 +59,6 @@ __all__ = [
     "run_sweep_bench",
     "run_coherence_bench",
     "run_store_bench",
-    "run_scale_bench",
     "format_bench",
     "compare_to_baseline",
     "write_bench_json",
@@ -95,12 +84,6 @@ COHERENCE_PROTOCOLS = ("snoop", "directory")
 #: Defaults for the store mode: same bounding kernels as the sweep mode,
 #: a coarser stride (the cold side simulates every sampled point).
 STORE_STRIDE = 8
-
-#: Defaults for the scale mode: the worker count the acceptance criterion
-#: pins (sharded + warm pool >= 2x flat at 4 jobs) and a small trace
-#: scale for the cold-vs-warm detailed pool comparison.
-SCALE_JOBS = 4
-SCALE_POOL_SCALE = 0.01
 
 
 def _geomean(values: Sequence[float]) -> float:
@@ -524,168 +507,6 @@ def run_store_bench(
     }
 
 
-def run_scale_bench(
-    jobs: int = SCALE_JOBS,
-    rank_stride: int = 1,
-    pool_scale: float = SCALE_POOL_SCALE,
-    kernels: Optional[Sequence[str]] = None,
-) -> Dict:
-    """Benchmark the machine-saturation path; returns a ``scaling`` document.
-
-    Two measurements, both identity-checked before any timing is reported:
-
-    - *rank*: every ``rank_stride``-th feasible design point (stride 1 =
-      the full 1933-point space) ranked with ``shards=1`` (one shard,
-      in-process) and with ``shards=2*jobs`` on the prestarted pool. The
-      flattened evaluation lists must match exactly; the speedup is
-      recorded but not gated.
-    - *pool*: the detailed case-study grid over the bounding kernels,
-      through the Explorer's one detailed path (one job per point, via
-      :meth:`~repro.exec.runner.ParallelRunner.run_jobs`, as ``figure``
-      and ``serve`` run it), run cold — fresh shared compile region,
-      every worker compiles its segments — then warm — a new explorer and
-      pool against the region the cold run populated, workers pre-warmed
-      by the :func:`~repro.perf.warm.attach_region` initializer. The warm
-      run's ``exec.compile.misses`` is recorded; with shared memory
-      available it is ~0, and the CI baseline comparison gates on that.
-
-    When shared memory is unavailable the region disables itself and the
-    pool comparison degrades to private caches (misses stay nonzero); the
-    document records ``shm_available`` so comparisons can tell the two
-    apart rather than failing the fallback path.
-    """
-    if jobs < 1:
-        raise ConfigError(f"bench jobs must be >= 1, got {jobs}")
-    if rank_stride < 1:
-        raise ConfigError(f"bench rank stride must be >= 1, got {rank_stride}")
-    if pool_scale <= 0:
-        raise ConfigError(f"bench pool scale must be positive, got {pool_scale}")
-    import os
-    import shutil
-    import tempfile
-
-    from repro.core.explorer import Explorer
-    from repro.core.space import DesignSpace
-    from repro.exec.cache import TraceCache
-    from repro.perf.compiled import SHARED_COMPILE_CACHE
-    from repro.perf.warm import shm_available
-
-    selected = [kernel(name) for name in (kernels or SWEEP_KERNELS)]
-    points = DesignSpace().feasible_points()[::rank_stride]
-    shards = max(2 * jobs, 1)
-
-    def _flat_evals(evaluations):
-        return [
-            (
-                e.point.label,
-                e.mean_seconds,
-                e.mean_comm_fraction,
-                e.comm_lines_total,
-                e.locality_options,
-            )
-            for e in evaluations
-        ]
-
-    # -- rank: one shard vs 2 x jobs shards -----------------------------
-    explorer = Explorer(jobs=jobs, trace_cache=TraceCache())
-    try:
-        explorer.runner.prestart()
-        start = time.perf_counter()
-        one_shard_evaluations = explorer.rank_design_points(
-            points, selected, shards=1
-        )
-        one_shard_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        sharded_evaluations = explorer.rank_design_points(
-            points, selected, shards=shards
-        )
-        sharded_seconds = time.perf_counter() - start
-    finally:
-        explorer.runner.close()
-
-    if _flat_evals(sharded_evaluations) != _flat_evals(one_shard_evaluations):
-        raise SimulationError(
-            "scale bench identity violation: the sharded ranking differs "
-            "from the one-shard ranking"
-        )
-
-    # -- pool: cold vs warm shared compile region -----------------------
-    root = tempfile.mkdtemp(prefix="repro-scale-bench-")
-    warm_root = os.path.join(root, "warm-region")
-    region = None
-    try:
-        explorer = Explorer(
-            jobs=jobs,
-            detailed_scale=pool_scale,
-            trace_cache=TraceCache(),
-            warm_dir=warm_root,
-        )
-        try:
-            start = time.perf_counter()
-            cold_results = explorer.run_case_studies_detailed(selected)
-            cold_seconds = time.perf_counter() - start
-            cold_misses = explorer.run_stats.compile_misses
-        finally:
-            explorer.runner.close()
-
-        explorer = Explorer(
-            jobs=jobs,
-            detailed_scale=pool_scale,
-            trace_cache=TraceCache(),
-            warm_dir=warm_root,
-        )
-        region = explorer.warm_region
-        try:
-            explorer.runner.prestart()
-            start = time.perf_counter()
-            warm_results = explorer.run_case_studies_detailed(selected)
-            warm_seconds = time.perf_counter() - start
-            warm_misses = explorer.run_stats.compile_misses
-        finally:
-            explorer.runner.close()
-
-        if warm_results != cold_results:
-            raise SimulationError(
-                "scale bench identity violation: warm-pool detailed grid "
-                "differs from the cold run that populated the region"
-            )
-    finally:
-        if region is not None:
-            region.destroy()
-        SHARED_COMPILE_CACHE.shared = None
-        shutil.rmtree(root, ignore_errors=True)
-
-    return {
-        "schema": SCHEMA,
-        "scaling": {
-            "jobs": jobs,
-            "shm_available": shm_available(),
-            "rank": {
-                "points": len(points),
-                "stride": rank_stride,
-                "shards": shards,
-                "kernels": [k.name for k in selected],
-                "one_shard_seconds": one_shard_seconds,
-                "sharded_seconds": sharded_seconds,
-                "speedup": (
-                    one_shard_seconds / sharded_seconds
-                    if sharded_seconds > 0
-                    else 0.0
-                ),
-            },
-            "pool": {
-                "scale": pool_scale,
-                "kernels": [k.name for k in selected],
-                "cold_seconds": cold_seconds,
-                "warm_seconds": warm_seconds,
-                "cold_compile_misses": cold_misses,
-                "warm_compile_misses": warm_misses,
-                "speedup": cold_seconds / warm_seconds if warm_seconds > 0 else 0.0,
-            },
-        },
-    }
-
-
 def format_bench(doc: Dict) -> str:
     """Human-readable report of a bench document."""
     from repro.core.report import format_table
@@ -784,36 +605,6 @@ def format_bench(doc: Dict) -> str:
                 ),
             )
         )
-    scaling = doc.get("scaling")
-    if scaling is not None:
-        rank_cell = scaling["rank"]
-        pool_cell = scaling["pool"]
-        rows = [
-            (
-                f"rank ({rank_cell['points']} pts, {rank_cell['shards']} shards)",
-                f"{rank_cell['one_shard_seconds']:.3f}",
-                f"{rank_cell['sharded_seconds']:.3f}",
-                f"{rank_cell['speedup']:.2f}x",
-            ),
-            (
-                f"pool ({', '.join(pool_cell['kernels'])})",
-                f"{pool_cell['cold_seconds']:.3f}",
-                f"{pool_cell['warm_seconds']:.3f}",
-                f"{pool_cell['speedup']:.2f}x",
-            ),
-        ]
-        lines.append(
-            format_table(
-                ("workload", "1 shard/cold s", "sharded/warm s", "speedup"),
-                rows,
-                title=(
-                    f"Machine-scale sweep — {scaling['jobs']} jobs, warm "
-                    f"compile misses {pool_cell['warm_compile_misses']} "
-                    f"(cold {pool_cell['cold_compile_misses']}; shm "
-                    f"{'on' if scaling['shm_available'] else 'off'})"
-                ),
-            )
-        )
     return "\n\n".join(lines)
 
 
@@ -897,19 +688,6 @@ def compare_to_baseline(
                 f"store: warm-start speedup {cur_cell['speedup']:.2f}x "
                 f"fell below {floor:.2f}x "
                 f"(baseline {base_cell['speedup']:.2f}x - {tolerance:.0%})"
-            )
-    if current.get("scaling"):
-        cur_scaling = current["scaling"]
-        # The rank cell carries no floor: its identity check is the gate.
-        # Not baseline-relative: a warm pool recompiling is a warm-start
-        # bug regardless of what any stored run did — unless shared
-        # memory is off, where private caches legitimately recompile.
-        pool = cur_scaling["pool"]
-        if cur_scaling.get("shm_available") and pool["warm_compile_misses"]:
-            problems.append(
-                f"scaling/pool: warm run recompiled "
-                f"{pool['warm_compile_misses']} segment(s) with the shared "
-                f"region available (expected ~0 worker compile misses)"
             )
     return problems
 

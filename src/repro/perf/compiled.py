@@ -118,10 +118,7 @@ class CompiledSegment:
             np.asarray(taken, dtype=np.bool_),
         )
         # Build the event encoding eagerly: a compilation always ends up
-        # executed through `events`, and building it here means a compiled
-        # segment that crosses a process boundary (``repro.exec`` worker
-        # fan-out pickles warm caches' entries) arrives ready to run
-        # instead of every worker re-deriving the same event list.
+        # executed through `events`.
         compiled._events = compiled._build_events()
         return compiled
 
@@ -218,36 +215,19 @@ class SegmentCompileCache:
     the same compilation. The cache is LRU-bounded because address-space
     staging rewrites segment base addresses, producing a fresh key per
     (kernel, space) pair.
-
-    ``shared`` is an optional second tier — duck-typed as anything with
-    ``load(segment) -> CompiledSegment | None`` and ``publish(segment,
-    compiled) -> bool``, in practice a
-    :class:`~repro.perf.warm.SharedCompileRegion`. Lookups fall through
-    local LRU → shared region → compile-and-publish; a shared hit counts
-    as ``shared_hits`` (not a miss — no compilation happened) and lands in
-    the local LRU copy-on-read.
     """
 
-    def __init__(self, capacity: int = 256, shared: "object | None" = None) -> None:
+    def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise ValueError("compile cache capacity must be positive")
         self.capacity = capacity
         self._store: "OrderedDict[Segment, CompiledSegment]" = OrderedDict()
-        self.shared = shared
         self.hits = 0
         self.misses = 0
-        self.shared_hits = 0
-        self.published = 0
         self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._store)
-
-    def _insert(self, segment: Segment, compiled: CompiledSegment) -> None:
-        self._store[segment] = compiled
-        while len(self._store) > self.capacity:
-            self._store.popitem(last=False)
-            self.evictions += 1
 
     def get(self, segment: Segment) -> CompiledSegment:
         """The compiled form of ``segment`` (compiling on first sight)."""
@@ -256,40 +236,26 @@ class SegmentCompileCache:
             self.hits += 1
             self._store.move_to_end(segment)
             return compiled
-        shared = self.shared
-        if shared is not None:
-            compiled = shared.load(segment)
-            if compiled is not None:
-                self.shared_hits += 1
-                self._insert(segment, compiled)
-                return compiled
         self.misses += 1
         compiled = CompiledSegment.from_segment(segment)
-        if shared is not None and shared.publish(segment, compiled):
-            self.published += 1
-        self._insert(segment, compiled)
+        self._store[segment] = compiled
+        while len(self._store) > self.capacity:
+            self._store.popitem(last=False)
+            self.evictions += 1
         return compiled
-
-    def seed(self, segment: Segment, compiled: CompiledSegment) -> None:
-        """Insert without touching the counters (pool pre-warming)."""
-        self._insert(segment, compiled)
 
     def clear(self) -> None:
         self._store.clear()
         self.hits = 0
         self.misses = 0
-        self.shared_hits = 0
-        self.published = 0
         self.evictions = 0
 
     def stats(self) -> "Dict[str, int | float]":
-        lookups = self.hits + self.shared_hits + self.misses
+        lookups = self.hits + self.misses
         return {
             "entries": len(self._store),
             "hits": self.hits,
             "misses": self.misses,
-            "shared_hits": self.shared_hits,
-            "published": self.published,
             "evictions": self.evictions,
             "hit_rate": self.hits / lookups if lookups else 0.0,
         }

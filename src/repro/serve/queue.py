@@ -21,7 +21,7 @@ from collections import OrderedDict, deque
 from concurrent.futures import Future
 from typing import Deque, Dict, Optional, Tuple
 
-from repro.errors import QueueFullError
+from repro.errors import ConfigError, QueueFullError
 
 __all__ = ["Job", "CoalescingQueue"]
 
@@ -69,7 +69,7 @@ class CoalescingQueue:
 
     def __init__(self, max_depth: int = 32, history: int = 256) -> None:
         if max_depth < 1:
-            raise QueueFullError(f"queue depth must be >= 1, got {max_depth}")
+            raise ConfigError(f"queue depth must be >= 1, got {max_depth}")
         self.max_depth = max_depth
         self.history = history
         self._cond = threading.Condition()

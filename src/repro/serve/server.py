@@ -601,15 +601,8 @@ def run_server(
     store_path: Optional[str] = None,
     retries: int = 0,
     job_timeout: Optional[float] = None,
-    warm_dir: Optional[str] = None,
 ) -> ExplorationServer:
-    """Build a ready-to-start server from CLI-ish parameters.
-
-    With ``warm_dir`` every explorer this service builds (boot and
-    watchdog rebuilds alike) shares one compile-cache region: worker
-    pools start pre-warmed from it, and the pool is pre-spawned at build
-    time so the first detailed request lands on warm workers.
-    """
+    """Build a ready-to-start server from CLI-ish parameters."""
     from repro.exec.retry import RetryPolicy
     from repro.store import ResultStore
 
@@ -618,16 +611,12 @@ def run_server(
     store = ResultStore(store_path) if store_path else None
 
     def factory() -> Explorer:
-        explorer = Explorer(
+        return Explorer(
             jobs=jobs,
             retry=RetryPolicy(retries=retries) if retries else None,
             job_timeout=job_timeout,
             store=store,
-            warm_dir=warm_dir,
         )
-        if warm_dir is not None and jobs > 1:
-            explorer.runner.prestart()
-        return explorer
 
     service = ExplorationService(
         explorer_factory=factory,

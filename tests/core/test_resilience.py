@@ -74,6 +74,17 @@ class TestFaultSensitivity:
         with pytest.raises(DesignSpaceError):
             fault_sensitivity(points=[], kernels=all_kernels()[:1])
 
+    @pytest.mark.parametrize("rate", [-0.5, 1.5, float("nan")])
+    def test_rate_outside_unit_interval_rejected(self, rate):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match=r"fault rates must be in \[0, 1\]"):
+            fault_sensitivity(
+                points=DesignSpace().feasible_points()[:1],
+                kernels=all_kernels()[:1],
+                rates=(0.1, rate),
+            )
+
 
 class TestFaultSensitivityDataclass:
     def _entry(self, worst):

@@ -173,79 +173,3 @@ class TestCoherenceSection:
         assert "DetailedSimulator hot path" in text
         assert "Coherence protocol overhead" in text
         assert "Batched design-point sweep" in text
-
-
-def scaling_doc(rank_speedup=3.0, warm_misses=0, shm=True):
-    return {
-        "schema": SCHEMA,
-        "scaling": {
-            "jobs": 4,
-            "shm_available": shm,
-            "rank": {
-                "points": 1933,
-                "stride": 1,
-                "shards": 8,
-                "kernels": ["reduction"],
-                "one_shard_seconds": rank_speedup,
-                "sharded_seconds": 1.0,
-                "speedup": rank_speedup,
-            },
-            "pool": {
-                "scale": 0.01,
-                "kernels": ["reduction"],
-                "cold_seconds": 1.6,
-                "warm_seconds": 1.0,
-                "cold_compile_misses": 10,
-                "warm_compile_misses": warm_misses,
-                "speedup": 1.6,
-            },
-        },
-    }
-
-
-class TestScalingSection:
-    def test_identical_docs_have_no_regressions(self):
-        assert compare_to_baseline(scaling_doc(), scaling_doc()) == []
-
-    def test_rank_speedup_is_not_gated(self):
-        # The rank cell's gate is its identity check; a slower sharded
-        # run is recorded, not a regression.
-        problems = compare_to_baseline(
-            scaling_doc(rank_speedup=0.5), scaling_doc(rank_speedup=3.0)
-        )
-        assert problems == []
-
-    def test_rank_speedup_within_tolerance_passes(self):
-        problems = compare_to_baseline(
-            scaling_doc(rank_speedup=1.6),
-            scaling_doc(rank_speedup=3.0),
-            tolerance=0.5,
-        )
-        assert problems == []
-
-    def test_scaling_only_run_skips_other_sections(self):
-        assert compare_to_baseline(scaling_doc(), full_doc()) == []
-        assert compare_to_baseline(full_doc(), scaling_doc()) == []
-
-    def test_warm_misses_flagged_even_without_a_scaling_baseline(self):
-        # Not baseline-relative: a warm pool recompiling is a warm-start
-        # bug no matter what the stored run measured.
-        problems = compare_to_baseline(scaling_doc(warm_misses=3), full_doc())
-        assert any(p.startswith("scaling/pool") for p in problems)
-
-    def test_warm_misses_tolerated_when_shm_is_off(self):
-        # Without POSIX shared memory the private caches legitimately
-        # recompile; the gate must not fire on the fallback path.
-        current = scaling_doc(warm_misses=3, shm=False)
-        assert compare_to_baseline(current, scaling_doc()) == []
-
-    def test_format_renders_the_scaling_table(self):
-        text = format_bench(scaling_doc())
-        assert "Machine-scale sweep" in text
-        assert "rank (1933 pts, 8 shards)" in text
-        assert "pool (reduction)" in text
-        assert "warm compile misses 0 (cold 10; shm on)" in text
-
-    def test_format_says_when_shm_is_off(self):
-        text = format_bench(scaling_doc(shm=False))
-        assert "shm off" in text

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import QueueFullError, ServeError
+from repro.errors import ConfigError, QueueFullError, ServeError
 from repro.serve.queue import DONE, ERROR, PENDING, RUNNING, CoalescingQueue
 
 
@@ -106,5 +106,5 @@ class TestDrain:
         assert queue.next(timeout=0.01) is None
 
     def test_bad_depth_rejected(self):
-        with pytest.raises(QueueFullError):
+        with pytest.raises(ConfigError):
             CoalescingQueue(max_depth=0)

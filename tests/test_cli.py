@@ -52,6 +52,7 @@ class TestJobsFlag:
         [
             ["serve", "--port", "-1"],
             ["serve", "--port", "70000"],
+            ["serve", "--queue-depth", "0"],
             ["rank", "--top", "-1", "--sample", "6"],
             ["rank", "--top", "0", "--sample", "6"],
             ["rank", "--sample", "-5"],
@@ -305,6 +306,14 @@ class TestFaultFlags:
 
         assert main(["faults", "--rates", "lots"]) == EXIT_CONFIG_ERROR
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rates", ["-0.5", "0.1,1.5"])
+    def test_rate_outside_unit_interval_is_config_error(self, rates, capsys):
+        from repro.cli import EXIT_CONFIG_ERROR
+
+        code = main(["faults", "--sample", "4", "--rates", rates])
+        assert code == EXIT_CONFIG_ERROR
+        assert "fault rates must be in [0, 1]" in capsys.readouterr().err
 
 
 class TestCheckpointFlag:
