@@ -19,17 +19,17 @@ them to small litmus programs and upgrades the finding from *possible* to
 *confirmed* when the configured model really permits the bad outcome.
 
 Every rule reads one analysis IR: :func:`check_trace` lowers the trace
-once (memoized per trace) to a CFG of phases with per-buffer
+once (memoized per trace) to a chain of phase nodes with per-buffer
 def/use/transfer/ownership events over address atoms
 (:mod:`repro.check.ir`), and each rule family is an in-order scan of its
-nodes. The staleness and optimization rules additionally solve gen/kill
-fixpoints over it with the generic worklist solver
-(:mod:`repro.check.dataflow`). Four passes live there
-(:mod:`repro.check.passes`): reaching-transfers (LOC001 as a dataflow
-fact), buffer liveness (OPT001 dead transfers), available copies (OPT002
-redundant transfers with bytes-saved estimates), and access-mode
-inference (INF001, Table V-verified ``declareAccess`` suggestions). The
-OPT/INF rules are advisory and only run in optimize mode.
+nodes. The staleness and optimization rules additionally fold gen/kill
+transfers along the chain in one sweep (:mod:`repro.check.passes`):
+reaching-transfers (LOC001 as a dataflow fact), buffer liveness (OPT001
+dead transfers), and available copies (OPT002 redundant transfers with
+bytes-saved estimates). Access-mode inference (INF001, Table V-verified
+``declareAccess`` suggestions) reads which buffers the disjoint lowering
+copies back to the host. The OPT/INF rules are advisory and only run in
+optimize mode.
 
 Entry points:
 
@@ -43,23 +43,13 @@ Entry points:
 
 from repro.check.analysis import check_trace
 from repro.check.config import CheckConfig
-from repro.check.dataflow import (
-    DataflowProblem,
-    DataflowSolution,
-    FlowDirection,
-    GenKill,
-    Join,
-    solve,
-)
 from repro.check.findings import CheckReport, Finding, Severity, merge_reports
 from repro.check.ir import (
     AddressAtoms,
-    AnalysisCFG,
     BufferEvent,
     EventKind,
     IRNode,
     Space,
-    cfg_from_program,
     cfg_from_trace,
 )
 from repro.check.rules import RULES, Rule, rule
@@ -79,16 +69,8 @@ __all__ = [
     "EventKind",
     "BufferEvent",
     "IRNode",
-    "AnalysisCFG",
     "AddressAtoms",
     "cfg_from_trace",
-    "cfg_from_program",
-    "FlowDirection",
-    "Join",
-    "GenKill",
-    "DataflowProblem",
-    "DataflowSolution",
-    "solve",
     "to_sarif",
     "write_sarif",
 ]

@@ -42,8 +42,8 @@ are advisory — warnings that never gate simulation — so the default
 check keeps the paper kernels clean while ``--optimize`` (or the
 Explorer's ``check="optimize"``) surfaces the opportunities.
 
-Every rule is an in-order scan of the CFG nodes (the dataflow fixpoints
-converge in one sweep on linear trace CFGs); the litmus confirmation
+Every rule is an in-order scan of the IR's node chain (the dataflow
+passes are one gen/kill sweep along it); the litmus confirmation
 runs the exhaustive executor only on 4-instruction programs, so checking
 a kernel takes well under the 1 s budget. The lowering depends on the
 trace alone and is memoized, since the Explorer gate checks each trace
@@ -134,7 +134,7 @@ def _check_races(ir: TraceIR, config: CheckConfig) -> Iterable[Finding]:
         # Overlapping virtual ranges name *different* memories under a
         # disjoint space; there is nothing to race on.
         return
-    for node in ir.cfg.nodes:
+    for node in ir.nodes:
         if node.kind != "parallel":
             continue
         reads, writes = _access(node)
@@ -195,7 +195,7 @@ def _check_ownership(ir: TraceIR, config: CheckConfig) -> Iterable[Finding]:
         return
     held = 0  # shared objects currently acquired by the GPU
     last_grant_index: Optional[int] = None  # H2D with no compute since
-    for node in ir.cfg.nodes:
+    for node in ir.nodes:
         if node.kind == "comm":
             acquire = next(e for e in node.events if e.kind is EventKind.ACQUIRE)
             if acquire.space is Space.DEVICE:
@@ -243,7 +243,7 @@ def _check_transfers(ir: TraceIR, config: CheckConfig) -> Iterable[Finding]:
         return
     device_resident = False
     previous: Optional[Tuple[int, Space]] = None  # adjacent comm nodes
-    for node in ir.cfg.nodes:
+    for node in ir.nodes:
         if node.kind == "comm":
             dest = next(e.space for e in node.events if e.kind is EventKind.TRANSFER)
             if previous is not None and previous[1] is dest:
@@ -300,7 +300,7 @@ def _check_coherence(ir: TraceIR, config: CheckConfig) -> Iterable[Finding]:
 
     # COH001 — every concurrent write must land in a declared range: the
     # runtime elides invalidations for anything it was not told about.
-    for node in ir.cfg.nodes:
+    for node in ir.nodes:
         if node.kind != "parallel":
             continue
         for event in node.events:
@@ -324,7 +324,7 @@ def _check_coherence(ir: TraceIR, config: CheckConfig) -> Iterable[Finding]:
     for span in config.reduce_ranges or ():
         reduce_node: Optional[int] = None
         merged = False
-        for node in ir.cfg.nodes:
+        for node in ir.nodes:
             reads, writes = _access(node)
             if node.kind == "parallel":
                 if _meets(ir, writes[Space.HOST], span) and _meets(

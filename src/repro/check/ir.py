@@ -1,42 +1,31 @@
-"""The checker's analysis IR: a CFG of phase nodes with per-buffer events.
+"""The checker's analysis IR: a chain of phase nodes with per-buffer events.
 
 check v2 separates *what a program does to data* from *what each rule
-wants to know about it*. Lowering builds an :class:`AnalysisCFG` whose
-nodes carry :class:`BufferEvent`\\ s — definitions, uses, transfers, and
-ownership moves, each scoped to a :class:`Space` and a bitmask over
-*address atoms*. Every checker rule reads those events: most as an
-in-order scan (:mod:`repro.check.analysis`), the dataflow passes
-(:mod:`repro.check.passes`) as gen/kill problems solved by the generic
-fixpoint engine in :mod:`repro.check.dataflow`.
+wants to know about it*. :func:`cfg_from_trace` lowers a
+:class:`~repro.trace.stream.KernelTrace` to a :class:`TraceIR`: a tuple
+of :class:`IRNode`\\ s in program order, between synthetic entry and
+exit nodes, each carrying :class:`BufferEvent`\\ s — definitions, uses,
+transfers, and ownership moves, each scoped to a :class:`Space` and a
+bitmask over *address atoms*. The address ranges the trace's segments
+stride are partitioned at every interval boundary into
+:class:`AddressAtoms`: the smallest ranges the trace never subdivides,
+so a bit per atom (times two spaces) is an exact abstraction of "which
+bytes of which copy".
 
-Two lowerings produce the same IR:
-
-- :func:`cfg_from_trace` — from a :class:`~repro.trace.stream.KernelTrace`.
-  The address ranges the trace's segments stride are partitioned at every
-  interval boundary into :class:`AddressAtoms`: the smallest ranges the
-  trace never subdivides, so a bit per atom (times two spaces) is an
-  exact abstraction of "which bytes of which copy".
-- :func:`cfg_from_program` — from a lowered progmodel
-  :class:`~repro.progmodel.program.Program`, via the statement-event hook
-  (:func:`repro.progmodel.events.statement_events`). Here each named
-  buffer is one atom; the access-mode inference pass runs on this side.
-
-Trace CFGs are linear today (phase follows phase), but the solver is
-written against arbitrary graphs: the ROADMAP's MMU-axis rules will join
-per-PU event streams, and the hypothesis suite already exercises random
-graph shapes.
+Every checker rule reads those events: most as an in-order scan
+(:mod:`repro.check.analysis`), the dataflow passes
+(:mod:`repro.check.passes`) as one gen/kill sweep along the chain. Each
+node has at most one predecessor, so that sweep is the fixpoint; a
+branching IR would only be needed for per-PU event streams that join,
+which no design axis swept today produces.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
-from repro.errors import CheckError
-from repro.progmodel.events import StmtEvent, statement_events
-from repro.progmodel.program import Program
-from repro.progmodel.spec import KernelProgramSpec
 from repro.taxonomy import ProcessingUnit
 from repro.trace.phase import CommPhase, ParallelPhase, Segment, SequentialPhase
 from repro.trace.stream import KernelTrace
@@ -46,12 +35,9 @@ __all__ = [
     "EventKind",
     "BufferEvent",
     "IRNode",
-    "AnalysisCFG",
     "AddressAtoms",
     "TraceIR",
-    "ProgramIR",
     "cfg_from_trace",
-    "cfg_from_program",
 ]
 
 
@@ -111,70 +97,18 @@ class BufferEvent:
 
 @dataclass(frozen=True)
 class IRNode:
-    """One CFG node: a phase (or statement), plus its buffer events.
+    """One IR node: a phase plus its buffer events.
 
-    ``phase_index`` is the index into the source trace's ``phases`` (or
-    the program's ``statements``); entry/exit nodes carry ``-1``.
+    ``index`` is the node's position in :attr:`TraceIR.nodes`;
+    ``phase_index`` is the index into the source trace's ``phases``, and
+    entry/exit nodes carry ``-1``.
     """
 
     index: int
-    kind: str  # "entry" | "exit" | "sequential" | "parallel" | "comm" | "stmt"
+    kind: str  # "entry" | "exit" | "sequential" | "parallel" | "comm"
     phase_index: int
     label: str = ""
     events: Tuple[BufferEvent, ...] = ()
-
-
-@dataclass(frozen=True)
-class AnalysisCFG:
-    """A control-flow graph over :class:`IRNode`\\ s.
-
-    Nodes are indexed ``0..len(nodes)-1`` (``IRNode.index`` must agree);
-    ``edges`` are directed ``(src, dst)`` pairs. Predecessor/successor
-    lists are derived once and cached. The graph need not be linear, and
-    entry/exit are purely conventional: the solver treats any node
-    without predecessors (successors) as a boundary node.
-    """
-
-    nodes: Tuple[IRNode, ...]
-    edges: Tuple[Tuple[int, int], ...]
-    _preds: Dict[int, Tuple[int, ...]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _succs: Dict[int, Tuple[int, ...]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        for i, node in enumerate(self.nodes):
-            if node.index != i:
-                raise CheckError(
-                    f"CFG node at position {i} carries index {node.index}"
-                )
-        n = len(self.nodes)
-        preds: Dict[int, List[int]] = {i: [] for i in range(n)}
-        succs: Dict[int, List[int]] = {i: [] for i in range(n)}
-        for src, dst in self.edges:
-            if not (0 <= src < n and 0 <= dst < n):
-                raise CheckError(f"CFG edge ({src}, {dst}) out of range")
-            succs[src].append(dst)
-            preds[dst].append(src)
-        object.__setattr__(
-            self, "_preds", {i: tuple(v) for i, v in preds.items()}
-        )
-        object.__setattr__(
-            self, "_succs", {i: tuple(v) for i, v in succs.items()}
-        )
-
-    def preds(self, index: int) -> Tuple[int, ...]:
-        return self._preds[index]
-
-    def succs(self, index: int) -> Tuple[int, ...]:
-        return self._succs[index]
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
 
 class AddressAtoms:
@@ -243,23 +177,12 @@ class AddressAtoms:
 
 @dataclass(frozen=True)
 class TraceIR:
-    """A trace lowered to the analysis IR: the CFG plus its atom universe."""
+    """A trace lowered to the analysis IR: the node chain plus its atom
+    universe."""
 
     trace: KernelTrace
-    cfg: AnalysisCFG
+    nodes: Tuple[IRNode, ...]
     atoms: AddressAtoms
-
-
-@dataclass(frozen=True)
-class ProgramIR:
-    """A progmodel program lowered to the IR: one atom per shared buffer."""
-
-    program: Program
-    cfg: AnalysisCFG
-    buffer_bits: Dict[str, int]
-
-    def mask_for(self, name: str) -> int:
-        return 1 << self.buffer_bits[name]
 
 
 def _segment_events(segment: Segment, atoms: AddressAtoms) -> List[BufferEvent]:
@@ -293,7 +216,8 @@ _PHASE_SHAPES: Dict[type, Callable[[Any], Tuple[str, Tuple[Segment, ...]]]] = {
 def cfg_from_trace(trace: KernelTrace) -> TraceIR:
     """Lower a kernel trace to the analysis IR.
 
-    One node per phase between synthetic entry/exit nodes, linear edges.
+    One node per phase, in program order, between synthetic entry/exit
+    nodes.
     Comm phases carry no address ranges (the paper's transfers move whole
     object sets), so a transfer conservatively delivers *all* atoms to
     the destination space, plus an ACQUIRE/RELEASE pair recording the
@@ -351,135 +275,4 @@ def cfg_from_trace(trace: KernelTrace) -> TraceIR:
             )
         )
     nodes.append(IRNode(index=len(nodes), kind="exit", phase_index=-1))
-    edges = tuple((i, i + 1) for i in range(len(nodes) - 1))
-    return TraceIR(trace=trace, cfg=AnalysisCFG(tuple(nodes), edges), atoms=atoms)
-
-
-def _host_name(name: str) -> str:
-    """Fold a device alias ("gpu_x", "x_adsm") onto its host buffer."""
-    if name.startswith("gpu_"):
-        name = name[4:]
-    if name.endswith("_adsm"):
-        name = name[: -len("_adsm")]
-    return name
-
-
-def _program_node_events(
-    event: StmtEvent, bits: Dict[str, int], spec: Optional[KernelProgramSpec]
-) -> List[BufferEvent]:
-    mask = 0
-    for name in event.buffers:
-        base = _host_name(name)
-        if base in bits:
-            mask |= 1 << bits[base]
-    if not mask:
-        return []
-    if event.kind == "copy" and event.direction is not None:
-        dest = Space.of(event.direction.destination)
-        return [
-            BufferEvent(
-                EventKind.TRANSFER,
-                dest,
-                mask,
-                label=event.label,
-                num_bytes=event.size,
-            )
-        ]
-    if event.kind == "alloc":
-        # A host allocation materializes the buffer's initial host copy;
-        # device-side allocators define nothing (the copy is garbage).
-        if event.pu is ProcessingUnit.CPU:
-            return [
-                BufferEvent(EventKind.DEF, Space.HOST, mask, label=event.label)
-            ]
-        return []
-    if event.kind == "launch":
-        space = Space.of(event.pu)
-        events = []
-        if spec is not None:
-            ins = {b.name for b in spec.inputs()}
-            outs = {b.name for b in spec.outputs()}
-            in_mask = sum(1 << bits[n] for n in ins if n in bits)
-            out_mask = sum(1 << bits[n] for n in outs if n in bits)
-            if in_mask & mask:
-                events.append(
-                    BufferEvent(
-                        EventKind.USE, space, in_mask & mask, label=event.label
-                    )
-                )
-            if out_mask & mask:
-                events.append(
-                    BufferEvent(
-                        EventKind.DEF, space, out_mask & mask, label=event.label
-                    )
-                )
-        else:
-            events.append(
-                BufferEvent(EventKind.USE, space, mask, label=event.label)
-            )
-            events.append(
-                BufferEvent(EventKind.DEF, space, mask, label=event.label)
-            )
-        return events
-    if event.kind == "acquire":
-        return [
-            BufferEvent(
-                EventKind.ACQUIRE,
-                Space.of(event.pu),
-                mask,
-                label=event.label,
-                num_objects=len(event.buffers),
-            )
-        ]
-    if event.kind == "release":
-        return [
-            BufferEvent(
-                EventKind.RELEASE,
-                Space.of(event.pu),
-                mask,
-                label=event.label,
-                num_objects=len(event.buffers),
-            )
-        ]
-    return []
-
-
-def cfg_from_program(
-    program: Program, spec: Optional[KernelProgramSpec] = None
-) -> ProgramIR:
-    """Lower a progmodel program to the analysis IR.
-
-    The universe is one atom per *host-named* buffer (device aliases like
-    ``gpu_x`` fold onto ``x``); each communication-relevant statement
-    becomes a node via the progmodel statement-event hook. With a
-    ``spec``, kernel launches split into USE (inputs) and DEF (outputs)
-    events; without one, a launch conservatively uses and defines every
-    buffer it names.
-    """
-    events = statement_events(program)
-    names: List[str] = []
-    for event in events:
-        for name in event.buffers:
-            base = _host_name(name)
-            if base not in names:
-                names.append(base)
-    bits = {name: bit for bit, name in enumerate(names)}
-
-    nodes: List[IRNode] = [IRNode(index=0, kind="entry", phase_index=-1)]
-    for event in events:
-        nodes.append(
-            IRNode(
-                index=len(nodes),
-                kind="stmt",
-                phase_index=event.index,
-                label=event.label,
-                events=tuple(_program_node_events(event, bits, spec)),
-            )
-        )
-    nodes.append(IRNode(index=len(nodes), kind="exit", phase_index=-1))
-    edges = tuple((i, i + 1) for i in range(len(nodes) - 1))
-    return ProgramIR(
-        program=program,
-        cfg=AnalysisCFG(tuple(nodes), edges),
-        buffer_bits=bits,
-    )
+    return TraceIR(trace=trace, nodes=tuple(nodes), atoms=atoms)

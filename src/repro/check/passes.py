@@ -1,25 +1,25 @@
 """The dataflow passes of check v2, phrased over the analysis IR.
 
-Each pass reads an analysis IR from :mod:`repro.check.ir` — a trace's
-:class:`~repro.check.ir.TraceIR`, which
+Each pass reads the :class:`~repro.check.ir.TraceIR` that
 :func:`~repro.check.analysis.check_trace` lowers once and hands to every
-trace pass, or a program's — states a gen/kill problem for
-:func:`repro.check.dataflow.solve`, and reads findings off the fixpoint
-facts:
+trace pass, states one gen/kill transfer per node,
+``out = gen | (in & ~kill)``, and reads findings off the facts one sweep
+along the node chain computes. Each node has at most one predecessor, so
+the sweep from the boundary fact *is* the fixpoint, for may- and
+must-analyses alike:
 
 ======================  ========  ============  ==========================
-pass                    direction join          fact (one bit per atom×space)
+pass                    direction kind          fact (one bit per atom×space)
 ======================  ========  ============  ==========================
-reaching-transfers      forward   union (may)   "the space's writes to the
+reaching-transfers      forward   may           "the space's writes to the
                                                 atom have not been pushed"
-buffer liveness         backward  union (may)   "the space's copy of the
+buffer liveness         backward  may           "the space's copy of the
                                                 atom is read downstream"
-available copies        forward   intersection  "the space's copy of the
-                                  (must)        atom is current on every
-                                                incoming path"
-access-mode inference   (runs on the program IR: classifies each shared
-                        buffer from the transfer structure of the
-                        disjoint lowering)
+available copies        forward   must          "the space's copy of the
+                                                atom is current on every
+                                                path reaching here"
+access-mode inference   (reads the disjoint lowering's device-to-host
+                        copies: each copied-back buffer is written)
 ======================  ========  ============  ==========================
 
 ``reaching-transfers`` subsumes the PR-3 staleness heuristic (LOC001) —
@@ -33,36 +33,24 @@ Table V declared counts).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.check.config import CheckConfig
-from repro.check.dataflow import (
-    DataflowProblem,
-    DataflowSolution,
-    FlowDirection,
-    GenKill,
-    Join,
-    solve,
-)
 from repro.check.findings import Finding
-from repro.check.ir import (
-    AddressAtoms,
-    EventKind,
-    Space,
-    TraceIR,
-    cfg_from_program,
-)
+from repro.check.ir import AddressAtoms, EventKind, Space, TraceIR
 from repro.check.rules import rule
 from repro.consistency.litmus import model_for_design
 from repro.consistency.model import is_allowed
 from repro.consistency.ops import Load, Program, Store
 from repro.errors import ProgramError
-from repro.progmodel.ast import AccessDecl, AccessMode
+from repro.progmodel.ast import AccessDecl, AccessMode, Memcpy
 from repro.progmodel.lowering import lower
 from repro.progmodel.spec import KernelProgramSpec, program_spec
 from repro.taxonomy import AddressSpaceKind, ProcessingUnit
+from repro.trace.phase import Direction
 
 __all__ = [
+    "Facts",
     "finding_at",
     "reaching_transfers",
     "stale_read_reachable",
@@ -81,8 +69,30 @@ def _shift(space: Space, atoms: AddressAtoms) -> int:
     return 0 if space is Space.HOST else len(atoms)
 
 
-def _universe(atoms: AddressAtoms) -> int:
-    return (1 << (2 * len(atoms))) - 1
+class Facts(NamedTuple):
+    """One pass's facts in program order: ``before[i]`` at node ``i``'s
+    entry, ``after[i]`` at its exit, for forward and backward passes."""
+
+    before: Tuple[int, ...]
+    after: Tuple[int, ...]
+
+
+def _sweep(
+    transfers: Sequence[Tuple[int, int]], boundary: int, forward: bool
+) -> Facts:
+    """Fold ``out = gen | (in & ~kill)`` over the per-node ``(gen, kill)``
+    pairs, starting at ``boundary``: from the entry node forward, or from
+    the exit node backward (a backward pass's ``after`` is its input)."""
+    inputs: List[int] = []
+    outputs: List[int] = []
+    fact = boundary
+    for gen, kill in transfers if forward else reversed(transfers):
+        inputs.append(fact)
+        fact = gen | (fact & ~kill)
+        outputs.append(fact)
+    if forward:
+        return Facts(before=tuple(inputs), after=tuple(outputs))
+    return Facts(before=tuple(outputs[::-1]), after=tuple(inputs[::-1]))
 
 
 def finding_at(
@@ -96,10 +106,10 @@ def finding_at(
     bytes_saved: int = 0,
     space: str = "",
 ) -> Finding:
-    """The finding of every trace rule, located at CFG node ``node_index``
+    """The finding of every trace rule, located at IR node ``node_index``
     (its phase index and label) and filled in from the rule catalog."""
     meta = rule(rule_id)
-    node = ir.cfg.nodes[node_index]
+    node = ir.nodes[node_index]
     return Finding(
         rule=rule_id,
         severity=meta.severity,
@@ -118,7 +128,7 @@ def finding_at(
 # -- reaching transfers: staleness as a dataflow fact (LOC001) ----------------
 
 
-def reaching_transfers(ir: TraceIR) -> DataflowSolution:
+def reaching_transfers(ir: TraceIR) -> Facts:
     """Forward may-analysis: bit (atom, space) means the space's PU wrote
     the atom and no transfer has pushed that write to the other side yet.
     DEFs gen their space's bits; a transfer kills every bit of its
@@ -126,24 +136,16 @@ def reaching_transfers(ir: TraceIR) -> DataflowSolution:
     conservatively total — the direction of fewer findings, matching the
     PR-3 heuristic exactly)."""
     atoms = ir.atoms
-    transfers: Dict[int, GenKill] = {}
-    for node in ir.cfg.nodes:
+    transfers: List[Tuple[int, int]] = []
+    for node in ir.nodes:
         gen = kill = 0
         for event in node.events:
             if event.kind is EventKind.DEF:
                 gen |= event.mask << _shift(event.space, atoms)
             elif event.kind is EventKind.TRANSFER:
                 kill |= atoms.all_mask << _shift(event.space.other, atoms)
-        if gen or kill:
-            transfers[node.index] = GenKill(gen=gen, kill=kill)
-    problem = DataflowProblem(
-        direction=FlowDirection.FORWARD,
-        join=Join.UNION,
-        universe=_universe(atoms),
-        boundary=0,
-        transfers=transfers,
-    )
-    return solve(ir.cfg, problem)
+        transfers.append((gen, kill))
+    return _sweep(transfers, boundary=0, forward=True)
 
 
 def stale_read_reachable(config: CheckConfig) -> bool:
@@ -173,7 +175,7 @@ def staleness_findings(ir: TraceIR, config: CheckConfig) -> Iterable[Finding]:
     confirmed = stale_read_reachable(config)
     # Replay producer labels: which segment last dirtied each atom.
     producer: Dict[Space, Dict[int, str]] = {Space.HOST: {}, Space.DEVICE: {}}
-    for node in ir.cfg.nodes:
+    for node in ir.nodes:
         before = solution.before[node.index]
         for event in node.events:
             if event.kind is not EventKind.USE:
@@ -212,7 +214,7 @@ def staleness_findings(ir: TraceIR, config: CheckConfig) -> Iterable[Finding]:
 # -- buffer liveness: dead transfers (OPT001) ---------------------------------
 
 
-def buffer_liveness(ir: TraceIR) -> DataflowSolution:
+def buffer_liveness(ir: TraceIR) -> Facts:
     """Backward may-analysis: bit (atom, space) means the space's copy of
     the atom is read downstream before being overwritten. USEs gen their
     space's bits; DEFs kill them; a transfer kills its destination's bits
@@ -221,8 +223,8 @@ def buffer_liveness(ir: TraceIR) -> DataflowSolution:
     to the caller — and no device atom (device memory dies with the
     kernel)."""
     atoms = ir.atoms
-    transfers: Dict[int, GenKill] = {}
-    for node in ir.cfg.nodes:
+    transfers: List[Tuple[int, int]] = []
+    for node in ir.nodes:
         gen = kill = 0
         for event in node.events:
             if event.kind is EventKind.USE:
@@ -232,16 +234,12 @@ def buffer_liveness(ir: TraceIR) -> DataflowSolution:
             elif event.kind is EventKind.TRANSFER:
                 kill |= atoms.all_mask << _shift(event.space, atoms)
                 gen |= atoms.all_mask << _shift(event.space.other, atoms)
-        if gen or kill:
-            transfers[node.index] = GenKill(gen=gen, kill=kill)
-    problem = DataflowProblem(
-        direction=FlowDirection.BACKWARD,
-        join=Join.UNION,
-        universe=_universe(atoms),
+        transfers.append((gen, kill))
+    return _sweep(
+        transfers,
         boundary=atoms.all_mask << _shift(Space.HOST, atoms),
-        transfers=transfers,
+        forward=False,
     )
-    return solve(ir.cfg, problem)
 
 
 def dead_transfer_findings(ir: TraceIR) -> Iterable[Finding]:
@@ -252,7 +250,7 @@ def dead_transfer_findings(ir: TraceIR) -> Iterable[Finding]:
     if not len(atoms):
         return
     solution = buffer_liveness(ir)
-    for node in ir.cfg.nodes:
+    for node in ir.nodes:
         if node.kind != "comm":
             continue
         phase = ir.trace.phases[node.phase_index]
@@ -275,15 +273,15 @@ def dead_transfer_findings(ir: TraceIR) -> Iterable[Finding]:
 # -- available copies: redundant transfers (OPT002) ---------------------------
 
 
-def available_copies(ir: TraceIR) -> DataflowSolution:
+def available_copies(ir: TraceIR) -> Facts:
     """Forward must-analysis: bit (atom, space) means the space's resident
     copy of the atom is current on *every* path reaching here. A DEF
     makes its own space current and the peer's stale; a transfer makes
     its destination current. The entry boundary: the host owns the
     initial data, the device holds garbage."""
     atoms = ir.atoms
-    transfers: Dict[int, GenKill] = {}
-    for node in ir.cfg.nodes:
+    transfers: List[Tuple[int, int]] = []
+    for node in ir.nodes:
         gen = kill = 0
         for event in node.events:
             if event.kind is EventKind.DEF:
@@ -291,16 +289,12 @@ def available_copies(ir: TraceIR) -> DataflowSolution:
                 kill |= event.mask << _shift(event.space.other, atoms)
             elif event.kind is EventKind.TRANSFER:
                 gen |= atoms.all_mask << _shift(event.space, atoms)
-        if gen or kill:
-            transfers[node.index] = GenKill(gen=gen, kill=kill)
-    problem = DataflowProblem(
-        direction=FlowDirection.FORWARD,
-        join=Join.INTERSECTION,
-        universe=_universe(atoms),
+        transfers.append((gen, kill))
+    return _sweep(
+        transfers,
         boundary=atoms.all_mask << _shift(Space.HOST, atoms),
-        transfers=transfers,
+        forward=True,
     )
-    return solve(ir.cfg, problem)
 
 
 def redundant_transfer_findings(ir: TraceIR) -> Iterable[Finding]:
@@ -312,7 +306,7 @@ def redundant_transfer_findings(ir: TraceIR) -> Iterable[Finding]:
     if not len(atoms):
         return
     solution = available_copies(ir)
-    for node in ir.cfg.nodes:
+    for node in ir.nodes:
         if node.kind != "comm":
             continue
         phase = ir.trace.phases[node.phase_index]
@@ -339,23 +333,20 @@ def infer_access_modes(spec: KernelProgramSpec) -> Dict[str, AccessMode]:
     """The declareAccess mode each shared buffer admits, inferred from
     program structure rather than read off the spec's direction field:
     lower the spec to the disjoint space — the lowering that must spell
-    every data movement out — build the program IR, and classify each
-    buffer by the transfers that touch it. A buffer copied device-to-host
-    is written by the kernel (``write``); one only copied host-to-device
-    is read-only (``read``); a declared reduction buffer holds per-PU
-    partials (``reduce``)."""
-    program = lower(spec, AddressSpaceKind.DISJOINT)
-    ir = cfg_from_program(program, spec)
-    copied_back = 0
-    for node in ir.cfg.nodes:
-        for event in node.events:
-            if event.kind is EventKind.TRANSFER and event.space is Space.HOST:
-                copied_back |= event.mask
+    every data movement out — and classify each buffer by its copies. A
+    buffer copied device-to-host is written by the kernel (``write``);
+    one only copied host-to-device is read-only (``read``); a declared
+    reduction buffer holds per-PU partials (``reduce``)."""
+    copied_back = {
+        stmt.name
+        for stmt in lower(spec, AddressSpaceKind.DISJOINT).statements
+        if isinstance(stmt, Memcpy) and stmt.direction is Direction.D2H
+    }
     modes: Dict[str, AccessMode] = {}
     for buffer in spec.buffers:
         if buffer.name in spec.reduce_buffers:
             modes[buffer.name] = AccessMode.REDUCE
-        elif copied_back & ir.mask_for(buffer.name):
+        elif buffer.name in copied_back:
             modes[buffer.name] = AccessMode.WRITE
         else:
             modes[buffer.name] = AccessMode.READ
@@ -385,7 +376,7 @@ def access_mode_findings(ir: TraceIR, config: CheckConfig) -> Iterable[Finding]:
         AccessDecl(name, modes[name]).render() for name in spec.buffer_names
     )
     node_index = next(
-        (node.index for node in ir.cfg.nodes if node.kind == "parallel"), 1
+        (node.index for node in ir.nodes if node.kind == "parallel"), 1
     )
     yield finding_at(
         "INF001",

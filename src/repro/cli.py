@@ -219,10 +219,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     _require_at_least("--top", args.top, 1)
     _require_at_least("--sample", args.sample, 0)
     explorer = _explorer_from_args(args)
-    points = DesignSpace().feasible_points()
-    if args.sample and args.sample < len(points):
-        step = max(len(points) // args.sample, 1)
-        points = points[::step]
+    points = DesignSpace().feasible_sample(args.sample)
     shards = getattr(args, "shards", None)
     if shards == "auto":
         # Two shards per worker keeps the pool saturated while the last
@@ -542,10 +539,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             ) from None
     else:
         rates = DEFAULT_FAULT_RATES
-    points = DesignSpace().feasible_points()
-    if args.sample and args.sample < len(points):
-        step = max(len(points) // args.sample, 1)
-        points = points[::step]
+    points = DesignSpace().feasible_sample(args.sample)
     sensitivities = fault_sensitivity(
         points=points,
         rates=rates,

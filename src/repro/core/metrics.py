@@ -61,8 +61,12 @@ class MetricWeights:
 
     def __post_init__(self) -> None:
         for name in ("performance", "energy", "programmability", "versatility"):
-            if getattr(self, name) < 0:
-                raise DesignSpaceError(f"weight {name} must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise DesignSpaceError(
+                    f"weight {name} must be a finite non-negative number, "
+                    f"got {value}"
+                )
         if all(
             getattr(self, name) == 0
             for name in ("performance", "energy", "programmability", "versatility")

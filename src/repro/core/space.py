@@ -80,6 +80,20 @@ class DesignSpace:
     def feasible_points(self) -> List[DesignPoint]:
         return list(self.enumerate(feasible_only=True))
 
+    def feasible_sample(self, sample: int) -> List[DesignPoint]:
+        """Every ``len(points) // sample``-th feasible point, in enumeration
+        order: the stride sample ``rank``, ``faults`` and serve rank jobs
+        evaluate. ``0``, or a sample no smaller than the space, keeps every
+        point.
+
+        >>> len(DesignSpace().feasible_sample(40))
+        41
+        """
+        points = self.feasible_points()
+        if sample and sample < len(points):
+            points = points[:: max(len(points) // sample, 1)]
+        return points
+
     def desirable_points(self) -> List[DesignPoint]:
         return list(self.enumerate(feasible_only=True, desirable_only=True))
 

@@ -37,6 +37,7 @@ not affect timing — are simulated once and re-labeled on retrieval.
 
 from __future__ import annotations
 
+import math
 import pickle
 import time
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, TypeVar
@@ -116,9 +117,12 @@ class ParallelRunner:
     ) -> None:
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
-        if job_timeout is not None and job_timeout <= 0:
+        if job_timeout is not None and not (
+            math.isfinite(job_timeout) and job_timeout > 0
+        ):
             raise ConfigError(
-                f"job timeout must be positive, got {job_timeout}"
+                "job timeout must be a positive finite number of seconds, "
+                f"got {job_timeout}"
             )
         self.jobs = jobs
         self.stats = stats or RunStats()

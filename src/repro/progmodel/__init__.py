@@ -36,7 +36,6 @@ from repro.progmodel.ast import (
     Stmt,
     Sync,
 )
-from repro.progmodel.events import StmtEvent, statement_events
 from repro.progmodel.program import Program
 from repro.progmodel.spec import (
     BufferDirection,
@@ -75,6 +74,4 @@ __all__ = [
     "count_pushes",
     "Interpreter",
     "ExecutionLog",
-    "StmtEvent",
-    "statement_events",
 ]

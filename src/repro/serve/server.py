@@ -32,6 +32,7 @@ operational surface.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -82,9 +83,10 @@ class ExplorationService:
         watchdog_budget: int = 3,
         history: int = 256,
     ) -> None:
-        if default_deadline <= 0:
+        if not (math.isfinite(default_deadline) and default_deadline > 0):
             raise ConfigError(
-                f"default deadline must be positive, got {default_deadline}"
+                "default deadline must be a positive finite number, "
+                f"got {default_deadline}"
             )
         if watchdog_budget < 0:
             raise ConfigError(
@@ -196,9 +198,7 @@ class ExplorationService:
             raise ConfigError(
                 f"fidelity must be one of {FIDELITIES}, got {fidelity!r}"
             )
-        deadline = request.get("deadline", self.default_deadline)
-        if not isinstance(deadline, (int, float)) or deadline <= 0:
-            raise ConfigError(f"deadline must be a positive number, got {deadline!r}")
+        deadline = self._deadline(request)
         faults = request.get("faults")
         if faults is not None:
             if not isinstance(faults, str):
@@ -208,9 +208,23 @@ class ExplorationService:
             "point": point,
             "kernels": list(kernels),
             "fidelity": fidelity,
-            "deadline": float(deadline),
+            "deadline": deadline,
             "faults": faults,
         }
+
+    def _deadline(self, request: dict) -> float:
+        """The request's deadline in seconds (the service default when
+        absent); NaN and infinities are rejected like any non-positive
+        value, since ``json.loads`` accepts the ``NaN``/``Infinity``
+        literals."""
+        deadline = request.get("deadline", self.default_deadline)
+        if not isinstance(deadline, (int, float)) or not (
+            math.isfinite(deadline) and deadline > 0
+        ):
+            raise ConfigError(
+                f"deadline must be a positive finite number, got {deadline!r}"
+            )
+        return float(deadline)
 
     def _canonical_rank(self, request: dict) -> dict:
         """Validate a rank-sweep request: ``{"rank": {...}}``.
@@ -237,12 +251,9 @@ class ExplorationService:
             )
         if request.get("faults"):
             raise ConfigError("rank sweeps do not support fault injection")
-        deadline = request.get("deadline", self.default_deadline)
-        if not isinstance(deadline, (int, float)) or deadline <= 0:
-            raise ConfigError(f"deadline must be a positive number, got {deadline!r}")
         return {
             "rank": {"sample": sample, "top": top, "shards": shards},
-            "deadline": float(deadline),
+            "deadline": self._deadline(request),
             "faults": None,
         }
 
@@ -389,10 +400,7 @@ class ExplorationService:
     def _execute_rank(self, job: Job) -> dict:
         """One rank sweep: sampled point space, sharded across the pool."""
         spec = job.request["rank"]
-        points = list(DesignSpace().feasible_points())
-        if spec["sample"] and spec["sample"] < len(points):
-            step = max(len(points) // spec["sample"], 1)
-            points = points[::step]
+        points = DesignSpace().feasible_sample(spec["sample"])
         shards = spec["shards"]
         if shards == "auto":
             shards = max(2 * self.explorer.jobs, 1)

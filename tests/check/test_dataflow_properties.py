@@ -1,21 +1,19 @@
-"""Property suite for the gen/kill dataflow solver.
+"""Property suite for the gen/kill sweep behind the dataflow passes.
 
-The solver's correctness rests on three framework guarantees that the
-hand-written passes silently assume, so this suite pins them on random
-graphs rather than the few CFG shapes the trace lowering produces:
+The passes fold ``out = gen | (in & ~kill)`` once along the IR's node
+chain from a boundary fact (:func:`repro.check.passes._sweep`). This
+suite pins what the hand-written passes silently assume, on random
+chains in both directions with both kinds of boundary — empty (the
+may-analyses' entry fact) and full (the must-analyses'), plus arbitrary
+masks:
 
-- **termination** — every monotone gen/kill problem reaches a fixpoint
-  within the solver's iteration bound, on arbitrary digraphs (cycles,
-  self-loops, unreachable nodes included);
-- **monotonicity** — growing a node's gen set can only grow the solved
-  facts, never shrink them (the property that makes "add a DEF, lose a
+- **monotonicity** — growing a node's gen set can only grow the facts,
+  never shrink them (the property that makes "add a DEF, lose a
   reaching fact" impossible);
-- **order-independence** — the worklist's seed order is irrelevant: any
-  permutation converges to the identical before/after maps, because the
-  fixpoint of a monotone framework is unique;
-- **fixpoint equations** — the returned solution actually satisfies
-  ``in = join(out of sources)`` and ``out = transfer(in)`` at every
-  node, for both directions and both joins.
+- **fixpoint equations** — the returned facts satisfy ``in = out of the
+  neighbour upstream`` (the boundary at the first node swept) and
+  ``out = gen | (in & ~kill)`` at every node, so one sweep is the
+  fixpoint of a chain.
 """
 
 import pytest
@@ -24,144 +22,66 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.check.dataflow import (  # noqa: E402
-    DataflowProblem,
-    FlowDirection,
-    GenKill,
-    Join,
-    solve,
-)
-from repro.check.ir import AnalysisCFG, IRNode  # noqa: E402
+from repro.check.passes import _sweep  # noqa: E402
 
 BITS = 6  # universe width; small enough to shrink well, wide enough to mix
 UNIVERSE = (1 << BITS) - 1
 
 
-def _cfg(n, edges):
-    nodes = tuple(
-        IRNode(index=i, kind="stmt", phase_index=i, label=f"n{i}")
-        for i in range(n)
-    )
-    return AnalysisCFG(nodes=nodes, edges=tuple(edges))
-
-
 @st.composite
-def problems(draw):
-    """A random (cfg, problem) pair over a small bitmask universe."""
-    n = draw(st.integers(min_value=1, max_value=8))
-    edges = draw(
-        st.lists(
-            st.tuples(
-                st.integers(0, n - 1), st.integers(0, n - 1)
-            ),
-            max_size=2 * n,
-            unique=True,
-        )
-    )
+def chains(draw):
+    """A random (transfers, boundary, forward) chain problem."""
     masks = st.integers(0, UNIVERSE)
-    transfers = {
-        i: GenKill(gen=draw(masks), kill=draw(masks)) for i in range(n)
-    }
-    problem = DataflowProblem(
-        direction=draw(st.sampled_from(list(FlowDirection))),
-        join=draw(st.sampled_from(list(Join))),
-        universe=UNIVERSE,
-        boundary=draw(masks),
-        transfers=transfers,
+    transfers = draw(
+        st.lists(st.tuples(masks, masks), min_size=1, max_size=8)
     )
-    return _cfg(n, edges), problem
+    boundary = draw(st.one_of(st.sampled_from([0, UNIVERSE]), masks))
+    forward = draw(st.booleans())
+    return transfers, boundary, forward
 
 
-@st.composite
-def problems_with_order(draw):
-    cfg, problem = draw(problems())
-    order = draw(st.permutations(range(len(cfg))))
-    return cfg, problem, list(order)
-
-
-@settings(max_examples=150, deadline=None)
-@given(problems())
-def test_terminates_within_the_iteration_bound(case):
-    """solve() returns (never raises the runaway CheckError) on random
-    digraphs — cycles and unreachable components included."""
-    cfg, problem = case
-    solution = solve(cfg, problem)
-    assert solution.iterations >= len(cfg)
-    assert set(solution.before) == set(range(len(cfg)))
-    assert set(solution.after) == set(range(len(cfg)))
+def _apply(transfer, fact):
+    gen, kill = transfer
+    return gen | (fact & ~kill)
 
 
 @settings(max_examples=150, deadline=None)
-@given(problems_with_order())
-def test_worklist_order_does_not_change_the_fixpoint(case):
-    cfg, problem, order = case
-    default = solve(cfg, problem)
-    shuffled = solve(cfg, problem, order=order)
-    assert shuffled.before == default.before
-    assert shuffled.after == default.after
-
-
-@settings(max_examples=150, deadline=None)
-@given(problems(), st.integers(0, 7), st.integers(0, UNIVERSE))
+@given(chains(), st.integers(0, 7), st.integers(0, UNIVERSE))
 def test_growing_gen_grows_the_solution(case, node_pick, extra_gen):
     """Adding gen bits at any node yields a pointwise-superset solution:
     a new DEF can never remove a previously-reaching fact."""
-    cfg, problem = case
-    node = node_pick % len(cfg)
-    base = solve(cfg, problem)
-    old = problem.transfer(node)
-    grown = dict(problem.transfers)
-    grown[node] = GenKill(gen=old.gen | extra_gen, kill=old.kill)
-    bigger = solve(
-        cfg,
-        DataflowProblem(
-            direction=problem.direction,
-            join=problem.join,
-            universe=problem.universe,
-            boundary=problem.boundary,
-            transfers=grown,
-        ),
-    )
-    for i in range(len(cfg)):
-        assert base.after[i] & ~bigger.after[i] == 0, (
-            f"node {i}: fact {base.after[i]:#x} shrank to {bigger.after[i]:#x}"
-        )
+    transfers, boundary, forward = case
+    node = node_pick % len(transfers)
+    base = _sweep(transfers, boundary, forward)
+    grown = list(transfers)
+    gen, kill = grown[node]
+    grown[node] = (gen | extra_gen, kill)
+    bigger = _sweep(grown, boundary, forward)
+    for i in range(len(transfers)):
+        for name, small, large in (
+            ("before", base.before[i], bigger.before[i]),
+            ("after", base.after[i], bigger.after[i]),
+        ):
+            assert small & ~large == 0, (
+                f"node {i} {name}: fact {small:#x} shrank to {large:#x}"
+            )
 
 
 @settings(max_examples=150, deadline=None)
-@given(problems())
+@given(chains())
 def test_solution_satisfies_the_fixpoint_equations(case):
-    cfg, problem = case
-    solution = solve(cfg, problem)
-    forward = problem.direction is FlowDirection.FORWARD
-    top = 0 if problem.join is Join.UNION else problem.universe
+    transfers, boundary, forward = case
+    facts = _sweep(transfers, boundary, forward)
+    n = len(transfers)
+    assert len(facts.before) == len(facts.after) == n
     # Program-order facts: the transfer input is `before` forward and
-    # `after` backward; its sources sit across the matching edge side.
-    fact_in = solution.before if forward else solution.after
-    fact_out = solution.after if forward else solution.before
-    for i in range(len(cfg)):
-        sources = cfg.preds(i) if forward else cfg.succs(i)
-        if sources:
-            expected = top
-            for src in sources:
-                if problem.join is Join.UNION:
-                    expected |= fact_out[src]
-                else:
-                    expected &= fact_out[src]
-        else:
-            expected = problem.boundary
+    # `after` backward; its source is the neighbour upstream.
+    fact_in = facts.before if forward else facts.after
+    fact_out = facts.after if forward else facts.before
+    for i in range(n):
+        upstream = i - 1 if forward else i + 1
+        expected = fact_out[upstream] if 0 <= upstream < n else boundary
         assert fact_in[i] == expected, f"join equation fails at node {i}"
-        assert fact_out[i] == problem.transfer(i).apply(fact_in[i]), (
+        assert fact_out[i] == _apply(transfers[i], fact_in[i]), (
             f"transfer equation fails at node {i}"
         )
-
-
-def test_bad_order_is_rejected():
-    from repro.errors import CheckError
-
-    cfg = _cfg(2, [(0, 1)])
-    problem = DataflowProblem(
-        direction=FlowDirection.FORWARD, join=Join.UNION, universe=UNIVERSE
-    )
-    with pytest.raises(CheckError, match="permutation"):
-        solve(cfg, problem, order=[0, 0])

@@ -1,20 +1,7 @@
 """Unit tests for the analysis IR (`repro.check.ir`)."""
 
-import pytest
-
-from repro.check.ir import (
-    AddressAtoms,
-    AnalysisCFG,
-    EventKind,
-    IRNode,
-    Space,
-    cfg_from_program,
-    cfg_from_trace,
-)
-from repro.errors import CheckError
-from repro.progmodel.lowering import lower
-from repro.progmodel.spec import program_spec
-from repro.taxonomy import AddressSpaceKind, ProcessingUnit
+from repro.check.ir import AddressAtoms, EventKind, Space, cfg_from_trace
+from repro.taxonomy import ProcessingUnit
 from repro.trace.mix import InstructionMix
 from repro.trace.phase import CommPhase, Direction, ParallelPhase, Segment
 from repro.trace.stream import KernelTrace
@@ -76,29 +63,6 @@ class TestAddressAtoms:
         assert AddressAtoms([]).all_mask == 0
 
 
-class TestAnalysisCFG:
-    def _node(self, i):
-        return IRNode(index=i, kind="stmt", phase_index=i)
-
-    def test_preds_and_succs(self):
-        cfg = AnalysisCFG(
-            nodes=tuple(self._node(i) for i in range(3)),
-            edges=((0, 1), (1, 2), (0, 2)),
-        )
-        assert cfg.preds(2) == (1, 0)
-        assert cfg.succs(0) == (1, 2)
-        assert cfg.preds(0) == ()
-        assert len(cfg) == 3
-
-    def test_misindexed_node_rejected(self):
-        with pytest.raises(CheckError, match="carries index"):
-            AnalysisCFG(nodes=(self._node(1),), edges=())
-
-    def test_out_of_range_edge_rejected(self):
-        with pytest.raises(CheckError, match="out of range"):
-            AnalysisCFG(nodes=(self._node(0),), edges=((0, 5),))
-
-
 class TestTraceLowering:
     def _trace(self):
         return KernelTrace(
@@ -120,15 +84,15 @@ class TestTraceLowering:
 
     def test_linear_shape_with_entry_and_exit(self):
         ir = cfg_from_trace(self._trace())
-        kinds = [node.kind for node in ir.cfg.nodes]
+        kinds = [node.kind for node in ir.nodes]
         assert kinds == ["entry", "comm", "parallel", "exit"]
-        assert ir.cfg.edges == ((0, 1), (1, 2), (2, 3))
-        assert ir.cfg.nodes[0].phase_index == -1
-        assert ir.cfg.nodes[1].phase_index == 0
+        assert [n.index for n in ir.nodes] == list(range(len(ir.nodes)))
+        assert ir.nodes[0].phase_index == -1
+        assert ir.nodes[1].phase_index == 0
 
     def test_comm_phase_events(self):
         ir = cfg_from_trace(self._trace())
-        events = ir.cfg.nodes[1].events
+        events = ir.nodes[1].events
         kinds = {e.kind for e in events}
         assert kinds == {EventKind.TRANSFER, EventKind.RELEASE, EventKind.ACQUIRE}
         transfer = next(e for e in events if e.kind is EventKind.TRANSFER)
@@ -142,40 +106,11 @@ class TestTraceLowering:
     def test_segment_use_precedes_def(self):
         ir = cfg_from_trace(self._trace())
         gpu_events = [
-            e for e in ir.cfg.nodes[2].events if e.space is Space.DEVICE
+            e for e in ir.nodes[2].events if e.space is Space.DEVICE
         ]
         assert [e.kind for e in gpu_events] == [EventKind.USE, EventKind.DEF]
 
     def test_read_only_segment_has_no_def(self):
         ir = cfg_from_trace(self._trace())
-        cpu_events = [e for e in ir.cfg.nodes[2].events if e.space is Space.HOST]
+        cpu_events = [e for e in ir.nodes[2].events if e.space is Space.HOST]
         assert [e.kind for e in cpu_events] == [EventKind.USE]
-
-
-class TestProgramLowering:
-    def test_device_aliases_fold_onto_host_buffers(self):
-        spec = program_spec("k-mean")
-        program = lower(spec, AddressSpaceKind.DISJOINT)
-        ir = cfg_from_program(program, spec)
-        # The disjoint lowering names gpu_points/gpu_partials; the IR
-        # universe still has one atom per *host* buffer.
-        assert set(ir.buffer_bits) == {"points", "partials"}
-        assert ir.mask_for("points") != ir.mask_for("partials")
-
-    def test_launch_splits_into_use_inputs_def_outputs(self):
-        spec = program_spec("k-mean")
-        program = lower(spec, AddressSpaceKind.DISJOINT)
-        ir = cfg_from_program(program, spec)
-        launches = [
-            node
-            for node in ir.cfg.nodes
-            if any(e.kind is EventKind.DEF for e in node.events)
-            and node.kind == "stmt"
-            and any(e.kind is EventKind.USE for e in node.events)
-        ]
-        assert launches, "expected at least one kernel launch node"
-        for node in launches:
-            use = next(e for e in node.events if e.kind is EventKind.USE)
-            define = next(e for e in node.events if e.kind is EventKind.DEF)
-            assert use.mask == ir.mask_for("points")
-            assert define.mask == ir.mask_for("partials")

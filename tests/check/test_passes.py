@@ -146,7 +146,7 @@ class TestBufferLiveness:
     def test_liveness_boundary_is_host_only(self):
         ir = cfg_from_trace(_trace(_h2d(), _par()))
         solution = buffer_liveness(ir)
-        exit_index = len(ir.cfg) - 1
+        exit_index = len(ir.nodes) - 1
         host = ir.atoms.all_mask
         assert solution.after[exit_index] == host  # device half dead
 

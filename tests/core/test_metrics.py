@@ -66,6 +66,11 @@ class TestWeights:
         with pytest.raises(DesignSpaceError):
             MetricWeights(performance=-1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DesignSpaceError, match="finite"):
+            MetricWeights(performance=bad)
+
 
 class TestGuidelines:
     def test_report_mentions_all_spaces(self):

@@ -39,6 +39,11 @@ class TestSimJobValidation:
             ParallelRunner(job_timeout=0)
         with pytest.raises(ConfigError):
             ParallelRunner(job_timeout=-1.5)
+        # NaN compares false with everything and infinity overflows the
+        # pool's wait: neither may slip past the range check.
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="finite"):
+                ParallelRunner(job_timeout=bad)
 
     def test_zero_retries_means_exactly_one_attempt(self):
         # NO_RETRY (retries=0) is one attempt, no backoff sleep, and a

@@ -60,6 +60,8 @@ class TestService:
             {"point": POINT, "kernels": "reduction"},
             {"point": POINT, "faults": "not a fault spec"},
             "not an object",
+            {"point": POINT, "deadline": float("nan")},
+            {"point": POINT, "deadline": float("inf")},
         ],
     )
     def test_bad_request_shapes_rejected(self, service, request_body):
@@ -136,8 +138,9 @@ class TestService:
         assert entries and entries > 0
 
     def test_validation_of_service_parameters(self):
-        with pytest.raises(ConfigError):
-            _service(default_deadline=0)
+        for deadline in (0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                _service(default_deadline=deadline)
         with pytest.raises(ConfigError):
             _service(watchdog_budget=-1)
 
@@ -212,6 +215,14 @@ class TestHTTP:
             {"point": POINT, "kernels": ["fft"]},
         )
         assert status == 400 and json.loads(body)["error"] == "TraceError"
+        # json.dumps writes the NaN/Infinity literals json.loads accepts.
+        for deadline in (float("nan"), float("inf")):
+            status, body = _http(
+                "POST",
+                f"{server.address}/v1/evaluate",
+                {"point": POINT, "deadline": deadline},
+            )
+            assert status == 400 and json.loads(body)["error"] == "ConfigError"
 
     def test_unknown_routes_are_404(self, server):
         status, _ = _http("GET", f"{server.address}/v1/nope")
@@ -263,6 +274,7 @@ class TestRankJobs:
             {"rank": {"shards": "many"}},
             {"rank": {}, "faults": "pcie:fail=0.5"},
             {"rank": {}, "deadline": 0},
+            {"rank": {}, "deadline": float("nan")},
         ],
     )
     def test_bad_rank_requests_rejected(self, service, request_body):

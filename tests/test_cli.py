@@ -71,6 +71,27 @@ class TestJobsFlag:
         assert "configuration error" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["figure", "5", "--jobs", "2", "--job-timeout", "nan"],
+            ["figure", "5", "--job-timeout", "nan"],
+            ["figure", "5", "--jobs", "2", "--job-timeout", "inf"],
+            ["serve", "--port", "0", "--deadline", "nan"],
+            ["serve", "--port", "0", "--deadline", "inf"],
+            ["guidelines", "--w-perf", "nan"],
+        ],
+    )
+    def test_rejects_non_finite_floats(self, args, capsys):
+        """NaN and infinity pass a ``<= 0`` range check; they are
+        configuration errors (exit 2) before any work starts."""
+        from repro.cli import EXIT_CONFIG_ERROR
+
+        assert main(args) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert captured.out == ""
+
 
 class TestVersion:
     def test_version_flag(self, capsys):
