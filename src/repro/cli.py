@@ -413,6 +413,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.perf.bench import (
+        check_bench_options,
         compare_to_baseline,
         format_bench,
         load_bench_json,
@@ -423,6 +424,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         write_bench_json,
     )
 
+    # Every flag up front, whichever sections run: bad values exit 2.
+    check_bench_options(
+        scale=args.scale,
+        sweep_scale=args.sweep_scale,
+        repeats=args.repeats,
+        strides=(args.stride, args.store_stride),
+        tolerance=args.tolerance,
+        min_speedup=args.min_speedup,
+    )
     doc: dict = {}
     if args.mode in ("hotpath", "all"):
         doc = run_hotpath_bench(

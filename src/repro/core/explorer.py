@@ -420,24 +420,30 @@ class Explorer:
     # -- design-point evaluation ---------------------------------------------
 
     def _point_jobs(
-        self, point: DesignPoint, kernels: Sequence[Kernel]
+        self, point: DesignPoint, kernels: Sequence[Kernel], detailed: bool = False
     ) -> List[SimJob]:
-        """One simulation job per kernel for a feasible design point."""
+        """One simulation job per kernel for a feasible design point.
+
+        ``detailed`` jobs run the detailed machine on traces scaled by
+        :attr:`detailed_scale`.
+        """
         point.require_feasible()
+        traces = [self.trace_cache.get(kernel) for kernel in kernels]
         if self.check != "off":
-            for kernel in kernels:
-                self._gate(
-                    self.trace_cache.get(kernel), CheckConfig.from_design_point(point)
-                )
+            for trace in traces:
+                self._gate(trace, CheckConfig.from_design_point(point))
+        if detailed:
+            traces = [trace.scaled(self.detailed_scale) for trace in traces]
         return [
-            self._job(
-                self.trace_cache.get(kernel),
-                mechanism=point.comm,
-                async_overlap=point.comm is CommMechanism.DMA_ASYNC,
-                address_space=point.address_space,
-                system_name=point.label,
+            SimJob.from_design_point(
+                point,
+                trace=trace,
+                system=self.system,
+                comm_params=self.comm_params,
+                fault_plan=self.faults,
+                detailed=detailed,
             )
-            for kernel in kernels
+            for trace in traces
         ]
 
     def _evaluation(

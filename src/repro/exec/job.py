@@ -1,10 +1,13 @@
 """Simulation job descriptors and the process-pool worker entry point.
 
-A :class:`SimJob` is a pure-data description of one simulator run: the
-trace, the communication mechanism (as a case study, a mechanism spec, or
-an explicit channel object), the address space, the machine parameters,
-and optionally a :class:`~repro.faults.spec.FaultPlan` perturbing the
-channel. Jobs are plain frozen dataclasses so they pickle cleanly into
+A :class:`SimJob` is a pure-data description of one simulator run: a
+design point (:class:`~repro.perf.sweep.SweepPoint` — case study or
+mechanism spec, address space, machine parameters, coherence, label)
+plus the trace, optionally an explicit channel object, and optionally a
+:class:`~repro.faults.spec.FaultPlan` perturbing the channel. The point
+decides the run's label, protocol and channel; the job adds only the
+explicit channel and the fault wrapping. Jobs are frozen dataclasses so
+they pickle cleanly into
 :class:`concurrent.futures.ProcessPoolExecutor` workers; :func:`run_sim_job`
 is the module-level function the pool executes, and
 :func:`run_sim_job_counted` is the same worker plus the job's
@@ -21,15 +24,14 @@ since the plan's RNG seeds derive from (plan seed, job identity, attempt)
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import ClassVar, Dict, Optional, Tuple
 
 from repro.config.comm import CommParams
-from repro.config.presets import CaseStudy
 from repro.config.system import SystemConfig
-from repro.comm.base import CommChannel, make_channel
+from repro.comm.base import CommChannel
 from repro.faults.spec import FaultPlan
+from repro.perf.sweep import SweepPoint
 from repro.sim.results import SimulationResult
-from repro.taxonomy import AddressSpaceKind, CoherenceKind, CommMechanism
 
 __all__ = ["SimJob", "run_sim_job", "run_sim_job_counted"]
 
@@ -38,71 +40,57 @@ __all__ = ["SimJob", "run_sim_job", "run_sim_job_counted"]
 _COMPILE_COUNTERS = ("hits", "misses")
 
 
-@dataclass(frozen=True)
-class SimJob:
-    """One simulation to run: trace x channel x address space x machine.
+@dataclass(frozen=True, kw_only=True)
+class SimJob(SweepPoint):
+    """One simulation to run: a design point plus its trace and run-time fields.
 
-    Exactly one of ``case``/``mechanism``/``channel`` selects the
-    communication mechanism (checked by ``__post_init__``). ``case`` and
-    ``mechanism`` are preferred — they are pure data, so the job both
-    pickles into worker processes and produces a stable memoization key;
-    an explicit ``channel`` object supports one-off channels (e.g. an
-    aperture channel with a custom fault granularity) at the cost of
-    bypassing the result cache.
-
+    An explicit ``channel`` is a third selector beside ``case`` and
+    ``mechanism``: a one-off channel object (e.g. an aperture channel with
+    a custom fault granularity) at the cost of bypassing the result cache.
     ``fault_plan`` wraps the job's channel in a fault-injecting decorator;
     ``fault_attempt`` is the harness-level retry ordinal (it perturbs the
     fault seed so a retried job does not deterministically re-fail).
     ``detailed`` routes the job through the cycle-approximate simulator,
     degrading to the fast model (result flagged ``degraded``) when the
     detailed machine raises a :class:`~repro.errors.SimulationError`.
+    Fast jobs publish the analytic ``coherence.estimated_*`` counters only
+    for an explicit ``coherence``.
     """
 
+    _SELECTORS: ClassVar[Tuple[str, ...]] = ("case", "mechanism", "channel")
+
     trace: "KernelTrace"
-    case: Optional[CaseStudy] = None
-    mechanism: Optional[CommMechanism] = None
-    async_overlap: bool = False
     channel: Optional[CommChannel] = None
-    address_space: Optional[AddressSpaceKind] = None
-    system_name: Optional[str] = None
-    system: Optional[SystemConfig] = None
-    comm_params: Optional[CommParams] = None
     fault_plan: Optional[FaultPlan] = None
     fault_attempt: int = 0
     detailed: bool = False
-    #: Coherence-protocol override for the run (``"none" | "snoop" |
-    #: "directory"`` or a :class:`~repro.taxonomy.CoherenceKind`). Detailed
-    #: jobs build the machine with that protocol; fast jobs publish the
-    #: analytic ``coherence.estimated_*`` counters. ``None`` keeps the
-    #: historical behaviour (derive from the case study, detailed only).
-    coherence: "str | CoherenceKind | None" = None
 
-    def __post_init__(self) -> None:
-        selectors = sum(
-            x is not None for x in (self.case, self.mechanism, self.channel)
-        )
-        if selectors != 1:
-            from repro.errors import SimulationError
+    def label(self) -> str:
+        """The point's label; an unlabeled explicit channel names its mechanism."""
+        if self.channel is not None and not self.system_name:
+            return str(self.channel.mechanism)
+        return super().label()
 
-            raise SimulationError(
-                "a SimJob needs exactly one of case/mechanism/channel, "
-                f"got {selectors}"
+    def channel_for(self, system: SystemConfig, comm_params: CommParams) -> CommChannel:
+        """The explicit channel or a fresh one, wrapped by the fault plan.
+
+        The fault decorator is fresh per call (its RNG starts at the seed
+        derived from the job's label and attempt).
+        """
+        channel = self.channel
+        if channel is None:
+            channel = super().channel_for(system, comm_params)
+        if self.fault_plan is not None:
+            channel = self.fault_plan.wrap(
+                channel,
+                context=f"{self.trace.name}:{self.label()}",
+                attempt=self.fault_attempt,
             )
-
-    @property
-    def target_name(self) -> str:
-        """The system/design-point label this job simulates under."""
-        if self.system_name:
-            return self.system_name
-        if self.case is not None:
-            return self.case.name
-        if self.mechanism is not None:
-            return str(self.mechanism)
-        return str(self.channel.mechanism)
+        return channel
 
     def describe(self) -> str:
         """Job identity for error messages: kernel plus design-point key."""
-        text = f"{self.trace.name} @ {self.target_name}"
+        text = f"{self.trace.name} @ {self.label()}"
         if self.fault_attempt:
             text += f" (attempt {self.fault_attempt + 1})"
         return text
@@ -127,7 +115,8 @@ class SimJob:
         injected fault sequence, which varies per harness attempt). The
         ``system_name`` label is deliberately *excluded*: two jobs differing
         only in the display label share a result, and the cache re-labels on
-        hit.
+        hit. The field order and the raw ``coherence`` value are part of
+        the durable store's keys and must not change.
         """
         if self.channel is not None or self.fault_plan is not None:
             return None
@@ -154,79 +143,36 @@ def run_sim_job(job: SimJob) -> SimulationResult:
     from repro.sim.fast import FastSimulator
 
     simulator = FastSimulator(job.system, job.comm_params)
-    case = job.case
-    system_name = job.system_name
-    if case is not None and job.fault_plan is not None:
-        # Case-study job under faults: materialize the case's channel so
-        # the fault decorator can wrap it; keep the case's display name.
-        system_name = job.system_name or case.name
-        case = None
 
-    def build_channel() -> Optional[CommChannel]:
-        """A fresh channel per simulator run (counters and fault RNG at zero)."""
-        if job.channel is not None:
-            channel = job.channel
-        elif job.mechanism is not None:
-            channel = make_channel(
-                job.mechanism,
-                params=simulator.comm_params,
-                system=simulator.system,
-                async_overlap=job.async_overlap,
-            )
-        elif case is None and job.case is not None:
-            channel = make_channel(
-                job.case.comm,
-                params=simulator.comm_params,
-                system=simulator.system,
-                async_overlap=job.case.async_overlap,
-            )
-        else:
-            return None
-        if job.fault_plan is not None:
-            channel = job.fault_plan.wrap(
-                channel,
-                context=f"{job.trace.name}:{system_name or job.target_name}",
-                attempt=job.fault_attempt,
-            )
-        return channel
+    def run_fast() -> SimulationResult:
+        return simulator.run(
+            job.trace,
+            channel=job.channel_for(simulator.system, simulator.comm_params),
+            address_space=job.address_space,
+            system_name=job.label(),
+            coherence=job.coherence,
+        )
 
-    if job.detailed:
-        from dataclasses import replace as dc_replace
+    if not job.detailed:
+        return run_fast()
 
-        from repro.errors import SimulationError
-        from repro.sim.detailed import DetailedSimulator
+    from repro.errors import SimulationError
+    from repro.sim.detailed import DetailedSimulator
 
-        try:
-            return DetailedSimulator(job.system, job.comm_params).run(
-                job.trace,
-                case=case,
-                channel=build_channel(),
-                address_space=job.address_space,
-                system_name=system_name,
-                coherence=job.coherence,
-            )
-        except SimulationError:
-            # Graceful degradation: the fast model prices the same trace
-            # analytically (through a fresh channel); the result is
-            # flagged so consumers can tell it apart.
-            result = simulator.run(
-                job.trace,
-                case=case,
-                channel=build_channel(),
-                address_space=job.address_space,
-                system_name=system_name,
-                coherence=job.coherence,
-            )
-            return dc_replace(result, degraded=True)
-
-    return simulator.run(
-        job.trace,
-        case=case,
-        channel=build_channel(),
-        address_space=job.address_space,
-        system_name=system_name,
-        coherence=job.coherence,
-    )
+    detailed = DetailedSimulator(job.system, job.comm_params)
+    try:
+        return detailed.run(
+            job.trace,
+            channel=job.channel_for(detailed.system, detailed.comm_params),
+            address_space=job.address_space,
+            system_name=job.label(),
+            coherence=job.protocol_kind,
+        )
+    except SimulationError:
+        # Graceful degradation: the fast model prices the same trace
+        # analytically (through a fresh channel); the result is flagged
+        # so consumers can tell it apart.
+        return replace(run_fast(), degraded=True)
 
 
 def _compile_counts() -> Tuple[int, ...]:

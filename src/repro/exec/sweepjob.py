@@ -26,7 +26,6 @@ from repro.exec.retry import RetryPolicy
 from repro.exec.runner import ParallelRunner
 from repro.faults.spec import FaultPlan
 from repro.sim.results import SimulationResult
-from repro.taxonomy import CommMechanism
 from repro.trace.stream import KernelTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import would cycle through repro.core
@@ -160,14 +159,11 @@ def run_shard(shard: ShardJob) -> ShardOutcome:
         key = timing_key(point) if dedup else point.label
         groups.setdefault(key, []).append(point)
     jobs = [
-        SimJob(
+        SimJob.from_design_point(
+            first,
             trace=trace,
             system=shard.system,
             comm_params=shard.comm_params,
-            mechanism=first.comm,
-            async_overlap=first.comm is CommMechanism.DMA_ASYNC,
-            address_space=first.address_space,
-            system_name=first.label,
             fault_plan=shard.fault_plan,
         )
         for first in (members[0] for members in groups.values())

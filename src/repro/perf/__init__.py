@@ -11,8 +11,11 @@ fault-rate) design point that replays the same trace shares one
 compilation.
 
 :mod:`repro.perf.sweep` holds the one phase walk of the detailed machine
-over these compiled segments, for N design points at once;
-:class:`~repro.sim.detailed.DetailedSimulator` is its N=1 case. It is
+over these compiled segments, for N design points at once, and the one
+design-point record, :class:`~repro.perf.sweep.SweepPoint` (a runner
+job, :class:`~repro.exec.job.SimJob`, is a point plus a trace);
+:class:`~repro.sim.detailed.DetailedSimulator` is the N=1 case of the
+same :class:`~repro.perf.sweep.MachineSimulator`. It is
 bit-identical to the per-instruction generator expansion kept as the
 reference oracle in :mod:`repro.sim.reference` — the parity suite in
 ``tests/perf`` asserts equal :class:`~repro.sim.results.SimulationResult`

@@ -59,6 +59,7 @@ __all__ = [
     "run_sweep_bench",
     "run_coherence_bench",
     "run_store_bench",
+    "check_bench_options",
     "format_bench",
     "compare_to_baseline",
     "write_bench_json",
@@ -84,6 +85,33 @@ COHERENCE_PROTOCOLS = ("snoop", "directory")
 #: Defaults for the store mode: same bounding kernels as the sweep mode,
 #: a coarser stride (the cold side simulates every sampled point).
 STORE_STRIDE = 8
+
+
+def check_bench_options(
+    scale: Optional[float] = None,
+    sweep_scale: Optional[float] = None,
+    repeats: int = 1,
+    strides: Sequence[int] = (),
+    tolerance: float = 0.0,
+    min_speedup: Optional[float] = None,
+) -> None:
+    """Raise :class:`~repro.errors.ConfigError` on a bench knob that would
+    crash a run or switch off a gate: scales and the speedup floor must be
+    finite and positive (``None`` skips one), the tolerance in [0, 1),
+    ``repeats`` and strides at least 1. Each test accepts only what it
+    names, so NaN (which compares false) fails it."""
+    for name, value in (
+        ("scale", scale),
+        ("sweep scale", sweep_scale),
+        ("min speedup", min_speedup),
+    ):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"bench {name} must be a finite positive number, got {value}")
+    if not 0.0 <= tolerance < 1.0:
+        raise ConfigError(f"bench tolerance must be a finite fraction in [0, 1), got {tolerance}")
+    for name, count in (("repeats", repeats), *(("stride", s) for s in strides)):
+        if count < 1:
+            raise ConfigError(f"bench {name} must be >= 1, got {count}")
 
 
 def _geomean(values: Sequence[float]) -> float:
@@ -129,10 +157,7 @@ def run_hotpath_bench(
     execution, not compilation — matching exploration, where every design
     point past the first reuses the cached compilation.
     """
-    if scale <= 0:
-        raise ConfigError(f"bench scale must be positive, got {scale}")
-    if repeats < 1:
-        raise ConfigError(f"bench repeats must be >= 1, got {repeats}")
+    check_bench_options(scale=scale, repeats=repeats)
     from repro.sim.reference import ReferenceSimulator
 
     case = case_study(case_name)
@@ -220,10 +245,7 @@ def run_coherence_bench(
     travels to the baseline: it bounds what enabling the coherence axis
     costs a sweep, independent of the machine's absolute speed.
     """
-    if scale <= 0:
-        raise ConfigError(f"bench scale must be positive, got {scale}")
-    if repeats < 1:
-        raise ConfigError(f"bench repeats must be >= 1, got {repeats}")
+    check_bench_options(scale=scale, repeats=repeats)
     from repro.sim.mmu import stage_shared_trace
     from repro.taxonomy import AddressSpaceKind
 
@@ -283,15 +305,9 @@ def _rank_style_points(stride: int) -> List:
     """
     from repro.core.space import DesignSpace
     from repro.perf.sweep import SweepPoint
-    from repro.taxonomy import CommMechanism
 
     return [
-        SweepPoint(
-            mechanism=point.comm,
-            async_overlap=point.comm is CommMechanism.DMA_ASYNC,
-            address_space=point.address_space,
-            system_name=point.label,
-        )
+        SweepPoint.from_design_point(point)
         for point in DesignSpace().feasible_points()[::stride]
     ]
 
@@ -315,13 +331,7 @@ def run_sweep_bench(
     (no ``fidelities``); the CLI merges it with the hotpath section under
     ``--mode all``.
     """
-    if scale <= 0:
-        raise ConfigError(f"bench scale must be positive, got {scale}")
-    if repeats < 1:
-        raise ConfigError(f"bench repeats must be >= 1, got {repeats}")
-    if stride < 1:
-        raise ConfigError(f"bench stride must be >= 1, got {stride}")
-    from repro.comm.base import make_channel
+    check_bench_options(scale=scale, repeats=repeats, strides=(stride,))
     from repro.config.comm import CommParams
     from repro.config.system import SystemConfig
     from repro.perf.sweep import BatchedDesignPoints, SweepSimulator
@@ -348,20 +358,12 @@ def run_sweep_bench(
             results = []
             for point in points:
                 sim = DetailedSimulator(
-                    system=system,
-                    comm_params=params,
-                    compile_cache=compile_cache,
-                )
-                channel = make_channel(
-                    point.mechanism,
-                    params=params,
-                    system=system,
-                    async_overlap=point.async_overlap,
+                    system=system, comm_params=params, compile_cache=compile_cache
                 )
                 results.append(
                     sim.run(
                         trace,
-                        channel=channel,
+                        channel=point.channel_for(system, params),
                         system_name=point.system_name,
                         address_space=point.address_space,
                     )
@@ -422,10 +424,7 @@ def run_store_bench(
     warm run must be all hits — the recorded *speedup* (cold wall-clock
     over warm) is only ever for bit-identical output.
     """
-    if repeats < 1:
-        raise ConfigError(f"bench repeats must be >= 1, got {repeats}")
-    if stride < 1:
-        raise ConfigError(f"bench stride must be >= 1, got {stride}")
+    check_bench_options(repeats=repeats, strides=(stride,))
     import os
     import shutil
     import tempfile
@@ -623,6 +622,7 @@ def compare_to_baseline(
     a ``--mode hotpath`` run against the fidelities alone — so partial
     runs never fail on sections they deliberately skipped.
     """
+    check_bench_options(tolerance=tolerance)
     problems: List[str] = []
     if current.get("fidelities"):
         for name, base_data in baseline.get("fidelities", {}).items():

@@ -12,13 +12,20 @@ each point's two cores in timestamp order through
 
 The design-point axis on top of it:
 
-- :class:`SweepPoint` — one design point's simulation parameters (the
-  pure-data subset of a :class:`~repro.exec.job.SimJob`);
+- :class:`SweepPoint` — one design point's simulation parameters, and the
+  one place that decides a point's label, coherence protocol and channel
+  (:class:`~repro.exec.job.SimJob` is a point plus a trace and run-time
+  fields; :meth:`SweepPoint.from_design_point` maps a taxonomy design
+  point onto either);
 - :class:`BatchedDesignPoints` — a batch of points with the
   timing-equivalence dedup (points differing only in display label share
   one simulation, mirroring :class:`~repro.exec.cache.ResultCache`
   relabel-on-hit) and the execution grouping (points that can share one
   phase walk);
+- :class:`MachineSimulator` — the detailed machine's knobs and the
+  per-point machine, address space, MMU and result set-up around one walk,
+  shared by :class:`~repro.sim.detailed.DetailedSimulator` (one point)
+  and :class:`SweepSimulator`;
 - :class:`SweepSimulator` — evaluates one trace against every point of a
   batch, one walk per execution group.
 
@@ -34,7 +41,7 @@ mechanism/space points.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.addrspace.base import AddressSpace, make_address_space
 from repro.config.comm import CommParams
@@ -60,12 +67,16 @@ from repro.taxonomy import (
 from repro.trace.phase import CommPhase, Direction, ParallelPhase, SequentialPhase
 from repro.trace.stream import KernelTrace
 
+if TYPE_CHECKING:  # pragma: no cover - repro.core imports this module
+    from repro.core.design_point import DesignPoint
+
 __all__ = [
     "walk_phases",
     "install_translation",
     "merged_counters",
     "SweepPoint",
     "BatchedDesignPoints",
+    "MachineSimulator",
     "SweepSimulator",
 ]
 
@@ -229,14 +240,17 @@ def merged_counters(
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One design point of a batched sweep (pure data, picklable).
+    """One design point's simulation parameters (pure data, picklable).
 
     Exactly one of ``case``/``mechanism`` selects the communication
-    mechanism, mirroring :class:`~repro.exec.job.SimJob`. ``system`` and
-    ``comm_params`` override the simulator's machine parameters for this
-    point only (``None`` inherits them); ``system_name`` is the display
-    label and never affects timing.
+    mechanism. ``system`` and ``comm_params`` override the simulator's
+    machine parameters for this point only (``None`` inherits them);
+    ``system_name`` is the display label and never affects timing.
+    :class:`~repro.exec.job.SimJob` is a point plus a trace.
     """
+
+    #: The fields of which exactly one selects the communication mechanism.
+    _SELECTORS: ClassVar[Tuple[str, ...]] = ("case", "mechanism")
 
     case: Optional[CaseStudy] = None
     mechanism: Optional[CommMechanism] = None
@@ -247,24 +261,62 @@ class SweepPoint:
     comm_params: Optional[CommParams] = None
     #: Coherence-protocol override (``"none" | "snoop" | "directory"`` or a
     #: :class:`~repro.taxonomy.CoherenceKind`); ``None`` derives from the
-    #: case study, matching :meth:`repro.sim.detailed.DetailedSimulator.run`.
+    #: case study (see :attr:`protocol_kind`).
     coherence: "str | CoherenceKind | None" = None
 
     def __post_init__(self) -> None:
-        selectors = sum(x is not None for x in (self.case, self.mechanism))
+        selectors = sum(getattr(self, name) is not None for name in self._SELECTORS)
         if selectors != 1:
             raise SimulationError(
-                f"a SweepPoint needs exactly one of case/mechanism, got {selectors}"
+                f"a {type(self).__name__} needs exactly one of "
+                f"{'/'.join(self._SELECTORS)}, got {selectors}"
             )
+
+    @classmethod
+    def from_design_point(cls, point: "DesignPoint", **fields) -> "SweepPoint":
+        """The simulation of a taxonomy design point: its mechanism and
+        address space (the other axes are scored analytically) under its
+        label, plus ``fields`` (e.g. a job's trace)."""
+        return cls(
+            mechanism=point.comm,
+            async_overlap=point.comm is CommMechanism.DMA_ASYNC,
+            address_space=point.address_space,
+            system_name=point.label,
+            **fields,
+        )
 
     @property
     def protocol_kind(self) -> str:
-        """The protocol variant this point's machine is built with."""
+        """The protocol variant the detailed machine is built with: the
+        override, else the case study's, else ``"none"``."""
         if self.coherence is not None:
             return resolve_protocol_kind(self.coherence)
         if self.case is not None:
             return self.case.coherence.protocol
         return "none"
+
+    def label(self) -> str:
+        """The result's ``system`` field: the display label, else the case
+        study's name, else the mechanism."""
+        if self.system_name:
+            return self.system_name
+        if self.case is not None:
+            return self.case.name
+        return str(self.mechanism)
+
+    def channel_for(self, system: SystemConfig, comm_params: CommParams) -> CommChannel:
+        """A fresh channel for one run, from the case study or the mechanism.
+
+        ``system``/``comm_params`` are the simulator's defaults; the
+        point's own overrides win.
+        """
+        case = self.case
+        return make_channel(
+            case.comm if case is not None else self.mechanism,
+            params=self.comm_params or comm_params,
+            system=self.system or system,
+            async_overlap=case.async_overlap if case is not None else self.async_overlap,
+        )
 
     def timing_key(self) -> Tuple:
         """Everything that can affect this point's timing — the dedup key.
@@ -284,14 +336,6 @@ class SweepPoint:
             self.comm_params,
             self.protocol_kind,
         )
-
-    def label(self) -> str:
-        """The result's ``system`` field, matching ``DetailedSimulator.run``."""
-        if self.system_name:
-            return self.system_name
-        if self.case is not None:
-            return self.case.name
-        return str(self.mechanism)
 
 
 class BatchedDesignPoints:
@@ -347,13 +391,10 @@ class BatchedDesignPoints:
         return list(grouped.values())
 
 
-class SweepSimulator:
-    """Evaluates one trace against a batch of design points in shared passes.
-
-    Construction knobs are :class:`~repro.sim.detailed.DetailedSimulator`'s;
-    ``system`` and ``comm_params`` are the defaults for every point that
-    does not set its own.
-    """
+class MachineSimulator:
+    """The detailed machine's knobs and per-point set-up, shared by
+    :class:`~repro.sim.detailed.DetailedSimulator` (one point) and
+    :class:`SweepSimulator` (a batch)."""
 
     def __init__(
         self,
@@ -365,15 +406,103 @@ class SweepSimulator:
         gpu_mode: str = "heuristic",
         compile_cache: Optional[SegmentCompileCache] = None,
     ) -> None:
+        #: Machine and channel defaults for every point without its own.
         self.system = system or SystemConfig()
         self.comm_params = comm_params or CommParams()
         self.l3_policy = l3_policy
+        #: Whether parallel phases run the two cores in timestamp order
+        #: (contention-aware) or back-to-back (no cross-PU contention).
         self.interleave_parallel = interleave_parallel
+        #: Attach next-line prefetchers to both L1 data caches.
         self.l1_prefetch = l1_prefetch
+        #: GPU scheduler: "heuristic" (warp-divided stalls) or "warp" (a
+        #: real greedy warp scheduler).
         self.gpu_mode = gpu_mode
+        #: Segment-compilation memo; defaults to the process-wide cache so
+        #: design points sharing a trace compile each segment once.
         self.compile_cache = (
             compile_cache if compile_cache is not None else SHARED_COMPILE_CACHE
         )
+        #: The last point's machine and MMU fronts, inspectable after a run.
+        self.last_machine: Optional[Machine] = None
+        self.last_mmus: Optional[Mmus] = None
+
+    def _simulate(
+        self,
+        trace: KernelTrace,
+        system: SystemConfig,
+        address_space: "AddressSpaceKind | AddressSpace | None",
+        protocol: str,
+        labels: Sequence[str],
+        channels: Sequence[CommChannel],
+    ) -> List[SimulationResult]:
+        """Build each point's machine, address space and MMU fronts, walk
+        them once through :meth:`_walk`, and return each point's result.
+
+        Point ``i`` is ``labels[i]`` over ``channels[i]``; all share the
+        rest. Each point stages the trace into its own page tables (its
+        MMUs translate against them); staging is deterministic, so the
+        first staged trace is everyone's event stream.
+        """
+        spaces: List[Optional[AddressSpace]] = [None] * len(channels)
+        staged = trace
+        if address_space is not None:
+            spaces = (
+                [address_space]
+                if isinstance(address_space, AddressSpace)
+                else [make_address_space(address_space, system) for _ in channels]
+            )
+            staged = stage_trace(trace, spaces[0])
+            for space in spaces[1:]:
+                stage_trace(trace, space)
+
+        machines = [
+            build_machine(
+                system,
+                l3_policy=self.l3_policy,
+                coherence=protocol,
+                l1_prefetch=self.l1_prefetch,
+                gpu_mode=self.gpu_mode,
+            )
+            for _ in channels
+        ]
+        mmus = [
+            install_translation(machine, space) if space is not None else None
+            for machine, space in zip(machines, spaces)
+        ]
+        self.last_machine, self.last_mmus = machines[-1], mmus[-1]
+        walked = self._walk(staged, machines, channels)
+        return [
+            SimulationResult(
+                kernel=staged.name,
+                system=label,
+                breakdown=breakdown,
+                phases=phases,
+                counters=merged_counters(channel, machine, fronts),
+            )
+            for label, channel, machine, fronts, (breakdown, phases) in zip(
+                labels, channels, machines, mmus, walked
+            )
+        ]
+
+    def _walk(
+        self,
+        trace: KernelTrace,
+        machines: Sequence[Machine],
+        channels: Sequence[CommChannel],
+    ) -> List[Tuple[TimeBreakdown, Tuple[PhaseTiming, ...]]]:
+        """The phase walk over the points' machines: :func:`walk_phases`."""
+        return walk_phases(
+            trace, machines, channels, self.compile_cache, self.interleave_parallel
+        )
+
+
+class SweepSimulator(MachineSimulator):
+    """Evaluates one trace against a batch of design points in shared passes.
+
+    ``system`` and ``comm_params`` are the defaults for every point that
+    does not set its own.
+    """
 
     def run(
         self,
@@ -383,8 +512,9 @@ class SweepSimulator:
     ) -> List[SimulationResult]:
         """Simulate ``trace`` for every point; results in point order.
 
-        Each timing-distinct point is simulated exactly once; duplicates
-        receive the shared result re-labeled to their own ``system_name``
+        Each timing-distinct point is simulated exactly once, one
+        :meth:`_simulate` per execution group; duplicates receive the
+        shared result re-labeled to their own ``system_name``
         (determinism makes the shared result bit-identical to a dedicated
         run, the same argument :class:`~repro.exec.cache.ResultCache`
         relies on).
@@ -400,7 +530,18 @@ class SweepSimulator:
             batch.distinct
         )
         for group in batch.groups():
-            self._run_group(trace, batch, group, distinct_results)
+            members = [batch.points[batch.distinct[g]] for g in group]
+            first = members[0]
+            group_results = self._simulate(
+                trace,
+                first.system or self.system,
+                first.address_space,
+                first.protocol_kind,
+                [point.label() for point in members],
+                [point.channel_for(self.system, self.comm_params) for point in members],
+            )
+            for g, result in zip(group, group_results):
+                distinct_results[g] = result
         results: List[SimulationResult] = []
         for index, point in enumerate(batch.points):
             result = distinct_results[batch.inverse[index]]
@@ -410,68 +551,3 @@ class SweepSimulator:
                 result = replace(result, system=name)
             results.append(result)
         return results
-
-    def _run_group(
-        self,
-        trace: KernelTrace,
-        batch: BatchedDesignPoints,
-        group: Sequence[int],
-        out: List[Optional[SimulationResult]],
-    ) -> None:
-        """One shared :func:`walk_phases` over the group's per-point machines."""
-        points = [batch.points[batch.distinct[g]] for g in group]
-        system = points[0].system or self.system
-        space_kind = points[0].address_space
-
-        channels = []
-        for point in points:
-            case = point.case
-            channels.append(
-                make_channel(
-                    case.comm if case is not None else point.mechanism,
-                    params=point.comm_params or self.comm_params,
-                    system=system,
-                    async_overlap=(
-                        case.async_overlap if case is not None else point.async_overlap
-                    ),
-                )
-            )
-
-        staged = trace
-        spaces: List[Optional[AddressSpace]] = [None] * len(points)
-        if space_kind is not None:
-            # Stage per point: staging allocates in the point's own page
-            # tables (the MMUs translate against them), but the rebased
-            # trace is deterministic, so every point stages identically and
-            # the first staging is the shared event stream.
-            spaces = [make_address_space(space_kind, system) for _ in points]
-            staged = stage_trace(trace, spaces[0])
-            for space in spaces[1:]:
-                stage_trace(trace, space)
-
-        machines = [
-            build_machine(
-                system,
-                l3_policy=self.l3_policy,
-                coherence=points[0].protocol_kind,
-                l1_prefetch=self.l1_prefetch,
-                gpu_mode=self.gpu_mode,
-            )
-            for _ in points
-        ]
-        mmus = [
-            install_translation(machine, space) if space is not None else None
-            for machine, space in zip(machines, spaces)
-        ]
-        walked = walk_phases(
-            staged, machines, channels, self.compile_cache, self.interleave_parallel
-        )
-        for i, (g, point) in enumerate(zip(group, points)):
-            breakdown, phases = walked[i]
-            out[g] = SimulationResult(
-                kernel=staged.name,
-                system=point.label(),
-                breakdown=breakdown,
-                phases=phases,
-                counters=merged_counters(channels[i], machines[i], mmus[i]),
-            )

@@ -51,14 +51,12 @@ from repro.errors import (
     SimulationError,
     TraceError,
 )
-from repro.exec.job import SimJob
 from repro.faults.spec import FaultPlan
 from repro.kernels.base import Kernel
 from repro.kernels.registry import all_kernels, kernel as kernel_by_name
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricRegistry
 from repro.serve.queue import CoalescingQueue, Job
-from repro.taxonomy import CommMechanism
 
 __all__ = ["ExplorationService", "ExplorationServer", "run_server"]
 
@@ -186,11 +184,13 @@ class ExplorationService:
                 f"unknown design point {point!r}; labels look like "
                 "'SHA+MAP/coarse/CC/strong'"
             )
-        kernels = request.get("kernels") or [k.name for k in all_kernels()]
+        kernels = request.get("kernels", [])
         if not isinstance(kernels, list) or not all(
             isinstance(name, str) for name in kernels
         ):
             raise ConfigError("kernels must be a list of kernel names")
+        # An absent or empty list means every kernel.
+        kernels = kernels or [k.name for k in all_kernels()]
         for name in kernels:
             kernel_by_name(name)  # raises ConfigError on unknown names
         fidelity = request.get("fidelity", "fast")
@@ -218,7 +218,8 @@ class ExplorationService:
         value, since ``json.loads`` accepts the ``NaN``/``Infinity``
         literals."""
         deadline = request.get("deadline", self.default_deadline)
-        if not isinstance(deadline, (int, float)) or not (
+        # Exact type check: JSON true/false decode to bool, an int subclass.
+        if type(deadline) not in (int, float) or not (
             math.isfinite(deadline) and deadline > 0
         ):
             raise ConfigError(
@@ -238,14 +239,15 @@ class ExplorationService:
         spec = request.get("rank")
         if not isinstance(spec, dict):
             raise ConfigError("rank must be an object, e.g. {'rank': {}}")
+        # Exact type checks: JSON true/false decode to bool, an int subclass.
         sample = spec.get("sample", 0)
-        if not isinstance(sample, int) or sample < 0:
+        if type(sample) is not int or sample < 0:
             raise ConfigError(f"rank.sample must be an integer >= 0, got {sample!r}")
         top = spec.get("top", 10)
-        if not isinstance(top, int) or top < 1:
+        if type(top) is not int or top < 1:
             raise ConfigError(f"rank.top must be an integer >= 1, got {top!r}")
         shards = spec.get("shards", "auto")
-        if shards != "auto" and (not isinstance(shards, int) or shards < 1):
+        if shards != "auto" and (type(shards) is not int or shards < 1):
             raise ConfigError(
                 f"rank.shards must be an integer >= 1 or 'auto', got {shards!r}"
             )
@@ -431,20 +433,10 @@ class ExplorationService:
         memo key, so fast and detailed evaluations of one point coexist
         in the store.
         """
-        point.require_feasible()
-        jobs = [
-            explorer._job(
-                explorer.trace_cache.get(k).scaled(explorer.detailed_scale),
-                mechanism=point.comm,
-                async_overlap=point.comm is CommMechanism.DMA_ASYNC,
-                address_space=point.address_space,
-                system_name=point.label,
-                detailed=True,
-            )
-            for k in kernels
-        ]
         results = explorer.runner.run_jobs(
-            jobs, result_cache=explorer.result_cache, stage="serve-detailed"
+            explorer._point_jobs(point, kernels, detailed=True),
+            result_cache=explorer.result_cache,
+            stage="serve-detailed",
         )
         explorer.last_results = results
         return explorer._evaluation(point, results)

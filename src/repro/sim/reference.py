@@ -20,7 +20,7 @@ cycle steppers by wall-clock time.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.comm.base import CommChannel
 from repro.errors import SimulationError
@@ -153,8 +153,12 @@ class ReferenceSimulator(DetailedSimulator):
     """
 
     def _walk(
-        self, trace: KernelTrace, machine: Machine, channel: CommChannel
-    ) -> Tuple[TimeBreakdown, Tuple[PhaseTiming, ...]]:
+        self,
+        trace: KernelTrace,
+        machines: Sequence[Machine],
+        channels: Sequence[CommChannel],
+    ) -> List[Tuple[TimeBreakdown, Tuple[PhaseTiming, ...]]]:
+        (machine,), (channel,) = machines, channels  # a run is one point
         cpu, gpu = machine.cpu_core, machine.gpu_core
         cpu_freq, gpu_freq = cpu.config.frequency, gpu.config.frequency
         sequential = parallel = communication = 0.0
@@ -237,4 +241,4 @@ class ReferenceSimulator(DetailedSimulator):
         breakdown = TimeBreakdown(
             sequential=sequential, parallel=parallel, communication=communication
         )
-        return breakdown, tuple(timings)
+        return [(breakdown, tuple(timings))]

@@ -223,6 +223,26 @@ class TestGracefulDegradation:
         assert "[degraded]" in result.summary()
         assert runner.stats.degraded_results == 1
 
+    def test_detailed_case_job_keeps_its_protocol_under_faults(self):
+        """A fault plan wraps the case's channel; it must not drop the
+        case's coherence protocol from the detailed machine. The plan
+        targets PCI-E, which IDEAL-HETERO does not use, so the counters
+        (the directory's among them) are those of the fault-free run."""
+        trace = kernel("reduction").trace().scaled(0.002)
+        case = case_study("IDEAL-HETERO")
+        clean = run_sim_job(SimJob(trace=trace, case=case, detailed=True))
+        faulty = run_sim_job(
+            SimJob(
+                trace=trace,
+                case=case,
+                detailed=True,
+                fault_plan=FaultPlan.parse("seed=1;pcie:fail=0.5"),
+            )
+        )
+        assert any(key.startswith("directory.") for key in clean.counters)
+        assert set(faulty.counters) == set(clean.counters)
+        assert faulty.system == clean.system == "IDEAL-HETERO"
+
     def test_fast_results_are_not_flagged(self):
         job = SimJob(trace=kernel("reduction").trace(), case=case_study("CPU+GPU"))
         (result,) = ParallelRunner(jobs=1).run_jobs([job])

@@ -62,11 +62,23 @@ class TestService:
             "not an object",
             {"point": POINT, "deadline": float("nan")},
             {"point": POINT, "deadline": float("inf")},
+            {"point": POINT, "deadline": True},
+            {"point": POINT, "kernels": ""},
+            {"point": POINT, "kernels": 0},
+            {"point": POINT, "kernels": False},
+            {"point": POINT, "kernels": {}},
         ],
     )
     def test_bad_request_shapes_rejected(self, service, request_body):
         with pytest.raises(ConfigError):
             service.evaluate(request_body)
+
+    @pytest.mark.parametrize("request_body", [{"point": POINT}, {"point": POINT, "kernels": []}])
+    def test_absent_or_empty_kernels_mean_all(self, service, request_body):
+        from repro.kernels.registry import all_kernels
+
+        canonical = service._canonical(request_body)
+        assert canonical["kernels"] == [k.name for k in all_kernels()]
 
     def test_deadline_exceeded_is_typed(self, service):
         with pytest.raises(DeadlineExceededError):
@@ -275,6 +287,10 @@ class TestRankJobs:
             {"rank": {}, "faults": "pcie:fail=0.5"},
             {"rank": {}, "deadline": 0},
             {"rank": {}, "deadline": float("nan")},
+            {"rank": {"sample": True}},
+            {"rank": {"top": True}},
+            {"rank": {"shards": True}},
+            {"rank": {}, "deadline": True},
         ],
     )
     def test_bad_rank_requests_rejected(self, service, request_body):

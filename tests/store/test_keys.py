@@ -10,6 +10,7 @@ from repro.errors import StoreError
 from repro.exec.job import SimJob
 from repro.kernels.registry import kernel
 from repro.store.keys import PICKLE_PROTOCOL, stable_digest, stable_key
+from repro.taxonomy import AddressSpaceKind, CoherenceKind, CommMechanism
 
 
 class TestStableDigest:
@@ -44,10 +45,38 @@ class TestStableDigest:
         assert out == stable_digest(("reduction", 3, 2.5, ("nested", None)))
 
     def test_real_memo_keys_digest(self):
-        job = SimJob(trace=kernel("reduction").trace(), case=case_study("CPU+GPU"))
+        trace = kernel("reduction").trace()
+        case = case_study("CPU+GPU")
+        job = SimJob(trace=trace, case=case)
         digest = stable_digest(job.cache_key())
         assert len(digest) == 64
         assert digest == stable_digest(job.cache_key())
+        # Durable stores key results by these tuples: the field order and
+        # the raw (unresolved) coherence value must never change, or every
+        # store written before would miss.
+        assert job.cache_key() == (
+            trace, case, None, False, None, None, None, False, None
+        )
+        detailed = SimJob(
+            trace=trace,
+            mechanism=CommMechanism.DMA_ASYNC,
+            async_overlap=True,
+            address_space=AddressSpaceKind.UNIFIED,
+            system_name="not part of the key",
+            detailed=True,
+            coherence=CoherenceKind.HARDWARE_DIRECTORY,
+        )
+        assert detailed.cache_key() == (
+            trace,
+            None,
+            CommMechanism.DMA_ASYNC,
+            True,
+            AddressSpaceKind.UNIFIED,
+            None,
+            None,
+            True,
+            CoherenceKind.HARDWARE_DIRECTORY,
+        )
 
     def test_unpicklable_raises_store_error(self):
         with pytest.raises(StoreError):

@@ -80,6 +80,16 @@ class TestJobsFlag:
             ["serve", "--port", "0", "--deadline", "nan"],
             ["serve", "--port", "0", "--deadline", "inf"],
             ["guidelines", "--w-perf", "nan"],
+            ["bench", "--scale", "nan"],
+            ["bench", "--scale", "inf"],
+            ["bench", "--mode", "sweep", "--sweep-scale", "nan"],
+            ["bench", "--sweep-scale", "inf"],
+            ["bench", "--tolerance", "nan"],
+            ["bench", "--tolerance", "5"],
+            ["bench", "--tolerance", "-0.1"],
+            ["bench", "--min-speedup", "nan"],
+            ["bench", "--min-speedup", "inf"],
+            ["bench", "--min-speedup", "0"],
         ],
     )
     def test_rejects_non_finite_floats(self, args, capsys):
