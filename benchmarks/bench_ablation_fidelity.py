@@ -9,6 +9,7 @@ import pytest
 
 from repro.config.presets import case_study
 from repro.kernels.registry import kernel
+from repro.perf.sweep import SweepPoint
 from repro.sim.detailed import DetailedSimulator
 from repro.sim.fast import FastSimulator
 
@@ -22,7 +23,7 @@ def run_both():
     detailed = DetailedSimulator()
     rows = {}
     for name in SYSTEMS:
-        f = fast.run(trace, case=case_study(name))
+        f = fast.run(trace, SweepPoint(case=case_study(name)))
         d = detailed.run(trace, case=case_study(name))
         rows[name] = (f.total_seconds, d.total_seconds)
     return rows

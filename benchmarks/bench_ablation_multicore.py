@@ -12,6 +12,7 @@ from repro.config.presets import case_study
 from repro.config.system import CpuConfig, GpuConfig, SystemConfig
 from repro.core.report import format_series
 from repro.kernels.registry import kernel
+from repro.perf.sweep import SweepPoint
 from repro.sim.fast import FastSimulator
 
 CORE_COUNTS = (1, 2, 4, 8)
@@ -31,7 +32,7 @@ def regenerate():
         per_count = {}
         for cores in CORE_COUNTS:
             sim = FastSimulator(scaled_system(cores))
-            per_count[cores] = sim.run(k.trace(), case=case_study("Fusion"))
+            per_count[cores] = sim.run(k.trace(), SweepPoint(case=case_study("Fusion")))
         results[name] = per_count
     return results
 

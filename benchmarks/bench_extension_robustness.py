@@ -11,12 +11,12 @@ rates, producing a degradation curve per system and checking that the
 zero-fault sweep is byte-identical to the unfaulted simulator path.
 """
 
-from repro.comm.base import IdealChannel
 from repro.config.presets import case_study
 from repro.exec import ParallelRunner, RetryPolicy, SimJob
 from repro.faults import FaultPlan
 from repro.kernels.registry import all_kernels
 from repro.kernels.synthetic import SyntheticKernel
+from repro.perf.sweep import SweepPoint
 from repro.sim.fast import FastSimulator
 from repro.taxonomy import AddressSpaceKind, CommMechanism
 
@@ -32,10 +32,12 @@ def regenerate():
         kernel = SyntheticKernel(seed)
         trace = kernel.trace()
         per_system = {
-            name: sim.run(trace, case=case_study(name)) for name in SYSTEM_ORDER
+            name: sim.run(trace, SweepPoint(case=case_study(name))) for name in SYSTEM_ORDER
         }
         per_space = {
-            space: sim.run(trace, channel=IdealChannel(), address_space=space)
+            space: sim.run(
+                trace, SweepPoint(mechanism=CommMechanism.IDEAL, address_space=space)
+            )
             for space in AddressSpaceKind
         }
         results[kernel.name] = (per_system, per_space)

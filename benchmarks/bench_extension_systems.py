@@ -9,6 +9,7 @@ controller) designs to the Figure 5 comparison.
 from repro.config.presets import case_study, case_study_names
 from repro.core.report import format_series
 from repro.kernels.registry import all_kernels
+from repro.perf.sweep import SweepPoint
 from repro.sim.fast import FastSimulator
 
 
@@ -16,7 +17,7 @@ def regenerate():
     sim = FastSimulator()
     names = case_study_names(extended=True)
     return {
-        k.name: {name: sim.run(k.trace(), case=case_study(name)) for name in names}
+        k.name: {name: sim.run(k.trace(), SweepPoint(case=case_study(name))) for name in names}
         for k in all_kernels()
     }
 

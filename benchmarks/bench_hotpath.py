@@ -105,10 +105,14 @@ def test_store(benchmark, output_dir):
 
     store = doc["store"]
     # run_store_bench itself asserts the warm-store ranking is identical
-    # to the cold run and that the warm run never missed the store. The
+    # to the cold run and that the warm run never missed the store nor
+    # executed a job. A warm rank reads one sweep record per timing-key
+    # group, fewer than the cold run's entries (which also count its
+    # per-job results), so hits are not compared to entries. The
     # warm/cold *ratio* is fsync- and disk-bound, so the perf gate lives
     # in the section-gated baseline comparison, not an absolute floor here.
     assert store["cold_seconds"] > 0
     assert store["warm_seconds"] > 0
     assert store["entries"] > 0
-    assert store["warm_hits"] >= store["entries"]
+    assert store["warm_jobs"] == 0
+    assert store["warm_hits"] > 0

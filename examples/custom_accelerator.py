@@ -23,6 +23,7 @@ from repro.config.system import CacheConfig, GpuConfig, SystemConfig
 from repro.core.report import format_table
 from repro.core.sweeps import repartition, sweep_partition
 from repro.kernels.base import Kernel, KernelShape, MixProfile, make_mix
+from repro.perf.sweep import SweepPoint
 from repro.sim.fast import FastSimulator
 from repro.taxonomy import ProcessingUnit
 from repro.trace.phase import CommPhase, Direction, ParallelPhase, Segment, SequentialPhase
@@ -107,7 +108,7 @@ def main() -> None:
     for label, system in systems.items():
         sim = FastSimulator(system)
         for case_name in case_names:
-            result = sim.run(trace, case=case_study(case_name))
+            result = sim.run(trace, SweepPoint(case=case_study(case_name)))
             rows.append(
                 (
                     label,

@@ -9,7 +9,7 @@ execution-time breakdown.
 Run:  python examples/quickstart.py
 """
 
-from repro import FastSimulator, case_study, kernel
+from repro import FastSimulator, SweepPoint, case_study, kernel
 
 
 def main() -> None:
@@ -25,7 +25,7 @@ def main() -> None:
 
     simulator = FastSimulator()
     for system_name in ("CPU+GPU", "LRB", "GMAC", "Fusion", "IDEAL-HETERO"):
-        result = simulator.run(trace, case=case_study(system_name))
+        result = simulator.run(trace, SweepPoint(case=case_study(system_name)))
         print(result.summary())
 
 

@@ -7,10 +7,10 @@ EXPERIMENTS.md for paper-vs-measured results.
 
 Quickstart::
 
-    from repro import case_study, kernel, FastSimulator
+    from repro import FastSimulator, SweepPoint, case_study, kernel
 
     sim = FastSimulator()
-    result = sim.run(kernel("reduction").trace(), case_study("LRB"))
+    result = sim.run(kernel("reduction").trace(), SweepPoint(case=case_study("LRB")))
     print(result.breakdown)
 """
 
@@ -54,5 +54,6 @@ __all__ = [
 
 # Simulators are imported at module bottom to avoid a cycle with repro.config.
 from repro.sim import DetailedSimulator, FastSimulator, SimulationResult  # noqa: E402
+from repro.perf.sweep import SweepPoint  # noqa: E402
 
-__all__ += ["DetailedSimulator", "FastSimulator", "SimulationResult"]
+__all__ += ["DetailedSimulator", "FastSimulator", "SimulationResult", "SweepPoint"]

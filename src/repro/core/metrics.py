@@ -35,6 +35,7 @@ from repro.errors import DesignSpaceError
 from repro.kernels.base import Kernel
 from repro.kernels.registry import all_kernels
 from repro.locality.schemes import feasible_schemes
+from repro.perf.sweep import SweepPoint
 from repro.sim.fast import FastSimulator
 from repro.taxonomy import AddressSpaceKind
 
@@ -111,7 +112,7 @@ class EfficiencyMetric:
         energies: List[float] = []
         for kernel in kernels:
             trace = kernel.trace()
-            times.append(self._simulator.run(trace, case=case).total_seconds)
+            times.append(self._simulator.run(trace, SweepPoint(case=case)).total_seconds)
             energies.append(trace_energy(trace, case, self.system).total_uj)
         comm_lines = sum(row[space] for row in table5_dict().values())
         total_lines = sum(

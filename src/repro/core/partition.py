@@ -26,6 +26,7 @@ from repro.config.system import SystemConfig
 from repro.core.sweeps import repartition
 from repro.errors import DesignSpaceError
 from repro.kernels.base import Kernel
+from repro.perf.sweep import SweepPoint
 from repro.sim.analytic import AnalyticTiming
 from repro.sim.fast import FastSimulator
 from repro.trace.stream import KernelTrace
@@ -83,11 +84,11 @@ def optimal_split(
         raise DesignSpaceError("tolerance must be in (0, 0.5)")
     system = system or SystemConfig()
     sim = FastSimulator(system)
-    case = case_study(case_name)
+    point = SweepPoint(case=case_study(case_name))
     base = kernel.trace()
 
     def makespan(fraction: float) -> float:
-        return sim.run(repartition(base, fraction), case=case).total_seconds
+        return sim.run(repartition(base, fraction), point).total_seconds
 
     lo, hi = 0.01, 0.99
     x1 = hi - _GOLDEN * (hi - lo)
@@ -106,5 +107,5 @@ def optimal_split(
     return PartitionResult(
         cpu_fraction=best,
         total_seconds=makespan(best),
-        even_split_seconds=sim.run(base, case=case).total_seconds,
+        even_split_seconds=sim.run(base, point).total_seconds,
     )

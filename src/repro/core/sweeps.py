@@ -25,6 +25,7 @@ from repro.errors import DesignSpaceError
 from repro.exec.job import SimJob
 from repro.exec.runner import ParallelRunner
 from repro.kernels.base import Kernel
+from repro.perf.sweep import SweepPoint
 from repro.sim.fast import FastSimulator
 from repro.sim.results import SimulationResult
 from repro.trace.phase import ParallelPhase, SequentialPhase
@@ -177,13 +178,15 @@ def find_lrb_crossover_bytes(
         raise DesignSpaceError("tolerance must be >= 1 byte")
     system = system or SystemConfig()
     sim = FastSimulator(system)
+    lrb_point = SweepPoint(case=case_study("LRB"))
+    pcie_point = SweepPoint(case=case_study("CPU+GPU"))
 
     def comm_gap(num_bytes: int) -> float:
         """LRB comm seconds minus CPU+GPU comm seconds at this size."""
         elements = max(num_bytes // 4, 2)
         trace = kernel.build(kernel.for_size(elements))
-        lrb = sim.run(trace, case=case_study("LRB")).breakdown.communication
-        pcie = sim.run(trace, case=case_study("CPU+GPU")).breakdown.communication
+        lrb = sim.run(trace, lrb_point).breakdown.communication
+        pcie = sim.run(trace, pcie_point).breakdown.communication
         return lrb - pcie
 
     if comm_gap(lo) < 0:

@@ -144,17 +144,8 @@ def run_sim_job(job: SimJob) -> SimulationResult:
 
     simulator = FastSimulator(job.system, job.comm_params)
 
-    def run_fast() -> SimulationResult:
-        return simulator.run(
-            job.trace,
-            channel=job.channel_for(simulator.system, simulator.comm_params),
-            address_space=job.address_space,
-            system_name=job.label(),
-            coherence=job.coherence,
-        )
-
     if not job.detailed:
-        return run_fast()
+        return simulator.run(job.trace, job)
 
     from repro.errors import SimulationError
     from repro.sim.detailed import DetailedSimulator
@@ -172,7 +163,7 @@ def run_sim_job(job: SimJob) -> SimulationResult:
         # Graceful degradation: the fast model prices the same trace
         # analytically (through a fresh channel); the result is flagged
         # so consumers can tell it apart.
-        return replace(run_fast(), degraded=True)
+        return replace(simulator.run(job.trace, job), degraded=True)
 
 
 def _compile_counts() -> Tuple[int, ...]:

@@ -49,6 +49,7 @@ from repro.config.presets import case_study
 from repro.errors import ConfigError, SimulationError
 from repro.kernels.registry import all_kernels, kernel
 from repro.perf.compiled import SegmentCompileCache
+from repro.perf.sweep import SweepPoint
 from repro.sim.detailed import DetailedSimulator
 from repro.sim.fast import FastSimulator
 from repro.sim.results import SimulationResult
@@ -196,7 +197,7 @@ def run_hotpath_bench(
                 "speedup": legacy / compiled if compiled > 0 else 0.0,
             }
         start = time.perf_counter()
-        fast_sim.run(trace, case=case)
+        fast_sim.run(trace, SweepPoint(case=case))
         fast_rows[k.name] = time.perf_counter() - start
 
     for name, _ in FIDELITIES:
@@ -304,7 +305,6 @@ def _rank_style_points(stride: int) -> List:
     exercise the relabel-on-scatter path exactly like a real ranking run.
     """
     from repro.core.space import DesignSpace
-    from repro.perf.sweep import SweepPoint
 
     return [
         SweepPoint.from_design_point(point)
@@ -421,8 +421,9 @@ def run_store_bench(
     caches, as a new process would have) reopening the store the cold run
     populated, so every result is a verified disk hit. Both evaluation
     lists are asserted equal before either timing is reported, and the
-    warm run must be all hits — the recorded *speedup* (cold wall-clock
-    over warm) is only ever for bit-identical output.
+    warm run must be all hits and execute no job (``warm_jobs``, the warm
+    explorer's ``exec.jobs_submitted``) — the recorded *speedup* (cold
+    wall-clock over warm) is only ever for bit-identical output.
     """
     check_bench_options(repeats=repeats, strides=(stride,))
     import os
@@ -464,7 +465,7 @@ def run_store_bench(
                 warm_root = cold_root
 
         warm_seconds = math.inf
-        warm_hits = 0
+        warm_hits = warm_jobs = 0
         for _ in range(repeats):
             store = ResultStore(warm_root)
             explorer = Explorer(trace_cache=TraceCache(), store=store)
@@ -477,15 +478,17 @@ def run_store_bench(
                     "store bench identity violation: warm-store ranking "
                     "differs from the cold run that populated the store"
                 )
-            if store.misses:
+            executed = explorer.run_stats.jobs_submitted
+            if store.misses or executed:
                 store.close()
                 raise SimulationError(
                     f"store bench warm run was not warm: "
-                    f"{store.misses} store miss(es)"
+                    f"{store.misses} store miss(es), {executed} job(s) executed"
                 )
             if elapsed < warm_seconds:
                 warm_seconds = elapsed
                 warm_hits = store.hits
+                warm_jobs = executed
             store.close()
     finally:
         shutil.rmtree(root, ignore_errors=True)
@@ -499,6 +502,7 @@ def run_store_bench(
             "kernels": [k.name for k in selected],
             "entries": entries,
             "warm_hits": warm_hits,
+            "warm_jobs": warm_jobs,
             "cold_seconds": cold_seconds,
             "warm_seconds": warm_seconds,
             "speedup": cold_seconds / warm_seconds if warm_seconds > 0 else 0.0,

@@ -243,9 +243,11 @@ class SweepPoint:
     """One design point's simulation parameters (pure data, picklable).
 
     Exactly one of ``case``/``mechanism`` selects the communication
-    mechanism. ``system`` and ``comm_params`` override the simulator's
-    machine parameters for this point only (``None`` inherits them);
-    ``system_name`` is the display label and never affects timing.
+    mechanism; ``async_overlap`` is allowed only with the ``dma-async``
+    mechanism (a case study carries its own). ``system`` and
+    ``comm_params`` override the simulator's machine parameters for this
+    point only (``None`` inherits them); ``system_name`` is the display
+    label and never affects timing.
     :class:`~repro.exec.job.SimJob` is a point plus a trace.
     """
 
@@ -270,6 +272,12 @@ class SweepPoint:
             raise SimulationError(
                 f"a {type(self).__name__} needs exactly one of "
                 f"{'/'.join(self._SELECTORS)}, got {selectors}"
+            )
+        if self.async_overlap and self.mechanism is not CommMechanism.DMA_ASYNC:
+            raise SimulationError(
+                f"a {type(self).__name__} overlaps copies only on "
+                f"{CommMechanism.DMA_ASYNC}, not on "
+                f"{self.mechanism or 'a case study or channel'}"
             )
 
     @classmethod

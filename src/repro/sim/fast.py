@@ -2,13 +2,13 @@
 
 Reproduces the paper's quantitative methodology directly: compute phases
 are priced by the analytic core models; communication phases are priced by
-the case study's channel with the Table IV latencies; asynchronous
+the design point's channel with the Table IV latencies; asynchronous
 channels may hide copy time under the adjacent parallel phase (GMAC).
 
-Optionally, an :class:`~repro.taxonomy.AddressSpaceKind` adds the *extra
-instructions* each address space needs around communications (the §V-B
-experiment, Figure 7): a handful of API instructions per communication,
-which is exactly why that figure is flat.
+A point's :class:`~repro.taxonomy.AddressSpaceKind`, when set, adds the
+*extra instructions* each address space needs around communications (the
+§V-B experiment, Figure 7): a handful of API instructions per
+communication, which is exactly why that figure is flat.
 """
 
 from __future__ import annotations
@@ -17,14 +17,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.addrspace.layout import SHARED_BASE
 from repro.config.comm import CommParams
-from repro.config.presets import CaseStudy
 from repro.config.system import SystemConfig
 from repro.errors import SimulationError
-from repro.comm.base import CommChannel, make_channel
 from repro.mem.coherence.api import resolve_protocol_kind
+from repro.perf.sweep import SweepPoint
 from repro.sim.analytic import AnalyticTiming
 from repro.sim.results import PhaseTiming, SimulationResult, TimeBreakdown
-from repro.taxonomy import AddressSpaceKind, CoherenceKind
+from repro.taxonomy import AddressSpaceKind
 from repro.trace.phase import CommPhase, ParallelPhase, Segment, SequentialPhase
 from repro.trace.stream import KernelTrace
 
@@ -52,59 +51,42 @@ class FastSimulator:
     ) -> None:
         self.system = system or SystemConfig()
         self.comm_params = comm_params or CommParams()
-        self.timing = AnalyticTiming(self.system)
-
-    # -- channel selection ----------------------------------------------------
-
-    def _channel_for(self, case: CaseStudy) -> CommChannel:
-        return make_channel(
-            case.comm,
-            params=self.comm_params,
-            system=self.system,
-            async_overlap=case.async_overlap,
-        )
 
     # -- main entry point -------------------------------------------------------
 
-    def run(
-        self,
-        trace: KernelTrace,
-        case: Optional[CaseStudy] = None,
-        channel: Optional[CommChannel] = None,
-        address_space: Optional[AddressSpaceKind] = None,
-        system_name: Optional[str] = None,
-        coherence: "str | CoherenceKind | None" = None,
-    ) -> SimulationResult:
-        """Simulate ``trace`` on a case-study system (or explicit channel).
+    def run(self, trace: KernelTrace, point: SweepPoint) -> SimulationResult:
+        """Simulate ``trace`` at one design point.
 
-        Exactly one of ``case``/``channel`` selects the communication
-        mechanism; ``address_space`` adds the per-communication space
-        management instructions (Figure 7 experiment).
+        The point decides everything beyond the trace: its channel
+        (:meth:`~repro.perf.sweep.SweepPoint.channel_for`), the result's
+        label, the ``address_space`` whose per-communication management
+        instructions are charged (Figure 7 experiment), and the
+        ``coherence`` variant. Its ``system``/``comm_params`` overrides
+        price the whole run; ``None`` inherits this simulator's.
 
-        ``coherence`` publishes analytic invalidation-traffic estimates
-        (``coherence.estimated_*`` counters) for the requested protocol
-        variant so metrics-diffing fast against detailed runs stays
-        meaningful on coherent design points. It must be requested
-        explicitly — unlike the detailed simulator, the case study's
-        coherence kind is deliberately *not* consulted, so every
+        The point's raw ``coherence`` publishes analytic
+        invalidation-traffic estimates (``coherence.estimated_*``
+        counters) for the requested protocol variant so metrics-diffing
+        fast against detailed runs stays meaningful on coherent design
+        points. It must be requested explicitly — unlike the detailed
+        simulator, which builds the point's ``protocol_kind``, the case
+        study's coherence kind is deliberately *not* consulted, so every
         historical fast-path figure stays byte-identical.
         """
-        if case is None and channel is None:
-            raise SimulationError("provide a case study or a channel")
-        if channel is None:
-            channel = self._channel_for(case)
-        name = system_name or (case.name if case else str(channel.mechanism))
+        system = point.system or self.system
+        timing = AnalyticTiming(system)
+        channel = point.channel_for(self.system, self.comm_params)
 
         # Pass 1: price every compute phase.
         compute_seconds: Dict[int, Tuple[float, float]] = {}
         for index, phase in enumerate(trace.phases):
             if isinstance(phase, SequentialPhase):
                 # Serial code runs on one core regardless of num_cores.
-                t = self.timing.cpu_segment_seconds(phase.segment, parallel=False)
+                t = timing.cpu_segment_seconds(phase.segment, parallel=False)
                 compute_seconds[index] = (t, 0.0)
             elif isinstance(phase, ParallelPhase):
-                cpu_t = self.timing.cpu_segment_seconds(phase.cpu)
-                gpu_t = self.timing.gpu_segment_seconds(phase.gpu)
+                cpu_t = timing.cpu_segment_seconds(phase.cpu)
+                gpu_t = timing.gpu_segment_seconds(phase.gpu)
                 compute_seconds[index] = (cpu_t, gpu_t)
 
         # Pass 2: price communications, offering adjacent parallel phases
@@ -129,7 +111,7 @@ class FastSimulator:
                 phase_timings.append(
                     PhaseTiming(label=phase.label, kind="sequential", seconds=t, cpu_seconds=t)
                 )
-                o, m, d = self.timing.estimated_memory_counters(phase.segment)
+                o, m, d = timing.estimated_memory_counters(phase.segment)
                 mem_ops += o
                 est_misses += m
                 est_dram += d
@@ -147,7 +129,7 @@ class FastSimulator:
                     )
                 )
                 for segment in (phase.cpu, phase.gpu):
-                    o, m, d = self.timing.estimated_memory_counters(segment)
+                    o, m, d = timing.estimated_memory_counters(segment)
                     mem_ops += o
                     est_misses += m
                     est_dram += d
@@ -172,22 +154,24 @@ class FastSimulator:
                 raise SimulationError(f"unknown phase type {type(phase).__name__}")
 
         # Address-space management instructions (Figure 7 experiment).
-        if address_space is not None:
-            extra = SPACE_OVERHEAD_INSTRUCTIONS[address_space] * trace.num_communications
-            extra_seconds = self.system.cpu.frequency.cycles_to_seconds(extra)
+        if point.address_space is not None:
+            extra = SPACE_OVERHEAD_INSTRUCTIONS[point.address_space] * trace.num_communications
+            extra_seconds = system.cpu.frequency.cycles_to_seconds(extra)
             sequential += extra_seconds
 
         counters: Dict[str, float] = dict(channel.stats())
         counters["cache.memory_ops"] = mem_ops
         counters["cache.estimated_misses"] = est_misses
         counters["dram.estimated_accesses"] = est_dram
-        if coherence is not None:
-            kind = resolve_protocol_kind(coherence)
+        if point.coherence is not None:
+            kind = resolve_protocol_kind(point.coherence)
             if kind != "none":
-                counters.update(self.estimated_coherence_counters(trace, kind))
+                counters.update(
+                    self.estimated_coherence_counters(trace, kind, system.l3.line_bytes)
+                )
         return SimulationResult(
             kernel=trace.name,
-            system=name,
+            system=point.label(),
             breakdown=TimeBreakdown(
                 sequential=sequential,
                 parallel=parallel,
@@ -200,9 +184,10 @@ class FastSimulator:
     # -- analytic coherence-traffic estimate ----------------------------------
 
     def estimated_coherence_counters(
-        self, trace: KernelTrace, kind: str
+        self, trace: KernelTrace, kind: str, line_bytes: int
     ) -> Dict[str, float]:
-        """Analytic invalidation-traffic estimate for protocol ``kind``.
+        """Analytic invalidation-traffic estimate for protocol ``kind`` on
+        ``line_bytes`` cache lines.
 
         Mirrors the streaming-miss philosophy of
         :meth:`AnalyticTiming.estimated_memory_counters`: each parallel
@@ -214,7 +199,7 @@ class FastSimulator:
         rides the upgrade broadcast (1 message), a directory invalidation
         is a lookup + inv + ack exchange (3 messages).
         """
-        line = float(self.system.l3.line_bytes)
+        line = float(line_bytes)
         shared_lines = invalidations = messages = 0.0
         for phase in trace.phases:
             if not isinstance(phase, ParallelPhase):

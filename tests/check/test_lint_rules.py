@@ -259,6 +259,36 @@ class TestReferenceOracleImports:
         assert self.library_violations(source) == []
 
 
+class TestChannelFactoryCalls:
+    """L008: only SweepPoint.channel_for may build a point's channel."""
+
+    SOURCE = (
+        "from repro.comm import base\n"
+        "from repro.comm.base import make_channel\n"
+        "a = make_channel(mechanism)\n"
+        "b = base.make_channel(mechanism, async_overlap=True)\n"
+    )
+
+    def library_violations(self, path):
+        return [
+            (rule, line)
+            for _, line, rule, _ in lint_rules.lint_source(self.SOURCE, Path(path))
+        ]
+
+    def test_call_flagged_in_another_module(self):
+        assert self.library_violations("src/repro/sim/fast.py") == [
+            ("L008", 3),
+            ("L008", 4),
+        ]
+
+    def test_sweep_point_module_may_call(self):
+        assert self.library_violations("src/repro/perf/sweep.py") == []
+
+    def test_comm_package_and_tests_may_call(self):
+        assert self.library_violations("src/repro/comm/__init__.py") == []
+        assert self.library_violations("tests/comm/test_channels.py") == []
+
+
 class TestMesiStateOwnership:
     def test_state_assignment_flagged_outside_coherence(self):
         assert violations("block.state = MESIState.MODIFIED\n") == [("L004", 1)]

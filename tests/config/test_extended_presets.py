@@ -10,6 +10,7 @@ from repro.config.presets import (
 )
 from repro.errors import ConfigError
 from repro.kernels.registry import kernel
+from repro.perf.sweep import SweepPoint
 from repro.sim.fast import FastSimulator
 from repro.taxonomy import AddressSpaceKind, CommMechanism, ConsistencyModel
 
@@ -46,9 +47,9 @@ class TestExtendedSimulation:
     def test_interconnect_systems_communicate_cheaply(self, fast_sim):
         """Cell/COMIC-style on-chip links beat every off-chip mechanism."""
         trace = kernel("reduction").trace()
-        cell = fast_sim.run(trace, case=case_study("Cell-like"))
-        pcie = fast_sim.run(trace, case=case_study("CPU+GPU"))
-        fusion = fast_sim.run(trace, case=case_study("Fusion"))
+        cell = fast_sim.run(trace, SweepPoint(case=case_study("Cell-like")))
+        pcie = fast_sim.run(trace, SweepPoint(case=case_study("CPU+GPU")))
+        fusion = fast_sim.run(trace, SweepPoint(case=case_study("Fusion")))
         assert cell.breakdown.communication < fusion.breakdown.communication
         assert cell.breakdown.communication < pcie.breakdown.communication / 10
 
@@ -56,5 +57,5 @@ class TestExtendedSimulation:
         for k in kernels:
             trace = k.trace()
             for name in EXTENDED_CASE_STUDIES:
-                result = fast_sim.run(trace, case=case_study(name))
+                result = fast_sim.run(trace, SweepPoint(case=case_study(name)))
                 assert result.total_seconds > 0

@@ -202,6 +202,7 @@ class TestLrbCrossover:
         from repro.config.presets import case_study
         from repro.core.sweeps import find_lrb_crossover_bytes
         from repro.kernels.registry import kernel
+        from repro.perf.sweep import SweepPoint
         from repro.sim.fast import FastSimulator
 
         k = kernel("reduction")
@@ -210,7 +211,8 @@ class TestLrbCrossover:
 
         def comm(case_name, num_bytes):
             trace = k.build(k.for_size(num_bytes // 4))
-            return sim.run(trace, case=case_study(case_name)).breakdown.communication
+            point = SweepPoint(case=case_study(case_name))
+            return sim.run(trace, point).breakdown.communication
 
         below = crossover // 2
         above = crossover * 2

@@ -3,8 +3,10 @@
 import pytest
 
 from repro import (
+    CommMechanism,
     DetailedSimulator,
     FastSimulator,
+    SweepPoint,
     case_study,
     kernel,
 )
@@ -39,16 +41,16 @@ class TestHeadlineReproduction:
         (Figures 5/6)."""
         sim = FastSimulator()
         trace = kernel("reduction").trace()
-        from repro.comm.base import IdealChannel
-
         space_totals = [
-            sim.run(trace, channel=IdealChannel(), address_space=s).total_seconds
+            sim.run(
+                trace, SweepPoint(mechanism=CommMechanism.IDEAL, address_space=s)
+            ).total_seconds
             for s in AddressSpaceKind
         ]
         space_spread = max(space_totals) / min(space_totals)
 
         comm_totals = [
-            sim.run(trace, case=case_study(n)).total_seconds
+            sim.run(trace, SweepPoint(case=case_study(n))).total_seconds
             for n in ("CPU+GPU", "Fusion")
         ]
         comm_spread = max(comm_totals) / min(comm_totals)
@@ -76,13 +78,9 @@ class TestProgramToSimulationPipeline:
         log = Interpreter().execute(program)
         assert log.kernel_launches == spec.gpu_call_sites
 
-        sim = FastSimulator()
-        from repro.comm.base import IdealChannel
-
-        result = sim.run(
+        result = FastSimulator().run(
             kernel("reduction").trace(),
-            channel=IdealChannel(),
-            address_space=kind,
+            SweepPoint(mechanism=CommMechanism.IDEAL, address_space=kind),
         )
         assert result.total_seconds > 0
 
@@ -120,7 +118,9 @@ class TestExplorerConsistency:
     def test_explorer_and_direct_sim_agree(self):
         explorer = Explorer()
         results = explorer.run_case_studies(kernels=[kernel("dct")])
-        direct = FastSimulator().run(kernel("dct").trace(), case=case_study("LRB"))
+        direct = FastSimulator().run(
+            kernel("dct").trace(), SweepPoint(case=case_study("LRB"))
+        )
         assert results["dct"]["LRB"].total_seconds == pytest.approx(
             direct.total_seconds
         )

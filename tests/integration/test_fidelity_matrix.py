@@ -10,6 +10,7 @@ import pytest
 
 from repro.config.presets import case_study
 from repro.kernels.registry import kernel
+from repro.perf.sweep import SweepPoint
 from repro.sim.detailed import DetailedSimulator
 from repro.sim.fast import FastSimulator
 
@@ -26,7 +27,7 @@ def matrix():
         trace = kernel(kernel_name).trace().scaled(SCALE)
         rows[kernel_name] = {
             system: (
-                fast.run(trace, case=case_study(system)).total_seconds,
+                fast.run(trace, SweepPoint(case=case_study(system))).total_seconds,
                 DetailedSimulator().run(trace, case=case_study(system)).total_seconds,
             )
             for system in SYSTEMS

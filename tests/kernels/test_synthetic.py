@@ -4,6 +4,7 @@ import pytest
 
 from repro.config.presets import case_study
 from repro.kernels.synthetic import SyntheticKernel
+from repro.perf.sweep import SweepPoint
 from repro.sim.fast import FastSimulator
 
 
@@ -56,13 +57,14 @@ class TestSimulation:
         sim = FastSimulator()
         trace = SyntheticKernel(seed).trace()
         for name in ("CPU+GPU", "LRB", "GMAC", "Fusion", "IDEAL-HETERO"):
-            result = sim.run(trace, case=case_study(name))
+            result = sim.run(trace, SweepPoint(case=case_study(name)))
             assert result.total_seconds > 0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_ideal_is_fastest(self, seed):
         sim = FastSimulator()
         trace = SyntheticKernel(seed).trace()
-        ideal = sim.run(trace, case=case_study("IDEAL-HETERO")).total_seconds
+        ideal = sim.run(trace, SweepPoint(case=case_study("IDEAL-HETERO"))).total_seconds
         for name in ("CPU+GPU", "LRB", "GMAC", "Fusion"):
-            assert sim.run(trace, case=case_study(name)).total_seconds >= ideal - 1e-15
+            other = sim.run(trace, SweepPoint(case=case_study(name)))
+            assert other.total_seconds >= ideal - 1e-15

@@ -162,6 +162,15 @@ class TestBatchedDesignPoints:
             SweepPoint()
         with pytest.raises(SimulationError):
             SweepPoint(case=case_study("CPU+GPU"), mechanism=CommMechanism.PCIE)
+        # Only dma-async overlaps copies: (PCIE, async) would be labeled
+        # pci-e but run a DMA channel.
+        for mechanism in CommMechanism:
+            if mechanism is not CommMechanism.DMA_ASYNC:
+                with pytest.raises(SimulationError):
+                    SweepPoint(mechanism=mechanism, async_overlap=True)
+        with pytest.raises(SimulationError):
+            SweepPoint(case=case_study("GMAC"), async_overlap=True)
+        SweepPoint(mechanism=CommMechanism.DMA_ASYNC, async_overlap=True)
 
     def test_groups_partition_the_distinct_points(self):
         points = rank_style_points() + case_points()

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.config.presets import CASE_STUDIES, case_study
 from repro.kernels.registry import all_kernels
+from repro.perf.sweep import SweepPoint
 from repro.sim.fast import FastSimulator
 
 kernel_strategy = st.sampled_from(all_kernels())
@@ -16,7 +17,7 @@ class TestFastSimProperties:
     @settings(max_examples=40, deadline=None)
     def test_breakdown_components_nonnegative(self, k, case_name):
         sim = FastSimulator()
-        result = sim.run(k.trace(), case=case_study(case_name))
+        result = sim.run(k.trace(), SweepPoint(case=case_study(case_name)))
         b = result.breakdown
         assert b.sequential >= 0 and b.parallel >= 0 and b.communication >= 0
         assert 0 <= b.communication_fraction <= 1
@@ -25,17 +26,17 @@ class TestFastSimProperties:
     @settings(max_examples=30, deadline=None)
     def test_deterministic(self, k, case_name):
         sim = FastSimulator()
-        a = sim.run(k.trace(), case=case_study(case_name))
-        b = sim.run(k.trace(), case=case_study(case_name))
+        a = sim.run(k.trace(), SweepPoint(case=case_study(case_name)))
+        b = sim.run(k.trace(), SweepPoint(case=case_study(case_name)))
         assert a.breakdown == b.breakdown
 
     @given(k=kernel_strategy)
     @settings(max_examples=20, deadline=None)
     def test_ideal_is_lower_bound(self, k):
         sim = FastSimulator()
-        ideal = sim.run(k.trace(), case=case_study("IDEAL-HETERO"))
+        ideal = sim.run(k.trace(), SweepPoint(case=case_study("IDEAL-HETERO")))
         for name in CASE_STUDIES:
-            other = sim.run(k.trace(), case=case_study(name))
+            other = sim.run(k.trace(), SweepPoint(case=case_study(name)))
             assert other.total_seconds >= ideal.total_seconds - 1e-15
 
     @given(
@@ -46,6 +47,6 @@ class TestFastSimProperties:
     @settings(max_examples=30, deadline=None)
     def test_scaling_compute_down_never_slows_execution(self, k, case_name, factor):
         sim = FastSimulator()
-        full = sim.run(k.trace(), case=case_study(case_name))
-        scaled = sim.run(k.trace().scaled(factor), case=case_study(case_name))
+        full = sim.run(k.trace(), SweepPoint(case=case_study(case_name)))
+        scaled = sim.run(k.trace().scaled(factor), SweepPoint(case=case_study(case_name)))
         assert scaled.total_seconds <= full.total_seconds + 1e-12

@@ -6,6 +6,7 @@ from repro.config.presets import case_study
 from repro.errors import SimulationError
 from repro.kernels.registry import kernel
 from repro.mem.cache.replacement import HybridLocalityPolicy
+from repro.perf.sweep import SweepPoint
 from repro.sim.detailed import DetailedSimulator
 from repro.sim.fast import FastSimulator
 
@@ -60,7 +61,7 @@ class TestCrossCheck:
     def test_total_time_within_2x(self):
         trace = kernel("reduction").trace().scaled(SCALE)
         det = DetailedSimulator().run(trace, case=case_study("CPU+GPU"))
-        fast = FastSimulator().run(trace, case=case_study("CPU+GPU"))
+        fast = FastSimulator().run(trace, SweepPoint(case=case_study("CPU+GPU")))
         ratio = det.total_seconds / fast.total_seconds
         assert 0.5 < ratio < 2.0
 

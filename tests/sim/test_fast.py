@@ -1,37 +1,52 @@
 """Tests for the fast (segment-analytic) simulator."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.config.presets import case_study
-from repro.comm.base import IdealChannel
+from repro.config.comm import CommParams
+from repro.config.presets import CASE_STUDIES, EXTENDED_CASE_STUDIES, case_study
+from repro.config.system import CpuConfig, GpuConfig, SystemConfig
 from repro.errors import SimulationError
 from repro.kernels.registry import all_kernels, kernel
+from repro.perf.sweep import SweepPoint, SweepSimulator
 from repro.sim.fast import SPACE_OVERHEAD_INSTRUCTIONS, FastSimulator
-from repro.taxonomy import AddressSpaceKind
+from repro.taxonomy import AddressSpaceKind, CommMechanism
+from repro.units import GHZ, Frequency
+
+
+def case_point(name):
+    """An unlabeled point on a case study."""
+    return SweepPoint(case=case_study(name))
+
+
+def ideal(address_space=None):
+    """An unlabeled point on the ideal channel."""
+    return SweepPoint(mechanism=CommMechanism.IDEAL, address_space=address_space)
 
 
 class TestBasicRuns:
     def test_requires_case_or_channel(self, fast_sim):
         with pytest.raises(SimulationError):
-            fast_sim.run(kernel("reduction").trace())
+            fast_sim.run(kernel("reduction").trace(), SweepPoint())
 
     @pytest.mark.parametrize("k", all_kernels(), ids=lambda k: k.name)
     def test_all_kernels_all_cases(self, fast_sim, k):
         trace = k.trace()
         for name in ("CPU+GPU", "LRB", "GMAC", "Fusion", "IDEAL-HETERO"):
-            result = fast_sim.run(trace, case=case_study(name))
+            result = fast_sim.run(trace, case_point(name))
             assert result.total_seconds > 0
             assert result.kernel == k.name
             assert result.system == name
 
     def test_breakdown_matches_phase_sum(self, fast_sim):
-        result = fast_sim.run(kernel("reduction").trace(), case=case_study("CPU+GPU"))
+        result = fast_sim.run(kernel("reduction").trace(), case_point("CPU+GPU"))
         phase_total = sum(p.seconds for p in result.phases)
         assert phase_total == pytest.approx(result.total_seconds)
 
     def test_phase_kinds_cover_trace(self, fast_sim):
         trace = kernel("k-mean").trace()
-        result = fast_sim.run(trace, case=case_study("LRB"))
+        result = fast_sim.run(trace, case_point("LRB"))
         kinds = [p.kind for p in result.phases]
         assert kinds.count("communication") == trace.num_communications
         assert kinds.count("parallel") == len(trace.parallel_phases)
@@ -40,11 +55,11 @@ class TestBasicRuns:
 
 class TestPaperShapes:
     def test_ideal_has_zero_communication(self, fast_sim):
-        result = fast_sim.run(kernel("dct").trace(), case=case_study("IDEAL-HETERO"))
+        result = fast_sim.run(kernel("dct").trace(), case_point("IDEAL-HETERO"))
         assert result.breakdown.communication == 0.0
 
     def test_parallel_time_is_max_of_sides(self, fast_sim):
-        result = fast_sim.run(kernel("matmul").trace(), case=case_study("IDEAL-HETERO"))
+        result = fast_sim.run(kernel("matmul").trace(), case_point("IDEAL-HETERO"))
         for phase in result.phases:
             if phase.kind == "parallel":
                 assert phase.seconds == pytest.approx(
@@ -52,8 +67,8 @@ class TestPaperShapes:
                 )
 
     def test_gmac_overlaps_copies(self, fast_sim):
-        blocked = fast_sim.run(kernel("reduction").trace(), case=case_study("CPU+GPU"))
-        overlapped = fast_sim.run(kernel("reduction").trace(), case=case_study("GMAC"))
+        blocked = fast_sim.run(kernel("reduction").trace(), case_point("CPU+GPU"))
+        overlapped = fast_sim.run(kernel("reduction").trace(), case_point("GMAC"))
         assert (
             overlapped.breakdown.communication < blocked.breakdown.communication
         )
@@ -61,15 +76,15 @@ class TestPaperShapes:
         assert any(p.overlapped_seconds > 0 for p in comm_phases)
 
     def test_fusion_cheaper_than_pcie(self, fast_sim):
-        pcie = fast_sim.run(kernel("reduction").trace(), case=case_study("CPU+GPU"))
-        fusion = fast_sim.run(kernel("reduction").trace(), case=case_study("Fusion"))
+        pcie = fast_sim.run(kernel("reduction").trace(), case_point("CPU+GPU"))
+        fusion = fast_sim.run(kernel("reduction").trace(), case_point("Fusion"))
         assert fusion.breakdown.communication < pcie.breakdown.communication
 
     def test_compute_time_identical_across_systems(self, fast_sim):
         """§V-A isolates memory systems: compute must not vary."""
         trace = kernel("dct").trace()
         results = [
-            fast_sim.run(trace, case=case_study(n))
+            fast_sim.run(trace, case_point(n))
             for n in ("CPU+GPU", "LRB", "GMAC", "Fusion", "IDEAL-HETERO")
         ]
         parallels = {round(r.breakdown.parallel, 15) for r in results}
@@ -81,16 +96,14 @@ class TestPaperShapes:
 class TestAddressSpaceOverhead:
     def test_unified_adds_nothing(self, fast_sim):
         trace = kernel("reduction").trace()
-        base = fast_sim.run(trace, channel=IdealChannel())
-        uni = fast_sim.run(trace, channel=IdealChannel(), address_space=AddressSpaceKind.UNIFIED)
+        base = fast_sim.run(trace, ideal())
+        uni = fast_sim.run(trace, ideal(AddressSpaceKind.UNIFIED))
         assert uni.total_seconds == pytest.approx(base.total_seconds)
 
     def test_disjoint_adds_most(self, fast_sim):
         trace = kernel("reduction").trace()
         results = {
-            space: fast_sim.run(
-                trace, channel=IdealChannel(), address_space=space
-            ).total_seconds
+            space: fast_sim.run(trace, ideal(space)).total_seconds
             for space in AddressSpaceKind
         }
         assert results[AddressSpaceKind.DISJOINT] == max(results.values())
@@ -99,12 +112,8 @@ class TestAddressSpaceOverhead:
     def test_overhead_is_tiny(self, fast_sim):
         """Figure 7: 'almost no performance difference between options'."""
         trace = kernel("matmul").trace()
-        uni = fast_sim.run(
-            trace, channel=IdealChannel(), address_space=AddressSpaceKind.UNIFIED
-        )
-        dis = fast_sim.run(
-            trace, channel=IdealChannel(), address_space=AddressSpaceKind.DISJOINT
-        )
+        uni = fast_sim.run(trace, ideal(AddressSpaceKind.UNIFIED))
+        dis = fast_sim.run(trace, ideal(AddressSpaceKind.DISJOINT))
         assert dis.total_seconds / uni.total_seconds < 1.001
 
     def test_overhead_table_is_ordered(self):
@@ -159,7 +168,7 @@ class TestOverlapBudget:
     def test_total_overlap_never_exceeds_phase_duration(self, fast_sim):
         # Tiny phase, huge copies: both transfers want the whole window.
         trace = _overlap_probe_trace(32 * 1024 * 1024, par_instructions=1_000)
-        result = fast_sim.run(trace, case=case_study("GMAC"))
+        result = fast_sim.run(trace, case_point("GMAC"))
         parallel = result.breakdown.parallel
         overlapped = sum(
             p.overlapped_seconds for p in result.phases if p.kind == "communication"
@@ -170,7 +179,7 @@ class TestOverlapBudget:
 
     def test_second_copy_sees_the_depleted_budget(self, fast_sim):
         trace = _overlap_probe_trace(32 * 1024 * 1024, par_instructions=1_000)
-        result = fast_sim.run(trace, case=case_study("GMAC"))
+        result = fast_sim.run(trace, case_point("GMAC"))
         h2d, d2h = [p for p in result.phases if p.kind == "communication"]
         # The H2D copy (priced first) drains the whole window; the D2H
         # copy finds nothing left to hide under.
@@ -181,7 +190,7 @@ class TestOverlapBudget:
         # A long phase with small copies: the budget never binds and both
         # transfers expose only their initiation latency, as before the fix.
         trace = _overlap_probe_trace(64 * 1024, par_instructions=50_000_000)
-        result = fast_sim.run(trace, case=case_study("GMAC"))
+        result = fast_sim.run(trace, case_point("GMAC"))
         initiation = fast_sim.comm_params.cpu_frequency.cycles_to_seconds(
             fast_sim.comm_params.api_pci_base_cycles
         )
@@ -192,7 +201,7 @@ class TestOverlapBudget:
 
     def test_synchronous_channel_never_overlaps(self, fast_sim):
         trace = _overlap_probe_trace(32 * 1024 * 1024, par_instructions=1_000)
-        result = fast_sim.run(trace, case=case_study("CPU+GPU"))
+        result = fast_sim.run(trace, case_point("CPU+GPU"))
         for phase in result.phases:
             if phase.kind == "communication":
                 assert phase.overlapped_seconds == 0.0
@@ -201,7 +210,7 @@ class TestOverlapBudget:
         """Per-phase accounting on the real suite: communication hidden
         under all parallel phases never exceeds the parallel total."""
         for k in all_kernels():
-            result = fast_sim.run(k.trace(), case=case_study("GMAC"))
+            result = fast_sim.run(k.trace(), case_point("GMAC"))
             overlapped = sum(
                 p.overlapped_seconds
                 for p in result.phases
@@ -213,14 +222,53 @@ class TestOverlapBudget:
 class TestAnalyticProperties:
     def test_more_instructions_take_longer(self, fast_sim):
         k = kernel("reduction")
-        small = fast_sim.run(k.build(k.for_size(10_000)), case=case_study("IDEAL-HETERO"))
-        large = fast_sim.run(k.build(k.for_size(100_000)), case=case_study("IDEAL-HETERO"))
+        small = fast_sim.run(k.build(k.for_size(10_000)), case_point("IDEAL-HETERO"))
+        large = fast_sim.run(k.build(k.for_size(100_000)), case_point("IDEAL-HETERO"))
         assert large.total_seconds > small.total_seconds * 5
 
     def test_counters_expose_channel_stats(self, fast_sim):
-        result = fast_sim.run(kernel("k-mean").trace(), case=case_study("LRB"))
+        result = fast_sim.run(kernel("k-mean").trace(), case_point("LRB"))
         assert result.counters["transfers"] == 6
         assert result.counters["page_faults"] > 0
+
+
+def _sharing_trace():
+    """One parallel phase whose CPU and GPU both write the shared window."""
+    from repro.sim.mmu import SHARED_BASE
+    from repro.trace.mix import InstructionMix
+    from repro.trace.phase import CommPhase, Direction, ParallelPhase, Segment
+    from repro.trace.stream import KernelTrace
+    from repro.taxonomy import ProcessingUnit
+
+    kb = 1024
+    return KernelTrace(
+        name="pingpong",
+        phases=(
+            CommPhase(
+                label="h2d",
+                direction=Direction.H2D,
+                num_bytes=4 * kb,
+                num_objects=1,
+            ),
+            ParallelPhase(
+                label="share",
+                cpu=Segment(
+                    pu=ProcessingUnit.CPU,
+                    mix=InstructionMix(loads=256, stores=256, int_alu=256),
+                    base_addr=SHARED_BASE,
+                    footprint_bytes=4 * kb,
+                    label="cpu",
+                ),
+                gpu=Segment(
+                    pu=ProcessingUnit.GPU,
+                    mix=InstructionMix(simd_loads=256, simd_stores=256, int_alu=256),
+                    base_addr=SHARED_BASE,
+                    footprint_bytes=4 * kb,
+                    label="gpu",
+                ),
+            ),
+        ),
+    )
 
 
 class TestCoherenceEstimate:
@@ -234,54 +282,17 @@ class TestCoherenceEstimate:
     enough that ``metrics-diff`` between fast and detailed is meaningful.
     """
 
-    def _sharing_trace(self):
-        from repro.sim.mmu import SHARED_BASE
-        from repro.trace.mix import InstructionMix
-        from repro.trace.phase import CommPhase, Direction, ParallelPhase, Segment
-        from repro.trace.stream import KernelTrace
-        from repro.taxonomy import ProcessingUnit
-
-        kb = 1024
-        return KernelTrace(
-            name="pingpong",
-            phases=(
-                CommPhase(
-                    label="h2d",
-                    direction=Direction.H2D,
-                    num_bytes=4 * kb,
-                    num_objects=1,
-                ),
-                ParallelPhase(
-                    label="share",
-                    cpu=Segment(
-                        pu=ProcessingUnit.CPU,
-                        mix=InstructionMix(loads=256, stores=256, int_alu=256),
-                        base_addr=SHARED_BASE,
-                        footprint_bytes=4 * kb,
-                        label="cpu",
-                    ),
-                    gpu=Segment(
-                        pu=ProcessingUnit.GPU,
-                        mix=InstructionMix(simd_loads=256, simd_stores=256, int_alu=256),
-                        base_addr=SHARED_BASE,
-                        footprint_bytes=4 * kb,
-                        label="gpu",
-                    ),
-                ),
-            ),
-        )
-
     def test_default_run_publishes_no_coherence_counters(self, fast_sim):
-        result = fast_sim.run(kernel("reduction").trace(), case=case_study("CPU+GPU"))
+        result = fast_sim.run(kernel("reduction").trace(), case_point("CPU+GPU"))
         assert not any(k.startswith("coherence.") for k in result.counters)
 
     @pytest.mark.parametrize("kind", ["snoop", "directory"])
     def test_estimate_bounds_the_detailed_protocol(self, fast_sim, kind):
         from repro.sim.detailed import DetailedSimulator
 
-        trace = self._sharing_trace()
+        trace = _sharing_trace()
         case = case_study("CPU+GPU")
-        fast = fast_sim.run(trace, case=case, coherence=kind)
+        fast = fast_sim.run(trace, SweepPoint(case=case, coherence=kind))
         detailed = DetailedSimulator().run(trace, case=case, coherence=kind)
         estimated = fast.counters["coherence.estimated_invalidations"]
         actual = detailed.counters[f"{kind}.invalidations_sent"]
@@ -290,9 +301,57 @@ class TestCoherenceEstimate:
         assert estimated <= 10 * actual
 
     def test_none_estimate_matches_default(self, fast_sim):
-        trace = self._sharing_trace()
+        trace = _sharing_trace()
         case = case_study("CPU+GPU")
-        default = fast_sim.run(trace, case=case)
-        off = fast_sim.run(trace, case=case, coherence="none")
+        default = fast_sim.run(trace, SweepPoint(case=case))
+        off = fast_sim.run(trace, SweepPoint(case=case, coherence="none"))
         assert off.counters == default.counters
         assert off.total_seconds == default.total_seconds
+
+
+class TestOneDesignPointRecord:
+    """``run(trace, point)``: the point alone decides pricing and label."""
+
+    #: A non-default machine (4+4 cores, 2 GHz CPU, 128 B L3 lines) and
+    #: non-default PCI-E costs.
+    SYSTEM = SystemConfig(
+        cpu=replace(CpuConfig(), num_cores=4, frequency=Frequency(2 * GHZ)),
+        gpu=replace(GpuConfig(), num_cores=4),
+        l3=replace(SystemConfig().l3, line_bytes=128),
+    )
+    PARAMS = CommParams(api_pci_base_cycles=50_000)
+
+    @pytest.mark.parametrize("name", ["CPU+GPU", "GMAC"])
+    @pytest.mark.parametrize(
+        "trace", [kernel("reduction").trace(), _sharing_trace()], ids=["reduction", "sharing"]
+    )
+    def test_point_overrides_price_the_whole_run(self, name, trace):
+        fields = dict(
+            case=case_study(name),
+            address_space=AddressSpaceKind.DISJOINT,
+            coherence="directory",
+        )
+        overridden = FastSimulator().run(
+            trace, SweepPoint(system=self.SYSTEM, comm_params=self.PARAMS, **fields)
+        )
+        native = FastSimulator(self.SYSTEM, self.PARAMS).run(trace, SweepPoint(**fields))
+        assert overridden == native
+        assert overridden != FastSimulator().run(trace, SweepPoint(**fields))
+
+    def test_fast_and_detailed_share_one_label(self):
+        trace = kernel("reduction").trace()
+        points = [
+            SweepPoint(case=case)
+            for case in (*CASE_STUDIES.values(), *EXTENDED_CASE_STUDIES.values())
+        ]
+        points += [
+            SweepPoint(
+                mechanism=mechanism,
+                async_overlap=mechanism is CommMechanism.DMA_ASYNC,
+            )
+            for mechanism in CommMechanism
+        ]
+        detailed = SweepSimulator().run(trace.scaled(0.003), points)
+        for point, result in zip(points, detailed):
+            fast = FastSimulator().run(trace, point)
+            assert fast.system == point.label() == result.system

@@ -8,6 +8,7 @@ from repro.config.presets import case_study
 from repro.config.system import CpuConfig, GpuConfig, SystemConfig
 from repro.errors import SimulationError
 from repro.kernels.registry import kernel
+from repro.perf.sweep import SweepPoint
 from repro.sim.analytic import SYNC_FRACTION, AnalyticTiming, multicore_speedup
 from repro.sim.fast import FastSimulator
 from repro.taxonomy import ProcessingUnit
@@ -75,8 +76,8 @@ class TestFastSimScaling:
     def test_amdahl_on_reduction(self):
         """Reduction's serial merge bounds its multi-core speedup."""
         trace = kernel("reduction").trace()
-        single = FastSimulator(system_with(1, 1)).run(trace, case=case_study("Fusion"))
-        octa = FastSimulator(system_with(8, 8)).run(trace, case=case_study("Fusion"))
+        single = FastSimulator(system_with(1, 1)).run(trace, SweepPoint(case=case_study("Fusion")))
+        octa = FastSimulator(system_with(8, 8)).run(trace, SweepPoint(case=case_study("Fusion")))
         assert octa.breakdown.sequential == pytest.approx(single.breakdown.sequential)
         assert octa.breakdown.parallel < single.breakdown.parallel / 3
         speedup = single.total_seconds / octa.total_seconds
@@ -84,8 +85,8 @@ class TestFastSimScaling:
 
     def test_communication_unaffected_by_cores(self):
         trace = kernel("dct").trace()
-        single = FastSimulator(system_with(1, 1)).run(trace, case=case_study("CPU+GPU"))
-        octa = FastSimulator(system_with(8, 8)).run(trace, case=case_study("CPU+GPU"))
+        single = FastSimulator(system_with(1, 1)).run(trace, SweepPoint(case=case_study("CPU+GPU")))
+        octa = FastSimulator(system_with(8, 8)).run(trace, SweepPoint(case=case_study("CPU+GPU")))
         assert octa.breakdown.communication == pytest.approx(
             single.breakdown.communication
         )

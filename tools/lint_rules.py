@@ -36,6 +36,11 @@
   tests and by the ``bench --mode hotpath`` harness
   (``repro/perf/bench.py``) only; any other module under ``repro``
   importing it would make the oracle a second production path.
+- **L008 — one module decides the channel.** In library code only
+  ``repro/perf/sweep.py`` (``SweepPoint.channel_for``) may call
+  ``make_channel``; ``repro/comm/`` defines it. Any other caller would
+  be a second copy of the rule that turns a design point into its
+  channel.
 
 Usage::
 
@@ -83,6 +88,12 @@ CHAOS_CATALOG = "repro/faults/chaos.py"
 REFERENCE_MODULE = "repro.sim.reference"
 REFERENCE_IMPORTER = "repro/perf/bench.py"
 
+#: The channel factory (L008), the one library module that may call it,
+#: and the package that defines it.
+CHANNEL_FACTORY = "make_channel"
+CHANNEL_CALLER = "repro/perf/sweep.py"
+CHANNEL_PACKAGE = "repro/comm/"
+
 
 def _called_name(node: ast.Call) -> str | None:
     if isinstance(node.func, ast.Name):
@@ -119,6 +130,11 @@ def lint_source(source: str, path: Path) -> List[Violation]:
     guards_reference = "repro" in path.parts and not path.as_posix().endswith(
         REFERENCE_IMPORTER
     )
+    guards_channel = (
+        "repro" in path.parts
+        and not path.as_posix().endswith(CHANNEL_CALLER)
+        and CHANNEL_PACKAGE not in path.as_posix()
+    )
     for node in ast.walk(tree):
         if guards_reference and any(
             name == REFERENCE_MODULE or name.startswith(REFERENCE_MODULE + ".")
@@ -132,6 +148,21 @@ def lint_source(source: str, path: Path) -> List[Violation]:
                     f"{REFERENCE_MODULE} imported in library code; the "
                     "reference oracle is for tests and the hotpath bench "
                     f"({REFERENCE_IMPORTER}) only",
+                )
+            )
+        if (
+            guards_channel
+            and isinstance(node, ast.Call)
+            and _called_name(node) == CHANNEL_FACTORY
+        ):
+            violations.append(
+                (
+                    path,
+                    node.lineno,
+                    "L008",
+                    f"{CHANNEL_FACTORY}() called in library code; a point's "
+                    f"channel is decided by SweepPoint.channel_for "
+                    f"({CHANNEL_CALLER}) only",
                 )
             )
         if not owns_mesi_state:
