@@ -4,11 +4,13 @@ Runs :func:`repro.perf.bench.run_hotpath_bench` over the six Table III
 kernels plus :func:`repro.perf.bench.run_sweep_bench` (the batched
 design-point axis on a rank-style workload) and
 :func:`repro.perf.bench.run_store_bench` (warm durable-store vs cold
-sweep), and writes ``benchmarks/output/BENCH_hotpath.json`` — the perf
-trajectory the CI perf-smoke job (and future PRs) regress against. The
-committed baseline was recorded with ``repro-explore bench --mode all
---scale 0.05 --sweep-scale 0.01``; this benchmark re-measures and
-asserts both compiled paths are still clearly ahead.
+sweep), and asserts both compiled paths are still clearly ahead. It writes
+its measurements to a ``BENCH_hotpath.json`` in pytest's temporary
+directory, never over the committed baseline
+``benchmarks/output/BENCH_hotpath.json`` that the CI perf-smoke job
+regresses against. The baseline was recorded with ``repro-explore bench
+--mode all --scale 0.05 --sweep-scale 0.01``, and ``repro-explore bench
+--out`` is the way to refresh it.
 
 The in-test assertion thresholds are deliberately looser than the
 baseline (shared CI runners are noisy); the committed baseline documents
@@ -16,6 +18,8 @@ the real speedups (>= 3x geomean hotpath, >= 15x geomean sweep).
 """
 
 import json
+
+import pytest
 
 from repro.perf.bench import run_hotpath_bench, run_store_bench, run_sweep_bench
 
@@ -34,15 +38,20 @@ BENCH_SCALE = 0.05
 SWEEP_SCALE = 0.002
 
 
-def _merge_into_baseline(output_dir, doc):
-    """Merge ``doc``'s sections into BENCH_hotpath.json, keeping the rest."""
-    path = output_dir / "BENCH_hotpath.json"
+@pytest.fixture(scope="module")
+def doc_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("bench_hotpath")
+
+
+def _merge_into_doc(doc_dir, doc):
+    """Merge ``doc``'s sections into this run's BENCH_hotpath.json."""
+    path = doc_dir / "BENCH_hotpath.json"
     merged = json.loads(path.read_text()) if path.exists() else {}
     merged.update(doc)
     path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
 
 
-def test_hotpath(benchmark, output_dir):
+def test_hotpath(benchmark, doc_dir):
     doc = benchmark.pedantic(
         run_hotpath_bench,
         kwargs={"scale": BENCH_SCALE, "repeats": 1},
@@ -50,7 +59,7 @@ def test_hotpath(benchmark, output_dir):
         rounds=1,
     )
 
-    _merge_into_baseline(output_dir, doc)
+    _merge_into_doc(doc_dir, doc)
 
     assert set(doc["fidelities"]) == {"serial", "interleaved"}
     for name, data in doc["fidelities"].items():
@@ -70,7 +79,7 @@ def test_hotpath(benchmark, output_dir):
         assert fast_seconds < serial[kernel_name]["compiled_seconds"]
 
 
-def test_sweep(benchmark, output_dir):
+def test_sweep(benchmark, doc_dir):
     doc = benchmark.pedantic(
         run_sweep_bench,
         kwargs={"scale": SWEEP_SCALE, "repeats": 1},
@@ -78,7 +87,7 @@ def test_sweep(benchmark, output_dir):
         rounds=1,
     )
 
-    _merge_into_baseline(output_dir, doc)
+    _merge_into_doc(doc_dir, doc)
 
     sweep = doc["sweep"]
     # run_sweep_bench itself asserts the batched results are bit-identical
@@ -93,7 +102,7 @@ def test_sweep(benchmark, output_dir):
     )
 
 
-def test_store(benchmark, output_dir):
+def test_store(benchmark, doc_dir):
     doc = benchmark.pedantic(
         run_store_bench,
         kwargs={"repeats": 1},
@@ -101,7 +110,7 @@ def test_store(benchmark, output_dir):
         rounds=1,
     )
 
-    _merge_into_baseline(output_dir, doc)
+    _merge_into_doc(doc_dir, doc)
 
     store = doc["store"]
     # run_store_bench itself asserts the warm-store ranking is identical

@@ -64,9 +64,10 @@ class Opcode(enum.Enum):
         return self in (Opcode.SIMD_ALU, Opcode.SIMD_LOAD, Opcode.SIMD_STORE)
 
 
-#: Stable compact integer codes used by the compiled-trace hot path
-#: (:mod:`repro.perf.compiled`): segments encode opcodes as uint8 arrays
-#: instead of enum members. Codes index :data:`CODE_TO_OPCODE`.
+#: Stable compact integer codes: :meth:`repro.trace.phase.Segment.raw_ops`
+#: yields them instead of enum members, and the compiled-trace hot path
+#: (:mod:`repro.perf.compiled`) encodes events from them. Codes index
+#: :data:`CODE_TO_OPCODE`.
 CODE_TO_OPCODE = tuple(Opcode)
 OPCODE_TO_CODE = {opcode: code for code, opcode in enumerate(CODE_TO_OPCODE)}
 

@@ -4,11 +4,10 @@ Exploration replays the same six kernel traces across every design point
 of the space, so the per-instruction expansion work — millions of
 dataclass constructions per simulation — is pure overhead after the first
 run. This package compiles each :class:`~repro.trace.phase.Segment` once
-into compact parallel numpy arrays plus a batched event encoding that the
-core models execute without constructing a single per-instruction object,
-and memoizes the result per segment so every (system x locality x
-fault-rate) design point that replays the same trace shares one
-compilation.
+into a batched event encoding that the core models execute without
+constructing a single per-instruction object, and memoizes the result per
+segment so every (system x locality x fault-rate) design point that
+replays the same trace shares one compilation.
 
 :mod:`repro.perf.sweep` holds the one phase walk of the detailed machine
 over these compiled segments, for N design points at once, and the one

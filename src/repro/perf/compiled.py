@@ -1,14 +1,22 @@
-"""Segment compilation: pack a trace segment into parallel numpy arrays.
+"""Segment compilation: one trace segment as a list of batched events.
 
-A :class:`CompiledSegment` is the array form of one
+A :class:`CompiledSegment` is the *batched event encoding* of one
 :class:`~repro.trace.phase.Segment`'s deterministic instruction stream
-(:meth:`~repro.trace.phase.Segment.raw_ops`): opcode codes, addresses,
-sizes, and branch directions live in compact parallel numpy arrays instead
-of millions of per-instruction dataclass objects. On top of the arrays we
-build a *batched event encoding* — maximal runs of plain compute
-instructions collapse into a single ``(EV_COMPUTE_RUN, count)`` record —
-which is what the cores' batched loops actually execute
-(:func:`repro.sim.cpu.core.run_compiled_batch`).
+(:meth:`~repro.trace.phase.Segment.raw_ops`), built in one pass over it:
+maximal runs of plain compute instructions collapse into a single
+``(EV_COMPUTE_RUN, count)`` record, and each memory or branch instruction
+becomes one record. The cores' batched loops
+(:func:`repro.sim.cpu.core.run_compiled_batch`) and steppers execute these
+records without constructing a single per-instruction object.
+
+Compute-run and branch records depend only on a run length or on an
+instruction's position, so every compilation in the process shares them
+through one table: the same kernel staged into a second address space
+reuses the first one's tuples. Memory records carry addresses, which
+staging rewrites, and are never shared. The table therefore holds at most
+one compute-run record per run length and two branch records (taken or
+not) per position, at most three records per instruction of the longest
+segment compiled, however many segments the process compiles.
 
 Compilation is memoized per segment (:class:`SegmentCompileCache`), so the
 many (system x locality x fault-rate) design points that replay the same
@@ -16,10 +24,6 @@ kernel trace share one compilation; each ``repro.exec`` worker process gets
 the same sharing through its own process-global cache because the
 :class:`~repro.exec.cache.TraceCache` hands every job the same frozen
 trace (hence equal segments).
-
-The decoded stream (:meth:`CompiledSegment.instructions`) is bit-for-bit
-the segment's own :meth:`~repro.trace.phase.Segment.instructions` output;
-``tests/perf`` holds the hypothesis property asserting it.
 """
 
 from __future__ import annotations
@@ -27,9 +31,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Tuple
 
-import numpy as np
-
-from repro.isa.opcodes import CODE_TO_OPCODE, OPCODE_TO_CODE, Opcode
+from repro.isa.opcodes import OPCODE_TO_CODE, Opcode
 from repro.trace.instruction import Instruction
 from repro.trace.phase import Segment
 
@@ -55,147 +57,79 @@ EV_COMPUTE_RUN = 0
 EV_MEMORY = 1
 EV_BRANCH = 2
 
-_MEMORY_CODES = frozenset(
-    OPCODE_TO_CODE[op]
-    for op in (Opcode.LOAD, Opcode.STORE, Opcode.SIMD_LOAD, Opcode.SIMD_STORE)
-)
+Event = Tuple[int, int, int, int]
+
 _STORE_CODES = frozenset(
     OPCODE_TO_CODE[op] for op in (Opcode.STORE, Opcode.SIMD_STORE)
 )
 _BRANCH_CODE = OPCODE_TO_CODE[Opcode.BRANCH]
+#: Opcodes that get a record of their own (memory and branch); every
+#: other opcode extends the current compute run.
+_RECORD_CODES = frozenset(
+    OPCODE_TO_CODE[op]
+    for op in (Opcode.LOAD, Opcode.STORE, Opcode.SIMD_LOAD, Opcode.SIMD_STORE, Opcode.BRANCH)
+)
+
+#: The process-wide table of shared compute-run and branch records.
+_SHARED_EVENTS: Dict[Event, Event] = {}
 
 
 class CompiledSegment:
-    """One segment's instruction stream as parallel numpy arrays.
+    """One segment's instruction stream as batched event records.
 
-    ``opcodes`` (uint8) indexes :data:`repro.isa.opcodes.CODE_TO_OPCODE`;
-    ``addrs`` (int64) is ``-1`` for non-memory records; ``sizes`` (int32)
-    and ``taken`` (bool) complete the record. ``events`` is the batched
-    encoding consumed by the cores' batched loops and steppers —
-    :meth:`from_segment` builds it eagerly, so compiled segments shipped
-    into worker processes never rebuild it.
+    ``events`` is a list of 4-tuples, consumed by the cores' batched loops
+    and steppers:
+
+    - ``(EV_COMPUTE_RUN, count, 0, 0)`` — ``count`` consecutive
+      issue-slot-only instructions;
+    - ``(EV_MEMORY, addr, size, is_write)``;
+    - ``(EV_BRANCH, taken, pc, 0)`` — ``pc`` precomputed for the CPU's
+      gshare predictor (the GPU ignores it).
+
+    ``length`` is the number of instructions the events cover.
     """
 
-    __slots__ = ("segment", "opcodes", "addrs", "sizes", "taken", "length", "_events")
+    __slots__ = ("segment", "length", "events")
 
-    def __init__(
-        self,
-        segment: Segment,
-        opcodes: np.ndarray,
-        addrs: np.ndarray,
-        sizes: np.ndarray,
-        taken: np.ndarray,
-    ) -> None:
+    def __init__(self, segment: Segment, length: int, events: List[Event]) -> None:
         self.segment = segment
-        self.opcodes = opcodes
-        self.addrs = addrs
-        self.sizes = sizes
-        self.taken = taken
-        self.length = int(opcodes.shape[0])
-        self._events: "List[Tuple[int, int, int, int]] | None" = None
+        self.length = length
+        self.events = events
 
     @classmethod
     def from_segment(cls, segment: Segment) -> "CompiledSegment":
-        """Expand and pack ``segment`` (one pass over ``raw_ops``)."""
-        codes: List[int] = []
-        addrs: List[int] = []
-        sizes: List[int] = []
-        taken: List[bool] = []
-        codes_append = codes.append
-        addrs_append = addrs.append
-        sizes_append = sizes.append
-        taken_append = taken.append
-        for code, addr, size, tk in segment.raw_ops():
-            codes_append(code)
-            addrs_append(addr)
-            sizes_append(size)
-            taken_append(tk)
-        compiled = cls(
-            segment,
-            np.asarray(codes, dtype=np.uint8),
-            np.asarray(addrs, dtype=np.int64),
-            np.asarray(sizes, dtype=np.int32),
-            np.asarray(taken, dtype=np.bool_),
-        )
-        # Build the event encoding eagerly: a compilation always ends up
-        # executed through `events`.
-        compiled._events = compiled._build_events()
-        return compiled
-
-    @property
-    def nbytes(self) -> int:
-        """Array storage footprint in bytes."""
-        return int(
-            self.opcodes.nbytes + self.addrs.nbytes + self.sizes.nbytes + self.taken.nbytes
-        )
-
-    @property
-    def events(self) -> "List[Tuple[int, int, int, int]]":
-        """The batched event encoding (eager via :meth:`from_segment`;
-        built on first use for hand-constructed instances).
-
-        Records are 4-tuples:
-
-        - ``(EV_COMPUTE_RUN, count, 0, 0)`` — ``count`` consecutive
-          issue-slot-only instructions;
-        - ``(EV_MEMORY, addr, size, is_write)``;
-        - ``(EV_BRANCH, taken, pc, 0)`` — ``pc`` precomputed for the CPU's
-          gshare predictor (the GPU ignores it).
-        """
-        if self._events is None:
-            self._events = self._build_events()
-        return self._events
-
-    def _build_events(self) -> "List[Tuple[int, int, int, int]]":
-        events: List[Tuple[int, int, int, int]] = []
+        """Encode ``segment`` (one pass over ``raw_ops``)."""
+        events: List[Event] = []
         append = events.append
-        memory_codes = _MEMORY_CODES
+        share = _SHARED_EVENTS.setdefault
+        record_codes = _RECORD_CODES
         store_codes = _STORE_CODES
         branch_code = _BRANCH_CODE
         run = 0
-        # .tolist() yields plain python ints/bools — much faster to iterate
-        # than boxed numpy scalars.
-        codes = self.opcodes.tolist()
-        addrs = self.addrs.tolist()
-        sizes = self.sizes.tolist()
-        taken = self.taken.tolist()
         pc = PC_BASE
-        for index, code in enumerate(codes):
+        for code, addr, size, taken in segment.raw_ops():
             pc += 4
-            if code in memory_codes:
-                if run:
-                    append((EV_COMPUTE_RUN, run, 0, 0))
-                    run = 0
-                append((EV_MEMORY, addrs[index], sizes[index], code in store_codes))
-            elif code == branch_code:
-                if run:
-                    append((EV_COMPUTE_RUN, run, 0, 0))
-                    run = 0
-                append((EV_BRANCH, taken[index], pc, 0))
-            else:
+            if code not in record_codes:
                 run += 1
+                continue
+            if run:
+                event = (EV_COMPUTE_RUN, run, 0, 0)
+                append(share(event, event))
+                run = 0
+            if code == branch_code:
+                event = (EV_BRANCH, taken, pc, 0)
+                append(share(event, event))
+            else:
+                append((EV_MEMORY, addr, size, code in store_codes))
         if run:
-            append((EV_COMPUTE_RUN, run, 0, 0))
-        return events
+            event = (EV_COMPUTE_RUN, run, 0, 0)
+            append(share(event, event))
+        return cls(segment, (pc - PC_BASE) // 4, events)
 
     def instructions(self) -> Iterator[Instruction]:
-        """Decode back into :class:`Instruction` objects.
-
-        Bit-identical to ``self.segment.instructions()``; used by paths
-        that still need real objects (the GPU warp scheduler) and by the
-        parity tests.
-        """
-        opcode_table = CODE_TO_OPCODE
-        codes = self.opcodes.tolist()
-        addrs = self.addrs.tolist()
-        sizes = self.sizes.tolist()
-        taken = self.taken.tolist()
-        for index, code in enumerate(codes):
-            addr = addrs[index]
-            if addr >= 0:
-                yield Instruction(opcode_table[code], addr=addr, size=sizes[index])
-            else:
-                yield Instruction(opcode_table[code], taken=taken[index])
+        """The segment's :class:`Instruction` objects, for the paths that
+        still need real objects (the GPU warp scheduler)."""
+        return self.segment.instructions()
 
     def __len__(self) -> int:
         return self.length
@@ -203,7 +137,7 @@ class CompiledSegment:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<CompiledSegment {self.segment.label!r} x{self.length} "
-            f"({self.nbytes} array bytes)>"
+            f"({len(self.events)} events)>"
         )
 
 

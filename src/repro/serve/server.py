@@ -465,10 +465,19 @@ class ExplorationService:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """JSON-over-HTTP surface for one :class:`ExplorationService`."""
+    """JSON-over-HTTP surface for one :class:`ExplorationService`.
+
+    A response is one write: ``wfile`` is buffered and
+    ``handle_one_request`` flushes it once per request, so headers and
+    body leave together instead of the body waiting out Nagle's algorithm
+    for the client's delayed ACK. ``TCP_NODELAY`` keeps a reply larger
+    than the buffer from stalling the same way.
+    """
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    wbufsize = 64 * 1024
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> ExplorationService:
@@ -487,11 +496,32 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _error(self, status: int, exc: BaseException) -> None:
         self._reply(status, {"error": type(exc).__name__, "detail": str(exc)})
+
+    def handle_expect_100(self) -> bool:
+        # The client holds the body back until it sees the interim reply,
+        # so that reply cannot wait in the buffer for the final one.
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
+
+    def _read_body(self) -> bytes:
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            # Where the body ends is unknown, so the connection cannot
+            # carry another request.
+            self.close_connection = True
+            raise ConfigError(
+                f"Content-Length must be a non-negative integer, got {declared!r}"
+            )
+        length = int(declared)
+        return self.rfile.read(length) if length else b"{}"
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         try:
@@ -515,8 +545,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b"{}"
+            raw = self._read_body()
             try:
                 request = json.loads(raw or b"{}")
             except ValueError as exc:

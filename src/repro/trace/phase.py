@@ -83,8 +83,8 @@ class Segment:
         This is the single source of truth for the deterministic expansion:
         :meth:`instructions` decodes these records into
         :class:`~repro.trace.instruction.Instruction` objects and the
-        compiled hot path (:mod:`repro.perf.compiled`) packs them into
-        parallel numpy arrays without ever materializing objects.
+        compiled hot path (:mod:`repro.perf.compiled`) encodes them into
+        batched event records without ever materializing objects.
 
         ``code`` indexes :data:`repro.isa.opcodes.CODE_TO_OPCODE`; ``addr``
         is ``-1`` for non-memory records.

@@ -5,7 +5,6 @@ decodes to *exactly* the stream ``Segment.instructions()`` generates —
 the hypothesis property here pins that for random mixes on both PUs.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +14,7 @@ from repro.perf.compiled import (
     EV_BRANCH,
     EV_COMPUTE_RUN,
     EV_MEMORY,
+    PC_BASE,
     SHARED_COMPILE_CACHE,
     CompiledSegment,
     SegmentCompileCache,
@@ -66,19 +66,26 @@ class TestDecodeFidelity:
 
     @given(segment=segments())
     @settings(max_examples=100, deadline=None)
-    def test_arrays_correspond_to_stream(self, segment):
+    def test_events_reexpand_to_instruction_stream(self, segment):
         compiled = CompiledSegment.from_segment(segment)
         stream = list(segment.instructions())
         assert compiled.length == len(stream) == len(compiled)
-        for i, inst in enumerate(stream):
-            assert CODE_TO_OPCODE[compiled.opcodes[i]] is inst.opcode
+        expected = []
+        for index, inst in enumerate(stream):
             if inst.opcode.is_memory:
-                assert compiled.addrs[i] == inst.addr
-                assert compiled.sizes[i] == inst.size
+                expected.append((EV_MEMORY, inst.addr, inst.size, inst.opcode.is_store))
+            elif inst.opcode is Opcode.BRANCH:
+                expected.append((EV_BRANCH, inst.taken, PC_BASE + 4 * (index + 1), 0))
             else:
-                assert compiled.addrs[i] == -1
-            if inst.opcode is Opcode.BRANCH:
-                assert bool(compiled.taken[i]) == inst.taken
+                expected.append(EV_COMPUTE_RUN)
+        expanded = []
+        for event in compiled.events:
+            if event[0] == EV_COMPUTE_RUN:
+                assert event[1] > 0 and event[2:] == (0, 0)
+                expanded.extend([EV_COMPUTE_RUN] * event[1])
+            else:
+                expanded.append(event)
+        assert expanded == expected
 
     @given(segment=segments())
     @settings(max_examples=100, deadline=None)
@@ -97,27 +104,6 @@ class TestDecodeFidelity:
 
 
 class TestArrays:
-    def test_dtypes_are_compact(self):
-        segment = Segment(
-            pu=ProcessingUnit.CPU,
-            mix=InstructionMix(int_alu=5, loads=3, branches=2),
-            footprint_bytes=64,
-        )
-        compiled = CompiledSegment.from_segment(segment)
-        assert compiled.opcodes.dtype == np.uint8
-        assert compiled.addrs.dtype == np.int64
-        assert compiled.sizes.dtype == np.int32
-        assert compiled.taken.dtype == np.bool_
-        assert compiled.nbytes == sum(
-            arr.nbytes
-            for arr in (
-                compiled.opcodes,
-                compiled.addrs,
-                compiled.sizes,
-                compiled.taken,
-            )
-        )
-
     def test_branch_events_carry_advancing_pc(self):
         segment = Segment(pu=ProcessingUnit.CPU, mix=InstructionMix(branches=3))
         compiled = CompiledSegment.from_segment(segment)
@@ -206,14 +192,9 @@ class TestCompileCache:
 
 
 class TestEagerEvents:
-    """``from_segment`` builds the event stream eagerly (regression).
-
-    The event list used to build lazily on first ``.events`` access, so a
-    worker receiving a cache-warm compilation still paid the build once
-    per process. Now the build happens inside ``from_segment`` and rides
-    along through pickling: a warm worker performs zero ``_build_events``
-    calls.
-    """
+    """``from_segment`` builds the whole event list, and it rides along
+    through pickling: a worker receiving a cache-warm compilation never
+    compiles the segment again."""
 
     def make_segment(self):
         return Segment(
@@ -222,11 +203,7 @@ class TestEagerEvents:
             footprint_bytes=64,
         )
 
-    def test_from_segment_builds_events_eagerly(self):
-        compiled = CompiledSegment.from_segment(self.make_segment())
-        assert compiled._events is not None
-
-    def test_cache_warm_worker_makes_zero_build_calls(self, monkeypatch):
+    def test_cache_warm_worker_makes_zero_compile_calls(self, monkeypatch):
         import pickle
 
         cache = SegmentCompileCache()
@@ -234,26 +211,46 @@ class TestEagerEvents:
         # Ship the warm compilation to a "worker" the way the pool does.
         shipped = pickle.loads(pickle.dumps(warm))
         calls = []
-        original = CompiledSegment._build_events
+        original = CompiledSegment.from_segment.__func__
 
-        def counting(self):
-            calls.append(self)
-            return original(self)
+        def counting(cls, segment):
+            calls.append(segment)
+            return original(cls, segment)
 
-        monkeypatch.setattr(CompiledSegment, "_build_events", counting)
+        monkeypatch.setattr(CompiledSegment, "from_segment", classmethod(counting))
         assert cache.get(self.make_segment()) is warm
-        assert warm.events == shipped.events
-        assert shipped.events is not None
+        assert shipped.events == warm.events and shipped.length == warm.length
         assert calls == []
+        # The counter does see a cold compile.
+        SegmentCompileCache().get(self.make_segment())
+        assert len(calls) == 1
 
-    def test_hand_constructed_segments_still_build_lazily(self):
-        eager = CompiledSegment.from_segment(self.make_segment())
-        compiled = CompiledSegment(
-            eager.segment, eager.opcodes, eager.addrs, eager.sizes, eager.taken
+
+class TestSharedEvents:
+    def test_run_and_branch_tuples_shared_across_spaces(self):
+        """One segment staged into two address spaces: only the memory
+        records (the addresses staging rewrote) are new objects."""
+        from repro.addrspace.base import make_address_space
+        from repro.kernels.registry import kernel
+        from repro.sim.mmu import stage_trace
+        from repro.taxonomy import AddressSpaceKind
+
+        trace = kernel("reduction").build().scaled(0.002)
+        first, second = (
+            stage_trace(trace, make_address_space(kind)).parallel_phases[0].gpu
+            for kind in (AddressSpaceKind.DISJOINT, AddressSpaceKind.ADSM)
         )
-        assert compiled._events is None
-        assert compiled.events == eager.events
-        assert compiled._events is not None
+        assert first.base_addr != second.base_addr
+        cache = SegmentCompileCache()
+        a, b = cache.get(first).events, cache.get(second).events
+        assert cache.misses == 2 and len(a) == len(b)
+        kinds = {event[0] for event in a}
+        assert kinds == {EV_COMPUTE_RUN, EV_MEMORY, EV_BRANCH}
+        for x, y in zip(a, b):
+            if x[0] == EV_MEMORY:
+                assert x[1] != y[1] and x is not y
+            else:
+                assert x is y
 
 
 class TestInstructionObjects:

@@ -1,6 +1,8 @@
 """Tests for the exploration service and its HTTP surface."""
 
+import http.client
 import json
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -11,7 +13,7 @@ from repro.core.explorer import Explorer
 from repro.core.space import DesignSpace
 from repro.errors import ConfigError, DeadlineExceededError, TraceError
 from repro.exec.cache import TraceCache
-from repro.serve.server import ExplorationServer, ExplorationService
+from repro.serve.server import ExplorationServer, ExplorationService, _Handler
 from repro.store.store import ResultStore
 
 POINT = DesignSpace().feasible_points()[0].label
@@ -241,6 +243,118 @@ class TestHTTP:
         assert status == 404
         status, _ = _http("GET", f"{server.address}/v1/jobs/job-999999")
         assert status == 404
+
+    @pytest.mark.parametrize("declared", ["abc", "-5"])
+    def test_bad_content_length_is_400_and_closes(self, server, capfd, declared):
+        host, port = server.httpd.server_address[:2]
+        with socket.create_connection((host, port), timeout=30) as sock:
+            sock.sendall(
+                b"POST /v1/evaluate HTTP/1.1\r\nHost: test\r\n"
+                + f"Content-Length: {declared}\r\n\r\n".encode()
+                + b"{}"
+            )
+            reply = b""
+            # The server closes the connection: the body's framing is unknown.
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"] == "ConfigError"
+        assert "Traceback" not in capfd.readouterr().err
+
+
+class _NoDelayProbe(_Handler):
+    """Records the accepted socket's ``TCP_NODELAY`` from inside a request."""
+
+    seen = []
+
+    def do_GET(self):  # noqa: N802 - http.server API
+        self.seen.append(
+            self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        )
+        super().do_GET()
+
+
+class TestResponsePath:
+    """Each response is one write on a ``TCP_NODELAY`` socket."""
+
+    def test_accepted_socket_has_nodelay(self, server):
+        server.httpd.RequestHandlerClass = _NoDelayProbe
+        _NoDelayProbe.seen.clear()
+        status, _ = _http("GET", f"{server.address}/healthz")
+        assert status == 200
+        assert len(_NoDelayProbe.seen) == 1 and _NoDelayProbe.seen[0] != 0
+
+    def test_json_response_is_one_write(self, server, monkeypatch):
+        port = server.httpd.server_address[1]
+        writes = []
+
+        def counting(method):
+            original = getattr(socket.socket, method)
+
+            def write(sock, data, *args):
+                if sock.getsockname()[1] == port:
+                    writes.append(bytes(data))
+                return original(sock, data, *args)
+
+            return write
+
+        for method in ("send", "sendall"):
+            monkeypatch.setattr(socket.socket, method, counting(method))
+        status, body = _http(
+            "POST",
+            f"{server.address}/v1/evaluate",
+            {"point": POINT, "kernels": ["reduction"]},
+        )
+        assert status == 200
+        assert len(writes) == 1
+        assert writes[0].startswith(b"HTTP/1.1 200 ") and writes[0].endswith(body)
+
+    def test_interim_100_continue_is_not_held_in_the_buffer(self, server):
+        host, port = server.httpd.server_address[:2]
+        body = json.dumps({"point": POINT, "kernels": ["reduction"]}).encode()
+        with socket.create_connection((host, port), timeout=30) as sock:
+            sock.sendall(
+                b"POST /v1/evaluate HTTP/1.1\r\nHost: test\r\n"
+                b"Expect: 100-continue\r\nConnection: close\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+            )
+            # The body follows only once the interim reply has arrived.
+            assert sock.recv(65536).startswith(b"HTTP/1.1 100 ")
+            sock.sendall(body)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 200 ")
+
+    def test_keep_alive_connection_serves_identical_payloads(self, server):
+        host, port = server.httpd.server_address[:2]
+        request = {"point": POINT, "kernels": ["reduction"]}
+        status, one_shot = _http("POST", f"{server.address}/v1/evaluate", request)
+        assert status == 200
+        conn = http.client.HTTPConnection(host, port, timeout=60)
+        try:
+
+            def exchange(method, path, body=None):
+                headers = {"Content-Type": "application/json"} if body else {}
+                conn.request(method, path, body=body, headers=headers)
+                response = conn.getresponse()
+                assert response.status == 200
+                return response.read()
+
+            payload = json.dumps(request)
+            first = exchange("POST", "/v1/evaluate", payload)
+            sock = conn.sock
+            scrape = exchange("GET", "/metrics")
+            # No request ran between the two scrapes.
+            assert _http("GET", f"{server.address}/metrics") == (200, scrape)
+            second = exchange("POST", "/v1/evaluate", payload)
+            assert conn.sock is sock
+        finally:
+            conn.close()
+        assert first == second == one_shot
+        assert b"serve.completed" in scrape
 
 
 class TestRankJobs:
