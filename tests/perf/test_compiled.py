@@ -203,7 +203,16 @@ class TestEagerEvents:
             footprint_bytes=64,
         )
 
-    def test_cache_warm_worker_makes_zero_compile_calls(self, monkeypatch):
+    def test_from_segment_builds_events_eagerly(self):
+        segment = self.make_segment()
+        compiled = CompiledSegment.from_segment(segment)
+        assert type(compiled.events) is list
+        covered = sum(
+            event[1] if event[0] == EV_COMPUTE_RUN else 1 for event in compiled.events
+        )
+        assert covered == compiled.length == len(list(segment.instructions()))
+
+    def test_cache_warm_worker_makes_zero_build_calls(self, monkeypatch):
         import pickle
 
         cache = SegmentCompileCache()
@@ -224,6 +233,26 @@ class TestEagerEvents:
         # The counter does see a cold compile.
         SegmentCompileCache().get(self.make_segment())
         assert len(calls) == 1
+
+    def test_hand_constructed_segments_still_build_lazily(self, monkeypatch):
+        """A hand-constructed segment holds the events it is given and
+        compiles nothing; its Instruction objects are still generated on
+        demand by ``instructions()``."""
+        eager = CompiledSegment.from_segment(self.make_segment())
+        calls = []
+        original = CompiledSegment.from_segment.__func__
+
+        def counting(cls, segment):
+            calls.append(segment)
+            return original(cls, segment)
+
+        monkeypatch.setattr(CompiledSegment, "from_segment", classmethod(counting))
+        compiled = CompiledSegment(eager.segment, eager.length, eager.events)
+        assert compiled.events is eager.events and len(compiled) == len(eager)
+        stream = compiled.instructions()
+        assert iter(stream) is stream
+        assert list(stream) == list(eager.segment.instructions())
+        assert calls == []
 
 
 class TestSharedEvents:
