@@ -39,6 +39,7 @@ from typing import Dict, List, Optional
 
 from repro.analysis import compare as compare_mod
 from repro.analysis import figures, metrics_diff, tables
+from repro.config import knobs
 from repro.core.explorer import Explorer
 from repro.core.report import format_table
 from repro.core.space import DesignSpace
@@ -209,23 +210,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 1 if failed else EXIT_OK
 
 
-def _require_at_least(flag: str, value: int, minimum: int) -> None:
-    """Reject an out-of-range integer flag as a ConfigError (exit code 2)."""
-    if value < minimum:
-        raise ConfigError(f"{flag} must be >= {minimum}, got {value}")
-
-
 def _cmd_rank(args: argparse.Namespace) -> int:
-    _require_at_least("--top", args.top, 1)
-    _require_at_least("--sample", args.sample, 0)
     explorer = _explorer_from_args(args)
     points = DesignSpace().feasible_sample(args.sample)
-    shards = getattr(args, "shards", None)
-    if shards == "auto":
-        # Two shards per worker keeps the pool saturated while the last
-        # (uneven) shards drain.
-        shards = max(2 * args.jobs, 1)
-    if shards is not None and shards > 1 and args.jobs > 1:
+    shards = explorer.shard_count(args.shards)
+    if shards > 1 and explorer.jobs > 1:
         explorer.runner.prestart()
     evaluations = explorer.rank_design_points(points, shards=shards)[: args.top]
     rows = [
@@ -413,7 +402,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.perf.bench import (
-        check_bench_options,
         compare_to_baseline,
         format_bench,
         load_bench_json,
@@ -424,15 +412,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         write_bench_json,
     )
 
-    # Every flag up front, whichever sections run: bad values exit 2.
-    check_bench_options(
-        scale=args.scale,
-        sweep_scale=args.sweep_scale,
-        repeats=args.repeats,
-        strides=(args.stride, args.store_stride),
-        tolerance=args.tolerance,
-        min_speedup=args.min_speedup,
-    )
     doc: dict = {}
     if args.mode in ("hotpath", "all"):
         doc = run_hotpath_bench(
@@ -536,23 +515,12 @@ def _cmd_litmus(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.core.resilience import DEFAULT_FAULT_RATES, fault_sensitivity
+    from repro.core.resilience import fault_sensitivity
 
-    _require_at_least("--top", args.top, 1)
-    _require_at_least("--sample", args.sample, 0)
-    if args.rates:
-        try:
-            rates = tuple(float(token) for token in args.rates.split(","))
-        except ValueError:
-            raise ConfigError(
-                f"--rates wants comma-separated numbers, got {args.rates!r}"
-            ) from None
-    else:
-        rates = DEFAULT_FAULT_RATES
     points = DesignSpace().feasible_sample(args.sample)
     sensitivities = fault_sensitivity(
         points=points,
-        rates=rates,
+        rates=args.rates,
         seed=args.seed,
         jobs=args.jobs,
         retries=args.retries,
@@ -601,6 +569,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import signal
+    import threading
+
     from repro.serve import run_server
 
     server = run_server(
@@ -614,6 +585,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         retries=args.retries,
         job_timeout=args.job_timeout,
     )
+    if threading.current_thread() is threading.main_thread():
+        # A background job of a non-interactive shell starts with SIGINT
+        # ignored; Ctrl-C (or kill -INT) must still stop the server.
+        signal.signal(signal.SIGINT, signal.default_int_handler)
     _out(f"serving on {server.address} (Ctrl-C to stop)")
     server.serve_forever()
     return EXIT_OK
@@ -652,49 +627,18 @@ def _cmd_store(args: argparse.Namespace) -> int:
         return EXIT_OK
 
 
-def _jobs_value(text: str) -> int:
-    """``--jobs`` values: an integer, or ``auto`` = the machine's CPU count.
-
-    ``auto`` resolves here (clamped to >= 1 for exotic platforms where
-    ``os.cpu_count()`` is unknown); explicit integers pass through
-    unvalidated so 0/negative still raise the runner's
-    :class:`~repro.errors.ConfigError` (exit code 2), not an argparse
-    usage error.
-    """
-    if text.strip().lower() == "auto":
-        import os
-
-        return max(1, os.cpu_count() or 1)
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {text!r}"
-        ) from None
-
-
-def _shards_value(text: str) -> "int | str":
-    """``--shards`` values: an integer, or the literal ``auto``.
-
-    ``auto`` stays symbolic — it resolves to 2x the (already resolved)
-    ``--jobs`` value inside :func:`_cmd_rank`. Out-of-range integers pass
-    through so :meth:`Explorer.rank_design_points` raises its
-    :class:`~repro.errors.ConfigError` (exit code 2).
-    """
-    if text.strip().lower() == "auto":
-        return "auto"
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {text!r}"
-        ) from None
+def _check_knobs(args: argparse.Namespace) -> None:
+    """Replace each knob flag's text (or default) with its checked value
+    (:mod:`repro.config.knobs`), so a bad one exits 2 before any explorer,
+    store or server exists."""
+    for name, raw in list(vars(args).items()):
+        if name in knobs.KNOBS:
+            setattr(args, name, knobs.value(name, raw, "--" + name.replace("_", "-")))
 
 
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
-        type=_jobs_value,
         default=1,
         metavar="N",
         help="worker processes for simulation fan-out (default 1 = "
@@ -722,7 +666,7 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--check",
-        choices=("off", "warn", "error", "optimize"),
+        choices=knobs.KNOBS["check"].choices,
         default="off",
         help="pre-simulation static memory-model checker: warn logs "
         "findings, error refuses violating (trace, design point) pairs "
@@ -741,7 +685,6 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--retries",
-        type=int,
         default=0,
         metavar="N",
         help="re-attempt failed simulation jobs up to N times with "
@@ -749,7 +692,6 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--job-timeout",
-        type=float,
         default=None,
         metavar="SECONDS",
         help="kill and retry any worker job running longer than this "
@@ -806,9 +748,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_rank = sub.add_parser("rank", help="rank feasible design points")
-    p_rank.add_argument("--top", type=int, default=10)
+    p_rank.add_argument("--top", default=10)
     p_rank.add_argument(
-        "--sample", type=int, default=40, help="evaluate at most N points (0 = all)"
+        "--sample", default=40, help="evaluate at most N points (0 = all)"
     )
     p_rank.add_argument(
         "--checkpoint",
@@ -821,7 +763,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_rank.add_argument(
         "--shards",
-        type=_shards_value,
         default=None,
         metavar="N",
         help="evaluate the point space as N timing-key-aware shards, each "
@@ -849,18 +790,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_faults.add_argument(
         "--retries",
-        type=int,
         default=2,
         metavar="N",
         help="harness re-attempts per failed job (default 2)",
     )
     p_faults.add_argument(
-        "--sample", type=int, default=12, help="evaluate at most N points (0 = all)"
+        "--sample", default=12, help="evaluate at most N points (0 = all)"
     )
-    p_faults.add_argument("--top", type=int, default=10)
+    p_faults.add_argument("--top", default=10)
     p_faults.add_argument(
         "--jobs",
-        type=_jobs_value,
         default=1,
         metavar="N",
         help="worker processes (default 1 = in-process; 'auto' = one per "
@@ -917,13 +856,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_bench.add_argument(
         "--scale",
-        type=float,
         default=0.05,
         help="trace scale factor for the hotpath cells (default 0.05)",
     )
     p_bench.add_argument(
         "--sweep-scale",
-        type=float,
         default=0.01,
         metavar="X",
         help="trace scale for the sweep mode's rank-style workload "
@@ -932,7 +869,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_bench.add_argument(
         "--stride",
-        type=int,
         default=3,
         metavar="N",
         help="sample every Nth feasible design point for the sweep "
@@ -940,7 +876,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_bench.add_argument(
         "--store-stride",
-        type=int,
         default=8,
         metavar="N",
         help="sample every Nth feasible design point for the store "
@@ -948,7 +883,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_bench.add_argument(
         "--repeats",
-        type=int,
         default=1,
         metavar="N",
         help="take the best of N timings per cell (default 1)",
@@ -981,14 +915,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_bench.add_argument(
         "--tolerance",
-        type=float,
         default=0.5,
         help="allowed fractional speedup drop vs the baseline before "
         "failing (default 0.5, loose enough for shared CI runners)",
     )
     p_bench.add_argument(
         "--min-speedup",
-        type=float,
         default=None,
         metavar="X",
         help="fail unless every measured speedup headline (fidelity "
@@ -1102,13 +1034,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
         "--port",
-        type=int,
         default=8763,
         help="listen port (0 picks a free port; default 8763)",
     )
     p_serve.add_argument(
         "--jobs",
-        type=_jobs_value,
         default=1,
         metavar="N",
         help="worker processes per evaluation (default 1; 'auto' = one "
@@ -1116,7 +1046,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_serve.add_argument(
         "--queue-depth",
-        type=int,
         default=32,
         metavar="N",
         help="pending-job bound; submissions past it get HTTP 503 "
@@ -1124,7 +1053,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_serve.add_argument(
         "--deadline",
-        type=float,
         default=30.0,
         metavar="SECONDS",
         help="default per-request deadline (default 30; requests can "
@@ -1132,7 +1060,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_serve.add_argument(
         "--watchdog-budget",
-        type=int,
         default=3,
         metavar="N",
         help="explorer rebuilds allowed after crashed worker pools "
@@ -1146,14 +1073,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_serve.add_argument(
         "--retries",
-        type=int,
         default=0,
         metavar="N",
         help="per-job retry budget (default 0)",
     )
     p_serve.add_argument(
         "--job-timeout",
-        type=float,
         default=None,
         metavar="SECONDS",
         help="kill and retry any worker job running longer than this",
@@ -1187,6 +1112,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     configure_logging(-1 if args.quiet else args.verbose)
     try:
+        _check_knobs(args)
         return args.func(args)
     except KeyboardInterrupt:
         # A store-backed rank commits each completed group of points, so

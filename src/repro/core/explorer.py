@@ -17,13 +17,14 @@ from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.check import CheckConfig, check_trace
+from repro.config import knobs
 from repro.config.comm import CommParams
 from repro.config.presets import CASE_STUDIES, CaseStudy
 from repro.config.system import SystemConfig
 from repro.core.design_point import DesignPoint
 from repro.core.space import DesignSpace
 from repro.core.programmability import table5_dict
-from repro.errors import CheckError, ConfigError, DesignSpaceError, SimulationError
+from repro.errors import CheckError, DesignSpaceError, SimulationError
 from repro.exec import sweepjob
 from repro.exec.cache import SHARED_TRACE_CACHE, ResultCache, TraceCache
 from repro.exec.job import SimJob
@@ -51,7 +52,7 @@ _log = get_logger("core.explorer")
 #: ``optimize`` runs the checker with the advisory OPT/INF dataflow
 #: passes enabled and logs every finding, but — like ``warn`` — never
 #: refuses to simulate: optimization opportunities are not violations.
-CHECK_MODES = ("off", "warn", "error", "optimize")
+CHECK_MODES = knobs.KNOBS["check"].choices
 
 #: Store namespace for rank-sweep records: one per timing-key group.
 SWEEP_KIND = "sweep"
@@ -125,7 +126,7 @@ class Explorer:
         system: Optional[SystemConfig] = None,
         comm_params: Optional[CommParams] = None,
         detailed_scale: float = 0.02,
-        jobs: int = 1,
+        jobs: "int | str" = 1,
         trace_cache: Optional[TraceCache] = None,
         result_cache: Optional[ResultCache] = None,
         check: str = "off",
@@ -176,11 +177,7 @@ class Explorer:
         #: trace that violates its design point's obligations, and
         #: ``"optimize"`` logs correctness *and* advisory OPT/INF
         #: findings without ever gating.
-        if check not in CHECK_MODES:
-            raise ConfigError(
-                f"check mode must be one of {CHECK_MODES}, got {check!r}"
-            )
-        self.check = check
+        self.check = knobs.value("check", check, "check mode")
         self._check_memo: Dict[Tuple, bool] = {}
 
     @property
@@ -467,17 +464,26 @@ class Explorer:
         self.last_results = results
         return self._evaluation(point, results)
 
+    def shard_count(self, shards: "int | str | None") -> int:
+        """The number of shards a rank sweep splits into: ``None`` is one
+        shard, ``"auto"`` two per worker (which keeps the pool saturated
+        while the last, uneven shards drain)."""
+        shards = knobs.value("shards", shards, "shards")
+        if shards == "auto":
+            return max(2 * self.jobs, 1)
+        return 1 if shards is None else shards
+
     def rank_design_points(
         self,
         points: Optional[Iterable[DesignPoint]] = None,
         kernels: Optional[Sequence[Kernel]] = None,
-        shards: Optional[int] = None,
+        shards: "int | str | None" = None,
     ) -> List[DesignPointEvaluation]:
         """Evaluate and rank design points (best first).
 
-        The points are partitioned into ``shards`` timing-key-aware shards
-        (:func:`~repro.exec.sweepjob.plan_shards`; ``None`` means one
-        shard, run in-process) and each shard is evaluated whole by
+        The points are partitioned into :meth:`shard_count` timing-key-aware
+        shards (:func:`~repro.exec.sweepjob.plan_shards`; one shard runs
+        in-process) and each shard is evaluated whole by
         :func:`~repro.exec.sweepjob.run_shard`, in waves of ``jobs``
         through the runner's persistent pool. Points that differ only in
         axes that cannot affect timing (locality, coherence, consistency)
@@ -498,8 +504,7 @@ class Explorer:
             points = DesignSpace().feasible_points()
         points = list(points)
         kernels = list(kernels or all_kernels())
-        if shards is not None and shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {shards}")
+        shards = self.shard_count(shards)
         if not points:
             raise DesignSpaceError("no feasible design points to rank")
         for point in points:
@@ -536,7 +541,7 @@ class Explorer:
                 fault_plan=self.faults,
                 retry=self.runner.retry,
             )
-            for bucket in sweepjob.plan_shards(remaining, shards or 1)
+            for bucket in sweepjob.plan_shards(remaining, shards)
             if bucket
         ]
         ran: List[SimulationResult] = []

@@ -19,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.config import knobs
 from repro.config.comm import CommParams
 from repro.config.system import SystemConfig
 from repro.core.design_point import DesignPoint
 from repro.core.explorer import Explorer
 from repro.core.space import DesignSpace
-from repro.errors import ConfigError, DesignSpaceError, SimulationError
+from repro.errors import DesignSpaceError, SimulationError
 from repro.exec.retry import RetryPolicy
 from repro.faults.spec import FaultPlan
 from repro.kernels.base import Kernel
@@ -96,7 +97,7 @@ def _plan_for_rate(rate: float, seed: int) -> Optional[FaultPlan]:
 def fault_sensitivity(
     points: Optional[Iterable[DesignPoint]] = None,
     kernels: Optional[Sequence[Kernel]] = None,
-    rates: Sequence[float] = DEFAULT_FAULT_RATES,
+    rates: Optional[Sequence[float]] = DEFAULT_FAULT_RATES,
     seed: int = 0,
     jobs: int = 1,
     retries: int = 2,
@@ -105,21 +106,19 @@ def fault_sensitivity(
 ) -> List[FaultSensitivity]:
     """Rank design points by fragility under injected faults (worst first).
 
-    Every point is evaluated at every rate in ``rates`` (0.0 is prepended
-    when missing, so each point always has a clean baseline). The fault
-    plans and the retry policy are fully seeded — the backoff policy uses
-    zero delay, so the sweep never actually sleeps — making the whole
-    ranking deterministic for a given ``seed``. A rate outside [0, 1]
-    raises :class:`~repro.errors.ConfigError`.
+    Every point is evaluated at every rate in ``rates`` (``None``:
+    :data:`DEFAULT_FAULT_RATES`; 0.0 is prepended when missing, so each
+    point always has a clean baseline). The fault plans and the retry
+    policy are fully seeded — the backoff policy uses zero delay, so the
+    sweep never actually sleeps — making the whole ranking deterministic
+    for a given ``seed``. A rate outside [0, 1] raises
+    :class:`~repro.errors.ConfigError`.
     """
     if points is None:
         points = DesignSpace().feasible_points()
     points = list(points)
     kernels = list(kernels or all_kernels())
-    rates = list(rates)
-    bad = [r for r in rates if not 0.0 <= r <= 1.0]
-    if bad:
-        raise ConfigError(f"fault rates must be in [0, 1], got {bad[0]:g}")
+    rates = list(knobs.value("fault_rates", rates, "fault rates") or DEFAULT_FAULT_RATES)
     if not rates or rates[0] != 0.0:
         rates = [0.0] + [r for r in rates if r != 0.0]
     if not points:

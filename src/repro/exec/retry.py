@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Tuple
 
+from repro.config import knobs
 from repro.errors import ConfigError
 
 __all__ = ["RetryPolicy", "backoff_delay", "backoff_schedule"]
@@ -37,8 +38,7 @@ class RetryPolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ConfigError(f"retries must be >= 0, got {self.retries}")
+        knobs.value("retries", self.retries, "retries")
         if self.base_delay < 0:
             raise ConfigError(f"base_delay must be >= 0, got {self.base_delay}")
         if self.backoff < 1.0:

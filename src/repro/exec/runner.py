@@ -37,12 +37,13 @@ not affect timing — are simulated once and re-labeled on retrieval.
 
 from __future__ import annotations
 
-import math
+import os
 import pickle
 import time
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, TypeVar
 
-from repro.errors import ConfigError, SimulationError
+from repro.config import knobs
+from repro.errors import SimulationError
 from repro.exec.cache import ResultCache
 from repro.exec.job import SimJob, run_sim_job_counted
 from repro.exec.retry import NO_RETRY, RetryPolicy, backoff_delay
@@ -94,11 +95,12 @@ def _prestart_hold(seconds: float) -> bool:
 class ParallelRunner:
     """Executes job batches, in order, across worker processes.
 
-    ``jobs`` is the worker-process count; ``stats`` (a :class:`RunStats`)
-    accumulates submission/completion counts, per-stage wall-clock, and
-    the retry/timeout/crash counters. ``retry`` bounds re-attempts of
-    failed jobs (default: a single attempt), ``job_timeout`` bounds each
-    pool job's wall-clock, and ``sleep`` is injectable for tests.
+    ``jobs`` is the worker-process count (``"auto"``: one per CPU core);
+    ``stats`` (a :class:`RunStats`) accumulates submission/completion
+    counts, per-stage wall-clock, and the retry/timeout/crash counters.
+    ``retry`` bounds re-attempts of failed jobs (default: a single
+    attempt), ``job_timeout`` bounds each pool job's wall-clock, and
+    ``sleep`` is injectable for tests.
 
     The worker pool is **persistent**: it is created once, sized by
     ``jobs`` (never shrunk to a small trailing batch — shard dispatch
@@ -109,25 +111,17 @@ class ParallelRunner:
 
     def __init__(
         self,
-        jobs: int = 1,
+        jobs: "int | str" = 1,
         stats: Optional[RunStats] = None,
         retry: Optional[RetryPolicy] = None,
         job_timeout: Optional[float] = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {jobs}")
-        if job_timeout is not None and not (
-            math.isfinite(job_timeout) and job_timeout > 0
-        ):
-            raise ConfigError(
-                "job timeout must be a positive finite number of seconds, "
-                f"got {job_timeout}"
-            )
-        self.jobs = jobs
+        jobs = knobs.value("jobs", jobs, "jobs")
+        self.jobs = max(1, os.cpu_count() or 1) if jobs == "auto" else jobs
         self.stats = stats or RunStats()
         self.retry = retry or NO_RETRY
-        self.job_timeout = job_timeout
+        self.job_timeout = knobs.value("job_timeout", job_timeout, "job timeout")
         self._sleep = sleep
         self._pool: "object | None" = None
 

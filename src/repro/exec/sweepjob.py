@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.config import knobs
 from repro.config.comm import CommParams
 from repro.config.system import SystemConfig
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 from repro.exec.job import SimJob, run_sim_job
 from repro.exec.retry import RetryPolicy
 from repro.exec.runner import ParallelRunner
@@ -67,8 +68,7 @@ def plan_shards(points: Sequence[DesignPoint], shards: int) -> List[List[int]]:
     Shards can come back empty when there are fewer key groups than
     ``shards``; callers skip empty shards rather than padding them.
     """
-    if shards < 1:
-        raise ConfigError(f"shards must be >= 1, got {shards}")
+    shards = knobs.value("shards", shards, "shards")
     grouped: "Dict[Tuple[str, str], List[int]]" = {}
     for index, point in enumerate(points):
         grouped.setdefault(timing_key(point), []).append(index)

@@ -45,6 +45,7 @@ import math
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.config import knobs
 from repro.config.presets import case_study
 from repro.errors import ConfigError, SimulationError
 from repro.kernels.registry import all_kernels, kernel
@@ -60,7 +61,6 @@ __all__ = [
     "run_sweep_bench",
     "run_coherence_bench",
     "run_store_bench",
-    "check_bench_options",
     "format_bench",
     "compare_to_baseline",
     "write_bench_json",
@@ -86,33 +86,6 @@ COHERENCE_PROTOCOLS = ("snoop", "directory")
 #: Defaults for the store mode: same bounding kernels as the sweep mode,
 #: a coarser stride (the cold side simulates every sampled point).
 STORE_STRIDE = 8
-
-
-def check_bench_options(
-    scale: Optional[float] = None,
-    sweep_scale: Optional[float] = None,
-    repeats: int = 1,
-    strides: Sequence[int] = (),
-    tolerance: float = 0.0,
-    min_speedup: Optional[float] = None,
-) -> None:
-    """Raise :class:`~repro.errors.ConfigError` on a bench knob that would
-    crash a run or switch off a gate: scales and the speedup floor must be
-    finite and positive (``None`` skips one), the tolerance in [0, 1),
-    ``repeats`` and strides at least 1. Each test accepts only what it
-    names, so NaN (which compares false) fails it."""
-    for name, value in (
-        ("scale", scale),
-        ("sweep scale", sweep_scale),
-        ("min speedup", min_speedup),
-    ):
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"bench {name} must be a finite positive number, got {value}")
-    if not 0.0 <= tolerance < 1.0:
-        raise ConfigError(f"bench tolerance must be a finite fraction in [0, 1), got {tolerance}")
-    for name, count in (("repeats", repeats), *(("stride", s) for s in strides)):
-        if count < 1:
-            raise ConfigError(f"bench {name} must be >= 1, got {count}")
 
 
 def _geomean(values: Sequence[float]) -> float:
@@ -158,7 +131,8 @@ def run_hotpath_bench(
     execution, not compilation — matching exploration, where every design
     point past the first reuses the cached compilation.
     """
-    check_bench_options(scale=scale, repeats=repeats)
+    scale = knobs.value("scale", scale, "bench scale")
+    repeats = knobs.value("repeats", repeats, "bench repeats")
     from repro.sim.reference import ReferenceSimulator
 
     case = case_study(case_name)
@@ -246,7 +220,8 @@ def run_coherence_bench(
     travels to the baseline: it bounds what enabling the coherence axis
     costs a sweep, independent of the machine's absolute speed.
     """
-    check_bench_options(scale=scale, repeats=repeats)
+    scale = knobs.value("scale", scale, "bench scale")
+    repeats = knobs.value("repeats", repeats, "bench repeats")
     from repro.sim.mmu import stage_shared_trace
     from repro.taxonomy import AddressSpaceKind
 
@@ -331,7 +306,9 @@ def run_sweep_bench(
     (no ``fidelities``); the CLI merges it with the hotpath section under
     ``--mode all``.
     """
-    check_bench_options(scale=scale, repeats=repeats, strides=(stride,))
+    scale = knobs.value("sweep_scale", scale, "bench sweep scale")
+    repeats = knobs.value("repeats", repeats, "bench repeats")
+    stride = knobs.value("stride", stride, "bench stride")
     from repro.config.comm import CommParams
     from repro.config.system import SystemConfig
     from repro.perf.sweep import BatchedDesignPoints, SweepSimulator
@@ -425,7 +402,8 @@ def run_store_bench(
     explorer's ``exec.jobs_submitted``) — the recorded *speedup* (cold
     wall-clock over warm) is only ever for bit-identical output.
     """
-    check_bench_options(repeats=repeats, strides=(stride,))
+    repeats = knobs.value("repeats", repeats, "bench repeats")
+    stride = knobs.value("store_stride", stride, "bench store stride")
     import os
     import shutil
     import tempfile
@@ -626,7 +604,7 @@ def compare_to_baseline(
     a ``--mode hotpath`` run against the fidelities alone — so partial
     runs never fail on sections they deliberately skipped.
     """
-    check_bench_options(tolerance=tolerance)
+    tolerance = knobs.value("tolerance", tolerance, "bench tolerance")
     problems: List[str] = []
     if current.get("fidelities"):
         for name, base_data in baseline.get("fidelities", {}).items():

@@ -21,7 +21,8 @@ from collections import OrderedDict, deque
 from concurrent.futures import Future
 from typing import Deque, Dict, Optional, Tuple
 
-from repro.errors import ConfigError, QueueFullError
+from repro.config import knobs
+from repro.errors import QueueFullError
 
 __all__ = ["Job", "CoalescingQueue"]
 
@@ -68,9 +69,7 @@ class CoalescingQueue:
     """FIFO of :class:`Job`\\ s with coalescing, bounds, and history."""
 
     def __init__(self, max_depth: int = 32, history: int = 256) -> None:
-        if max_depth < 1:
-            raise ConfigError(f"queue depth must be >= 1, got {max_depth}")
-        self.max_depth = max_depth
+        self.max_depth = knobs.value("queue_depth", max_depth, "queue depth")
         self.history = history
         self._cond = threading.Condition()
         self._pending: Deque[Job] = deque()

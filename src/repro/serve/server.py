@@ -32,13 +32,13 @@ operational surface.
 from __future__ import annotations
 
 import json
-import math
 import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional
 
+from repro.config import knobs
 from repro.core.explorer import Explorer
 from repro.core.space import DesignSpace
 from repro.errors import (
@@ -66,9 +66,6 @@ _log = get_logger("serve")
 #: before a ``detailed`` evaluation degrades to the fast model.
 DEGRADE_PRESSURE = 0.5
 
-#: Fidelities a request may ask for.
-FIDELITIES = ("fast", "detailed")
-
 
 class ExplorationService:
     """Dispatcher + queue + watchdog around one (rebuildable) Explorer."""
@@ -81,20 +78,11 @@ class ExplorationService:
         watchdog_budget: int = 3,
         history: int = 256,
     ) -> None:
-        if not (math.isfinite(default_deadline) and default_deadline > 0):
-            raise ConfigError(
-                "default deadline must be a positive finite number, "
-                f"got {default_deadline}"
-            )
-        if watchdog_budget < 0:
-            raise ConfigError(
-                f"watchdog budget must be >= 0, got {watchdog_budget}"
-            )
+        self.default_deadline = knobs.value("deadline", default_deadline, "default deadline")
+        self.watchdog_budget = knobs.value("watchdog_budget", watchdog_budget, "watchdog budget")
+        self.queue = CoalescingQueue(max_depth=queue_depth, history=history)
         self._factory = explorer_factory
         self.explorer = explorer_factory()
-        self.default_deadline = default_deadline
-        self.watchdog_budget = watchdog_budget
-        self.queue = CoalescingQueue(max_depth=queue_depth, history=history)
         self.metrics = MetricRegistry("serve")
         self._requests = self.metrics.counter(
             "requests", unit="requests", description="evaluation submissions"
@@ -193,11 +181,7 @@ class ExplorationService:
         kernels = kernels or [k.name for k in all_kernels()]
         for name in kernels:
             kernel_by_name(name)  # raises ConfigError on unknown names
-        fidelity = request.get("fidelity", "fast")
-        if fidelity not in FIDELITIES:
-            raise ConfigError(
-                f"fidelity must be one of {FIDELITIES}, got {fidelity!r}"
-            )
+        fidelity = knobs.value("fidelity", request.get("fidelity", "fast"), "fidelity")
         deadline = self._deadline(request)
         faults = request.get("faults")
         if faults is not None:
@@ -214,18 +198,9 @@ class ExplorationService:
 
     def _deadline(self, request: dict) -> float:
         """The request's deadline in seconds (the service default when
-        absent); NaN and infinities are rejected like any non-positive
-        value, since ``json.loads`` accepts the ``NaN``/``Infinity``
-        literals."""
+        absent)."""
         deadline = request.get("deadline", self.default_deadline)
-        # Exact type check: JSON true/false decode to bool, an int subclass.
-        if type(deadline) not in (int, float) or not (
-            math.isfinite(deadline) and deadline > 0
-        ):
-            raise ConfigError(
-                f"deadline must be a positive finite number, got {deadline!r}"
-            )
-        return float(deadline)
+        return knobs.value("deadline", deadline, "deadline")
 
     def _canonical_rank(self, request: dict) -> dict:
         """Validate a rank-sweep request: ``{"rank": {...}}``.
@@ -239,22 +214,14 @@ class ExplorationService:
         spec = request.get("rank")
         if not isinstance(spec, dict):
             raise ConfigError("rank must be an object, e.g. {'rank': {}}")
-        # Exact type checks: JSON true/false decode to bool, an int subclass.
-        sample = spec.get("sample", 0)
-        if type(sample) is not int or sample < 0:
-            raise ConfigError(f"rank.sample must be an integer >= 0, got {sample!r}")
-        top = spec.get("top", 10)
-        if type(top) is not int or top < 1:
-            raise ConfigError(f"rank.top must be an integer >= 1, got {top!r}")
-        shards = spec.get("shards", "auto")
-        if shards != "auto" and (type(shards) is not int or shards < 1):
-            raise ConfigError(
-                f"rank.shards must be an integer >= 1 or 'auto', got {shards!r}"
-            )
+        rank = {
+            name: knobs.value(name, spec.get(name, default), f"rank.{name}")
+            for name, default in (("sample", 0), ("top", 10), ("shards", "auto"))
+        }
         if request.get("faults"):
             raise ConfigError("rank sweeps do not support fault injection")
         return {
-            "rank": {"sample": sample, "top": top, "shards": shards},
+            "rank": rank,
             "deadline": self._deadline(request),
             "faults": None,
         }
@@ -403,9 +370,7 @@ class ExplorationService:
         """One rank sweep: sampled point space, sharded across the pool."""
         spec = job.request["rank"]
         points = DesignSpace().feasible_sample(spec["sample"])
-        shards = spec["shards"]
-        if shards == "auto":
-            shards = max(2 * self.explorer.jobs, 1)
+        shards = self.explorer.shard_count(spec["shards"])
         evaluations = self.explorer.rank_design_points(points, shards=shards)
         return {
             "rank": [
@@ -623,7 +588,7 @@ class ExplorationServer:
 def run_server(
     host: str = "127.0.0.1",
     port: int = 8763,
-    jobs: int = 1,
+    jobs: "int | str" = 1,
     queue_depth: int = 32,
     deadline: float = 30.0,
     watchdog_budget: int = 3,
@@ -635,8 +600,7 @@ def run_server(
     from repro.exec.retry import RetryPolicy
     from repro.store import ResultStore
 
-    if not 0 <= port <= 65535:
-        raise ConfigError(f"port must be in 0..65535, got {port}")
+    port = knobs.value("port", port, "port")
     store = ResultStore(store_path) if store_path else None
 
     def factory() -> Explorer:

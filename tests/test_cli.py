@@ -529,3 +529,54 @@ class TestChaosSurfaces:
 
         assert main(["chaos", "--scenario", "nope"]) == EXIT_STORE_ERROR
         assert "integrity error" in capsys.readouterr().err
+
+
+class TestServeSignals:
+    def test_sigint_stops_a_server_started_with_sigint_ignored(self, tmp_path):
+        """A background job of a non-interactive shell starts with SIGINT
+        ignored; ``serve`` must still stop on it, leaving a sound store."""
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        import repro
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [
+                os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__))),
+                env.get("PYTHONPATH", ""),
+            ]
+        )
+        store = tmp_path / "D"
+        log_path = tmp_path / "serve.log"
+        with open(log_path, "wb") as log:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve", "--port", "0", "--store", str(store)],
+                env=env,
+                stdout=log,
+                stderr=subprocess.STDOUT,
+                preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+            )
+        try:
+            deadline = time.monotonic() + 60.0
+            while "serving on" not in log_path.read_text():
+                assert proc.poll() is None, log_path.read_text()
+                assert time.monotonic() < deadline, "server never started"
+                time.sleep(0.02)
+            # The line perfbench parses stays as it was.
+            assert re.search(
+                r"^serving on http://[0-9.]+:\d+ \(Ctrl-C to stop\)$",
+                log_path.read_text(),
+                re.MULTILINE,
+            )
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10) == 130
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert main(["store", "verify", str(store)]) == 0
