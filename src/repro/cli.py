@@ -642,8 +642,8 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
         default=1,
         metavar="N",
         help="worker processes for simulation fan-out (default 1 = "
-        "in-process; 'auto' = one per CPU core; results are identical at "
-        "any job count)",
+        f"in-process; 'auto' = one per CPU core; at most {knobs.JOBS_CAP}; "
+        "results are identical at any job count)",
     )
     parser.add_argument(
         "--stats",
@@ -803,7 +803,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=1,
         metavar="N",
         help="worker processes (default 1 = in-process; 'auto' = one per "
-        "CPU core)",
+        f"CPU core; at most {knobs.JOBS_CAP})",
     )
     p_faults.set_defaults(func=_cmd_faults)
 
@@ -1042,7 +1042,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=1,
         metavar="N",
         help="worker processes per evaluation (default 1; 'auto' = one "
-        "per CPU core)",
+        f"per CPU core; at most {knobs.JOBS_CAP})",
     )
     p_serve.add_argument(
         "--queue-depth",

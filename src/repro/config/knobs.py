@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import sys
 import threading
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigError
 
-__all__ = ["Knob", "KNOBS", "value"]
+__all__ = ["Knob", "KNOBS", "JOBS_CAP", "value"]
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,13 @@ def _choice(*choices: str) -> Knob:
 _TINY = math.ulp(0.0)
 _POSITIVE = (float, "a finite positive number", _TINY, sys.float_info.max)
 _WAIT = f"a positive finite number of seconds, at most {threading.TIMEOUT_MAX:.0f}"
+#: The most worker processes ``jobs`` may start: twice this host's cores,
+#: and never fewer than 4, the widest pool any test or CI step asks for.
+JOBS_CAP = max(4, 2 * (os.cpu_count() or 1))
 
 KNOBS: Dict[str, Knob] = {
     # exploration: figure / rank / faults and the Explorer under them
-    "jobs": Knob(int, "an integer >= 1 or 'auto'", 1, auto=True),
+    "jobs": Knob(int, f"an integer in 1..{JOBS_CAP} or 'auto'", 1, JOBS_CAP, auto=True),
     "shards": Knob(int, "an integer >= 1 or 'auto'", 1, auto=True, optional=True),
     "sample": _count(0),
     "top": _count(1),

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Tuple
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
+from typing import Dict, Tuple
 
 from repro.errors import DesignSpaceError
 from repro.locality.schemes import Feasibility, feasibility
@@ -17,6 +18,21 @@ from repro.taxonomy import (
 
 __all__ = ["DesignPoint"]
 
+#: Each axis member's ``str``, looked up instead of formatted.
+_TEXT: Dict[object, str] = {
+    member: str(member)
+    for axis in (
+        AddressSpaceKind,
+        CommMechanism,
+        LocalityScheme,
+        CoherenceKind,
+        ConsistencyModel,
+    )
+    for member in axis
+}
+#: A label's address-space part: the paper's abbreviation.
+_SHORT: Dict[AddressSpaceKind, str] = {space: space.short for space in AddressSpaceKind}
+
 
 @dataclass(frozen=True)
 class DesignPoint:
@@ -25,6 +41,11 @@ class DesignPoint:
     :meth:`violations` applies the structural rules of Section II;
     :meth:`warnings` lists combinations the paper calls possible but
     undesirable. A point with no violations is *feasible*.
+
+    A point's :attr:`label`, :meth:`violations` and :attr:`timing_key`
+    are computed at most once, on first use, and kept on the instance.
+    The memo stays out of ``==``, ``hash``, ``repr`` and pickling, so a
+    point pickles to the same bytes before and after it is read.
     """
 
     address_space: AddressSpaceKind
@@ -35,13 +56,17 @@ class DesignPoint:
 
     def violations(self) -> Tuple[str, ...]:
         """Hard rule violations making this point structurally impossible."""
+        return self._violations
+
+    @cached_property
+    def _violations(self) -> Tuple[str, ...]:
         problems = []
         space = self.address_space
 
         if feasibility(self.locality, space) is Feasibility.NO:
             problems.append(
-                f"locality scheme {self.locality} is impossible under the "
-                f"{space.short} space"
+                f"locality scheme {_TEXT[self.locality]} is impossible under "
+                f"the {_SHORT[space]} space"
             )
         if self.coherence is CoherenceKind.OWNERSHIP and space is not (
             AddressSpaceKind.PARTIALLY_SHARED
@@ -73,7 +98,7 @@ class DesignPoint:
             # PAS needs ownership or coherence for its window; ADSM needs
             # its runtime. (A unified space may be non-coherent — CUDA 4.0.)
             problems.append(
-                f"the {space.short} space needs some coherence story for its "
+                f"the {_SHORT[space]} space needs some coherence story for its "
                 "shared window (ownership, runtime, or hardware)"
             )
         return tuple(problems)
@@ -83,8 +108,8 @@ class DesignPoint:
         notes = []
         if feasibility(self.locality, self.address_space) is Feasibility.UNDESIRABLE:
             notes.append(
-                f"locality scheme {self.locality} is undesirable under the "
-                f"{self.address_space.short} space (§II-B)"
+                f"locality scheme {_TEXT[self.locality]} is undesirable under "
+                f"the {_SHORT[self.address_space]} space (§II-B)"
             )
         if (
             self.comm is CommMechanism.PCIE
@@ -113,15 +138,42 @@ class DesignPoint:
             )
         return self
 
-    @property
+    @cached_property
     def label(self) -> str:
-        return (
-            f"{self.address_space.short}/{self.comm}/{self.locality}/"
-            f"{self.coherence}/{self.consistency}"
+        """``SPACE/comm/locality/coherence/consistency``, e.g.
+        ``UNI/pci-e/impl-pri-impl-shared/none/weak``."""
+        return "/".join(
+            (
+                _SHORT[self.address_space],
+                _TEXT[self.comm],
+                _TEXT[self.locality],
+                _TEXT[self.coherence],
+                _TEXT[self.consistency],
+            )
         )
+
+    @cached_property
+    def timing_key(self) -> Tuple[str, str]:
+        """The axes that can affect simulated timing: ``(comm, space)`` text.
+
+        Rank jobs differ only in communication mechanism and address space
+        (locality, coherence, and consistency are scored analytically), so
+        two points sharing this key produce bit-identical per-kernel
+        results — the invariant both :meth:`~repro.exec.job.SimJob.cache_key`
+        dedup and in-shard memoization rely on. Stored sweep records are
+        keyed by it, so its text never changes.
+        """
+        return (_TEXT[self.comm], _TEXT[self.address_space])
 
     def with_comm(self, comm: CommMechanism) -> "DesignPoint":
         return replace(self, comm=comm)
 
     def __str__(self) -> str:
         return self.label
+
+    def __getstate__(self) -> Dict[str, object]:
+        """The fields only: a read memo never reaches a pickle."""
+        return {name: self.__dict__[name] for name in _FIELDS}
+
+
+_FIELDS = tuple(f.name for f in fields(DesignPoint))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -78,7 +79,21 @@ class DesignSpace:
             yield point
 
     def feasible_points(self) -> List[DesignPoint]:
-        return list(self.enumerate(feasible_only=True))
+        """The feasible points in enumeration order.
+
+        A given set of axes is enumerated once per process: every call
+        returns a fresh list over the same frozen points, so callers may
+        reorder their list while sharing each point's memoized label,
+        feasibility and timing key.
+        """
+        axes = (
+            self.address_spaces,
+            self.comms,
+            self.localities,
+            self.coherences,
+            self.consistencies,
+        )
+        return list(_feasible(axes))
 
     def feasible_sample(self, sample: int) -> List[DesignPoint]:
         """Every ``len(points) // sample``-th feasible point, in enumeration
@@ -114,3 +129,14 @@ class DesignSpace:
         """The address space admitting the most feasible design points."""
         counts = self.options_by_address_space()
         return max(counts, key=lambda k: counts[k])
+
+
+@functools.lru_cache(maxsize=32)
+def _feasible(axes: Tuple[Tuple[object, ...], ...]) -> Tuple[DesignPoint, ...]:
+    """The feasible points of one set of axes, enumerated once per process.
+
+    A tuple, so no caller can change what the next one gets; the bound
+    keeps a process that builds many restricted spaces from growing
+    without limit (the full space is one entry).
+    """
+    return tuple(DesignSpace(*axes).enumerate(feasible_only=True))

@@ -43,15 +43,9 @@ __all__ = [
 
 
 def timing_key(point: DesignPoint) -> Tuple[str, str]:
-    """The axes of ``point`` that can affect simulated timing.
-
-    Rank jobs differ only in communication mechanism and address space
-    (locality, coherence, and consistency are scored analytically), so two
-    points sharing this key produce bit-identical per-kernel results —
-    the invariant both :meth:`~repro.exec.job.SimJob.cache_key` dedup and
-    in-shard memoization rely on.
-    """
-    return (str(point.comm), str(point.address_space))
+    """The axes of ``point`` that can affect simulated timing: its
+    memoized :attr:`~repro.core.design_point.DesignPoint.timing_key`."""
+    return point.timing_key
 
 
 def plan_shards(points: Sequence[DesignPoint], shards: int) -> List[List[int]]:

@@ -596,11 +596,22 @@ def run_server(
     retries: int = 0,
     job_timeout: Optional[float] = None,
 ) -> ExplorationServer:
-    """Build a ready-to-start server from CLI-ish parameters."""
+    """Build a ready-to-start server from CLI-ish parameters.
+
+    Every knob is checked before the store directory is opened, so a bad
+    one raises :class:`~repro.errors.ConfigError` and leaves no trace on
+    disk.
+    """
     from repro.exec.retry import RetryPolicy
     from repro.store import ResultStore
 
     port = knobs.value("port", port, "port")
+    jobs = knobs.value("jobs", jobs, "jobs")
+    queue_depth = knobs.value("queue_depth", queue_depth, "queue depth")
+    deadline = knobs.value("deadline", deadline, "default deadline")
+    watchdog_budget = knobs.value("watchdog_budget", watchdog_budget, "watchdog budget")
+    retries = knobs.value("retries", retries, "retries")
+    job_timeout = knobs.value("job_timeout", job_timeout, "job timeout")
     store = ResultStore(store_path) if store_path else None
 
     def factory() -> Explorer:

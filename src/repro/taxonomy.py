@@ -68,12 +68,7 @@ class AddressSpaceKind(enum.Enum):
     @property
     def short(self) -> str:
         """The abbreviation used in the paper's figures (UNI/DIS/PAS/ADSM)."""
-        return {
-            AddressSpaceKind.UNIFIED: "UNI",
-            AddressSpaceKind.DISJOINT: "DIS",
-            AddressSpaceKind.PARTIALLY_SHARED: "PAS",
-            AddressSpaceKind.ADSM: "ADSM",
-        }[self]
+        return _SPACE_SHORT[self]
 
     @property
     def has_shared_window(self) -> bool:
@@ -82,6 +77,14 @@ class AddressSpaceKind(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+_SPACE_SHORT = {
+    AddressSpaceKind.UNIFIED: "UNI",
+    AddressSpaceKind.DISJOINT: "DIS",
+    AddressSpaceKind.PARTIALLY_SHARED: "PAS",
+    AddressSpaceKind.ADSM: "ADSM",
+}
 
 
 class CommMechanism(enum.Enum):

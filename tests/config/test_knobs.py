@@ -10,6 +10,7 @@ and each bound itself is accepted.
 
 import json
 import math
+import os
 import threading
 import urllib.error
 import urllib.request
@@ -17,13 +18,13 @@ import urllib.request
 import pytest
 
 from repro import cli
-from repro.config.knobs import KNOBS, value
+from repro.config.knobs import JOBS_CAP, KNOBS, value
 from repro.core.explorer import Explorer
 from repro.core.space import DesignSpace
 from repro.errors import ConfigError
 from repro.exec.cache import TraceCache
 from repro.exec.runner import ParallelRunner
-from repro.serve.server import ExplorationServer, ExplorationService
+from repro.serve.server import ExplorationServer, ExplorationService, run_server
 
 POINT = DesignSpace().feasible_points()[0].label
 
@@ -118,6 +119,9 @@ def server():
 
 
 CASES = [(name, raw) for name in KNOBS for raw in _bad(name)]
+# The ``jobs`` cap's case goes last: list-valued cases are numbered by
+# position (``deadline-raw81``), and a newer bound must not renumber them.
+CASES.append(CASES.pop(CASES.index(("jobs", KNOBS["jobs"].high + 1))))
 
 
 class TestTable:
@@ -273,3 +277,61 @@ class TestNoSideEffects:
         assert cli.main(args + ["--store", str(root)]) == cli.EXIT_CONFIG_ERROR
         assert "configuration error" in capsys.readouterr().err
         assert not root.exists()
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"port": -1},
+            {"jobs": 0},
+            {"jobs": JOBS_CAP + 1},
+            {"queue_depth": 0},
+            {"deadline": 0},
+            {"watchdog_budget": -1},
+            {"retries": -1},
+            {"job_timeout": math.inf},
+        ],
+    )
+    def test_run_server_leaves_no_store(self, knob, tmp_path):
+        root = tmp_path / "D"
+        with pytest.raises(ConfigError):
+            run_server(**{"port": 0, "store_path": str(root), **knob})
+        assert not root.exists()
+
+
+class TestJobsCap:
+    """``jobs`` stops at a multiple of the host's cores, never below 4;
+    one past it is refused before any worker pool exists."""
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ParallelRunner was built")
+
+        monkeypatch.setattr(ParallelRunner, "__init__", refuse)
+
+    def test_cap_is_a_multiple_of_the_cores(self):
+        cores = os.cpu_count() or 1
+        assert JOBS_CAP >= 4 and JOBS_CAP % cores == 0
+        assert str(JOBS_CAP) in KNOBS["jobs"].rule
+
+    def test_value_stops_at_the_cap(self):
+        assert value("jobs", JOBS_CAP, "--jobs") == JOBS_CAP
+        assert value("jobs", str(JOBS_CAP), "--jobs") == JOBS_CAP
+        with pytest.raises(ConfigError, match=rf"1\.\.{JOBS_CAP}"):
+            value("jobs", JOBS_CAP + 1, "--jobs")
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            ["rank"],
+            ["figure", "5"],
+            ["faults", "--sample", "2"],
+            ["serve", "--port", "0"],
+        ],
+    )
+    def test_main_refuses_one_past_the_cap(self, words, no_pool, capsys):
+        code = cli.main(words + ["--jobs", str(JOBS_CAP + 1)])
+        assert code == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--jobs must be {KNOBS['jobs'].rule}" in captured.err

@@ -55,6 +55,40 @@ class TestEnumeration:
             assert p.comm is CommMechanism.PCIE
 
 
+class TestSharedEnumeration:
+    """A set of axes is enumerated once per process; every call gets a
+    fresh list over the same points."""
+
+    def test_fresh_lists_over_the_same_points(self):
+        first = DesignSpace().feasible_points()
+        second = DesignSpace().feasible_points()
+        assert first is not second
+        assert len(first) == len(second) == 1933
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_mutating_a_list_leaves_the_next_call_alone(self):
+        expected = list(DesignSpace().enumerate(feasible_only=True))
+        mine = DesignSpace().feasible_points()
+        mine.reverse()
+        mine.pop()
+        mine.append(mine[0])
+        assert DesignSpace().feasible_points() == expected
+
+    def test_sample_shares_the_points(self):
+        points = DesignSpace().feasible_points()
+        step = max(len(points) // 40, 1)
+        sample = DesignSpace().feasible_sample(40)
+        assert sample is not DesignSpace().feasible_sample(40)
+        assert all(a is b for a, b in zip(sample, points[::step]))
+
+    def test_axes_are_part_of_the_key(self):
+        disjoint = DesignSpace(address_spaces=[AddressSpaceKind.DISJOINT])
+        points = disjoint.feasible_points()
+        assert points == list(disjoint.enumerate(feasible_only=True))
+        assert {p.address_space for p in points} == {AddressSpaceKind.DISJOINT}
+        assert points[0] is disjoint.feasible_points()[0]
+
+
 class TestConclusion:
     def test_partially_shared_is_most_versatile(self):
         space = DesignSpace()

@@ -389,6 +389,26 @@ class TestRankJobs:
         ]
         assert payload["rank"][0]["mean_seconds"] == direct[0].mean_seconds
 
+    def test_rank_builds_no_design_point(self, service, monkeypatch):
+        from repro.core.design_point import DesignPoint
+
+        service.evaluate({"rank": {"sample": 40, "top": 3}})
+        built = []
+        original = DesignPoint.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DesignPoint, "__init__", counting_init)
+        first = DesignSpace().feasible_points()[0]
+        DesignPoint(first.address_space, first.comm, first.locality)
+        assert built == [1]  # the patch counts constructions
+        built.clear()
+        payload = service.evaluate({"rank": {"sample": 0, "top": 3}})
+        assert payload["points_evaluated"] == 1933
+        assert built == []
+
     @pytest.mark.parametrize(
         "request_body",
         [
