@@ -13,7 +13,6 @@ Installed as ``repro-explore``::
     repro-explore metrics-diff before.csv after.csv
     repro-explore check
     repro-explore check --fixtures --rule PAS001
-    repro-explore bench --out BENCH_hotpath.json --baseline benchmarks/output/BENCH_hotpath.json
     repro-explore rank --store results.store      # killed? rerun replays from disk
     repro-explore store verify results.store
     repro-explore serve --port 8763 --store results.store
@@ -400,91 +399,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_CHECK_VIOLATIONS if findings else EXIT_OK
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import (
-        compare_to_baseline,
-        format_bench,
-        load_bench_json,
-        run_coherence_bench,
-        run_hotpath_bench,
-        run_store_bench,
-        run_sweep_bench,
-        write_bench_json,
-    )
-
-    doc: dict = {}
-    if args.mode in ("hotpath", "all"):
-        doc = run_hotpath_bench(
-            scale=args.scale,
-            repeats=args.repeats,
-            case_name=args.case,
-            kernels=args.kernel or None,
-        )
-    if args.mode in ("coherence", "all"):
-        coherence_doc = run_coherence_bench(
-            scale=args.scale,
-            repeats=args.repeats,
-            case_name=args.case,
-            kernels=args.kernel or None,
-        )
-        if doc:
-            doc["coherence"] = coherence_doc["coherence"]
-        else:
-            doc = coherence_doc
-    if args.mode in ("sweep", "all"):
-        sweep_doc = run_sweep_bench(
-            scale=args.sweep_scale,
-            repeats=args.repeats,
-            kernels=args.kernel or None,
-            stride=args.stride,
-        )
-        if doc:
-            doc["sweep"] = sweep_doc["sweep"]
-        else:
-            doc = sweep_doc
-    if args.mode in ("store", "all"):
-        store_doc = run_store_bench(
-            repeats=args.repeats,
-            kernels=args.kernel or None,
-            stride=args.store_stride,
-        )
-        if doc:
-            doc["store"] = store_doc["store"]
-        else:
-            doc = store_doc
-    _out(format_bench(doc))
-    if args.out:
-        write_bench_json(args.out, doc)
-        _out(f"wrote {args.out}")
-    failed = False
-    if args.min_speedup is not None:
-        for name, data in doc.get("fidelities", {}).items():
-            if data["geomean_speedup"] < args.min_speedup:
-                _out(
-                    f"FAIL: {name} geomean speedup "
-                    f"{data['geomean_speedup']:.2f}x < {args.min_speedup:g}x"
-                )
-                failed = True
-        sweep = doc.get("sweep")
-        if sweep is not None and sweep["geomean_speedup"] < args.min_speedup:
-            _out(
-                f"FAIL: sweep geomean speedup "
-                f"{sweep['geomean_speedup']:.2f}x < {args.min_speedup:g}x"
-            )
-            failed = True
-    if args.baseline:
-        problems = compare_to_baseline(
-            doc, load_bench_json(args.baseline), tolerance=args.tolerance
-        )
-        for problem in problems:
-            _out(f"REGRESSION: {problem}")
-        if problems:
-            failed = True
-        else:
-            _out(f"no regressions vs {args.baseline}")
-    return 1 if failed else EXIT_OK
-
-
 def _cmd_litmus(args: argparse.Namespace) -> int:
     from repro.consistency.litmus import LITMUS_TESTS, model_for
     from repro.consistency.model import is_allowed
@@ -838,95 +752,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "litmus", help="consistency-model litmus verdicts (strong vs weak)"
     )
     p_litmus.set_defaults(func=_cmd_litmus)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="benchmark the detailed simulator's compiled hot path against "
-        "the reference generator expansion (exit 1 on regression)",
-    )
-    p_bench.add_argument(
-        "--mode",
-        choices=("hotpath", "sweep", "coherence", "store", "all"),
-        default="hotpath",
-        help="hotpath: reference oracle vs production per kernel; sweep: per-point vs "
-        "batched design-point axis on a rank-style workload; coherence: "
-        "protocol-on vs protocol-off simulation overhead; store: "
-        "warm-store vs cold sweep wall-clock; all: every section "
-        "(default hotpath)",
-    )
-    p_bench.add_argument(
-        "--scale",
-        default=0.05,
-        help="trace scale factor for the hotpath cells (default 0.05)",
-    )
-    p_bench.add_argument(
-        "--sweep-scale",
-        default=0.01,
-        metavar="X",
-        help="trace scale for the sweep mode's rank-style workload "
-        "(default 0.01 — smaller than --scale because the per-point "
-        "oracle replays the trace once per sampled design point)",
-    )
-    p_bench.add_argument(
-        "--stride",
-        default=3,
-        metavar="N",
-        help="sample every Nth feasible design point for the sweep "
-        "workload (default 3: ~645 of the 1933 points)",
-    )
-    p_bench.add_argument(
-        "--store-stride",
-        default=8,
-        metavar="N",
-        help="sample every Nth feasible design point for the store "
-        "workload (default 8 — the cold side simulates every point)",
-    )
-    p_bench.add_argument(
-        "--repeats",
-        default=1,
-        metavar="N",
-        help="take the best of N timings per cell (default 1)",
-    )
-    p_bench.add_argument(
-        "--case",
-        default="CPU+GPU",
-        metavar="NAME",
-        help="case-study system to simulate (default CPU+GPU)",
-    )
-    p_bench.add_argument(
-        "--kernel",
-        action="append",
-        default=[],
-        metavar="NAME",
-        help="benchmark only this kernel (repeatable; default: all six)",
-    )
-    p_bench.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the BENCH_hotpath JSON document here",
-    )
-    p_bench.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="compare speedups against a stored BENCH_hotpath JSON; any "
-        "regression beyond --tolerance exits 1",
-    )
-    p_bench.add_argument(
-        "--tolerance",
-        default=0.5,
-        help="allowed fractional speedup drop vs the baseline before "
-        "failing (default 0.5, loose enough for shared CI runners)",
-    )
-    p_bench.add_argument(
-        "--min-speedup",
-        default=None,
-        metavar="X",
-        help="fail unless every measured speedup headline (fidelity "
-        "geomeans, sweep geomean) is at least X",
-    )
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_check = sub.add_parser(
         "check",

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import sys
 import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -55,7 +54,6 @@ def _choice(*choices: str) -> Knob:
 
 #: The least positive float: "> 0" as an inclusive bound.
 _TINY = math.ulp(0.0)
-_POSITIVE = (float, "a finite positive number", _TINY, sys.float_info.max)
 _WAIT = f"a positive finite number of seconds, at most {threading.TIMEOUT_MAX:.0f}"
 #: The most worker processes ``jobs`` may start: twice this host's cores,
 #: and never fewer than 4, the widest pool any test or CI step asks for.
@@ -79,14 +77,6 @@ KNOBS: Dict[str, Knob] = {
     "deadline": Knob(float, _WAIT, _TINY, threading.TIMEOUT_MAX),
     "watchdog_budget": _count(0),
     "fidelity": _choice("fast", "detailed"),
-    # bench: a NaN must not switch its gates off
-    "scale": Knob(*_POSITIVE),
-    "sweep_scale": Knob(*_POSITIVE),
-    "repeats": _count(1),
-    "stride": _count(1),
-    "store_stride": _count(1),
-    "tolerance": Knob(float, "a finite fraction in [0, 1)", 0.0, math.nextafter(1.0, 0.0)),
-    "min_speedup": Knob(*_POSITIVE, optional=True),
 }
 
 

@@ -453,13 +453,21 @@ class Explorer:
         self,
         point: DesignPoint,
         kernels: Optional[Sequence[Kernel]] = None,
+        detailed: bool = False,
     ) -> DesignPointEvaluation:
-        """Simulate a feasible design point over the kernels."""
+        """Simulate a feasible design point over the kernels.
+
+        ``detailed`` runs the detailed machine on traces scaled by
+        :attr:`detailed_scale`; its jobs carry ``detailed`` in their memo
+        key, so both fidelities of one point coexist in the memo and the
+        store. (Its runner stage keeps the ``serve-detailed`` name that
+        the serve ``/metrics`` scrape reports.)
+        """
         kernels = list(kernels or all_kernels())
         results = self.runner.run_jobs(
-            self._point_jobs(point, kernels),
+            self._point_jobs(point, kernels, detailed=detailed),
             result_cache=self.result_cache,
-            stage="design-points",
+            stage="serve-detailed" if detailed else "design-points",
         )
         self.last_results = results
         return self._evaluation(point, results)

@@ -7,6 +7,7 @@ import itertools
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.design_point import DesignPoint
+from repro.errors import DesignSpaceError
 from repro.taxonomy import (
     AddressSpaceKind,
     CoherenceKind,
@@ -21,6 +22,9 @@ __all__ = ["DesignSpace"]
 class DesignSpace:
     """The cross product of all design axes, with feasibility filtering.
 
+    An axis left as ``None`` spans every member; an empty axis spans
+    none, so the space has no points.
+
     >>> space = DesignSpace()
     >>> space.total_points() == (4 * 6 * 8 * 6 * 4)
     True
@@ -34,11 +38,11 @@ class DesignSpace:
         coherences: Optional[Sequence[CoherenceKind]] = None,
         consistencies: Optional[Sequence[ConsistencyModel]] = None,
     ) -> None:
-        self.address_spaces = tuple(address_spaces or AddressSpaceKind)
-        self.comms = tuple(comms or CommMechanism)
-        self.localities = tuple(localities or LocalityScheme)
-        self.coherences = tuple(coherences or CoherenceKind)
-        self.consistencies = tuple(consistencies or ConsistencyModel)
+        self.address_spaces = _axis(address_spaces, AddressSpaceKind)
+        self.comms = _axis(comms, CommMechanism)
+        self.localities = _axis(localities, LocalityScheme)
+        self.coherences = _axis(coherences, CoherenceKind)
+        self.consistencies = _axis(consistencies, ConsistencyModel)
 
     def total_points(self) -> int:
         """Size of the unfiltered cross product."""
@@ -127,8 +131,14 @@ class DesignSpace:
 
     def most_versatile_address_space(self) -> AddressSpaceKind:
         """The address space admitting the most feasible design points."""
+        if not self.total_points():
+            raise DesignSpaceError("an empty design space has no address space")
         counts = self.options_by_address_space()
         return max(counts, key=lambda k: counts[k])
+
+
+def _axis(members: Optional[Sequence], kind) -> Tuple:
+    return tuple(kind if members is None else members)
 
 
 @functools.lru_cache(maxsize=32)

@@ -36,7 +36,7 @@ import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.config import knobs
 from repro.core.explorer import Explorer
@@ -52,7 +52,6 @@ from repro.errors import (
     TraceError,
 )
 from repro.faults.spec import FaultPlan
-from repro.kernels.base import Kernel
 from repro.kernels.registry import all_kernels, kernel as kernel_by_name
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricRegistry
@@ -349,10 +348,9 @@ class ExplorationService:
                 trace_cache=self.explorer.trace_cache,
                 faults=FaultPlan.parse(request["faults"]),
             )
-        if fidelity == "detailed":
-            evaluation = self._evaluate_detailed(explorer, point, kernels)
-        else:
-            evaluation = explorer.evaluate_design_point(point, kernels)
+        evaluation = explorer.evaluate_design_point(
+            point, kernels, detailed=fidelity == "detailed"
+        )
         payload = {
             "point": evaluation.point.label,
             "fidelity": fidelity,
@@ -386,25 +384,6 @@ class ExplorationService:
             "points_evaluated": len(points),
             "shards": shards,
         }
-
-    def _evaluate_detailed(
-        self, explorer: Explorer, point, kernels: List[Kernel]
-    ) -> object:
-        """A design-point evaluation through the detailed machine.
-
-        Mirrors :meth:`Explorer.evaluate_design_point` but at detailed
-        fidelity on scaled traces (the same scaling the case-study and
-        coherence suites use). Detailed jobs carry ``detailed`` in their
-        memo key, so fast and detailed evaluations of one point coexist
-        in the store.
-        """
-        results = explorer.runner.run_jobs(
-            explorer._point_jobs(point, kernels, detailed=True),
-            result_cache=explorer.result_cache,
-            stage="serve-detailed",
-        )
-        explorer.last_results = results
-        return explorer._evaluation(point, results)
 
     # -- observability -----------------------------------------------------
 

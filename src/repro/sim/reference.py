@@ -6,7 +6,7 @@ objects and stepped one at a time, each memory instruction one scalar
 :meth:`~repro.mem.level.MemoryLevel.access` into the hierarchy, through a
 plain single-point phase walk. It is slow and
 simple on purpose. Production never runs it (lint rule L007 keeps
-:mod:`repro` from importing it, bar the ``bench --mode hotpath`` harness);
+every module of :mod:`repro` from importing it);
 ``tests/perf/test_parity.py`` checks the production walk
 (:func:`repro.perf.sweep.walk_phases`) against it bit for bit, and the
 core model-property tests feed it hand-built instruction lists.

@@ -227,7 +227,7 @@ class TestChaosCatalogCoverage:
 
 
 class TestReferenceOracleImports:
-    """L007: only the hotpath bench may import the reference oracle."""
+    """L007: only the tests may import the reference oracle."""
 
     def library_violations(self, source, path="src/repro/sim/detailed.py"):
         return [
@@ -246,9 +246,11 @@ class TestReferenceOracleImports:
             ("L007", 1)
         ]
 
-    def test_hotpath_bench_may_import(self):
+    def test_no_library_module_may_import(self):
         source = "from repro.sim.reference import ReferenceSimulator\n"
-        assert self.library_violations(source, "src/repro/perf/bench.py") == []
+        assert self.library_violations(source, "src/repro/perf/bench.py") == [
+            ("L007", 1)
+        ]
 
     def test_tests_may_import(self):
         source = "from repro.sim.reference import run_segment\n"

@@ -41,13 +41,6 @@ CLI = {
     "queue_depth": ["serve", "--queue-depth"],
     "deadline": ["serve", "--deadline"],
     "watchdog_budget": ["serve", "--watchdog-budget"],
-    "scale": ["bench", "--scale"],
-    "sweep_scale": ["bench", "--sweep-scale"],
-    "repeats": ["bench", "--repeats"],
-    "stride": ["bench", "--stride"],
-    "store_stride": ["bench", "--store-stride"],
-    "tolerance": ["bench", "--tolerance"],
-    "min_speedup": ["bench", "--min-speedup"],
 }
 #: Knobs no CLI text reaches through the table: ``--check`` is an argparse
 #: ``choices`` flag built from the table, ``fidelity`` a request field only.

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.design_point import DesignPoint
+from repro.core.explorer import Explorer
 from repro.core.space import DesignSpace
+from repro.errors import DesignSpaceError
 from repro.taxonomy import (
     AddressSpaceKind,
     CoherenceKind,
@@ -53,6 +55,40 @@ class TestEnumeration:
         for p in space.enumerate(feasible_only=True):
             assert p.address_space is AddressSpaceKind.DISJOINT
             assert p.comm is CommMechanism.PCIE
+
+
+AXES = {
+    "address_spaces": AddressSpaceKind,
+    "comms": CommMechanism,
+    "localities": LocalityScheme,
+    "coherences": CoherenceKind,
+    "consistencies": ConsistencyModel,
+}
+
+
+class TestAxisSelection:
+    @pytest.mark.parametrize("axis", sorted(AXES))
+    def test_empty_axis_has_no_points(self, axis):
+        space = DesignSpace(**{axis: []})
+        assert space.total_points() == 0
+        assert space.feasible_points() == []
+        assert list(space.enumerate(feasible_only=False)) == []
+
+    @pytest.mark.parametrize("axis", sorted(AXES))
+    def test_none_is_the_full_axis(self, axis):
+        space = DesignSpace(**{axis: None})
+        assert getattr(space, axis) == tuple(AXES[axis])
+        assert space.total_points() == DesignSpace().total_points()
+
+    @pytest.mark.parametrize("axis", sorted(AXES))
+    def test_empty_space_has_no_most_versatile_address_space(self, axis):
+        with pytest.raises(DesignSpaceError):
+            DesignSpace(**{axis: []}).most_versatile_address_space()
+
+    def test_ranking_an_empty_space_is_an_error(self):
+        points = DesignSpace(address_spaces=[]).feasible_points()
+        with pytest.raises(DesignSpaceError, match="no feasible design points"):
+            Explorer().rank_design_points(points=points)
 
 
 class TestSharedEnumeration:

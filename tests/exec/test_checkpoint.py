@@ -115,6 +115,8 @@ class TestStore:
         resumed, explorer = _rank(root)
         assert _flat(resumed) == _flat(full)
         assert explorer.run_stats.cache_misses == 0
+        # A warm rerun executes no job: every group is a store hit.
+        assert explorer.run_stats.jobs_submitted == 0
         assert segment.stat().st_size == committed
 
     def test_signature_mismatch_starts_fresh(self, tmp_path):

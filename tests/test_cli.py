@@ -80,16 +80,6 @@ class TestJobsFlag:
             ["serve", "--port", "0", "--deadline", "nan"],
             ["serve", "--port", "0", "--deadline", "inf"],
             ["guidelines", "--w-perf", "nan"],
-            ["bench", "--scale", "nan"],
-            ["bench", "--scale", "inf"],
-            ["bench", "--mode", "sweep", "--sweep-scale", "nan"],
-            ["bench", "--sweep-scale", "inf"],
-            ["bench", "--tolerance", "nan"],
-            ["bench", "--tolerance", "5"],
-            ["bench", "--tolerance", "-0.1"],
-            ["bench", "--min-speedup", "nan"],
-            ["bench", "--min-speedup", "inf"],
-            ["bench", "--min-speedup", "0"],
         ],
     )
     def test_rejects_non_finite_floats(self, args, capsys):
@@ -396,33 +386,6 @@ class TestCoherenceSurfaces:
         )
         assert main(["figure", "coherence"]) == 0
         assert "coherence-figure-stub" in capsys.readouterr().out
-
-    def test_bench_mode_coherence(self, capsys, tmp_path):
-        out = tmp_path / "bench.json"
-        code = main(
-            [
-                "bench",
-                "--mode",
-                "coherence",
-                "--scale",
-                "0.002",
-                "--kernel",
-                "reduction",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "Coherence protocol overhead" in text
-        import json
-
-        doc = json.loads(out.read_text())
-        assert set(doc["coherence"]["kernels"]) == {"reduction"}
-        protocols = doc["coherence"]["kernels"]["reduction"]["protocols"]
-        assert set(protocols) == {"snoop", "directory"}
-        for cell in protocols.values():
-            assert cell["slowdown"] > 0
 
 
 class TestStoreSurfaces:

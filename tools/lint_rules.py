@@ -33,9 +33,8 @@
 - **L007 — the reference oracle stays out of production.**
   ``repro.sim.reference`` (the per-instruction generator expansion the
   parity suite checks the compiled walk against) may be imported by the
-  tests and by the ``bench --mode hotpath`` harness
-  (``repro/perf/bench.py``) only; any other module under ``repro``
-  importing it would make the oracle a second production path.
+  tests only; a module under ``repro`` importing it would make the
+  oracle a second production path.
 - **L008 — one module decides the channel.** In library code only
   ``repro/perf/sweep.py`` (``SweepPoint.channel_for``) may call
   ``make_channel``; ``repro/comm/`` defines it. Any other caller would
@@ -83,10 +82,8 @@ RULE_CATALOG = "repro/check/rules.py"
 #: L006 cross-checks it against the docs and the test suite.
 CHAOS_CATALOG = "repro/faults/chaos.py"
 
-#: The reference oracle (L007) and the one library module that may
-#: import it.
+#: The reference oracle (L007): no library module may import it.
 REFERENCE_MODULE = "repro.sim.reference"
-REFERENCE_IMPORTER = "repro/perf/bench.py"
 
 #: The channel factory (L008), the one library module that may call it,
 #: and the package that defines it.
@@ -127,9 +124,7 @@ def lint_source(source: str, path: Path) -> List[Violation]:
     violations: List[Violation] = []
     tree = ast.parse(source, filename=str(path))
     owns_mesi_state = COHERENCE_PACKAGE in path.as_posix()
-    guards_reference = "repro" in path.parts and not path.as_posix().endswith(
-        REFERENCE_IMPORTER
-    )
+    guards_reference = "repro" in path.parts
     guards_channel = (
         "repro" in path.parts
         and not path.as_posix().endswith(CHANNEL_CALLER)
@@ -146,8 +141,7 @@ def lint_source(source: str, path: Path) -> List[Violation]:
                     node.lineno,
                     "L007",
                     f"{REFERENCE_MODULE} imported in library code; the "
-                    "reference oracle is for tests and the hotpath bench "
-                    f"({REFERENCE_IMPORTER}) only",
+                    "reference oracle is for tests only",
                 )
             )
         if (
