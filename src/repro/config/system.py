@@ -12,8 +12,8 @@ hashed, compared, and safely shared between design points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, Tuple
 
 from repro.errors import ConfigError
 from repro.units import GB, GHZ, KB, MB, Bandwidth, Frequency
@@ -217,6 +217,21 @@ class SystemConfig:
             "physical memory smaller than the L3",
         )
 
+    def __hash__(self) -> int:
+        """The field-tuple hash, computed once per instance: a system keys
+        every result memo entry simulated on it."""
+        value = self.__dict__.get("_hash")
+        if value is None:
+            value = self.__dict__["_hash"] = hash(
+                tuple(self.__dict__[name] for name in _SYSTEM_FIELDS)
+            )
+        return value
+
+    def __getstate__(self) -> Dict[str, object]:
+        """The fields only: the stored hash never reaches a pickle or a
+        store key."""
+        return {name: self.__dict__[name] for name in _SYSTEM_FIELDS}
+
     def with_name(self, name: str) -> "SystemConfig":
         """Return a copy of this configuration under a different label."""
         return replace(self, name=name)
@@ -276,6 +291,9 @@ class SystemConfig:
                 "(shared)",
             ),
         )
+
+
+_SYSTEM_FIELDS = tuple(f.name for f in fields(SystemConfig))
 
 
 def baseline_system() -> SystemConfig:

@@ -59,8 +59,9 @@ SWEEP_KIND = "sweep"
 
 
 @functools.lru_cache(maxsize=None)
-def _comm_lines_by_space() -> Mapping[AddressSpaceKind, int]:
-    """Table V's total comm-handling lines per address space.
+def _space_columns() -> Mapping[AddressSpaceKind, Tuple[int, int]]:
+    """The analytic columns of every address space: ``(Table V's total
+    comm-handling lines, locality option count)``.
 
     Constant for a given repo state, but derived by lowering every
     program spec (~1 ms), so it is computed once per process; the cached
@@ -69,15 +70,13 @@ def _comm_lines_by_space() -> Mapping[AddressSpaceKind, int]:
     table5 = table5_dict()
     return MappingProxyType(
         {
-            space: sum(per_kernel[space] for per_kernel in table5.values())
+            space: (
+                sum(per_kernel[space] for per_kernel in table5.values()),
+                len(feasible_schemes(space)),
+            )
             for space in AddressSpaceKind
         }
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _locality_options(space: AddressSpaceKind) -> int:
-    return len(feasible_schemes(space))
 
 
 @dataclass(frozen=True)
@@ -107,14 +106,15 @@ class DesignPointEvaluation:
 
         The analytic columns — Table V comm lines and the locality option
         count — depend only on the address space, so simulated and stored
-        evaluations alike are rebuilt here.
+        evaluations alike are rebuilt here, from one table lookup.
         """
+        comm_lines_total, locality_options = _space_columns()[point.address_space]
         return cls(
             point=point,
             mean_seconds=mean_seconds,
             mean_comm_fraction=mean_comm_fraction,
-            comm_lines_total=_comm_lines_by_space()[point.address_space],
-            locality_options=_locality_options(point.address_space),
+            comm_lines_total=comm_lines_total,
+            locality_options=locality_options,
         )
 
 

@@ -4,6 +4,9 @@ Reproduces the paper's quantitative methodology directly: compute phases
 are priced by the analytic core models; communication phases are priced by
 the design point's channel with the Table IV latencies; asynchronous
 channels may hide copy time under the adjacent parallel phase (GMAC).
+Compute phases depend only on the trace and the machine, so they are
+priced once per (trace, system) and memoized on the trace; each design
+point prices only its communications.
 
 A point's :class:`~repro.taxonomy.AddressSpaceKind`, when set, adds the
 *extra instructions* each address space needs around communications (the
@@ -13,7 +16,9 @@ communication, which is exactly why that figure is flat.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.addrspace.layout import SHARED_BASE
 from repro.config.comm import CommParams
@@ -24,7 +29,14 @@ from repro.perf.sweep import SweepPoint
 from repro.sim.analytic import AnalyticTiming
 from repro.sim.results import PhaseTiming, SimulationResult, TimeBreakdown
 from repro.taxonomy import AddressSpaceKind
-from repro.trace.phase import CommPhase, ParallelPhase, Segment, SequentialPhase
+from repro.trace.phase import (
+    CommPhase,
+    Direction,
+    ParallelPhase,
+    Phase,
+    Segment,
+    SequentialPhase,
+)
 from repro.trace.stream import KernelTrace
 
 __all__ = ["FastSimulator", "SPACE_OVERHEAD_INSTRUCTIONS"]
@@ -74,91 +86,41 @@ class FastSimulator:
         historical fast-path figure stays byte-identical.
         """
         system = point.system or self.system
-        timing = AnalyticTiming(system)
         channel = point.channel_for(self.system, self.comm_params)
+        priced = _ComputePricing.of(trace, system)
 
-        # Pass 1: price every compute phase.
-        compute_seconds: Dict[int, Tuple[float, float]] = {}
-        for index, phase in enumerate(trace.phases):
-            if isinstance(phase, SequentialPhase):
-                # Serial code runs on one core regardless of num_cores.
-                t = timing.cpu_segment_seconds(phase.segment, parallel=False)
-                compute_seconds[index] = (t, 0.0)
-            elif isinstance(phase, ParallelPhase):
-                cpu_t = timing.cpu_segment_seconds(phase.cpu)
-                gpu_t = timing.gpu_segment_seconds(phase.gpu)
-                compute_seconds[index] = (cpu_t, gpu_t)
-
-        # Pass 2: price communications, offering adjacent parallel phases
-        # as overlap windows to asynchronous channels. Each parallel phase
-        # has a finite overlap budget (its own duration): an H2D copy before
-        # it and a D2H copy after it draw from the *same* budget, so the
-        # total communication hidden under one phase can never exceed the
-        # time that phase actually runs.
-        overlap_budget: Dict[int, float] = {
-            index: max(cpu_t, gpu_t)
-            for index, (cpu_t, gpu_t) in compute_seconds.items()
-            if isinstance(trace.phases[index], ParallelPhase)
-        }
-        sequential = parallel = communication = 0.0
-        phase_timings: List[PhaseTiming] = []
-        # Analytic memory-event estimates published alongside the timing.
-        mem_ops = est_misses = est_dram = 0.0
-        for index, phase in enumerate(trace.phases):
-            if isinstance(phase, SequentialPhase):
-                t, _ = compute_seconds[index]
-                sequential += t
-                phase_timings.append(
-                    PhaseTiming(label=phase.label, kind="sequential", seconds=t, cpu_seconds=t)
+        # Price communications, offering adjacent parallel phases as
+        # overlap windows to asynchronous channels. Each parallel phase has
+        # a finite overlap budget (its own duration): an H2D copy before it
+        # and a D2H copy after it draw from the *same* budget, so the total
+        # communication hidden under one phase can never exceed the time
+        # that phase actually runs. The channel consumes the budgets, so
+        # every run starts from its own copy.
+        overlap_budget = dict(priced.overlap_budget)
+        phase_timings = list(priced.timings)
+        communication = 0.0
+        for index, phase, target in priced.comms:
+            window = overlap_budget.get(target, 0.0) if target is not None else 0.0
+            result = channel.transfer(phase, overlap_window=window)
+            if target is not None and result.overlapped > 0.0:
+                overlap_budget[target] = max(
+                    0.0, overlap_budget[target] - result.overlapped
                 )
-                o, m, d = timing.estimated_memory_counters(phase.segment)
-                mem_ops += o
-                est_misses += m
-                est_dram += d
-            elif isinstance(phase, ParallelPhase):
-                cpu_t, gpu_t = compute_seconds[index]
-                t = max(cpu_t, gpu_t)
-                parallel += t
-                phase_timings.append(
-                    PhaseTiming(
-                        label=phase.label,
-                        kind="parallel",
-                        seconds=t,
-                        cpu_seconds=cpu_t,
-                        gpu_seconds=gpu_t,
-                    )
-                )
-                for segment in (phase.cpu, phase.gpu):
-                    o, m, d = timing.estimated_memory_counters(segment)
-                    mem_ops += o
-                    est_misses += m
-                    est_dram += d
-            elif isinstance(phase, CommPhase):
-                target = self._overlap_phase_index(trace, index)
-                window = overlap_budget.get(target, 0.0) if target is not None else 0.0
-                result = channel.transfer(phase, overlap_window=window)
-                if target is not None and result.overlapped > 0.0:
-                    overlap_budget[target] = max(
-                        0.0, overlap_budget[target] - result.overlapped
-                    )
-                communication += result.exposed
-                phase_timings.append(
-                    PhaseTiming(
-                        label=phase.label,
-                        kind="communication",
-                        seconds=result.exposed,
-                        overlapped_seconds=result.overlapped,
-                    )
-                )
-            else:
-                raise SimulationError(f"unknown phase type {type(phase).__name__}")
+            communication += result.exposed
+            phase_timings[index] = PhaseTiming(
+                label=phase.label,
+                kind="communication",
+                seconds=result.exposed,
+                overlapped_seconds=result.overlapped,
+            )
 
         # Address-space management instructions (Figure 7 experiment).
+        sequential = priced.sequential
         if point.address_space is not None:
-            extra = SPACE_OVERHEAD_INSTRUCTIONS[point.address_space] * trace.num_communications
-            extra_seconds = system.cpu.frequency.cycles_to_seconds(extra)
-            sequential += extra_seconds
+            extra = SPACE_OVERHEAD_INSTRUCTIONS[point.address_space] * len(priced.comms)
+            sequential += system.cpu.frequency.cycles_to_seconds(extra)
 
+        mem_ops, est_misses, est_dram = priced.memory_counters
         counters: Dict[str, float] = dict(channel.stats())
         counters["cache.memory_ops"] = mem_ops
         counters["cache.estimated_misses"] = est_misses
@@ -174,7 +136,7 @@ class FastSimulator:
             system=point.label(),
             breakdown=TimeBreakdown(
                 sequential=sequential,
-                parallel=parallel,
+                parallel=priced.parallel,
                 communication=communication,
             ),
             phases=tuple(phase_timings),
@@ -236,31 +198,121 @@ class FastSimulator:
             return 0.0
         return segment.footprint_bytes / line
 
-    @staticmethod
-    def _overlap_phase_index(trace: KernelTrace, comm_index: int) -> Optional[int]:
-        """The parallel phase an async copy at ``comm_index`` hides under.
 
-        Host-to-device copies overlap the *following* parallel phase
-        (double buffering: the kernel starts on early chunks while later
-        chunks stream in); device-to-host copies overlap the *preceding*
-        one (results stream out as they finish). How much time the copy may
-        actually claim is that phase's remaining overlap budget, tracked by
-        :meth:`run`.
+#: The attribute of a :class:`KernelTrace` holding its one-slot pricing
+#: memo, ``(system, _ComputePricing)``. ``KernelTrace.__getstate__`` keeps
+#: it (like every non-field attribute) out of pickles, and the
+#: dataclass ``==``/``repr`` read fields only.
+_MEMO_SLOT = "_fast_compute_pricing"
+
+
+@dataclass(frozen=True)
+class _ComputePricing:
+    """Everything :meth:`FastSimulator.run` derives from a trace and a
+    system alone, independent of the design point.
+
+    ``timings`` holds each compute phase's :class:`PhaseTiming` in phase
+    order and ``None`` at each communication phase, whose timing the
+    run's channel fills in. ``comms`` lists every communication phase as
+    ``(index, phase, overlap target)``; ``overlap_budget`` maps each
+    parallel phase's index to its duration. ``sequential``, ``parallel``
+    and ``memory_counters`` sum in phase order, as a one-pass loop would,
+    so every float matches bit for bit.
+    """
+
+    sequential: float
+    parallel: float
+    memory_counters: Tuple[float, float, float]
+    timings: Tuple[Optional[PhaseTiming], ...]
+    comms: Tuple[Tuple[int, CommPhase, Optional[int]], ...]
+    overlap_budget: Mapping[int, float]
+
+    @classmethod
+    def of(cls, trace: KernelTrace, system: SystemConfig) -> "_ComputePricing":
+        """``trace`` priced on ``system``, memoized on the trace.
+
+        One slot per trace: a rank prices each trace on one system for
+        every design point, so the slot is re-priced only when the system
+        changes (an equal system reuses it).
         """
-        phases = trace.phases
-        # Look forward for H2D, backward for D2H.
-        from repro.trace.phase import Direction
+        slot = trace.__dict__.get(_MEMO_SLOT)
+        if slot is None or (slot[0] is not system and slot[0] != system):
+            slot = (system, cls._price(trace, AnalyticTiming(system)))
+            trace.__dict__[_MEMO_SLOT] = slot
+        return slot[1]
 
-        comm = phases[comm_index]
-        assert isinstance(comm, CommPhase)
-        indices = (
-            range(comm_index + 1, len(phases))
-            if comm.direction is Direction.H2D
-            else range(comm_index - 1, -1, -1)
+    @classmethod
+    def _price(cls, trace: KernelTrace, timing: AnalyticTiming) -> "_ComputePricing":
+        sequential = parallel = 0.0
+        mem_ops = est_misses = est_dram = 0.0
+        timings: List[Optional[PhaseTiming]] = []
+        comms: List[Tuple[int, CommPhase, Optional[int]]] = []
+        overlap_budget: Dict[int, float] = {}
+        for index, phase in enumerate(trace.phases):
+            if isinstance(phase, SequentialPhase):
+                # Serial code runs on one core regardless of num_cores.
+                t = timing.cpu_segment_seconds(phase.segment, parallel=False)
+                sequential += t
+                timings.append(
+                    PhaseTiming(label=phase.label, kind="sequential", seconds=t, cpu_seconds=t)
+                )
+                segments: Tuple[Segment, ...] = (phase.segment,)
+            elif isinstance(phase, ParallelPhase):
+                cpu_t = timing.cpu_segment_seconds(phase.cpu)
+                gpu_t = timing.gpu_segment_seconds(phase.gpu)
+                t = max(cpu_t, gpu_t)
+                parallel += t
+                overlap_budget[index] = t
+                timings.append(
+                    PhaseTiming(
+                        label=phase.label,
+                        kind="parallel",
+                        seconds=t,
+                        cpu_seconds=cpu_t,
+                        gpu_seconds=gpu_t,
+                    )
+                )
+                segments = (phase.cpu, phase.gpu)
+            elif isinstance(phase, CommPhase):
+                comms.append((index, phase, _overlap_phase_index(trace.phases, index)))
+                timings.append(None)
+                continue
+            else:
+                raise SimulationError(f"unknown phase type {type(phase).__name__}")
+            # Analytic memory-event estimates published alongside the timing.
+            for segment in segments:
+                o, m, d = timing.estimated_memory_counters(segment)
+                mem_ops += o
+                est_misses += m
+                est_dram += d
+        return cls(
+            sequential=sequential,
+            parallel=parallel,
+            memory_counters=(mem_ops, est_misses, est_dram),
+            timings=tuple(timings),
+            comms=tuple(comms),
+            overlap_budget=MappingProxyType(overlap_budget),
         )
-        for j in indices:
-            if isinstance(phases[j], ParallelPhase):
-                return j
-            if isinstance(phases[j], CommPhase):
-                break
-        return None
+
+
+def _overlap_phase_index(phases: Sequence[Phase], comm_index: int) -> Optional[int]:
+    """The parallel phase an async copy at ``comm_index`` hides under.
+
+    Host-to-device copies overlap the *following* parallel phase (double
+    buffering: the kernel starts on early chunks while later chunks stream
+    in); device-to-host copies overlap the *preceding* one (results stream
+    out as they finish). How much time the copy may actually claim is that
+    phase's remaining overlap budget, tracked by :meth:`FastSimulator.run`.
+    """
+    comm = phases[comm_index]
+    indices = (
+        range(comm_index + 1, len(phases))
+        if comm.direction is Direction.H2D
+        else range(comm_index - 1, -1, -1)
+    )
+    for j in indices:
+        if isinstance(phases[j], ParallelPhase):
+            return j
+        if isinstance(phases[j], CommPhase):
+            break
+    return None

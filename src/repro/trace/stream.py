@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.errors import TraceError
 from repro.trace.phase import CommPhase, ParallelPhase, Phase, SequentialPhase
@@ -90,6 +90,19 @@ class KernelTrace:
     def total_transfer_bytes(self) -> int:
         """Bytes moved across all communication phases."""
         return sum(p.num_bytes for p in self.comm_phases)
+
+    def __hash__(self) -> int:
+        """The field-tuple hash, computed once per instance: a trace keys
+        every result memo entry of its kernel."""
+        value = self.__dict__.get("_hash")
+        if value is None:
+            value = self.__dict__["_hash"] = hash((self.name, self.phases))
+        return value
+
+    def __getstate__(self) -> Dict[str, object]:
+        """The fields only: the stored hash and any memo a simulator keeps
+        on the instance never reach a pickle or a store key."""
+        return {"name": self.name, "phases": self.phases}
 
     def iter_phases(self) -> Iterator[Phase]:
         return iter(self.phases)

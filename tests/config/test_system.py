@@ -1,5 +1,9 @@
 """Tests for the Table II system configuration."""
 
+import hashlib
+import pickle
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.config.system import (
@@ -13,6 +17,7 @@ from repro.config.system import (
     baseline_system,
 )
 from repro.errors import ConfigError
+from repro.store.keys import PICKLE_PROTOCOL, stable_digest
 from repro.units import GHZ, KB, MB
 
 
@@ -135,3 +140,29 @@ class TestValidation:
     def test_rejects_non_pow2_simd(self):
         with pytest.raises(ConfigError):
             GpuConfig(simd_width=6)
+
+
+class TestHash:
+    """The stored hash equals the field-tuple hash and stays out of
+    equality, repr, pickles and store keys."""
+
+    @staticmethod
+    def field_tuple(config):
+        return tuple(getattr(config, f.name) for f in fields(config))
+
+    @pytest.mark.parametrize(
+        "config",
+        [SystemConfig(), SystemConfig(name="wide", gpu=GpuConfig(num_cores=4))],
+        ids=["baseline", "wide"],
+    )
+    def test_memo_is_out_of_eq_hash_repr_pickle_and_store_keys(self, config):
+        before = (pickle.dumps(config, protocol=PICKLE_PROTOCOL), repr(config))
+        assert hash(config) == hash(self.field_tuple(config))
+        assert "_hash" in vars(config)
+        assert (pickle.dumps(config, protocol=PICKLE_PROTOCOL), repr(config)) == before
+        assert stable_digest(config) == hashlib.sha256(before[0]).hexdigest()
+        twin = replace(config)
+        assert twin == config and hash(twin) == hash(config)
+        copy = pickle.loads(before[0])
+        assert "_hash" not in vars(copy)
+        assert copy == config and hash(copy) == hash(config)

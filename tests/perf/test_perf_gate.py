@@ -64,7 +64,8 @@ class TestVerdict:
             latency_p50_ms=50.0 * 1.2,
             peak_rss_mb=80.0 * 1.2,
         )
-        assert judge(runs(*[near] * perf_gate.PAIRS), change_share=SHARE * 1.4) == []
+        within = SHARE * (1 + perf_gate.SHARE_RISE) * 0.99
+        assert judge(runs(*[near] * perf_gate.PAIRS), change_share=within) == []
 
     @pytest.mark.parametrize(
         "name, value",

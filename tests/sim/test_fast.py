@@ -7,6 +7,7 @@ import pytest
 from repro.config.comm import CommParams
 from repro.config.presets import CASE_STUDIES, EXTENDED_CASE_STUDIES, case_study
 from repro.config.system import CpuConfig, GpuConfig, SystemConfig
+from repro.core.space import DesignSpace
 from repro.errors import SimulationError
 from repro.kernels.registry import all_kernels, kernel
 from repro.perf.sweep import SweepPoint, SweepSimulator
@@ -355,3 +356,53 @@ class TestOneDesignPointRecord:
         for point, result in zip(points, detailed):
             fast = FastSimulator().run(trace, point)
             assert fast.system == point.label() == result.system
+
+
+class TestComputePricingMemo:
+    """Compute phases are priced once per (trace, system) and memoized on
+    the trace; only communication is priced per point. Every run on a
+    shared, memoized trace must equal the run on a freshly built one."""
+
+    #: One feasible design point per timing key: the 22 simulations a
+    #: rank runs per kernel.
+    POINTS = list({p.timing_key: p for p in DesignSpace().feasible_points()}.values())
+    #: Default system, a point override, the default again.
+    SYSTEMS = (None, TestOneDesignPointRecord.SYSTEM, None)
+
+    @staticmethod
+    def record(result):
+        return repr((result.breakdown, result.phases, result.counters))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: kernel("k-mean").trace(),
+            lambda: _overlap_probe_trace(32 * 1024 * 1024, par_instructions=1_000),
+        ],
+        ids=["k-mean", "overlap-probe"],
+    )
+    def test_shared_trace_matches_fresh_traces(self, build):
+        assert len(self.POINTS) == 22
+        shared = build()
+        for system in self.SYSTEMS:
+            for point in self.POINTS:
+                sweep = SweepPoint.from_design_point(point, system=system)
+                want = self.record(FastSimulator().run(build(), sweep))
+                # An async channel consumes the overlap budgets: a second
+                # run must start from full budgets again.
+                repeats = 2 if point.comm is CommMechanism.DMA_ASYNC else 1
+                for _ in range(repeats):
+                    assert self.record(FastSimulator().run(shared, sweep)) == want
+
+    def test_rank_reprices_when_the_system_changes(self):
+        from repro.core.explorer import Explorer
+        from repro.exec.cache import TraceCache
+
+        traces = TraceCache()
+        a, b, again = (
+            Explorer(system=system, trace_cache=traces).rank_design_points()
+            for system in (SystemConfig(), TestOneDesignPointRecord.SYSTEM, SystemConfig())
+        )
+        assert traces.misses == len(all_kernels())
+        assert repr(again) == repr(a)
+        assert repr(b) != repr(a)

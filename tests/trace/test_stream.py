@@ -1,5 +1,8 @@
 """Tests for kernel traces."""
 
+import hashlib
+import pickle
+
 import pytest
 
 from repro.errors import TraceError
@@ -101,3 +104,44 @@ class TestScaling:
     def test_scaled_rejects_nonpositive(self, trace):
         with pytest.raises(TraceError):
             trace.scaled(0.0)
+
+
+class TestMemo:
+    """A trace's stored hash and the fast model's pricing memo are
+    invisible to equality, hashing, repr, pickling and store keys."""
+
+    @staticmethod
+    def traces(trace):
+        from repro.kernels.registry import all_kernels
+
+        return [trace, *(k.trace() for k in all_kernels())]
+
+    @staticmethod
+    def twin(trace):
+        return KernelTrace(name=trace.name, phases=trace.phases)
+
+    def test_memo_is_out_of_eq_hash_repr_pickle_and_store_keys(self, trace):
+        from repro.perf.sweep import SweepPoint
+        from repro.sim.fast import FastSimulator
+        from repro.store.keys import PICKLE_PROTOCOL, stable_digest
+        from repro.taxonomy import CommMechanism
+
+        for fresh in self.traces(trace):
+            before = (pickle.dumps(fresh, protocol=PICKLE_PROTOCOL), repr(fresh))
+            for mechanism in (CommMechanism.PCIE, CommMechanism.DMA_ASYNC):
+                FastSimulator().run(fresh, SweepPoint(mechanism=mechanism))
+            assert hash(fresh) == hash((fresh.name, fresh.phases))
+            assert len(vars(fresh)) == 4  # the fields, the hash, the pricing
+            assert (pickle.dumps(fresh, protocol=PICKLE_PROTOCOL), repr(fresh)) == before
+            assert stable_digest(fresh) == hashlib.sha256(before[0]).hexdigest()
+            twin = self.twin(fresh)
+            assert twin == fresh and hash(twin) == hash(fresh)
+            copy = pickle.loads(before[0])
+            assert set(vars(copy)) == {"name", "phases"}
+            assert copy == fresh and hash(copy) == hash(fresh)
+
+    def test_hash_is_computed_once_per_instance(self, trace):
+        value = hash(trace)
+        vars(trace)["_hash"] = value + 1
+        assert hash(trace) == value + 1
+        assert hash(self.twin(trace)) == value

@@ -51,10 +51,14 @@ SEED = 1
 #: over the workload, so the medians see every piece.
 SECONDS = 5.0
 #: The share that protocol work may rise by, relative to the parent,
-#: before the change fails.
+#: before the change fails. Ten traced runs of one commit read
+#: 0.120-0.130 (highest over lowest 1.085), so +25% clears the noise
+#: between the one traced run per side with room to spare, and still
+#: fails a protocol that does its lookups and transitions twice (read
+#: +30% and +47% in two gate runs).
 SHARE_METRIC = "mem.coherence.share"
 SHARE_WORKLOAD = "detailed-grid"
-SHARE_RISE = 0.5
+SHARE_RISE = 0.25
 
 
 def bounds(benchmark: dict) -> Dict[str, dict]:
