@@ -22,6 +22,9 @@ class CacheBlock:
     :mod:`repro.mem.coherence`: it stays ``INVALID`` unless a
     :class:`~repro.mem.coherence.api.CoherenceProtocol` manages the cache,
     and only that package may assign it (repo lint rule L004).
+
+    A cache builds a fresh block for every fill; :meth:`invalidate` resets
+    a resident block in place.
     """
 
     tag: int = -1
@@ -31,16 +34,6 @@ class CacheBlock:
     prefetched: bool = False
     last_use: int = 0
     state: MESIState = MESIState.INVALID
-
-    def fill(self, tag: int, tick: int, explicit: bool, prefetched: bool = False) -> None:
-        """Install a new line in this block."""
-        self.tag = tag
-        self.valid = True
-        self.dirty = False
-        self.explicit = explicit
-        self.prefetched = prefetched
-        self.last_use = tick
-        reset_block_state(self)
 
     def invalidate(self) -> None:
         self.tag = -1

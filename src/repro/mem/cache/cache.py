@@ -14,7 +14,11 @@ from repro.mem.level import MemoryLevel
 from repro.obs.metrics import MetricRegistry
 from repro.units import Frequency
 
-__all__ = ["Cache"]
+__all__ = ["Cache", "EMPTY"]
+
+#: The invalid block every way of a newly touched set starts as. Shared by
+#: all sets of all caches, so nothing may mutate it: fills replace it.
+EMPTY = CacheBlock()
 
 
 class Cache(MemoryLevel):
@@ -37,6 +41,12 @@ class Cache(MemoryLevel):
     per-set ``tag -> way`` dict (``_tags``), maintained at every fill and
     invalidation. The invariant is that ``_tags[index]`` maps exactly the
     valid blocks of set ``index``.
+
+    Sets are allocated on first touch: an 8 MB L3 has ~130k blocks and a
+    small run touches a fraction of them. A new set is ``[EMPTY] * ways``,
+    every way the one shared, never-mutated invalid :data:`EMPTY` block,
+    and every fill installs a fresh :class:`CacheBlock` in its way
+    (:meth:`_install`). Only valid blocks are ever mutated in place.
     """
 
     def __init__(
@@ -54,9 +64,7 @@ class Cache(MemoryLevel):
         self.policy = policy or LRUPolicy()
         self.prefetcher = prefetcher
         total_sets = config.num_sets * config.tiles
-        #: Sets are allocated lazily on first touch: an 8 MB L3 has ~130k
-        #: blocks, and small runs touch a fraction of them — eager
-        #: allocation would dominate machine-build time.
+        #: Per-set block arrays; ``None`` until the set is first touched.
         self._sets: "List[Optional[List[CacheBlock]]]" = [None] * total_sets
         #: Per-set tag -> way index of every *valid* block (O(1) lookup).
         self._tags: List[Dict[int, int]] = [{} for _ in range(total_sets)]
@@ -98,16 +106,6 @@ class Cache(MemoryLevel):
     def _index_tag(self, addr: int) -> "tuple[int, int]":
         line = addr // self._line
         return line % self._num_sets, line // self._num_sets
-
-    def _find(self, index: int, tag: int) -> Optional[int]:
-        return self._tags[index].get(tag)
-
-    def _blocks(self, index: int) -> List[CacheBlock]:
-        """The block array of set ``index``, allocating it on first touch."""
-        blocks = self._sets[index]
-        if blocks is None:
-            blocks = self._sets[index] = [CacheBlock() for _ in range(self._ways)]
-        return blocks
 
     @property
     def hit_latency(self) -> float:
@@ -193,46 +191,64 @@ class Cache(MemoryLevel):
             miss_line_addr, self._line
         ):
             index, tag = self._index_tag(line_addr)
-            tags = self._tags[index]
-            if tag in tags:
+            if tag in self._tags[index]:
                 continue
-            if self.next_level is not None:
-                self.next_level.access(line_addr, False, issue_time)
-            blocks = self._blocks(index)
-            victim = self.policy.victim(blocks, False)
-            if victim is None:
-                self._bypasses.inc()
-                continue
-            block = blocks[victim]
-            if block.valid:
-                self._evictions.inc()
-                if block.dirty and self.config.write_back:
-                    self._writebacks.inc()
-                del tags[block.tag]
-            block.fill(tag, self._tick, explicit=False, prefetched=True)
-            tags[tag] = victim
+            self.next_level.access(line_addr, False, issue_time)
+            self._install(index, tag, explicit=False, prefetched=True)
 
     def _fill(self, index: int, tag: int, is_write: bool, explicit: bool) -> None:
         """Install the fetched line, honouring the replacement policy."""
         if not self.config.write_allocate and is_write:
             return
-        blocks = self._blocks(index)
+        victim = self._install(index, tag, explicit, dirty=is_write)
+        if victim is not None:
+            self.policy.on_access(self._sets[index], victim, self._tick)
+
+    def _install(
+        self,
+        index: int,
+        tag: int,
+        explicit: bool,
+        prefetched: bool = False,
+        dirty: bool = False,
+        write_below: bool = False,
+    ) -> Optional[int]:
+        """Put a fresh block for ``tag`` into the policy's victim way.
+
+        The one install path of demand fills, prefetch fills and pushes.
+        Returns the way, or ``None`` when the policy rejects the fill
+        (counted as a bypass). A dirty victim under write-back is counted
+        in ``writebacks``; only ``write_below`` (a push) also sends its
+        data to the next level. A fill only counts it, and only when a
+        next level exists (see the class docstring).
+        """
+        blocks = self._sets[index]
+        if blocks is None:
+            blocks = self._sets[index] = [EMPTY] * self._ways
         victim = self.policy.victim(blocks, explicit)
         if victim is None:
             self._bypasses.inc()
-            return
-        block = blocks[victim]
+            return None
+        old = blocks[victim]
         tags = self._tags[index]
-        if block.valid:
+        if old.valid:
             self._evictions.inc()
-            if block.dirty and self.config.write_back and self.next_level is not None:
-                self._writebacks.inc()
-            del tags[block.tag]
-        block.fill(tag, self._tick, explicit)
+            if old.dirty and self.config.write_back:
+                if write_below:
+                    self._write_back(index, old)
+                elif self.next_level is not None:
+                    self._writebacks.inc()
+            del tags[old.tag]
+        blocks[victim] = CacheBlock(
+            tag=tag,
+            valid=True,
+            dirty=dirty,
+            explicit=explicit,
+            prefetched=prefetched,
+            last_use=self._tick,
+        )
         tags[tag] = victim
-        if is_write:
-            block.dirty = True
-        self.policy.on_access(blocks, victim, self._tick)
+        return victim
 
     # -- explicit locality management --------------------------------------
 
@@ -244,25 +260,13 @@ class Cache(MemoryLevel):
         """
         self._tick += 1
         index, tag = self._index_tag(addr)
-        tags = self._tags[index]
-        way = tags.get(tag)
-        blocks = self._blocks(index)
+        way = self._tags[index].get(tag)
         if way is not None:
+            blocks = self._sets[index]
             blocks[way].explicit = True
             self.policy.on_access(blocks, way, self._tick)
             return
-        victim = self.policy.victim(blocks, True)
-        if victim is None:
-            self._bypasses.inc()
-            return
-        block = blocks[victim]
-        if block.valid:
-            self._evictions.inc()
-            if block.dirty and self.config.write_back:
-                self._write_back(index, block)
-            del tags[block.tag]
-        block.fill(tag, self._tick, explicit=True)
-        tags[tag] = victim
+        self._install(index, tag, explicit=True, write_below=True)
 
     def contains(self, addr: int) -> bool:
         """Whether the line holding ``addr`` is resident."""

@@ -18,10 +18,11 @@ variants cover the design axis:
   lookup and conflicting writes pay explicit invalidate/ack message pairs.
 
 Both stateful variants drive the same pure MESI transition functions
-(:mod:`repro.mem.coherence.protocol`) over the same per-``(line, PU)``
-bookkeeping, so they disagree only in *message* cost — which is exactly
-the quantity the design-space sweep compares. All protocol counters are
-declared on a :mod:`repro.obs` :class:`~repro.obs.metrics.MetricRegistry`.
+(:mod:`repro.mem.coherence.protocol`) over the same bookkeeping, one
+``line -> state`` table per PU, so they disagree only in *message* cost —
+which is exactly the quantity the design-space sweep compares. All
+protocol counters are declared on a :mod:`repro.obs`
+:class:`~repro.obs.metrics.MetricRegistry`.
 """
 
 from __future__ import annotations
@@ -53,10 +54,13 @@ class CoherenceAction:
     ``invalidate_peer``: remove the peer PU's private copies of the line.
     ``extra_latency_messages``: protocol messages on the critical path
     (each costs one interconnect traversal).
+    ``new_state``: the requester's MESI state for the line after the
+    access, which the system mirrors onto its L1 block.
     """
 
     invalidate_peer: bool
     extra_latency_messages: int
+    new_state: MESIState = MESIState.INVALID
 
 
 class CoherenceProtocol:
@@ -76,7 +80,15 @@ class CoherenceProtocol:
         if line_bytes <= 0 or line_bytes & (line_bytes - 1):
             raise SimulationError("line size must be a positive power of two")
         self.line_bytes = line_bytes
-        self._state: Dict[Tuple[int, ProcessingUnit], MESIState] = {}
+        #: Per PU, ``line -> state`` of every line it holds (INVALID lines
+        #: are absent).
+        self._lines: Dict[ProcessingUnit, Dict[int, MESIState]] = {
+            pu: {} for pu in ProcessingUnit
+        }
+        #: Per requester, its own table and its peer's.
+        self._tables: Dict[ProcessingUnit, Tuple[Dict[int, MESIState], ...]] = {
+            pu: (self._lines[pu], self._lines[pu.other]) for pu in ProcessingUnit
+        }
         self.metrics = MetricRegistry(f"coherence.{self.kind}")
 
     # -- MESI bookkeeping ---------------------------------------------------
@@ -85,30 +97,31 @@ class CoherenceProtocol:
         return addr & ~(self.line_bytes - 1)
 
     def state_of(self, addr: int, pu: ProcessingUnit) -> MESIState:
-        return self._state.get((self._line(addr), pu), MESIState.INVALID)
+        return self._lines[pu].get(self._line(addr), MESIState.INVALID)
 
+    @staticmethod
     def _apply(
-        self,
         line: int,
-        pu: ProcessingUnit,
-        peer: ProcessingUnit,
+        own: Dict[int, MESIState],
+        peer: Dict[int, MESIState],
         is_write: bool,
         local: MESIState,
         remote: MESIState,
         others: bool,
     ) -> Tuple[MESIState, bool]:
-        """Transition both PUs' states for one access.
+        """Transition both PUs' states for one access (``own`` and
+        ``peer`` are the requester's and the peer's tables).
 
         Returns ``(new_local_state, invalidate_peer)``.
         """
         new_local, invalidate = next_state(local, is_write, others)
-        self._state[(line, pu)] = new_local
+        own[line] = new_local
         if others:
             new_remote = remote_state_on_snoop(remote, is_write)
             if new_remote is MESIState.INVALID:
-                self._state.pop((line, peer), None)
+                peer.pop(line, None)
             else:
-                self._state[(line, peer)] = new_remote
+                peer[line] = new_remote
         return new_local, invalidate
 
     def access(self, addr: int, pu: ProcessingUnit, is_write: bool) -> CoherenceAction:
@@ -117,17 +130,14 @@ class CoherenceProtocol:
 
     def sharers(self, addr: int) -> Tuple[ProcessingUnit, ...]:
         line = self._line(addr)
-        return tuple(
-            pu
-            for pu in ProcessingUnit
-            if self._state.get((line, pu), MESIState.INVALID) is not MESIState.INVALID
-        )
+        return tuple(pu for pu in ProcessingUnit if line in self._lines[pu])
 
     def check_invariants(self) -> None:
         """Raise if the single-writer invariant is violated anywhere."""
         lines: Dict[int, list] = {}
-        for (line, _pu), state in self._state.items():
-            lines.setdefault(line, []).append(state)
+        for table in self._lines.values():
+            for line, state in table.items():
+                lines.setdefault(line, []).append(state)
         for line, states in lines.items():
             writers = sum(
                 1 for s in states if s in (MESIState.MODIFIED, MESIState.EXCLUSIVE)
@@ -141,7 +151,7 @@ class CoherenceProtocol:
 
     @property
     def tracked_lines(self) -> int:
-        return len({line for (line, _pu) in self._state})
+        return len(set().union(*self._lines.values()))
 
     def stats(self) -> Dict[str, int]:
         data = self.metrics.as_dict()

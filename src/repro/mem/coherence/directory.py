@@ -67,16 +67,16 @@ class Directory(CoherenceProtocol):
     def access(self, addr: int, pu: ProcessingUnit, is_write: bool) -> CoherenceAction:
         """Record an access and return the required action."""
         line = self._line(addr)
-        peer = pu.other
-        local = self._state.get((line, pu), MESIState.INVALID)
-        remote = self._state.get((line, peer), MESIState.INVALID)
+        own, peer = self._tables[pu]
+        local = own.get(line, MESIState.INVALID)
+        remote = peer.get(line, MESIState.INVALID)
         others = remote is not MESIState.INVALID
 
         messages = 0
         if local is MESIState.INVALID:
             messages += 1  # directory lookup / fetch permission
         new_local, invalidate = self._apply(
-            line, pu, peer, is_write, local, remote, others
+            line, own, peer, is_write, local, remote, others
         )
         if invalidate:
             self._invalidations_sent.inc()
@@ -89,6 +89,7 @@ class Directory(CoherenceProtocol):
         return CoherenceAction(
             invalidate_peer=invalidate,
             extra_latency_messages=messages,
+            new_state=new_local,
         )
 
 

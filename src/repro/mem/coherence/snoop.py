@@ -66,9 +66,9 @@ class SnoopBus(CoherenceProtocol):
     def access(self, addr: int, pu: ProcessingUnit, is_write: bool) -> CoherenceAction:
         """Record an access and return the required action."""
         line = self._line(addr)
-        peer = pu.other
-        local = self._state.get((line, pu), MESIState.INVALID)
-        remote = self._state.get((line, peer), MESIState.INVALID)
+        own, peer = self._tables[pu]
+        local = own.get(line, MESIState.INVALID)
+        remote = peer.get(line, MESIState.INVALID)
         others = remote is not MESIState.INVALID
 
         messages = 0
@@ -85,7 +85,7 @@ class SnoopBus(CoherenceProtocol):
             messages += 1
 
         new_local, invalidate = self._apply(
-            line, pu, peer, is_write, local, remote, others
+            line, own, peer, is_write, local, remote, others
         )
         if invalidate:
             # The kill rode the broadcast — no separate invalidate/ack pair.
@@ -93,5 +93,7 @@ class SnoopBus(CoherenceProtocol):
         if local is MESIState.SHARED and new_local is MESIState.MODIFIED:
             self._upgrades.inc()
         return CoherenceAction(
-            invalidate_peer=invalidate, extra_latency_messages=messages
+            invalidate_peer=invalidate,
+            extra_latency_messages=messages,
+            new_state=new_local,
         )

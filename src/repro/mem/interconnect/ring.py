@@ -16,7 +16,10 @@ from repro.mem.level import MemoryLevel
 from repro.obs.metrics import MetricRegistry
 from repro.units import ceil_div
 
-__all__ = ["RingNetwork", "RingPath"]
+__all__ = ["REQUEST_BYTES", "RingNetwork", "RingPath"]
+
+#: Payload of a request or protocol message (address and command).
+REQUEST_BYTES = 16
 
 
 class RingNetwork:
@@ -54,15 +57,28 @@ class RingNetwork:
         distance = abs(a - b)
         return min(distance, len(self.stops) - distance)
 
-    def transit_seconds(self, src: str, dst: str, payload_bytes: int) -> float:
-        """One-way message latency: per-hop cost plus serialization."""
+    def leg_seconds(self, src: str, dst: str, payload_bytes: int) -> float:
+        """One-way message latency: per-hop cost plus serialization.
+
+        Pure: counts no traffic. Fixed paths price their legs once with it
+        and :meth:`record` each traversal.
+        """
         if payload_bytes < 0:
             raise ConfigError("payload must be non-negative")
-        self._messages.inc()
-        self._bytes_moved.inc(payload_bytes)
         hop_cycles = self.hops(src, dst) * self.config.hop_latency
         ser_cycles = ceil_div(max(payload_bytes, 1), self.config.link_bytes_per_cycle)
         return self.config.frequency.cycles_to_seconds(hop_cycles + ser_cycles)
+
+    def record(self, messages: int, payload_bytes: int) -> None:
+        """Count ``messages`` traversals carrying ``payload_bytes`` in all."""
+        self._messages.inc(messages)
+        self._bytes_moved.inc(payload_bytes)
+
+    def transit_seconds(self, src: str, dst: str, payload_bytes: int) -> float:
+        """Count one message and return its :meth:`leg_seconds`."""
+        seconds = self.leg_seconds(src, dst, payload_bytes)
+        self.record(1, payload_bytes)
+        return seconds
 
     @property
     def messages(self) -> int:
@@ -81,7 +97,8 @@ class RingPath(MemoryLevel):
 
     Sits between a private L2 and the shared L3 (or between the L3 and a
     memory controller): each access pays the ring transit both ways around
-    the downstream access.
+    the downstream access, a 16-byte request and a ``payload_bytes``
+    reply. Both legs are priced once, at construction.
     """
 
     def __init__(
@@ -98,14 +115,18 @@ class RingPath(MemoryLevel):
         self.below = below
         self.payload_bytes = payload_bytes
         self.name = f"ring[{src}->{dst}]"
+        self._request_leg = ring.leg_seconds(src, dst, REQUEST_BYTES)
+        self._reply_leg = ring.leg_seconds(dst, src, payload_bytes)
+        self._round_trip_bytes = REQUEST_BYTES + payload_bytes
+        self._record = ring.record
 
     def access(
         self, addr: int, is_write: bool = False, issue_time: float = 0.0, explicit: bool = False
     ) -> float:
-        request_leg = self.ring.transit_seconds(self.src, self.dst, 16)
+        self._record(2, self._round_trip_bytes)
+        request_leg = self._request_leg
         below = self.below.access(addr, is_write, issue_time + request_leg, explicit)
-        reply_leg = self.ring.transit_seconds(self.dst, self.src, self.payload_bytes)
-        return request_leg + below + reply_leg
+        return request_leg + below + self._reply_leg
 
     def stats(self) -> Dict[str, int]:
         return self.ring.stats()

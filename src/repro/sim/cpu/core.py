@@ -49,16 +49,20 @@ class CpuCore:
     def step_compiled(
         self, compiled: CompiledSegment, start_seconds: float = 0.0
     ) -> Iterator[float]:
-        """Execute a compiled segment one instruction at a time.
+        """Execute a compiled segment, pausing before each memory access.
 
-        Yields the cumulative cycle count after every instruction; the last
-        yield is the segment's final count, including the trailing partial
-        issue group. The interleaving engine
-        (:func:`repro.sim.engine.run_parallel_interleaved`) alternates two
-        such steppers so concurrent accesses reach the shared L3/DRAM in
-        timestamp order. Yield-for-yield identical to the reference
-        per-instruction loop (:func:`repro.sim.reference.cpu_steps`) on the
-        decoded stream, without building Instruction objects.
+        Yields the cumulative cycle count just before every access to the
+        memory hierarchy; the last yield is the segment's final count,
+        including the trailing partial issue group. The interleaving engine
+        (:func:`repro.sim.engine.run_parallel_interleaved`) resumes the
+        core that is behind, so concurrent accesses reach the shared
+        L3/DRAM in timestamp order. Compute runs and branches touch only
+        this core, so they advance without a yield; a compute run is one
+        addition while the count is whole, else one per issue-group wrap,
+        as in :func:`run_compiled_batch`. Each access is issued at the
+        same cycle, and keyed by the same count, as in the reference loop
+        (:func:`repro.sim.reference.cpu_steps`), which yields after every
+        instruction.
         """
         freq = self.config.frequency
         hertz = freq.hertz
@@ -73,18 +77,22 @@ class CpuCore:
         slot = 0
         for kind, a, b, c in compiled.events:
             if kind == EV_COMPUTE_RUN:
-                for _ in range(a):
-                    slot += 1
-                    if slot >= issue_width:
-                        cycles += 1.0
-                        slot = 0
-                    yield cycles
+                slot += a
+                wraps = slot // issue_width
+                if wraps:
+                    slot -= wraps * issue_width
+                    if cycles.is_integer():
+                        cycles += wraps
+                    else:
+                        for _ in range(wraps):
+                            cycles += 1.0
                 continue
-            slot += 1
-            if slot >= issue_width:
-                cycles += 1.0
-                slot = 0
             if kind == EV_MEMORY:
+                yield cycles
+                slot += 1
+                if slot >= issue_width:
+                    cycles += 1.0
+                    slot = 0
                 latency = access(a, bool(c), start_seconds + int(cycles) / hertz)
                 if latency > hit_latency:
                     stall = (latency - hit_latency) / mlp
@@ -92,11 +100,14 @@ class CpuCore:
                     cycles += stall_cycles
                     self.memory_stall_cycles += stall_cycles
             else:  # EV_BRANCH
+                slot += 1
+                if slot >= issue_width:
+                    cycles += 1.0
+                    slot = 0
                 if not predict_and_update(b, bool(a)):
                     cycles += penalty
                     self.branch_stall_cycles += penalty
                     slot = 0
-            yield cycles
         if slot:
             cycles += 1
         self.instructions_retired += compiled.length

@@ -37,15 +37,24 @@ def run_parallel_interleaved(
     cpu_frequency: Frequency,
     gpu_frequency: Frequency,
 ) -> ParallelOutcome:
-    """Merge two per-instruction cycle steppers by wall-clock time.
+    """Merge two cycle steppers by wall-clock time.
 
-    Each stepper yields its core's cumulative cycle count after every
-    instruction, the last yield being the segment's final count — the
-    protocol of the cores' ``step_compiled`` and of the reference loops in
-    :mod:`repro.sim.reference`, so production and the reference oracle
-    share this engine. The side that is behind (ties go to the CPU)
-    executes its next instruction, so every memory access reaches the
-    shared hierarchy in timestamp order.
+    Each stepper yields its core's cumulative cycle count, non-decreasing,
+    and its segment's final count last. Whenever a stepper resumes, it
+    runs up to its next yield, and the side that is behind (ties go to the
+    CPU) resumes next. So an instruction runs when the count its stepper
+    last yielded is the smaller one: the merge is by that key, with ties
+    to the CPU.
+
+    Two step sizes use this one engine. The reference loops in
+    :mod:`repro.sim.reference` yield after every instruction, so each
+    instruction's key is the count after the one before it. The cores'
+    ``step_compiled`` yields only just before each access to the memory
+    hierarchy, with the same count as the key. The instructions in
+    between touch only their own core, so their position in the merge
+    changes no state. Both steppers therefore reach the shared hierarchy
+    with the same accesses in the same order: production and the oracle
+    match bit for bit (``tests/perf/test_parity.py``).
     """
     cpu_to_seconds = cpu_frequency.cycles_to_seconds
     gpu_to_seconds = gpu_frequency.cycles_to_seconds

@@ -118,12 +118,19 @@ class GpuCore:
     def step_compiled(
         self, compiled: CompiledSegment, start_seconds: float = 0.0
     ) -> Iterator[float]:
-        """Execute a compiled segment one instruction at a time.
+        """Execute a compiled segment, pausing before each access that
+        leaves the core.
 
         The stepping protocol of
-        :meth:`repro.sim.cpu.core.CpuCore.step_compiled`; yield-for-yield
-        identical to the reference loop (:func:`repro.sim.reference.gpu_steps`)
-        on the decoded stream. Warp mode decodes into :meth:`step_warp`.
+        :meth:`repro.sim.cpu.core.CpuCore.step_compiled`: one yield before
+        each access to the memory hierarchy, then the final count.
+        Scratchpad hits, branches and compute runs are private to this
+        core and need no yield; a compute run is one addition while the
+        count is whole, as in :func:`run_compiled_batch`. Each access
+        happens at the same cycle, and is keyed by the same count, as in
+        the reference loop (:func:`repro.sim.reference.gpu_steps`). Warp
+        mode decodes into :meth:`step_warp`, which still yields once per
+        instruction.
         """
         if self.mode == "warp":
             yield from self.step_warp(compiled.instructions(), start_seconds)
@@ -139,18 +146,20 @@ class GpuCore:
         cycles = 0.0
         for kind, a, b, c in compiled.events:
             if kind == EV_COMPUTE_RUN:
-                for _ in range(a):
-                    cycles += 1.0
-                    yield cycles
-                continue
-            cycles += 1.0
-            if kind == EV_MEMORY:
+                if cycles.is_integer():
+                    cycles += a
+                else:
+                    for _ in range(a):
+                        cycles += 1.0
+            elif kind == EV_MEMORY:
                 smem = scratchpad_access(a)
                 if smem is not None:
                     self.scratchpad_hits += 1
+                    cycles += 1.0
                     cycles += max(smem - 1, 0)
-                    yield cycles
                     continue
+                yield cycles
+                cycles += 1.0
                 latency = access(a, bool(c), start_seconds + int(cycles) / hertz)
                 if latency > hit_latency:
                     stall = (latency - hit_latency) / warps
@@ -158,9 +167,9 @@ class GpuCore:
                     cycles += stall_cycles
                     self.memory_stall_cycles += stall_cycles
             else:  # EV_BRANCH
+                cycles += 1.0
                 cycles += branch_stall
                 self.branch_stall_cycles += branch_stall
-            yield cycles
         self.instructions_retired += compiled.length
         yield cycles
 

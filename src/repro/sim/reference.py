@@ -4,8 +4,10 @@ The per-instruction generator expansion the compiled hot path replaced:
 every segment is expanded into :class:`~repro.trace.instruction.Instruction`
 objects and stepped one at a time, each memory instruction one scalar
 :meth:`~repro.mem.level.MemoryLevel.access` into the hierarchy, through a
-plain single-point phase walk. It is slow and
-simple on purpose. Production never runs it (lint rule L007 keeps
+plain single-point phase walk. Its steppers yield after every
+instruction, where production's ``step_compiled`` yields only before each
+access; the interleaving engine merges both in the same access order. It
+is slow and simple on purpose. Production never runs it (lint rule L007 keeps
 every module of :mod:`repro` from importing it);
 ``tests/perf/test_parity.py`` checks the production walk
 (:func:`repro.perf.sweep.walk_phases`) against it bit for bit, and the

@@ -21,7 +21,7 @@ from repro.mem.coherence.api import CoherenceProtocol, protocol_for
 from repro.mem.coherence.directory import Directory
 from repro.mem.coherence.protocol import set_block_state
 from repro.mem.dram.controller import DramSystem
-from repro.mem.interconnect.ring import RingNetwork, RingPath
+from repro.mem.interconnect.ring import REQUEST_BYTES, RingNetwork, RingPath
 from repro.mem.level import MemoryLevel
 from repro.sim.cpu.core import CpuCore
 from repro.sim.gpu.core import GpuCore
@@ -36,8 +36,10 @@ class CoherentFront(MemoryLevel):
     Wraps a PU's top-level cache: accesses to the shared window consult the
     coherence protocol (directory or snoop bus) first; when the peer holds
     a conflicting copy, its private caches are invalidated and the protocol
-    messages are charged as ring traversals on the critical path. The
-    protocol's per-line MESI state is mirrored onto the local L1's
+    messages are charged as ring traversals on the critical path, each one
+    PU-to-PU leg priced once at construction. The requester's new MESI
+    state (:attr:`~repro.mem.coherence.api.CoherenceAction.new_state`) is
+    mirrored onto the local L1's
     :class:`~repro.mem.cache.block.CacheBlock` after each access.
     """
 
@@ -58,6 +60,8 @@ class CoherentFront(MemoryLevel):
         self.shared_predicate = shared_predicate
         self.name = f"coherent-front[{pu}]"
         self.coherence_latency = 0.0
+        #: The latency of one protocol message to the peer PU.
+        self._message_leg = ring.leg_seconds(str(pu), str(pu.other), REQUEST_BYTES)
         #: The local L1's block lookup, when the wrapped level exposes one
         #: (it always does in the standard topology).
         self._block_for = getattr(below, "block_for", None)
@@ -65,23 +69,23 @@ class CoherentFront(MemoryLevel):
     def access(
         self, addr: int, is_write: bool = False, issue_time: float = 0.0, explicit: bool = False
     ) -> float:
+        if not self.shared_predicate(addr):
+            return self.below.access(addr, is_write, issue_time, explicit)
         extra = 0.0
-        shared = self.shared_predicate(addr)
-        if shared:
-            action = self.protocol.access(addr, self.pu, is_write)
-            if action.invalidate_peer:
-                for cache in self.peer_caches:
-                    cache.invalidate_line(addr)
-            if action.extra_latency_messages:
-                extra = action.extra_latency_messages * self.ring.transit_seconds(
-                    str(self.pu), str(self.pu.other), 16
-                )
-                self.coherence_latency += extra
+        action = self.protocol.access(addr, self.pu, is_write)
+        if action.invalidate_peer:
+            for cache in self.peer_caches:
+                cache.invalidate_line(addr)
+        if action.extra_latency_messages:
+            # One message is counted per access, whatever the multiple.
+            self.ring.record(1, REQUEST_BYTES)
+            extra = action.extra_latency_messages * self._message_leg
+            self.coherence_latency += extra
         below = self.below.access(addr, is_write, issue_time, explicit)
-        if shared and self._block_for is not None:
+        if self._block_for is not None:
             block = self._block_for(addr)
             if block is not None:
-                set_block_state(block, self.protocol.state_of(addr, self.pu))
+                set_block_state(block, action.new_state)
         return below + extra
 
     def stats(self) -> Dict[str, float]:

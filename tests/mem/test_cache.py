@@ -1,11 +1,16 @@
 """Tests for the set-associative cache model."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.config.system import CacheConfig
 from repro.errors import SimulationError
-from repro.mem.cache.cache import Cache
-from repro.mem.cache.replacement import HybridLocalityPolicy
+from repro.mem.cache.block import CacheBlock
+from repro.mem.cache.cache import EMPTY, Cache
+from repro.mem.cache.prefetch import NextLinePrefetcher
+from repro.mem.cache.replacement import HybridLocalityPolicy, LRUPolicy
 from repro.mem.level import FixedLatencyMemory
 from repro.units import GHZ, KB, Frequency
 
@@ -264,3 +269,132 @@ class TestErrors:
         cache = Cache(config, FREQ)
         with pytest.raises(SimulationError):
             cache.access(0)
+
+
+class TestPinnedStorage:
+    """A seeded mixed stream of reads, writes, invalidations, pushes and
+    flushes, pinned to values computed before the lazy sets shared one
+    empty block: a change to block storage must not move a count, a
+    victim way, a write below or a resident line's bits."""
+
+    #: case -> (cache stats, backing stats, victim count, victim digest,
+    #: residency digest). The digests are the first 16 hex digits of the
+    #: SHA-256 of the ``repr`` of the victim list and of the snapshots.
+    PINNED = {
+        "lru": (
+            {
+                "hits": 557, "misses": 562, "evictions": 237, "writebacks": 283,
+                "bypasses": 0, "invalidations": 89, "flushes": 13,
+                "mshr_merges": 1, "mshr_allocations": 561,
+            },
+            {"accesses": 740, "reads": 339, "writes": 401},
+            661,
+            "d5fbc0eb0bfc4b00",
+            "85acf58788b404dc",
+        ),
+        "lru+prefetch": (
+            {
+                "hits": 630, "misses": 489, "evictions": 396, "writebacks": 306,
+                "bypasses": 0, "invalidations": 94, "flushes": 13,
+                "mshr_merges": 1, "mshr_allocations": 488,
+                "prefetches_issued": 488, "prefetches_useful": 126,
+                "prefetch_accuracy": 0.2581967213114754,
+            },
+            {"accesses": 934, "reads": 591, "writes": 343},
+            864,
+            "794e69465ddff5b8",
+            "17fd0443cfea13a1",
+        ),
+        "hybrid+prefetch": (
+            {
+                "hits": 626, "misses": 493, "evictions": 385, "writebacks": 293,
+                "bypasses": 11, "invalidations": 93, "flushes": 13,
+                "mshr_merges": 3, "mshr_allocations": 490,
+                "prefetches_issued": 490, "prefetches_useful": 109,
+                "prefetch_accuracy": 0.22244897959183674,
+            },
+            {"accesses": 935, "reads": 586, "writes": 349},
+            862,
+            "ecbaa050158e1f31",
+            "a63def7b05582b09",
+        ),
+    }
+
+    @staticmethod
+    def _resident(cache):
+        """Every resident line with its dirty/explicit/prefetched bits and
+        recency tick, in line order."""
+        out = []
+        for line in range(49):
+            block = cache.block_for(line * 64)
+            if block is not None:
+                out.append(
+                    (line, block.dirty, block.explicit, block.prefetched, block.last_use)
+                )
+        return out
+
+    @classmethod
+    def _drive(cls, case):
+        policy = (
+            HybridLocalityPolicy(4, max_explicit_ways=2)
+            if case.startswith("hybrid")
+            else LRUPolicy()
+        )
+        victims = []
+        choose = policy.victim
+
+        def recording_victim(blocks, incoming_explicit):
+            way = choose(blocks, incoming_explicit)
+            victims.append(way)
+            return way
+
+        policy.victim = recording_victim
+        # 2 KB, 4 ways, 64 B lines: 8 sets, and 48 lines make 6 per set.
+        config = CacheConfig("pinned", 2 * KB, ways=4, latency=2, mshr_entries=4)
+        backing = FixedLatencyMemory(BACKING_LATENCY, "backing")
+        cache = Cache(
+            config,
+            FREQ,
+            next_level=backing,
+            policy=policy,
+            prefetcher=NextLinePrefetcher() if case.endswith("prefetch") else None,
+        )
+        rng = random.Random(2012)
+        snapshots = []
+        for step in range(1500):
+            if step % 100 == 0:
+                snapshots.append(cls._resident(cache))
+            addr = rng.randrange(48) * 64 + rng.randrange(64)
+            issue_time = step * 20e-9
+            op = rng.random()
+            if op < 0.45:
+                cache.access(addr, False, issue_time, rng.random() < 0.1)
+            elif op < 0.75:
+                cache.access(addr, True, issue_time)
+            elif op < 0.85:
+                cache.invalidate_line(addr)
+            elif op < 0.99:
+                cache.push_line(addr)
+            else:
+                cache.flush()
+        snapshots.append(cls._resident(cache))
+        return cache, backing, victims, snapshots
+
+    @staticmethod
+    def _digest(value):
+        return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_counts_victims_and_residency_are_pinned(self, case):
+        cache, backing, victims, snapshots = self._drive(case)
+        stats, backing_stats, victim_count, victim_digest, resident_digest = (
+            self.PINNED[case]
+        )
+        assert cache.stats() == stats
+        assert backing.stats() == backing_stats
+        assert len(victims) == victim_count
+        assert self._digest(victims) == victim_digest
+        assert self._digest(snapshots) == resident_digest
+        # Sets share one empty block until a fill replaces it; nothing
+        # may have written to it.
+        assert EMPTY == CacheBlock()

@@ -50,6 +50,24 @@ class TestProtocolTransitions:
         assert remote_state_on_snoop(MESIState.SHARED, False) is MESIState.SHARED
 
 
+class TestActionNewState:
+    @pytest.mark.parametrize("kind", ["snoop", "directory"])
+    def test_action_carries_the_requesters_state(self, kind):
+        import random
+
+        from repro.mem.coherence.api import protocol_for
+
+        protocol = protocol_for(kind)
+        rng = random.Random(7)
+        for _ in range(500):
+            addr = rng.randrange(8) * 64
+            pu = rng.choice((CPU, GPU))
+            action = protocol.access(addr, pu, rng.random() < 0.4)
+            assert action.new_state is protocol.state_of(addr, pu)
+            assert action.new_state is not MESIState.INVALID
+        protocol.check_invariants()
+
+
 class TestDirectory:
     def test_cold_read_is_exclusive(self):
         d = Directory()

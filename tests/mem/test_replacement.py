@@ -8,10 +8,13 @@ from repro.mem.cache.replacement import HybridLocalityPolicy, LRUPolicy
 
 
 def make_set(ways, fill=0, explicit=()):
-    blocks = [CacheBlock() for _ in range(ways)]
-    for i in range(fill):
-        blocks[i].fill(tag=i, tick=i, explicit=i in explicit)
-    return blocks
+    """``ways`` blocks; the first ``fill`` hold tag ``i`` last used at tick ``i``."""
+    return [
+        CacheBlock(tag=i, valid=True, explicit=i in explicit, last_use=i)
+        if i < fill
+        else CacheBlock()
+        for i in range(ways)
+    ]
 
 
 class TestLRU:

@@ -60,8 +60,27 @@ class TestTiming:
         ring.transit_seconds("l3", "cpu", 64)
         assert ring.stats() == {"messages": 2, "bytes_moved": 128}
 
+    def test_leg_seconds_counts_no_traffic(self, ring):
+        leg = ring.leg_seconds("cpu", "l3", 64)
+        assert ring.stats() == {"messages": 0, "bytes_moved": 0}
+        assert ring.transit_seconds("cpu", "l3", 64) == leg
+        assert ring.stats() == {"messages": 1, "bytes_moved": 64}
+
 
 class TestRingPath:
+    def test_each_access_counts_and_prices_both_legs(self, ring):
+        path = RingPath(ring, "cpu", "l3", FixedLatencyMemory(50e-9, "below"))
+        latency = path.access(0)
+        path.access(64)
+        assert ring.stats() == {"messages": 4, "bytes_moved": 2 * (16 + 64)}
+        request = ring.leg_seconds("cpu", "l3", 16)
+        reply = ring.leg_seconds("l3", "cpu", 64)
+        assert latency == request + 50e-9 + reply
+
+    def test_unknown_stop_rejected_when_built(self, ring):
+        with pytest.raises(ConfigError, match="unknown ring stop"):
+            RingPath(ring, "cpu", "nowhere", FixedLatencyMemory(0.0, "below"))
+
     def test_round_trip_added_to_below(self, ring):
         below = FixedLatencyMemory(50e-9, "below")
         path = RingPath(ring, "cpu", "l3", below)

@@ -165,3 +165,81 @@ class TestCoherentDesignPoints:
             assert single.breakdown == result.breakdown
             assert single.phases == result.phases
             assert single.counters == result.counters
+
+
+class TestInterleaverTiesAndComputeRuns:
+    """The production steppers yield only before each access to the
+    memory hierarchy; the reference loops yield after every instruction.
+    The engine must still merge the accesses in the same order.
+
+    Both cores run at one frequency and issue one instruction per cycle,
+    so their accesses tie and the CPU-first rule decides the order. A
+    synthetic kernel with three memory operations per hundred
+    instructions leaves long compute runs between accesses, which the
+    steppers cross without a yield. Both PUs stream over the same lines,
+    so the order decides who holds each line in which MESI state.
+    """
+
+    #: ``breakdown.parallel`` per protocol, computed while the production
+    #: steppers still yielded after every instruction. Both sides share
+    #: the engine, so only a pinned value sees a change to its tie rule.
+    PARALLEL_SECONDS = {
+        "snoop": 3.596828899080681e-05,
+        "directory": 3.597911041937823e-05,
+    }
+
+    @staticmethod
+    def _system():
+        from dataclasses import replace
+
+        from repro.config.system import SystemConfig
+
+        system = SystemConfig()
+        return replace(
+            system,
+            name="same-clock",
+            cpu=replace(system.cpu, issue_width=1),
+            gpu=replace(system.gpu, frequency=system.cpu.frequency),
+        )
+
+    @staticmethod
+    def _trace():
+        from dataclasses import replace
+
+        from repro.kernels.base import MixProfile
+        from repro.kernels.synthetic import SyntheticKernel
+        from repro.sim.mmu import stage_shared_trace
+        from repro.trace.phase import ParallelPhase
+
+        synthetic = SyntheticKernel(seed=5)
+        synthetic.profile_cpu = synthetic.profile_gpu = MixProfile(0.02, 0.01, 0.01, 0.3)
+        shape = replace(
+            synthetic.default_shape,
+            cpu_instructions=120_000,
+            gpu_instructions=120_000,
+            serial_instructions=4_000,
+        )
+        trace = synthetic.build(shape)
+        # The GPU half streams over the CPU half's lines.
+        phases = tuple(
+            replace(phase, gpu=replace(phase.gpu, base_addr=phase.cpu.base_addr))
+            if isinstance(phase, ParallelPhase)
+            else phase
+            for phase in trace.phases
+        )
+        return stage_shared_trace(replace(trace, phases=phases), AddressSpaceKind.UNIFIED)
+
+    @pytest.mark.parametrize("protocol", ["snoop", "directory"])
+    def test_protocol_bit_identical(self, protocol):
+        trace = self._trace()
+        system = self._system()
+        case = case_study("CPU+GPU")
+        reference = ReferenceSimulator(system=system).run(
+            trace, case=case, coherence=protocol
+        )
+        production = DetailedSimulator(system=system).run(
+            trace, case=case, coherence=protocol
+        )
+        assert_identical(reference, production)
+        assert production.breakdown.parallel == self.PARALLEL_SECONDS[protocol]
+        assert production.counters[f"{protocol}.invalidations_sent"] > 0
