@@ -37,10 +37,15 @@ class Cache(MemoryLevel):
     evictable way for an implicit fill), the access bypasses this level:
     the requester still gets its data from below, but nothing is installed.
 
-    Lookup is O(1): alongside the per-set block arrays the cache keeps a
-    per-set ``tag -> way`` dict (``_tags``), maintained at every fill and
-    invalidation. The invariant is that ``_tags[index]`` maps exactly the
-    valid blocks of set ``index``.
+    Lookup is O(1): alongside the per-set block arrays the cache keeps one
+    ``line -> way`` dict (``_way_of``, keyed by the line number
+    ``addr // line_bytes``), maintained at every fill, invalidation and
+    flush. The invariant is that it maps exactly the valid blocks: line
+    ``n`` lives in set ``n % sets`` with tag ``n // sets``.
+
+    Recency is the cache's own: every hit and fill stamps the block's
+    ``last_use`` with the access tick, and the policy only reads it when
+    it picks a victim.
 
     Sets are allocated on first touch: an 8 MB L3 has ~130k blocks and a
     small run touches a fraction of them. A new set is ``[EMPTY] * ways``,
@@ -66,8 +71,8 @@ class Cache(MemoryLevel):
         total_sets = config.num_sets * config.tiles
         #: Per-set block arrays; ``None`` until the set is first touched.
         self._sets: "List[Optional[List[CacheBlock]]]" = [None] * total_sets
-        #: Per-set tag -> way index of every *valid* block (O(1) lookup).
-        self._tags: List[Dict[int, int]] = [{} for _ in range(total_sets)]
+        #: Line number -> way index of every *valid* block (O(1) lookup).
+        self._way_of: Dict[int, int] = {}
         self._ways = config.ways
         self._num_sets = total_sets
         self._line = config.line_bytes
@@ -97,15 +102,8 @@ class Cache(MemoryLevel):
         self._flushes = self.metrics.counter(
             "flushes", unit="events", description="whole-cache flush operations"
         )
-        # Bound methods hoisted for the access fast path.
-        self._hits_inc = self._hits.inc
-        self._misses_inc = self._misses.inc
 
     # -- geometry ---------------------------------------------------------
-
-    def _index_tag(self, addr: int) -> "tuple[int, int]":
-        line = addr // self._line
-        return line % self._num_sets, line // self._num_sets
 
     @property
     def hit_latency(self) -> float:
@@ -130,21 +128,31 @@ class Cache(MemoryLevel):
     def access(
         self, addr: int, is_write: bool = False, issue_time: float = 0.0, explicit: bool = False
     ) -> float:
-        """Service one access; recurse into the next level on a miss.
-
-        A hit touches only plain ints and dicts, which is what keeps the
-        compiled core loops cheap.
-        """
+        """Service one access; recurse into the next level on a miss."""
+        latency = self.private_hit(addr, is_write, explicit)
+        if latency is not None:
+            return latency
         self._tick += 1
         line = addr // self._line
-        index = line % self._num_sets
-        tag = line // self._num_sets
-        way = self._tags[index].get(tag)
+        return self._miss(addr, is_write, issue_time, explicit, line)
+
+    def private_hit(
+        self, addr: int, is_write: bool, explicit: bool = False
+    ) -> Optional[float]:
+        """Serve a hit in this cache, or change nothing and return ``None``.
+
+        The one hit body, shared by :meth:`access`. A hit touches only this
+        cache's tick, the block's bits, the hit counter and the prefetcher,
+        all plain ints and attributes, which is what keeps the core loops
+        cheap.
+        """
+        line = addr // self._line
+        way = self._way_of.get(line)
         if way is None:
-            return self._miss(addr, is_write, issue_time, explicit, index, tag)
-        self._hits_inc()
-        blocks = self._sets[index]
-        block = blocks[way]
+            return None
+        tick = self._tick = self._tick + 1
+        self._hits.value += 1
+        block = self._sets[line % self._num_sets][way]
         if block.prefetched:
             block.prefetched = False
             if self.prefetcher is not None:
@@ -153,16 +161,16 @@ class Cache(MemoryLevel):
             block.dirty = True
         if explicit:
             block.explicit = True
-        self.policy.on_access(blocks, way, self._tick)
+        block.last_use = tick
         return self._hit_latency
 
     def _miss(
-        self, addr: int, is_write: bool, issue_time: float, explicit: bool, index: int, tag: int
+        self, addr: int, is_write: bool, issue_time: float, explicit: bool, line: int
     ) -> float:
         """Demand-miss path: MSHR merge, fetch from below, fill, prefetch."""
         if addr < 0:
             raise SimulationError(f"negative address {addr:#x}")
-        self._misses_inc()
+        self._misses.value += 1
         # Merged miss? Pay only the residual fill time.
         line_addr = addr & ~(self._line - 1)
         merged = self._mshr.lookup(line_addr, issue_time)
@@ -175,7 +183,8 @@ class Cache(MemoryLevel):
             addr, is_write, issue_time + self._hit_latency, explicit
         )
         self._mshr.allocate(line_addr, issue_time, latency)
-        self._fill(index, tag, is_write, explicit)
+        if self.config.write_allocate or not is_write:
+            self._install(line, explicit, dirty=is_write)
         if self.prefetcher is not None:
             self._issue_prefetches(line_addr, issue_time)
         return latency
@@ -190,65 +199,57 @@ class Cache(MemoryLevel):
         for line_addr in self.prefetcher.lines_to_prefetch(
             miss_line_addr, self._line
         ):
-            index, tag = self._index_tag(line_addr)
-            if tag in self._tags[index]:
+            line = line_addr // self._line
+            if line in self._way_of:
                 continue
             self.next_level.access(line_addr, False, issue_time)
-            self._install(index, tag, explicit=False, prefetched=True)
-
-    def _fill(self, index: int, tag: int, is_write: bool, explicit: bool) -> None:
-        """Install the fetched line, honouring the replacement policy."""
-        if not self.config.write_allocate and is_write:
-            return
-        victim = self._install(index, tag, explicit, dirty=is_write)
-        if victim is not None:
-            self.policy.on_access(self._sets[index], victim, self._tick)
+            self._install(line, explicit=False, prefetched=True)
 
     def _install(
         self,
-        index: int,
-        tag: int,
+        line: int,
         explicit: bool,
         prefetched: bool = False,
         dirty: bool = False,
         write_below: bool = False,
-    ) -> Optional[int]:
-        """Put a fresh block for ``tag`` into the policy's victim way.
+    ) -> None:
+        """Put a fresh block for ``line`` into the policy's victim way.
 
         The one install path of demand fills, prefetch fills and pushes.
-        Returns the way, or ``None`` when the policy rejects the fill
-        (counted as a bypass). A dirty victim under write-back is counted
-        in ``writebacks``; only ``write_below`` (a push) also sends its
-        data to the next level. A fill only counts it, and only when a
-        next level exists (see the class docstring).
+        A fill the policy rejects installs nothing (counted as a bypass).
+        A dirty victim under write-back is counted in ``writebacks``; only
+        ``write_below`` (a push) also sends its data to the next level. A
+        fill only counts it, and only when a next level exists (see the
+        class docstring).
         """
+        num_sets = self._num_sets
+        index = line % num_sets
         blocks = self._sets[index]
         if blocks is None:
             blocks = self._sets[index] = [EMPTY] * self._ways
         victim = self.policy.victim(blocks, explicit)
         if victim is None:
             self._bypasses.inc()
-            return None
+            return
         old = blocks[victim]
-        tags = self._tags[index]
+        way_of = self._way_of
         if old.valid:
-            self._evictions.inc()
+            self._evictions.value += 1
             if old.dirty and self.config.write_back:
                 if write_below:
                     self._write_back(index, old)
                 elif self.next_level is not None:
                     self._writebacks.inc()
-            del tags[old.tag]
+            del way_of[old.tag * num_sets + index]
         blocks[victim] = CacheBlock(
-            tag=tag,
+            tag=line // num_sets,
             valid=True,
             dirty=dirty,
             explicit=explicit,
             prefetched=prefetched,
             last_use=self._tick,
         )
-        tags[tag] = victim
-        return victim
+        way_of[line] = victim
 
     # -- explicit locality management --------------------------------------
 
@@ -259,19 +260,16 @@ class Cache(MemoryLevel):
         demand-miss latency (push is a hint executed off the critical path).
         """
         self._tick += 1
-        index, tag = self._index_tag(addr)
-        way = self._tags[index].get(tag)
-        if way is not None:
-            blocks = self._sets[index]
-            blocks[way].explicit = True
-            self.policy.on_access(blocks, way, self._tick)
+        block = self.block_for(addr)
+        if block is not None:
+            block.explicit = True
+            block.last_use = self._tick
             return
-        self._install(index, tag, explicit=True, write_below=True)
+        self._install(addr // self._line, explicit=True, write_below=True)
 
     def contains(self, addr: int) -> bool:
         """Whether the line holding ``addr`` is resident."""
-        index, tag = self._index_tag(addr)
-        return tag in self._tags[index]
+        return addr // self._line in self._way_of
 
     def block_for(self, addr: int) -> Optional[CacheBlock]:
         """The resident block holding ``addr``, or ``None``.
@@ -281,26 +279,24 @@ class Cache(MemoryLevel):
         state mutation itself is confined to ``repro.mem.coherence``,
         lint rule L004).
         """
-        index, tag = self._index_tag(addr)
-        way = self._tags[index].get(tag)
+        line = addr // self._line
+        way = self._way_of.get(line)
         if way is None:
             return None
-        return self._sets[index][way]
+        return self._sets[line % self._num_sets][way]
 
     def is_explicit(self, addr: int) -> bool:
         """Whether the resident line holding ``addr`` carries the locality bit."""
-        index, tag = self._index_tag(addr)
-        way = self._tags[index].get(tag)
-        return way is not None and self._sets[index][way].explicit
+        block = self.block_for(addr)
+        return block is not None and block.explicit
 
     def invalidate_line(self, addr: int) -> bool:
         """Invalidate one line (coherence); returns True if it was present."""
-        index, tag = self._index_tag(addr)
-        way = self._tags[index].get(tag)
+        line = addr // self._line
+        way = self._way_of.pop(line, None)
         if way is None:
             return False
-        self._sets[index][way].invalidate()
-        del self._tags[index][tag]
+        self._sets[line % self._num_sets][way].invalidate()
         self._invalidations.inc()
         return True
 
@@ -319,7 +315,7 @@ class Cache(MemoryLevel):
                         dirty += 1
                         self._write_back(index, block)
                     block.invalidate()
-            self._tags[index].clear()
+        self._way_of.clear()
         self._flushes.inc()
         return dirty
 

@@ -54,7 +54,7 @@ class MSHRFile:
 
     def allocate(self, line_addr: int, now: float, latency: float) -> None:
         """Record a new outstanding fill."""
-        self._allocations.inc()
+        self._allocations.value += 1
         if line_addr in self._inflight:
             self._inflight.move_to_end(line_addr)
         while len(self._inflight) >= self.entries:

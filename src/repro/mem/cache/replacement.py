@@ -21,16 +21,16 @@ __all__ = ["ReplacementPolicy", "LRUPolicy", "HybridLocalityPolicy"]
 
 
 class ReplacementPolicy(abc.ABC):
-    """Chooses a victim way within a set."""
+    """Chooses a victim way within a set.
+
+    Policies only read recency: the cache stamps each block's
+    ``last_use`` with its access tick on every hit and fill.
+    """
 
     @abc.abstractmethod
     def victim(self, blocks: List[CacheBlock], incoming_explicit: bool) -> Optional[int]:
         """Index of the way to evict for an incoming fill, or ``None`` if
         the fill must be rejected (hybrid policy: no evictable way)."""
-
-    def on_access(self, blocks: List[CacheBlock], way: int, tick: int) -> None:
-        """Update recency state after a hit or fill."""
-        blocks[way].last_use = tick
 
 
 def _lru_way(blocks: List[CacheBlock], candidates: List[int]) -> int:

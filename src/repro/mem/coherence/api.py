@@ -17,10 +17,11 @@ variants cover the design axis:
   indirection through a per-line sharer directory: cold accesses pay a
   lookup and conflicting writes pay explicit invalidate/ack message pairs.
 
-Both stateful variants drive the same pure MESI transition functions
-(:mod:`repro.mem.coherence.protocol`) over the same bookkeeping, one
-``line -> state`` table per PU, so they disagree only in *message* cost —
-which is exactly the quantity the design-space sweep compares. All
+Both stateful variants tabulate the same pure MESI transition functions
+(:mod:`repro.mem.coherence.protocol`) into one step table per protocol
+instance, over the same bookkeeping (one ``line -> state`` table per PU),
+so they disagree only in *message* cost — which is exactly the quantity
+the design-space sweep compares. All
 protocol counters are declared on a :mod:`repro.obs`
 :class:`~repro.obs.metrics.MetricRegistry`.
 """
@@ -28,11 +29,16 @@ protocol counters are declared on a :mod:`repro.obs`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ConfigError, SimulationError
-from repro.mem.coherence.protocol import MESIState, next_state, remote_state_on_snoop
-from repro.obs.metrics import MetricRegistry
+from repro.mem.coherence.protocol import (
+    MESIState,
+    ProtocolError,
+    next_state,
+    remote_state_on_snoop,
+)
+from repro.obs.metrics import Counter, MetricRegistry
 from repro.taxonomy import CoherenceKind, ProcessingUnit
 
 __all__ = [
@@ -40,6 +46,7 @@ __all__ = [
     "CoherenceProtocol",
     "NullProtocol",
     "PROTOCOL_KINDS",
+    "STATES",
     "protocol_for",
 ]
 
@@ -56,6 +63,9 @@ class CoherenceAction:
     (each costs one interconnect traversal).
     ``new_state``: the requester's MESI state for the line after the
     access, which the system mirrors onto its L1 block.
+
+    A protocol builds one action per entry of its step table, when it is
+    constructed; every access returns one of those.
     """
 
     invalidate_peer: bool
@@ -63,14 +73,35 @@ class CoherenceAction:
     new_state: MESIState = MESIState.INVALID
 
 
+#: The MESI states by their code in the per-PU line tables. INVALID is 0,
+#: so an absent line reads as INVALID.
+STATES: Tuple[MESIState, ...] = (
+    MESIState.INVALID,
+    MESIState.SHARED,
+    MESIState.EXCLUSIVE,
+    MESIState.MODIFIED,
+)
+_CODE = {state: code for code, state in enumerate(STATES)}
+
+#: One step-table entry: the requester's and the peer's new state codes,
+#: the action, and the counters to bump by one. ``None`` marks an
+#: impossible ``(local, remote, is_write)`` combination.
+StepEntry = Optional[Tuple[int, int, CoherenceAction, Tuple[Counter, ...]]]
+
+
 class CoherenceProtocol:
     """Per-line MESI bookkeeping shared by the stateful protocol variants.
 
-    Subclasses implement :meth:`access` — the per-access message-cost
-    model — on top of :meth:`_apply`, which performs the (variant-agnostic)
-    MESI transition for both PUs. The protocol is *not* a
-    :class:`~repro.mem.level.MemoryLevel`: the system model consults it on
-    each shared-space access and applies the returned action.
+    Subclasses declare their counters and implement :meth:`_messages`, the
+    per-access message-cost model; :meth:`_tabulate` then derives the
+    whole step from it once, for every ``(local, remote, is_write)``: both
+    PUs' new states from the pure MESI transitions
+    (:func:`~repro.mem.coherence.protocol.next_state`,
+    :func:`~repro.mem.coherence.protocol.remote_state_on_snoop`), the
+    action and the counters to bump. An access is then one table lookup.
+    The protocol is *not* a :class:`~repro.mem.level.MemoryLevel`: the
+    system model consults it on each shared-space access and applies the
+    returned action.
     """
 
     #: The axis value this protocol implements ("snoop" or "directory").
@@ -80,16 +111,92 @@ class CoherenceProtocol:
         if line_bytes <= 0 or line_bytes & (line_bytes - 1):
             raise SimulationError("line size must be a positive power of two")
         self.line_bytes = line_bytes
-        #: Per PU, ``line -> state`` of every line it holds (INVALID lines
-        #: are absent).
-        self._lines: Dict[ProcessingUnit, Dict[int, MESIState]] = {
+        #: Per PU, ``line -> state code`` (:data:`STATES`) of every line it
+        #: holds (INVALID lines are absent).
+        self._lines: Dict[ProcessingUnit, Dict[int, int]] = {
             pu: {} for pu in ProcessingUnit
         }
-        #: Per requester, its own table and its peer's.
-        self._tables: Dict[ProcessingUnit, Tuple[Dict[int, MESIState], ...]] = {
-            pu: (self._lines[pu], self._lines[pu.other]) for pu in ProcessingUnit
-        }
         self.metrics = MetricRegistry(f"coherence.{self.kind}")
+        #: Per PU, its bound step; filled by :meth:`_tabulate`.
+        self._steps: Dict[ProcessingUnit, Callable[[int, bool], CoherenceAction]] = {}
+
+    # -- the step table -----------------------------------------------------
+
+    def _messages(
+        self,
+        local: MESIState,
+        remote: MESIState,
+        is_write: bool,
+        new_local: MESIState,
+        invalidate: bool,
+    ) -> Tuple[int, Tuple[Counter, ...]]:
+        """The variant's message rule for one access: the protocol
+        messages on the critical path and the counters it bumps."""
+        raise NotImplementedError
+
+    def _tabulate(self) -> None:
+        """Derive the step for every ``(local, remote, is_write)`` and bind
+        one stepper per PU. Subclasses call it once their counters exist.
+
+        Entry ``local * 8 + remote * 2 + is_write`` (state codes) holds
+        that access's step.
+        """
+        table: List[StepEntry] = []
+        for local in STATES:
+            for remote in STATES:
+                others = remote is not MESIState.INVALID
+                for is_write in (False, True):
+                    try:
+                        new_local, invalidate = next_state(local, is_write, others)
+                    except ProtocolError:
+                        table.append(None)
+                        continue
+                    new_remote = (
+                        remote_state_on_snoop(remote, is_write) if others else remote
+                    )
+                    messages, bumps = self._messages(
+                        local, remote, is_write, new_local, invalidate
+                    )
+                    action = CoherenceAction(invalidate, messages, new_local)
+                    table.append((_CODE[new_local], _CODE[new_remote], action, bumps))
+        self._steps = {pu: self._bind(pu, table) for pu in ProcessingUnit}
+
+    def _bind(
+        self, pu: ProcessingUnit, table: List[StepEntry]
+    ) -> Callable[[int, bool], CoherenceAction]:
+        own = self._lines[pu]
+        peer = self._lines[pu.other]
+        mask = ~(self.line_bytes - 1)
+
+        def step(addr: int, is_write: bool) -> CoherenceAction:
+            line = addr & mask
+            local = own.get(line, 0)
+            remote = peer.get(line, 0)
+            entry = table[local * 8 + remote * 2 + is_write]
+            if entry is None:
+                # next_state raises the ProtocolError for every None entry.
+                next_state(STATES[local], is_write, remote != 0)
+            new_local, new_remote, action, bumps = entry
+            own[line] = new_local
+            if new_remote != remote:
+                if new_remote:
+                    peer[line] = new_remote
+                else:
+                    del peer[line]
+            for counter in bumps:
+                counter.value += 1
+            return action
+
+        return step
+
+    def accessor(self, pu: ProcessingUnit) -> Callable[[int, bool], CoherenceAction]:
+        """``pu``'s bound step: ``accessor(pu)(addr, is_write)`` is
+        ``access(addr, pu, is_write)`` without the per-access PU lookup."""
+        return self._steps[pu]
+
+    def access(self, addr: int, pu: ProcessingUnit, is_write: bool) -> CoherenceAction:
+        """Record an access and return the required action."""
+        return self._steps[pu](addr, is_write)
 
     # -- MESI bookkeeping ---------------------------------------------------
 
@@ -97,36 +204,7 @@ class CoherenceProtocol:
         return addr & ~(self.line_bytes - 1)
 
     def state_of(self, addr: int, pu: ProcessingUnit) -> MESIState:
-        return self._lines[pu].get(self._line(addr), MESIState.INVALID)
-
-    @staticmethod
-    def _apply(
-        line: int,
-        own: Dict[int, MESIState],
-        peer: Dict[int, MESIState],
-        is_write: bool,
-        local: MESIState,
-        remote: MESIState,
-        others: bool,
-    ) -> Tuple[MESIState, bool]:
-        """Transition both PUs' states for one access (``own`` and
-        ``peer`` are the requester's and the peer's tables).
-
-        Returns ``(new_local_state, invalidate_peer)``.
-        """
-        new_local, invalidate = next_state(local, is_write, others)
-        own[line] = new_local
-        if others:
-            new_remote = remote_state_on_snoop(remote, is_write)
-            if new_remote is MESIState.INVALID:
-                peer.pop(line, None)
-            else:
-                peer[line] = new_remote
-        return new_local, invalidate
-
-    def access(self, addr: int, pu: ProcessingUnit, is_write: bool) -> CoherenceAction:
-        """Record an access and return the required action."""
-        raise NotImplementedError
+        return STATES[self._lines[pu].get(self._line(addr), 0)]
 
     def sharers(self, addr: int) -> Tuple[ProcessingUnit, ...]:
         line = self._line(addr)
@@ -136,8 +214,8 @@ class CoherenceProtocol:
         """Raise if the single-writer invariant is violated anywhere."""
         lines: Dict[int, list] = {}
         for table in self._lines.values():
-            for line, state in table.items():
-                lines.setdefault(line, []).append(state)
+            for line, code in table.items():
+                lines.setdefault(line, []).append(STATES[code])
         for line, states in lines.items():
             writers = sum(
                 1 for s in states if s in (MESIState.MODIFIED, MESIState.EXCLUSIVE)
@@ -174,7 +252,11 @@ class NullProtocol(CoherenceProtocol):
 
     _NO_ACTION = CoherenceAction(invalidate_peer=False, extra_latency_messages=0)
 
-    def access(self, addr: int, pu: ProcessingUnit, is_write: bool) -> CoherenceAction:
+    def __init__(self, line_bytes: int = 64) -> None:
+        super().__init__(line_bytes)
+        self._steps = dict.fromkeys(ProcessingUnit, self._no_action)
+
+    def _no_action(self, addr: int, is_write: bool) -> CoherenceAction:
         return self._NO_ACTION
 
 

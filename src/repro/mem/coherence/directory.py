@@ -8,7 +8,10 @@ Both appear here:
 
 - :class:`Directory` tracks MESI state per line per PU, tells the system
   when to invalidate the peer's private copies, and counts protocol
-  traffic;
+  traffic. Its message rule: a requester without a copy pays one
+  lookup message; an invalidating write pays an invalidate and an ack;
+  a read of a peer's M/E copy pays one writeback/share message (a
+  downgrade); an S->M write counts an upgrade;
 - :class:`SoftwareCoherence` models the runtime alternative: no per-access
   cost, but every synchronization point (kernel boundary) pays a flush of
   the dirty shared lines.
@@ -16,11 +19,11 @@ Both appear here:
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.mem.coherence.api import CoherenceAction, CoherenceProtocol
 from repro.mem.coherence.protocol import MESIState
-from repro.obs.metrics import MetricRegistry
+from repro.obs.metrics import Counter, MetricRegistry
 from repro.taxonomy import ProcessingUnit
 
 __all__ = ["Directory", "SoftwareCoherence", "CoherenceAction"]
@@ -49,6 +52,7 @@ class Directory(CoherenceProtocol):
         self._upgrades = self.metrics.counter(
             "upgrades", unit="lines", description="local S copies promoted to M"
         )
+        self._tabulate()
 
     # -- counter views ------------------------------------------------------
 
@@ -64,33 +68,27 @@ class Directory(CoherenceProtocol):
     def upgrades(self) -> int:
         return self._upgrades.value
 
-    def access(self, addr: int, pu: ProcessingUnit, is_write: bool) -> CoherenceAction:
-        """Record an access and return the required action."""
-        line = self._line(addr)
-        own, peer = self._tables[pu]
-        local = own.get(line, MESIState.INVALID)
-        remote = peer.get(line, MESIState.INVALID)
-        others = remote is not MESIState.INVALID
-
+    def _messages(
+        self,
+        local: MESIState,
+        remote: MESIState,
+        is_write: bool,
+        new_local: MESIState,
+        invalidate: bool,
+    ) -> Tuple[int, Tuple[Counter, ...]]:
         messages = 0
+        bumps = []
         if local is MESIState.INVALID:
             messages += 1  # directory lookup / fetch permission
-        new_local, invalidate = self._apply(
-            line, own, peer, is_write, local, remote, others
-        )
         if invalidate:
-            self._invalidations_sent.inc()
+            bumps.append(self._invalidations_sent)
             messages += 2  # invalidate + ack
-        if others and not is_write and remote in (MESIState.MODIFIED, MESIState.EXCLUSIVE):
-            self._downgrades.inc()
+        if not is_write and remote in (MESIState.MODIFIED, MESIState.EXCLUSIVE):
+            bumps.append(self._downgrades)
             messages += 1  # writeback / share request
         if local is MESIState.SHARED and new_local is MESIState.MODIFIED:
-            self._upgrades.inc()
-        return CoherenceAction(
-            invalidate_peer=invalidate,
-            extra_latency_messages=messages,
-            new_state=new_local,
-        )
+            bumps.append(self._upgrades)
+        return messages, tuple(bumps)
 
 
 class SoftwareCoherence:

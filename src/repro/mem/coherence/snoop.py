@@ -16,9 +16,11 @@ exposes:
 
 from __future__ import annotations
 
-from repro.mem.coherence.api import CoherenceAction, CoherenceProtocol
+from typing import Tuple
+
+from repro.mem.coherence.api import CoherenceProtocol
 from repro.mem.coherence.protocol import MESIState
-from repro.taxonomy import ProcessingUnit
+from repro.obs.metrics import Counter
 
 __all__ = ["SnoopBus"]
 
@@ -44,6 +46,7 @@ class SnoopBus(CoherenceProtocol):
         self._upgrades = self.metrics.counter(
             "upgrades", unit="lines", description="S->M upgrades announced on the bus"
         )
+        self._tabulate()
 
     # -- counter views (mirroring Directory's attribute surface) -----------
 
@@ -63,37 +66,30 @@ class SnoopBus(CoherenceProtocol):
     def upgrades(self) -> int:
         return self._upgrades.value
 
-    def access(self, addr: int, pu: ProcessingUnit, is_write: bool) -> CoherenceAction:
-        """Record an access and return the required action."""
-        line = self._line(addr)
-        own, peer = self._tables[pu]
-        local = own.get(line, MESIState.INVALID)
-        remote = peer.get(line, MESIState.INVALID)
-        others = remote is not MESIState.INVALID
-
+    def _messages(
+        self,
+        local: MESIState,
+        remote: MESIState,
+        is_write: bool,
+        new_local: MESIState,
+        invalidate: bool,
+    ) -> Tuple[int, Tuple[Counter, ...]]:
         messages = 0
+        bumps = []
         if local is MESIState.INVALID:
             # Cold access: probe the bus; a holding peer supplies the line.
-            self._broadcasts.inc()
+            bumps.append(self._broadcasts)
             messages += 1
-            if others:
-                self._snoop_hits.inc()
+            if remote is not MESIState.INVALID:
+                bumps.append(self._snoop_hits)
                 messages += 1
         elif is_write and local is MESIState.SHARED:
             # Upgrade broadcast; bus order acknowledges it implicitly.
-            self._broadcasts.inc()
+            bumps.append(self._broadcasts)
             messages += 1
-
-        new_local, invalidate = self._apply(
-            line, own, peer, is_write, local, remote, others
-        )
         if invalidate:
             # The kill rode the broadcast — no separate invalidate/ack pair.
-            self._invalidations_sent.inc()
+            bumps.append(self._invalidations_sent)
         if local is MESIState.SHARED and new_local is MESIState.MODIFIED:
-            self._upgrades.inc()
-        return CoherenceAction(
-            invalidate_peer=invalidate,
-            extra_latency_messages=messages,
-            new_state=new_local,
-        )
+            bumps.append(self._upgrades)
+        return messages, tuple(bumps)

@@ -71,8 +71,8 @@ class RingNetwork:
 
     def record(self, messages: int, payload_bytes: int) -> None:
         """Count ``messages`` traversals carrying ``payload_bytes`` in all."""
-        self._messages.inc(messages)
-        self._bytes_moved.inc(payload_bytes)
+        self._messages.value += messages
+        self._bytes_moved.value += payload_bytes
 
     def transit_seconds(self, src: str, dst: str, payload_bytes: int) -> float:
         """Count one message and return its :meth:`leg_seconds`."""

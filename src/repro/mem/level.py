@@ -13,7 +13,8 @@ __all__ = ["MemoryLevel", "FixedLatencyMemory"]
 class MemoryLevel(abc.ABC):
     """Anything an access can be sent into: cache, link, DRAM, a front.
 
-    One scalar method, :meth:`access`, walks an access down the hierarchy.
+    One scalar method, :meth:`access`, walks an access down the hierarchy;
+    :meth:`private_hit` is its shortcut for accesses a PU serves alone.
     Levels account time in **seconds** so components clocked differently
     (CPU caches at 3.5 GHz, DRAM at 667 MHz) compose without unit bugs.
     """
@@ -30,6 +31,18 @@ class MemoryLevel(abc.ABC):
         ``explicit`` marks accesses to explicitly managed (``push``-ed)
         data for the §II-B5 hybrid locality replacement policy.
         """
+
+    def private_hit(self, addr: int, is_write: bool) -> "float | None":
+        """Serve an access that stays inside the issuing PU's private
+        levels and return its latency, or change nothing and return
+        ``None``.
+
+        A served access touches no state a peer PU can reach, so the core
+        steppers run it without pausing for the interleaving engine. The
+        default serves nothing: translation fronts, ring paths, DRAM and
+        test memories always take :meth:`access`.
+        """
+        return None
 
     def reset_stats(self) -> None:
         """Clear accumulated counters (default: nothing to clear)."""

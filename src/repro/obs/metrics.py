@@ -9,8 +9,12 @@ description::
 
 and every consumer — CLI exports, parity tests, the metrics-diff report —
 reads the same :class:`MetricSnapshot` instead of poking at per-component
-dicts. Increments stay a single attribute addition, so registry-backed
-counters are cheap enough for the detailed simulator's per-access hot path.
+dicts. A :class:`Counter` holds its count in one public ``value``
+attribute, so the detailed simulator's per-access hot paths (cache hits
+and misses, evictions, MSHR allocations, ring traffic, coherence steps)
+bump it with ``counter.value += n`` — a single attribute addition, no
+method call — while :meth:`Counter.inc` stays the checked increment for
+everything else.
 """
 
 from __future__ import annotations

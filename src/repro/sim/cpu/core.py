@@ -49,18 +49,24 @@ class CpuCore:
     def step_compiled(
         self, compiled: CompiledSegment, start_seconds: float = 0.0
     ) -> Iterator[float]:
-        """Execute a compiled segment, pausing before each memory access.
+        """Execute a compiled segment, pausing before each access that
+        may reach state the other PU shares.
 
-        Yields the cumulative cycle count just before every access to the
-        memory hierarchy; the last yield is the segment's final count,
-        including the trailing partial issue group. The interleaving engine
+        Yields the cumulative cycle count just before every access that
+        :meth:`~repro.mem.level.MemoryLevel.private_hit` does not serve;
+        the last yield is the segment's final count, including the
+        trailing partial issue group. The interleaving engine
         (:func:`repro.sim.engine.run_parallel_interleaved`) resumes the
         core that is behind, so concurrent accesses reach the shared
         L3/DRAM in timestamp order. Compute runs and branches touch only
         this core, so they advance without a yield; a compute run is one
         addition while the count is whole, else one per issue-group wrap,
-        as in :func:`run_compiled_batch`. Each access is issued at the
-        same cycle, and keyed by the same count, as in the reference loop
+        as in :func:`run_compiled_batch`. A private hit (an L1 hit below
+        the shared window) touches only that L1, which the peer changes
+        only by invalidating shared-window lines, so it runs in place,
+        before or after any peer access, without a yield either. Each
+        access is issued at the same cycle, and every yielded access is
+        keyed by the same count, as in the reference loop
         (:func:`repro.sim.reference.cpu_steps`), which yields after every
         instruction.
         """
@@ -71,6 +77,7 @@ class CpuCore:
         hit_latency = freq.cycles_to_seconds(self.config.l1d.latency)
         mlp = self.mlp
         access = self.memory.access
+        private_hit = self.memory.private_hit
         predict_and_update = self.predictor.predict_and_update
 
         cycles = 0.0
@@ -88,12 +95,15 @@ class CpuCore:
                             cycles += 1.0
                 continue
             if kind == EV_MEMORY:
-                yield cycles
+                latency = private_hit(a, c)
+                if latency is None:
+                    yield cycles
                 slot += 1
                 if slot >= issue_width:
                     cycles += 1.0
                     slot = 0
-                latency = access(a, bool(c), start_seconds + int(cycles) / hertz)
+                if latency is None:
+                    latency = access(a, c, start_seconds + int(cycles) / hertz)
                 if latency > hit_latency:
                     stall = (latency - hit_latency) / mlp
                     stall_cycles = stall * hertz

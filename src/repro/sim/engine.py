@@ -49,15 +49,21 @@ def run_parallel_interleaved(
     Two step sizes use this one engine. The reference loops in
     :mod:`repro.sim.reference` yield after every instruction, so each
     instruction's key is the count after the one before it. The cores'
-    ``step_compiled`` yields only just before each access to the memory
-    hierarchy, with the same count as the key. The instructions in
-    between touch only their own core, so their position in the merge
-    changes no state. Both steppers therefore reach the shared hierarchy
-    with the same accesses in the same order: production and the oracle
-    match bit for bit (``tests/perf/test_parity.py``).
+    ``step_compiled`` yields only just before each access that its PU
+    cannot serve alone, with the same count as the key. The instructions
+    in between touch only their own core: compute runs, branches,
+    scratchpad hits, and private hits (L1 hits below the shared window,
+    :meth:`~repro.mem.level.MemoryLevel.private_hit`), which touch only
+    that L1. The peer changes a PU's private caches only by invalidating
+    shared-window lines, so a private hit gives the same state whether
+    it runs before or after any peer access, and its position in the
+    merge changes nothing. Both steppers therefore reach the shared
+    hierarchy with the same accesses in the same order: production and
+    the oracle match bit for bit (``tests/perf/test_parity.py``).
     """
-    cpu_to_seconds = cpu_frequency.cycles_to_seconds
-    gpu_to_seconds = gpu_frequency.cycles_to_seconds
+    # Cycles over hertz: the float operation of Frequency.cycles_to_seconds.
+    cpu_hertz = cpu_frequency.hertz
+    gpu_hertz = gpu_frequency.hertz
 
     cpu_t = gpu_t = 0.0
     cpu_done = gpu_done = False
@@ -65,12 +71,12 @@ def run_parallel_interleaved(
         advance_cpu = not cpu_done and (gpu_done or cpu_t <= gpu_t)
         if advance_cpu:
             try:
-                cpu_t = cpu_to_seconds(next(cpu_steps))
+                cpu_t = next(cpu_steps) / cpu_hertz
             except StopIteration:
                 cpu_done = True
         else:
             try:
-                gpu_t = gpu_to_seconds(next(gpu_steps))
+                gpu_t = next(gpu_steps) / gpu_hertz
             except StopIteration:
                 gpu_done = True
     return ParallelOutcome(cpu_seconds=cpu_t, gpu_seconds=gpu_t)

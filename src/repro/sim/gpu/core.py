@@ -119,18 +119,20 @@ class GpuCore:
         self, compiled: CompiledSegment, start_seconds: float = 0.0
     ) -> Iterator[float]:
         """Execute a compiled segment, pausing before each access that
-        leaves the core.
+        may reach state the other PU shares.
 
         The stepping protocol of
         :meth:`repro.sim.cpu.core.CpuCore.step_compiled`: one yield before
-        each access to the memory hierarchy, then the final count.
-        Scratchpad hits, branches and compute runs are private to this
-        core and need no yield; a compute run is one addition while the
-        count is whole, as in :func:`run_compiled_batch`. Each access
-        happens at the same cycle, and is keyed by the same count, as in
-        the reference loop (:func:`repro.sim.reference.gpu_steps`). Warp
-        mode decodes into :meth:`step_warp`, which still yields once per
-        instruction.
+        each access that :meth:`~repro.mem.level.MemoryLevel.private_hit`
+        does not serve, then the final count. Scratchpad hits, private L1
+        hits, branches and compute runs are private to this core and need
+        no yield; a compute run is one addition while the count is whole,
+        as in :func:`run_compiled_batch`. Regions are pushed into the
+        scratchpad only between phases, so an empty scratchpad is not
+        consulted at all. Each access happens at the same cycle, and every
+        yielded access is keyed by the same count, as in the reference
+        loop (:func:`repro.sim.reference.gpu_steps`). Warp mode decodes
+        into :meth:`step_warp`, which still yields once per instruction.
         """
         if self.mode == "warp":
             yield from self.step_warp(compiled.instructions(), start_seconds)
@@ -141,7 +143,8 @@ class GpuCore:
         hit_latency = freq.cycles_to_seconds(self.config.l1d.latency)
         warps = self.warps
         access = self.memory.access
-        scratchpad_access = self.scratchpad.access
+        private_hit = self.memory.private_hit
+        scratchpad_access = None if self.scratchpad.empty else self.scratchpad.access
 
         cycles = 0.0
         for kind, a, b, c in compiled.events:
@@ -152,15 +155,20 @@ class GpuCore:
                     for _ in range(a):
                         cycles += 1.0
             elif kind == EV_MEMORY:
-                smem = scratchpad_access(a)
-                if smem is not None:
-                    self.scratchpad_hits += 1
+                if scratchpad_access is not None:
+                    smem = scratchpad_access(a)
+                    if smem is not None:
+                        self.scratchpad_hits += 1
+                        cycles += 1.0
+                        cycles += max(smem - 1, 0)
+                        continue
+                latency = private_hit(a, c)
+                if latency is None:
+                    yield cycles
                     cycles += 1.0
-                    cycles += max(smem - 1, 0)
-                    continue
-                yield cycles
-                cycles += 1.0
-                latency = access(a, bool(c), start_seconds + int(cycles) / hertz)
+                    latency = access(a, c, start_seconds + int(cycles) / hertz)
+                else:
+                    cycles += 1.0
                 if latency > hit_latency:
                     stall = (latency - hit_latency) / warps
                     stall_cycles = stall * hertz

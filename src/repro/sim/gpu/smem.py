@@ -32,6 +32,11 @@ class Scratchpad:
         self.hits = 0
 
     @property
+    def empty(self) -> bool:
+        """Whether no region is resident (every access misses)."""
+        return not self._regions
+
+    @property
     def used_bytes(self) -> int:
         return sum(self._regions.values())
 

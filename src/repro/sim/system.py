@@ -9,7 +9,7 @@ keeps shared-window data coherent between the PUs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Union
+from typing import Dict, Optional, Union
 
 from repro.config.system import SystemConfig
 from repro.errors import SimulationError
@@ -33,14 +33,19 @@ __all__ = ["Machine", "CoherentFront", "build_machine"]
 class CoherentFront(MemoryLevel):
     """Per-PU front-end enforcing protocol coherence on shared addresses.
 
-    Wraps a PU's top-level cache: accesses to the shared window consult the
-    coherence protocol (directory or snoop bus) first; when the peer holds
-    a conflicting copy, its private caches are invalidated and the protocol
-    messages are charged as ring traversals on the critical path, each one
-    PU-to-PU leg priced once at construction. The requester's new MESI
-    state (:attr:`~repro.mem.coherence.api.CoherenceAction.new_state`) is
+    Wraps a PU's top-level cache. Accesses at or above ``shared_base``
+    (the shared window) take the protocol's bound step for this PU
+    (:meth:`~repro.mem.coherence.api.CoherenceProtocol.accessor`) first;
+    when the peer holds a conflicting copy, its private caches are
+    invalidated and the protocol messages are charged as ring traversals
+    on the critical path, each one PU-to-PU leg priced once at
+    construction. The requester's new MESI state
+    (:attr:`~repro.mem.coherence.api.CoherenceAction.new_state`) is
     mirrored onto the local L1's
     :class:`~repro.mem.cache.block.CacheBlock` after each access.
+
+    Below the shared window the peer never touches this PU's caches, so
+    :meth:`private_hit` hands those addresses to the wrapped L1.
     """
 
     def __init__(
@@ -50,29 +55,35 @@ class CoherentFront(MemoryLevel):
         protocol: CoherenceProtocol,
         ring: RingNetwork,
         peer_caches: "list[Cache]",
-        shared_predicate: Callable[[int], bool],
+        shared_base: int = SHARED_BASE,
     ) -> None:
         self.pu = pu
         self.below = below
         self.protocol = protocol
         self.ring = ring
         self.peer_caches = peer_caches
-        self.shared_predicate = shared_predicate
+        self.shared_base = shared_base
         self.name = f"coherent-front[{pu}]"
         self.coherence_latency = 0.0
+        self._step = protocol.accessor(pu)
         #: The latency of one protocol message to the peer PU.
         self._message_leg = ring.leg_seconds(str(pu), str(pu.other), REQUEST_BYTES)
         #: The local L1's block lookup, when the wrapped level exposes one
         #: (it always does in the standard topology).
         self._block_for = getattr(below, "block_for", None)
 
+    def private_hit(self, addr: int, is_write: bool) -> "float | None":
+        if addr >= self.shared_base:
+            return None
+        return self.below.private_hit(addr, is_write)
+
     def access(
         self, addr: int, is_write: bool = False, issue_time: float = 0.0, explicit: bool = False
     ) -> float:
-        if not self.shared_predicate(addr):
+        if addr < self.shared_base:
             return self.below.access(addr, is_write, issue_time, explicit)
         extra = 0.0
-        action = self.protocol.access(addr, self.pu, is_write)
+        action = self._step(addr, is_write)
         if action.invalidate_peer:
             for cache in self.peer_caches:
                 cache.invalidate_line(addr)
@@ -133,14 +144,10 @@ class Machine:
         return data
 
 
-def _is_shared_addr(addr: int) -> bool:
-    return addr >= SHARED_BASE
-
-
 def build_machine(
     config: Optional[SystemConfig] = None,
     l3_policy: Optional[ReplacementPolicy] = None,
-    shared_predicate: Callable[[int], bool] = _is_shared_addr,
+    shared_base: int = SHARED_BASE,
     l1_prefetch: bool = False,
     gpu_mode: str = "heuristic",
     coherence: "Union[str, CoherenceKind, None]" = None,
@@ -151,7 +158,8 @@ def build_machine(
     :class:`HybridLocalityPolicy` for the §II-B5 hybrid scheme);
     ``coherence`` selects the protocol variant over the shared window
     (``"none"``, ``"snoop"``, ``"directory"``, or a
-    :class:`~repro.taxonomy.CoherenceKind`; default ``"none"``);
+    :class:`~repro.taxonomy.CoherenceKind`; default ``"none"``), the
+    addresses at or above ``shared_base``;
     ``l1_prefetch`` attaches next-line
     prefetchers to both L1 data caches; ``gpu_mode`` selects the GPU
     scheduler (``"heuristic"`` or ``"warp"``).
@@ -182,10 +190,10 @@ def build_machine(
     gpu_top: MemoryLevel = gpu_l1d
     if protocol is not None:
         cpu_top = CoherentFront(
-            ProcessingUnit.CPU, cpu_l1d, protocol, ring, [gpu_l1d], shared_predicate
+            ProcessingUnit.CPU, cpu_l1d, protocol, ring, [gpu_l1d], shared_base
         )
         gpu_top = CoherentFront(
-            ProcessingUnit.GPU, gpu_l1d, protocol, ring, [cpu_l1d, cpu_l2], shared_predicate
+            ProcessingUnit.GPU, gpu_l1d, protocol, ring, [cpu_l1d, cpu_l2], shared_base
         )
 
     cpu_core = CpuCore(config.cpu, cpu_top)

@@ -72,6 +72,13 @@ class TestHotLoopAllocations:
         )
         assert violations(source) == [("L003", 2)]
 
+    def test_action_in_private_hit_flagged(self):
+        source = (
+            "def private_hit(self, addr, is_write):\n"
+            "    return CoherenceAction(False, 0)\n"
+        )
+        assert violations(source) == [("L003", 2)]
+
     def test_other_functions_unrestricted(self):
         source = (
             "def run_stepwise(self, instructions):\n"

@@ -333,6 +333,18 @@ class TestPinnedStorage:
                 )
         return out
 
+    @staticmethod
+    def _assert_line_map_exact(cache):
+        """The ``line -> way`` map holds exactly the valid blocks."""
+        valid = {
+            block.tag * len(cache._sets) + index: way
+            for index, blocks in enumerate(cache._sets)
+            if blocks is not None
+            for way, block in enumerate(blocks)
+            if block.valid
+        }
+        assert cache._way_of == valid
+
     @classmethod
     def _drive(cls, case):
         policy = (
@@ -364,6 +376,7 @@ class TestPinnedStorage:
         for step in range(1500):
             if step % 100 == 0:
                 snapshots.append(cls._resident(cache))
+                cls._assert_line_map_exact(cache)
             addr = rng.randrange(48) * 64 + rng.randrange(64)
             issue_time = step * 20e-9
             op = rng.random()
@@ -378,6 +391,7 @@ class TestPinnedStorage:
             else:
                 cache.flush()
         snapshots.append(cls._resident(cache))
+        cls._assert_line_map_exact(cache)
         return cache, backing, victims, snapshots
 
     @staticmethod

@@ -68,6 +68,105 @@ class TestActionNewState:
         protocol.check_invariants()
 
 
+class TestStepTable:
+    """Each protocol tabulates its step once; every entry must match a
+    re-derivation from the pure MESI transitions and the message rules in
+    the ``directory`` and ``snoop`` module docstrings."""
+
+    STATES = list(MESIState)
+    ADDR = 0x1C0
+
+    @staticmethod
+    def _rule(kind, local, remote, is_write, new_local, invalidate):
+        """(messages, counter deltas) of one access, rule by rule."""
+        I, S = MESIState.INVALID, MESIState.SHARED
+        cold = local is I
+        upgrade = local is S and new_local is MESIState.MODIFIED
+        if kind == "directory":
+            downgrade = not is_write and remote in (MESIState.MODIFIED, MESIState.EXCLUSIVE)
+            messages = cold + 2 * invalidate + downgrade
+            deltas = {
+                "invalidations_sent": int(invalidate),
+                "downgrades": int(downgrade),
+                "upgrades": int(upgrade),
+            }
+        else:
+            peer_supplies = cold and remote is not I
+            write_to_shared = is_write and local is S
+            messages = cold + peer_supplies + write_to_shared
+            deltas = {
+                "broadcasts": int(cold or write_to_shared),
+                "snoop_hits": int(peer_supplies),
+                "invalidations_sent": int(invalidate),
+                "upgrades": int(upgrade),
+            }
+        return messages, deltas
+
+    def _seeded(self, kind, local, remote):
+        from repro.mem.coherence.api import STATES, protocol_for
+
+        protocol = protocol_for(kind)
+        line = self.ADDR & ~63
+        for pu, state in ((CPU, local), (GPU, remote)):
+            if state is not MESIState.INVALID:
+                protocol._lines[pu][line] = STATES.index(state)
+        return protocol
+
+    @pytest.mark.parametrize("is_write", [False, True])
+    @pytest.mark.parametrize("kind", ["snoop", "directory"])
+    def test_every_entry_matches_the_rules(self, kind, is_write):
+        for local in self.STATES:
+            for remote in self.STATES:
+                others = remote is not MESIState.INVALID
+                protocol = self._seeded(kind, local, remote)
+                before = protocol.metrics.as_dict()
+                try:
+                    new_local, invalidate = next_state(local, is_write, others)
+                except ProtocolError:
+                    with pytest.raises(ProtocolError):
+                        protocol.access(self.ADDR, CPU, is_write)
+                    assert protocol.metrics.as_dict() == before
+                    continue
+                action = protocol.access(self.ADDR, CPU, is_write)
+                new_remote = remote_state_on_snoop(remote, is_write) if others else remote
+                messages, deltas = self._rule(
+                    kind, local, remote, is_write, new_local, invalidate
+                )
+                case = (local, remote, is_write)
+                assert protocol.state_of(self.ADDR, CPU) is new_local, case
+                assert protocol.state_of(self.ADDR, GPU) is new_remote, case
+                assert action.new_state is new_local, case
+                assert action.invalidate_peer is invalidate, case
+                assert action.extra_latency_messages == messages, case
+                after = protocol.metrics.as_dict()
+                assert set(after) == set(deltas)
+                for name, delta in deltas.items():
+                    assert after[name] - before[name] == delta, (case, name)
+
+    @pytest.mark.parametrize("kind", ["snoop", "directory"])
+    def test_access_is_the_bound_step(self, kind):
+        import random
+
+        from repro.mem.coherence.api import protocol_for
+
+        by_access, by_step = protocol_for(kind), protocol_for(kind)
+        steps = {pu: by_step.accessor(pu) for pu in (CPU, GPU)}
+        rng = random.Random(11)
+        actions = []
+        for _ in range(400):
+            addr = rng.randrange(6) * 64 + rng.randrange(64)
+            pu = rng.choice((CPU, GPU))
+            is_write = rng.random() < 0.4
+            action = by_access.access(addr, pu, is_write)
+            assert steps[pu](addr, is_write) == action
+            for unit in (CPU, GPU):
+                assert by_access.state_of(addr, unit) is by_step.state_of(addr, unit)
+            actions.append(action)
+        assert by_access.stats() == by_step.stats()
+        # Actions are interned: one object per table entry at most.
+        assert len({id(action) for action in actions}) <= 32
+
+
 class TestDirectory:
     def test_cold_read_is_exclusive(self):
         d = Directory()

@@ -243,3 +243,111 @@ class TestInterleaverTiesAndComputeRuns:
         assert_identical(reference, production)
         assert production.breakdown.parallel == self.PARALLEL_SECONDS[protocol]
         assert production.counters[f"{protocol}.invalidations_sent"] > 0
+
+
+class TestPrivateHits:
+    """The production steppers serve private L1 hits in place, without a
+    yield; the reference loops send every access through the engine.
+
+    Each PU streams over a region that straddles the shared window's
+    base, so its private and shared lines fill the same L1 sets, and the
+    peer's writes invalidate the shared ones between the private hits.
+    The CPU then re-reads two quarters of its private half, the upper one
+    first, streams over new lines that evict all but one of the two (by
+    the recency its hits stamped), and re-reads the lower quarter.
+    """
+
+    #: ``(breakdown.parallel, cpu.l1d hits, cpu.l1d misses, gpu.l1d
+    #: hits)`` per ``(protocol, l1_prefetch)``, computed while every access
+    #: still went through the engine. Both sides share the L1 hit body, so
+    #: only a pinned value sees a change to it (a hit that stamps no fresh
+    #: recency tick keeps the wrong quarter: 64 more CPU misses).
+    PINNED = {
+        ("snoop", False): (2.003625881015542e-05, 17472, 960, 15744),
+        ("snoop", True): (1.6923605466497546e-05, 17952, 480, 16064),
+        ("directory", False): (2.0091115953012564e-05, 17472, 960, 15744),
+        ("directory", True): (1.697846260935469e-05, 17952, 480, 16064),
+    }
+
+    @staticmethod
+    def _trace():
+        from repro.addrspace.layout import SHARED_BASE
+        from repro.trace.mix import InstructionMix
+        from repro.trace.phase import CommPhase, Direction, ParallelPhase, Segment
+        from repro.trace.stream import KernelTrace
+        from repro.taxonomy import ProcessingUnit
+
+        kb = 1024
+        s = SHARED_BASE
+
+        def segment(pu, base, footprint, stores=0):
+            # 4-byte accesses cover the footprint exactly once.
+            loads = footprint // 4 - stores
+            mix = InstructionMix(int_alu=footprint // 4, loads=loads, stores=stores, branches=64)
+            return Segment(pu=pu, mix=mix, base_addr=base, footprint_bytes=footprint)
+
+        def phase(label, cpu, gpu):
+            return ParallelPhase(
+                label=label,
+                cpu=segment(ProcessingUnit.CPU, *cpu),
+                gpu=segment(ProcessingUnit.GPU, *gpu),
+            )
+
+        gpu_private = (s - 8 * kb, 8 * kb)
+        phases = (
+            CommPhase(label="h2d", direction=Direction.H2D, num_bytes=64 * kb),
+            # The CPU L1 (64 sets x 8 ways) holds 4 private and 4 shared
+            # lines per set; the GPU writes over the shared ones.
+            phase("straddle", (s - 16 * kb, 32 * kb, 2730), (s - 8 * kb, 24 * kb, 3072)),
+            phase("upper quarter", (s - 4 * kb, 4 * kb), gpu_private),
+            phase("lower quarter", (s - 8 * kb, 4 * kb), gpu_private),
+            # 7 new lines per set: all but the most recent re-read go.
+            phase("evict", (s + 16 * kb, 28 * kb, 2048), (s, 16 * kb, 2048)),
+            phase("reread", (s - 8 * kb, 4 * kb), gpu_private),
+            CommPhase(label="d2h", direction=Direction.D2H, num_bytes=64 * kb),
+        )
+        return KernelTrace(name="straddle", phases=phases)
+
+    @pytest.mark.parametrize("l1_prefetch", [False, True])
+    @pytest.mark.parametrize("protocol", ["snoop", "directory"])
+    def test_protocol_bit_identical(self, protocol, l1_prefetch):
+        trace = self._trace()
+        system = TestInterleaverTiesAndComputeRuns._system()
+        case = case_study("CPU+GPU")
+        kwargs = dict(system=system, l1_prefetch=l1_prefetch)
+        reference = ReferenceSimulator(**kwargs).run(trace, case=case, coherence=protocol)
+        production = DetailedSimulator(**kwargs).run(trace, case=case, coherence=protocol)
+        assert_identical(reference, production)
+        counters = production.counters
+        assert (
+            production.breakdown.parallel,
+            counters["cpu.l1d.hits"],
+            counters["cpu.l1d.misses"],
+            counters["gpu.l1d.hits"],
+        ) == self.PINNED[protocol, l1_prefetch]
+        # Both PUs' writes invalidated shared lines in the other's L1.
+        assert counters[f"{protocol}.invalidations_sent"] > 0
+        assert counters["cpu.l1d.invalidations"] > 0
+        assert counters["gpu.l1d.invalidations"] > 0
+
+    def test_translation_fronts_keep_yielding(self):
+        from repro.mem.level import MemoryLevel
+        from repro.sim.mmu import TranslationFront
+
+        trace = self._trace()
+        system = TestInterleaverTiesAndComputeRuns._system()
+        case = case_study("CPU+GPU")
+        kwargs = dict(
+            case=case,
+            coherence="directory",
+            address_space=AddressSpaceKind.PARTIALLY_SHARED,
+        )
+        reference = ReferenceSimulator(system=system).run(trace, **kwargs)
+        simulator = DetailedSimulator(system=system)
+        production = simulator.run(trace, **kwargs)
+        assert_identical(reference, production)
+        assert production.counters["directory.tracked_lines"] > 0
+        # Every access translates first, so none is a private hit.
+        for core in (simulator.last_machine.cpu_core, simulator.last_machine.gpu_core):
+            assert isinstance(core.memory, TranslationFront)
+        assert TranslationFront.private_hit is MemoryLevel.private_hit

@@ -98,9 +98,7 @@ class TestCoherentFront:
         machine.gpu_core.memory.access(SHARED)
         assert machine.directory.invalidations_sent == 0
 
-    def test_custom_shared_predicate(self):
-        machine = build_machine(
-            coherence="directory", shared_predicate=lambda addr: addr >= 0x100
-        )
+    def test_custom_shared_base(self):
+        machine = build_machine(coherence="directory", shared_base=0x100)
         machine.cpu_core.memory.access(0x200, is_write=True)
         assert machine.directory.stats()["tracked_lines"] == 1

@@ -8,10 +8,12 @@
 - **L002 — no mutable default arguments.** ``def f(x=[])`` shares one
   list across every call; use ``None`` plus an in-body default.
 - **L003 — no per-instruction object construction in batched hot
-  loops.** Functions named ``run_compiled*`` / ``step_compiled*`` exist
-  precisely to avoid allocating ``Instruction`` / ``CacheBlock``
-  objects per instruction; building one inside them silently
-  reintroduces the overhead the compiled path removed. Allocate outside the loop or use the array records instead.
+  loops.** Functions named ``run_compiled*`` / ``step_compiled*`` /
+  ``private_hit*`` exist precisely to avoid allocating ``Instruction`` /
+  ``CacheBlock`` / ``CoherenceAction`` objects per instruction or per
+  access; building one inside them silently reintroduces the overhead
+  the compiled path removed. Allocate outside the loop, use the array
+  records, or return an interned action instead.
 - **L004 — no ``.state`` assignment outside the coherence package.**
   ``CacheBlock.state`` is the MESI coherence state, owned entirely by
   :mod:`repro.mem.coherence`; assigning it anywhere else bypasses the
@@ -64,11 +66,11 @@ Violation = Tuple[Path, int, str, str]
 MUTABLE_CONSTRUCTORS = ("list", "dict", "set", "bytearray")
 
 #: Hot-path function name prefixes covered by L003.
-HOT_LOOP_PREFIXES = ("run_compiled", "step_compiled")
+HOT_LOOP_PREFIXES = ("run_compiled", "step_compiled", "private_hit")
 
-#: Per-instruction record types that must never be built inside a
-#: batched hot loop (L003).
-HOT_LOOP_FORBIDDEN = frozenset({"Instruction", "CacheBlock"})
+#: Per-instruction and per-access record types that must never be built
+#: inside a batched hot loop (L003).
+HOT_LOOP_FORBIDDEN = frozenset({"Instruction", "CacheBlock", "CoherenceAction"})
 
 #: The package that owns MESI state transitions; ``.state`` attribute
 #: assignment in any file outside it is L004.
