@@ -150,15 +150,9 @@ def run_sim_job(job: SimJob) -> SimulationResult:
     from repro.errors import SimulationError
     from repro.sim.detailed import DetailedSimulator
 
-    detailed = DetailedSimulator(job.system, job.comm_params)
     try:
-        return detailed.run(
-            job.trace,
-            channel=job.channel_for(detailed.system, detailed.comm_params),
-            address_space=job.address_space,
-            system_name=job.label(),
-            coherence=job.protocol_kind,
-        )
+        # A job is a point: it decides its own label, protocol and channel.
+        return DetailedSimulator()._simulate(job.trace, job)
     except SimulationError:
         # Graceful degradation: the fast model prices the same trace
         # analytically (through a fresh channel); the result is flagged

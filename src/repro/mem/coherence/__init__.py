@@ -7,8 +7,6 @@ from repro.mem.coherence.protocol import (
     ProtocolError,
     next_state,
     remote_state_on_snoop,
-    reset_block_state,
-    set_block_state,
 )
 from repro.mem.coherence.api import (
     PROTOCOL_KINDS,
@@ -26,8 +24,6 @@ __all__ = [
     "ProtocolError",
     "next_state",
     "remote_state_on_snoop",
-    "set_block_state",
-    "reset_block_state",
     "PROTOCOL_KINDS",
     "CoherenceAction",
     "CoherenceProtocol",

@@ -18,8 +18,6 @@ __all__ = [
     "ProtocolError",
     "next_state",
     "remote_state_on_snoop",
-    "set_block_state",
-    "reset_block_state",
 ]
 
 
@@ -70,22 +68,6 @@ def next_state(
             raise ProtocolError("line in M while another PU holds a copy")
         return MESIState.MODIFIED, False
     raise ProtocolError(f"unknown state {state!r}")
-
-
-def set_block_state(block, state: MESIState) -> None:
-    """Record a protocol-assigned MESI state on a cache block.
-
-    This module is the only place allowed to assign
-    :attr:`~repro.mem.cache.block.CacheBlock.state` (enforced by the repo
-    lint, rule L004): every transition must come from the protocol model,
-    never from ad-hoc cache code.
-    """
-    block.state = state
-
-
-def reset_block_state(block) -> None:
-    """Return a block's MESI state to INVALID (fill/invalidate paths)."""
-    block.state = MESIState.INVALID
 
 
 def remote_state_on_snoop(state: MESIState, remote_is_write: bool) -> MESIState:

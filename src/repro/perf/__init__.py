@@ -10,11 +10,12 @@ segment so every (system x locality x fault-rate) design point that
 replays the same trace shares one compilation.
 
 :mod:`repro.perf.sweep` holds the one phase walk of the detailed machine
-over these compiled segments, for N design points at once, and the one
+over these compiled segments, one design point at a time, and the one
 design-point record, :class:`~repro.perf.sweep.SweepPoint` (a runner
 job, :class:`~repro.exec.job.SimJob`, is a point plus a trace);
-:class:`~repro.sim.detailed.DetailedSimulator` is the N=1 case of the
-same :class:`~repro.perf.sweep.MachineSimulator`. It is
+:class:`~repro.sim.detailed.DetailedSimulator` and
+:class:`~repro.perf.sweep.SweepSimulator` share its
+:class:`~repro.perf.sweep.MachineSimulator`. The walk is
 bit-identical to the per-instruction generator expansion kept as the
 reference oracle in :mod:`repro.sim.reference` — the parity suite in
 ``tests/perf`` asserts equal :class:`~repro.sim.results.SimulationResult`

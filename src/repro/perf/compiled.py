@@ -5,9 +5,9 @@ A :class:`CompiledSegment` is the *batched event encoding* of one
 (:meth:`~repro.trace.phase.Segment.raw_ops`), built in one pass over it:
 maximal runs of plain compute instructions collapse into a single
 ``(EV_COMPUTE_RUN, count)`` record, and each memory or branch instruction
-becomes one record. The cores' batched loops
-(:func:`repro.sim.cpu.core.run_compiled_batch`) and steppers execute these
-records without constructing a single per-instruction object.
+becomes one record. The cores' steppers
+(:meth:`repro.sim.cpu.core.CpuCore.step_compiled` and the GPU's) execute
+these records without constructing a single per-instruction object.
 
 Compute-run and branch records depend only on a run length or on an
 instruction's position, so every compilation in the process shares them

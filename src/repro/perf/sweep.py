@@ -1,14 +1,12 @@
 """The detailed machine's phase walk, and the design-point axis it runs on.
 
 :func:`walk_phases` is the one production phase walk of the detailed
-Table II machine. It drives N per-point machines through one trace in a
-single pass: sequential and serial parallel phases run the batched core
-loops (:func:`repro.sim.cpu.core.run_compiled_batch`,
-:func:`repro.sim.gpu.core.run_compiled_batch`), which decode each compiled
-event record once for all N machines; interleaved parallel phases step
-each point's two cores in timestamp order through
-:func:`~repro.sim.engine.run_parallel_interleaved`. A single-point run
-(:meth:`repro.sim.detailed.DetailedSimulator.run`) is a walk with N=1.
+Table II machine, over one design point's machine and channel:
+sequential phases run the CPU core's whole-segment loop
+(:meth:`repro.sim.cpu.core.CpuCore.run_segment`, a drain of its
+``step_compiled``); parallel phases step the point's two cores in
+timestamp order through
+:func:`~repro.sim.engine.run_parallel_interleaved`.
 
 The design-point axis on top of it:
 
@@ -20,14 +18,13 @@ The design-point axis on top of it:
 - :class:`BatchedDesignPoints` — a batch of points with the
   timing-equivalence dedup (points differing only in display label share
   one simulation, mirroring :class:`~repro.exec.cache.ResultCache`
-  relabel-on-hit) and the execution grouping (points that can share one
-  phase walk);
+  relabel-on-hit);
 - :class:`MachineSimulator` — the detailed machine's knobs and the
   per-point machine, address space, MMU and result set-up around one walk,
   shared by :class:`~repro.sim.detailed.DetailedSimulator` (one point)
   and :class:`SweepSimulator`;
 - :class:`SweepSimulator` — evaluates one trace against every point of a
-  batch, one walk per execution group.
+  batch, one walk per timing-distinct point.
 
 Bit-identity contract: for every point, the returned
 :class:`~repro.sim.results.SimulationResult` equals what the reference
@@ -51,10 +48,13 @@ from repro.comm.base import CommChannel, make_channel
 from repro.errors import SimulationError
 from repro.mem.cache.replacement import ReplacementPolicy
 from repro.mem.coherence.api import resolve_protocol_kind
-from repro.perf.compiled import SHARED_COMPILE_CACHE, SegmentCompileCache
-from repro.sim.cpu.core import run_compiled_batch as cpu_run_compiled_batch
+from repro.perf.compiled import compile_segment
+
+# Not called here: the benchmark's ``cpu.batch``/``gpu.batch`` spans
+# (``perfbench/layers.py``) patch these bindings too.
+from repro.sim.cpu.core import run_compiled_batch as cpu_run_compiled_batch  # noqa: F401
 from repro.sim.engine import run_parallel_interleaved
-from repro.sim.gpu.core import run_compiled_batch as gpu_run_compiled_batch
+from repro.sim.gpu.core import run_compiled_batch as gpu_run_compiled_batch  # noqa: F401
 from repro.sim.mmu import TranslationFront, stage_trace
 from repro.sim.results import PhaseTiming, SimulationResult, TimeBreakdown
 from repro.sim.system import Machine, build_machine
@@ -85,43 +85,31 @@ Mmus = Dict[ProcessingUnit, TranslationFront]
 
 
 def walk_phases(
-    trace: KernelTrace,
-    machines: Sequence[Machine],
-    channels: Sequence[CommChannel],
-    compile_cache: SegmentCompileCache,
-    interleave_parallel: bool = True,
-) -> List[Tuple[TimeBreakdown, Tuple[PhaseTiming, ...]]]:
-    """Walk ``trace``'s phases once over N per-point machines.
+    trace: KernelTrace, machine: Machine, channel: CommChannel
+) -> Tuple[TimeBreakdown, Tuple[PhaseTiming, ...]]:
+    """Walk ``trace``'s phases over one point's machine and channel.
 
-    ``machines[i]`` (MMU fronts already installed, if any) and
-    ``channels[i]`` belong to point ``i``; every machine sees the same
-    event stream, so only clocks, cache contents and channels differ per
-    point. Returns each point's ``(breakdown, phase timings)``, in order.
+    ``machine`` has its MMU fronts already installed, if any. Returns the
+    point's ``(breakdown, phase timings)``.
 
     H2D copies are deferred: an asynchronous channel overlaps them with the
     parallel phase that *follows* the copy. Every other transfer overlaps
     with the parallel phase before it.
     """
-    n = len(machines)
-    cpu_cores = [machine.cpu_core for machine in machines]
-    gpu_cores = [machine.gpu_core for machine in machines]
-    cpu_freqs = [core.config.frequency for core in cpu_cores]
-    gpu_freqs = [core.config.frequency for core in gpu_cores]
-    compile_get = compile_cache.get
-
-    sequential = [0.0] * n
-    parallel = [0.0] * n
-    communication = [0.0] * n
-    now = [0.0] * n
-    last_parallel_seconds = [0.0] * n
+    cpu, gpu = machine.cpu_core, machine.gpu_core
+    cpu_freq, gpu_freq = cpu.config.frequency, gpu.config.frequency
+    sequential = parallel = communication = 0.0
+    now = 0.0
+    last_parallel_seconds = 0.0
     pending_h2d: List[CommPhase] = []
-    phase_timings: List[List[PhaseTiming]] = [[] for _ in range(n)]
+    timings: List[PhaseTiming] = []
 
-    def communicate(i: int, comm: CommPhase, window: float) -> None:
-        result = channels[i].transfer(comm, overlap_window=window)
-        communication[i] += result.exposed
-        now[i] += result.exposed
-        phase_timings[i].append(
+    def communicate(comm: CommPhase, window: float) -> None:
+        nonlocal communication, now
+        result = channel.transfer(comm, overlap_window=window)
+        communication += result.exposed
+        now += result.exposed
+        timings.append(
             PhaseTiming(
                 label=comm.label,
                 kind="communication",
@@ -132,83 +120,54 @@ def walk_phases(
 
     for phase in trace.phases:
         if isinstance(phase, SequentialPhase):
-            cycles = cpu_run_compiled_batch(cpu_cores, compile_get(phase.segment), now)
-            for i in range(n):
-                seconds = cpu_freqs[i].cycles_to_seconds(cycles[i])
-                sequential[i] += seconds
-                now[i] += seconds
-                phase_timings[i].append(
-                    PhaseTiming(
-                        label=phase.label,
-                        kind="sequential",
-                        seconds=seconds,
-                        cpu_seconds=seconds,
-                    )
+            cycles = cpu.run_segment(compile_segment(phase.segment), now)
+            seconds = cpu_freq.cycles_to_seconds(cycles)
+            sequential += seconds
+            now += seconds
+            timings.append(
+                PhaseTiming(
+                    label=phase.label,
+                    kind="sequential",
+                    seconds=seconds,
+                    cpu_seconds=seconds,
                 )
+            )
         elif isinstance(phase, ParallelPhase):
-            cpu_compiled = compile_get(phase.cpu)
-            gpu_compiled = compile_get(phase.gpu)
-            if interleave_parallel:
-                outcomes = [
-                    run_parallel_interleaved(
-                        cpu_cores[i].step_compiled(cpu_compiled, now[i]),
-                        gpu_cores[i].step_compiled(gpu_compiled, now[i]),
-                        cpu_freqs[i],
-                        gpu_freqs[i],
-                    )
-                    for i in range(n)
-                ]
-                cpu_seconds = [outcome.cpu_seconds for outcome in outcomes]
-                gpu_seconds = [outcome.gpu_seconds for outcome in outcomes]
-            else:
-                cpu_cycles = cpu_run_compiled_batch(cpu_cores, cpu_compiled, now)
-                gpu_cycles = gpu_run_compiled_batch(gpu_cores, gpu_compiled, now)
-                cpu_seconds = [
-                    freq.cycles_to_seconds(c) for freq, c in zip(cpu_freqs, cpu_cycles)
-                ]
-                gpu_seconds = [
-                    freq.cycles_to_seconds(c) for freq, c in zip(gpu_freqs, gpu_cycles)
-                ]
-            for i in range(n):
-                seconds = max(cpu_seconds[i], gpu_seconds[i])
-                for comm in pending_h2d:
-                    communicate(i, comm, seconds)
-                parallel[i] += seconds
-                now[i] += seconds
-                last_parallel_seconds[i] = seconds
-                phase_timings[i].append(
-                    PhaseTiming(
-                        label=phase.label,
-                        kind="parallel",
-                        seconds=seconds,
-                        cpu_seconds=cpu_seconds[i],
-                        gpu_seconds=gpu_seconds[i],
-                    )
-                )
+            outcome = run_parallel_interleaved(
+                cpu.step_compiled(compile_segment(phase.cpu), now),
+                gpu.step_compiled(compile_segment(phase.gpu), now),
+                cpu_freq,
+                gpu_freq,
+            )
+            seconds = outcome.seconds
+            for comm in pending_h2d:
+                communicate(comm, seconds)
             pending_h2d.clear()
+            parallel += seconds
+            now += seconds
+            last_parallel_seconds = seconds
+            timings.append(
+                PhaseTiming(
+                    label=phase.label,
+                    kind="parallel",
+                    seconds=seconds,
+                    cpu_seconds=outcome.cpu_seconds,
+                    gpu_seconds=outcome.gpu_seconds,
+                )
+            )
         elif isinstance(phase, CommPhase):
             if phase.direction is Direction.H2D:
                 pending_h2d.append(phase)
                 continue
-            for i in range(n):
-                communicate(i, phase, last_parallel_seconds[i])
+            communicate(phase, last_parallel_seconds)
         else:
             raise SimulationError(f"unknown phase type {type(phase).__name__}")
-    for i in range(n):
-        for comm in pending_h2d:
-            communicate(i, comm, 0.0)
-
-    return [
-        (
-            TimeBreakdown(
-                sequential=sequential[i],
-                parallel=parallel[i],
-                communication=communication[i],
-            ),
-            tuple(phase_timings[i]),
-        )
-        for i in range(n)
-    ]
+    for comm in pending_h2d:
+        communicate(comm, 0.0)
+    breakdown = TimeBreakdown(
+        sequential=sequential, parallel=parallel, communication=communication
+    )
+    return breakdown, tuple(timings)
 
 
 def install_translation(machine: Machine, space: AddressSpace) -> Mmus:
@@ -257,7 +216,11 @@ class SweepPoint:
     case: Optional[CaseStudy] = None
     mechanism: Optional[CommMechanism] = None
     async_overlap: bool = False
-    address_space: Optional[AddressSpaceKind] = None
+    #: ``None`` runs without translation. A prebuilt
+    #: :class:`~repro.addrspace.base.AddressSpace` is staged into as
+    #: given (:meth:`~repro.sim.detailed.DetailedSimulator.run` passes one
+    #: through); a kind builds a fresh one per run.
+    address_space: "AddressSpaceKind | AddressSpace | None" = None
     system_name: Optional[str] = None
     system: Optional[SystemConfig] = None
     comm_params: Optional[CommParams] = None
@@ -347,16 +310,13 @@ class SweepPoint:
 
 
 class BatchedDesignPoints:
-    """A batch of :class:`SweepPoint`\\ s prepared for one-pass evaluation.
+    """A batch of :class:`SweepPoint`\\ s with its timing-equivalence dedup.
 
     Computes the timing-equivalence partition (:attr:`distinct`
-    representatives plus the :attr:`inverse` map) and groups the
-    representatives into execution groups that can share a single phase
-    walk: equal machine parameters, equal address-space staging, equal
-    coherence — so the per-point machines see identical event streams and
-    only channels, clocks, and cache contents differ. A point's ``None``
-    system or comm params mean the simulator's defaults, which the
-    :class:`SweepSimulator` resolves when it runs the batch.
+    representatives plus the :attr:`inverse` map); the
+    :class:`SweepSimulator` walks each representative once. A point's
+    ``None`` system or comm params mean the simulator's defaults, which
+    the :class:`SweepSimulator` resolves when it runs the batch.
     """
 
     def __init__(self, points: Sequence[SweepPoint]) -> None:
@@ -383,13 +343,12 @@ class BatchedDesignPoints:
         return len(self.points)
 
     def groups(self) -> List[List[int]]:
-        """Execution groups over the distinct representatives.
+        """The distinct representatives grouped by machine parameters,
+        address-space kind and coherence: lists of positions into
+        :attr:`distinct`.
 
-        Each group is a list of positions into :attr:`distinct`; its points
-        share machine parameters, address-space kind, and coherence, so one
-        phase walk (with batched core loops) evaluates them all. Points in
-        different groups differ in the staged trace or the machine itself
-        and walk separately.
+        No simulator path reads it; the benchmark's detailed-sweep
+        workload reports the group count (``perfbench/workloads.py``).
         """
         grouped: Dict[Tuple, List[int]] = {}
         for position, index in enumerate(self.distinct):
@@ -409,28 +368,18 @@ class MachineSimulator:
         system: Optional[SystemConfig] = None,
         comm_params: Optional[CommParams] = None,
         l3_policy: Optional[ReplacementPolicy] = None,
-        interleave_parallel: bool = True,
         l1_prefetch: bool = False,
         gpu_mode: str = "heuristic",
-        compile_cache: Optional[SegmentCompileCache] = None,
     ) -> None:
         #: Machine and channel defaults for every point without its own.
         self.system = system or SystemConfig()
         self.comm_params = comm_params or CommParams()
         self.l3_policy = l3_policy
-        #: Whether parallel phases run the two cores in timestamp order
-        #: (contention-aware) or back-to-back (no cross-PU contention).
-        self.interleave_parallel = interleave_parallel
         #: Attach next-line prefetchers to both L1 data caches.
         self.l1_prefetch = l1_prefetch
         #: GPU scheduler: "heuristic" (warp-divided stalls) or "warp" (a
         #: real greedy warp scheduler).
         self.gpu_mode = gpu_mode
-        #: Segment-compilation memo; defaults to the process-wide cache so
-        #: design points sharing a trace compile each segment once.
-        self.compile_cache = (
-            compile_cache if compile_cache is not None else SHARED_COMPILE_CACHE
-        )
         #: The last point's machine and MMU fronts, inspectable after a run.
         self.last_machine: Optional[Machine] = None
         self.last_mmus: Optional[Mmus] = None
@@ -438,75 +387,52 @@ class MachineSimulator:
     def _simulate(
         self,
         trace: KernelTrace,
-        system: SystemConfig,
-        address_space: "AddressSpaceKind | AddressSpace | None",
-        protocol: str,
-        labels: Sequence[str],
-        channels: Sequence[CommChannel],
-    ) -> List[SimulationResult]:
-        """Build each point's machine, address space and MMU fronts, walk
-        them once through :meth:`_walk`, and return each point's result.
+        point: SweepPoint,
+        channel: Optional[CommChannel] = None,
+    ) -> SimulationResult:
+        """Build ``point``'s machine, address space and MMU fronts, walk
+        them once through :meth:`_walk`, and return the point's result.
 
-        Point ``i`` is ``labels[i]`` over ``channels[i]``; all share the
-        rest. Each point stages the trace into its own page tables (its
-        MMUs translate against them); staging is deterministic, so the
-        first staged trace is everyone's event stream.
+        ``channel`` (default: the point's own, under this simulator's
+        defaults) carries the point's communication. With an address
+        space, the trace is first staged into its page tables, which the
+        MMU fronts translate against.
         """
-        spaces: List[Optional[AddressSpace]] = [None] * len(channels)
-        staged = trace
-        if address_space is not None:
-            spaces = (
-                [address_space]
-                if isinstance(address_space, AddressSpace)
-                else [make_address_space(address_space, system) for _ in channels]
-            )
-            staged = stage_trace(trace, spaces[0])
-            for space in spaces[1:]:
-                stage_trace(trace, space)
-
-        machines = [
-            build_machine(
-                system,
-                l3_policy=self.l3_policy,
-                coherence=protocol,
-                l1_prefetch=self.l1_prefetch,
-                gpu_mode=self.gpu_mode,
-            )
-            for _ in channels
-        ]
-        mmus = [
-            install_translation(machine, space) if space is not None else None
-            for machine, space in zip(machines, spaces)
-        ]
-        self.last_machine, self.last_mmus = machines[-1], mmus[-1]
-        walked = self._walk(staged, machines, channels)
-        return [
-            SimulationResult(
-                kernel=staged.name,
-                system=label,
-                breakdown=breakdown,
-                phases=phases,
-                counters=merged_counters(channel, machine, fronts),
-            )
-            for label, channel, machine, fronts, (breakdown, phases) in zip(
-                labels, channels, machines, mmus, walked
-            )
-        ]
+        system = point.system or self.system
+        if channel is None:
+            channel = point.channel_for(self.system, self.comm_params)
+        space = point.address_space
+        if space is not None:
+            if not isinstance(space, AddressSpace):
+                space = make_address_space(space, system)
+            trace = stage_trace(trace, space)
+        machine = build_machine(
+            system,
+            l3_policy=self.l3_policy,
+            coherence=point.protocol_kind,
+            l1_prefetch=self.l1_prefetch,
+            gpu_mode=self.gpu_mode,
+        )
+        mmus = install_translation(machine, space) if space is not None else None
+        self.last_machine, self.last_mmus = machine, mmus
+        breakdown, phases = self._walk(trace, machine, channel)
+        return SimulationResult(
+            kernel=trace.name,
+            system=point.label(),
+            breakdown=breakdown,
+            phases=phases,
+            counters=merged_counters(channel, machine, mmus),
+        )
 
     def _walk(
-        self,
-        trace: KernelTrace,
-        machines: Sequence[Machine],
-        channels: Sequence[CommChannel],
-    ) -> List[Tuple[TimeBreakdown, Tuple[PhaseTiming, ...]]]:
-        """The phase walk over the points' machines: :func:`walk_phases`."""
-        return walk_phases(
-            trace, machines, channels, self.compile_cache, self.interleave_parallel
-        )
+        self, trace: KernelTrace, machine: Machine, channel: CommChannel
+    ) -> Tuple[TimeBreakdown, Tuple[PhaseTiming, ...]]:
+        """The phase walk over the point's machine: :func:`walk_phases`."""
+        return walk_phases(trace, machine, channel)
 
 
 class SweepSimulator(MachineSimulator):
-    """Evaluates one trace against a batch of design points in shared passes.
+    """Evaluates one trace against a batch of design points.
 
     ``system`` and ``comm_params`` are the defaults for every point that
     does not set its own.
@@ -521,11 +447,10 @@ class SweepSimulator(MachineSimulator):
         """Simulate ``trace`` for every point; results in point order.
 
         Each timing-distinct point is simulated exactly once, one
-        :meth:`_simulate` per execution group; duplicates receive the
-        shared result re-labeled to their own ``system_name``
-        (determinism makes the shared result bit-identical to a dedicated
-        run, the same argument :class:`~repro.exec.cache.ResultCache`
-        relies on).
+        :meth:`_simulate` each; duplicates receive the shared result
+        re-labeled to their own ``system_name`` (determinism makes the
+        shared result bit-identical to a dedicated run, the same argument
+        :class:`~repro.exec.cache.ResultCache` relies on).
         """
         batch = (
             points
@@ -534,26 +459,12 @@ class SweepSimulator(MachineSimulator):
         )
         if scale != 1.0:
             trace = trace.scaled(scale)
-        distinct_results: List[Optional[SimulationResult]] = [None] * len(
-            batch.distinct
-        )
-        for group in batch.groups():
-            members = [batch.points[batch.distinct[g]] for g in group]
-            first = members[0]
-            group_results = self._simulate(
-                trace,
-                first.system or self.system,
-                first.address_space,
-                first.protocol_kind,
-                [point.label() for point in members],
-                [point.channel_for(self.system, self.comm_params) for point in members],
-            )
-            for g, result in zip(group, group_results):
-                distinct_results[g] = result
+        distinct_results = [
+            self._simulate(trace, batch.points[index]) for index in batch.distinct
+        ]
         results: List[SimulationResult] = []
-        for index, point in enumerate(batch.points):
-            result = distinct_results[batch.inverse[index]]
-            assert result is not None
+        for point, rep in zip(batch.points, batch.inverse):
+            result = distinct_results[rep]
             name = point.label()
             if result.system != name:
                 result = replace(result, system=name)

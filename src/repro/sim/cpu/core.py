@@ -60,11 +60,12 @@ class CpuCore:
         core that is behind, so concurrent accesses reach the shared
         L3/DRAM in timestamp order. Compute runs and branches touch only
         this core, so they advance without a yield; a compute run is one
-        addition while the count is whole, else one per issue-group wrap,
-        as in :func:`run_compiled_batch`. A private hit (an L1 hit below
-        the shared window) touches only that L1, which the peer changes
-        only by invalidating shared-window lines, so it runs in place,
-        before or after any peer access, without a yield either. Each
+        addition while the count is whole (exact), else one ``+= 1.0`` per
+        issue-group wrap, because float addition is not associative and
+        the reference loop adds one wrap at a time. A private hit (an L1
+        hit below the shared window) touches only that L1, which the peer
+        changes only by invalidating shared-window lines, so it runs in
+        place, before or after any peer access, without a yield either. Each
         access is issued at the same cycle, and every yielded access is
         keyed by the same count, as in the reference loop
         (:func:`repro.sim.reference.cpu_steps`), which yields after every
@@ -128,13 +129,16 @@ class CpuCore:
     ) -> int:
         """Execute a whole compiled segment; returns cycles consumed.
 
-        A batch of one through :func:`run_compiled_batch`. The benchmark's
-        ``cpu.run`` span (``perfbench/layers.py``) wraps this method and
-        :attr:`run_compiled`, so both names stay.
+        A drain of :meth:`step_compiled`: with no peer to interleave with,
+        its pauses mark nothing and the last count is the segment's.
         """
-        return run_compiled_batch([self], compiled, [start_seconds])[0]
+        cycles = 0.0
+        for cycles in self.step_compiled(compiled, start_seconds):
+            pass
+        return int(cycles)
 
-    #: Alias of :meth:`run_segment`, kept for the ``cpu.run`` span hook.
+    #: Alias of :meth:`run_segment`, kept for the benchmark's ``cpu.run``
+    #: span (``perfbench/layers.py``), which wraps both names.
     run_compiled = run_segment
 
     @property
@@ -161,92 +165,9 @@ def run_compiled_batch(
     compiled: CompiledSegment,
     start_seconds: Sequence[float],
 ) -> List[int]:
-    """Run one compiled event stream through N cores in a single pass.
+    """Each core's :meth:`CpuCore.run_segment`, in core order.
 
-    The one whole-segment CPU loop: each core belongs to a different design
-    point's machine (N=1 for a single-point run), and every event record is
-    decoded exactly once and applied to all N per-point states (cycles,
-    issue slot, predictor, memory hierarchy). Per point, the arithmetic is
-    operation-for-operation the reference per-instruction loop
-    (:func:`repro.sim.reference.cpu_steps`), so results are bit-identical
-    to running the cores one at a time — ``tests/perf`` pins this.
-
-    Exactness notes: issue-group wraps are added one ``+= 1.0`` at a time
-    whenever the cycle count carries a fractional part (float addition is
-    not associative, and the reference loop adds sequentially); when it is
-    integer-valued the batched add is exact. Stalls accumulate onto the
-    core attributes per miss, in stream order, exactly like the reference.
-
-    Returns each core's cycle count, in core order.
+    Kept as a name for the benchmark's ``cpu.batch`` span
+    (``perfbench/layers.py``); no simulator path calls it.
     """
-    n = len(cores)
-    if len(start_seconds) != n:
-        raise SimulationError(
-            f"need one start time per core: {n} cores, {len(start_seconds)} times"
-        )
-
-    hertz = [core.config.frequency.hertz for core in cores]
-    issue_width = [core.config.issue_width for core in cores]
-    penalty = [core.config.branch_mispredict_penalty for core in cores]
-    hit_latency = [
-        core.config.frequency.cycles_to_seconds(core.config.l1d.latency)
-        for core in cores
-    ]
-    mlp = [core.mlp for core in cores]
-    access = [core.memory.access for core in cores]
-    predict = [core.predictor.predict_and_update for core in cores]
-
-    cycles = [0.0] * n
-    slots = [0] * n
-    for kind, a, b, c in compiled.events:
-        if kind == EV_COMPUTE_RUN:
-            for i in range(n):
-                slot = slots[i] + a
-                width = issue_width[i]
-                wraps = slot // width
-                slots[i] = slot - wraps * width
-                if wraps:
-                    cy = cycles[i]
-                    if cy.is_integer():
-                        cycles[i] = cy + wraps
-                    else:
-                        for _ in range(wraps):
-                            cy += 1.0
-                        cycles[i] = cy
-        elif kind == EV_MEMORY:
-            is_write = bool(c)
-            for i in range(n):
-                slot = slots[i] + 1
-                cy = cycles[i]
-                if slot >= issue_width[i]:
-                    cy += 1.0
-                    slot = 0
-                slots[i] = slot
-                latency = access[i](a, is_write, start_seconds[i] + int(cy) / hertz[i])
-                hit = hit_latency[i]
-                if latency > hit:
-                    stall = (latency - hit) / mlp[i]
-                    stall_cycles = stall * hertz[i]
-                    cy += stall_cycles
-                    cores[i].memory_stall_cycles += stall_cycles
-                cycles[i] = cy
-        else:  # EV_BRANCH
-            taken = bool(a)
-            for i in range(n):
-                slot = slots[i] + 1
-                if slot >= issue_width[i]:
-                    cycles[i] += 1.0
-                    slot = 0
-                if not predict[i](b, taken):
-                    cycles[i] += penalty[i]
-                    cores[i].branch_stall_cycles += penalty[i]
-                    slot = 0
-                slots[i] = slot
-    out: List[int] = []
-    for i in range(n):
-        cy = cycles[i]
-        if slots[i]:
-            cy += 1
-        cores[i].instructions_retired += compiled.length
-        out.append(int(cy))
-    return out
+    return [core.run_segment(compiled, start) for core, start in zip(cores, start_seconds)]

@@ -9,8 +9,8 @@ compute phases (communication sizes are preserved — see
 model against the fast simulator.
 
 A run is one point of :class:`repro.perf.sweep.MachineSimulator`: the
-one production phase walk, :func:`repro.perf.sweep.walk_phases`, over a
-batch of one machine. The per-instruction generator expansion survives
+one production phase walk, :func:`repro.perf.sweep.walk_phases`, over
+the point's machine. The per-instruction generator expansion survives
 only as the reference oracle in :mod:`repro.sim.reference`, which
 overrides the ``_walk`` hook.
 """
@@ -75,19 +75,10 @@ class DetailedSimulator(MachineSimulator):
         point = SweepPoint(
             case=case,
             mechanism=channel.mechanism if case is None else None,
+            address_space=address_space,
             system_name=system_name,
             coherence=coherence,
         )
-        if channel is None:
-            channel = point.channel_for(self.system, self.comm_params)
         if scale != 1.0:
             trace = trace.scaled(scale)
-        return self._simulate(
-            trace,
-            self.system,
-            address_space,
-            point.protocol_kind,
-            [point.label()],
-            [channel],
-        )[0]
-
+        return self._simulate(trace, point, channel)

@@ -127,9 +127,9 @@ class GpuCore:
         does not serve, then the final count. Scratchpad hits, private L1
         hits, branches and compute runs are private to this core and need
         no yield; a compute run is one addition while the count is whole,
-        as in :func:`run_compiled_batch`. Regions are pushed into the
-        scratchpad only between phases, so an empty scratchpad is not
-        consulted at all. Each access happens at the same cycle, and every
+        else one ``+= 1.0`` per instruction, as the reference loop adds.
+        Regions are pushed into the scratchpad only between phases, so an
+        empty scratchpad is not consulted at all. Each access happens at the same cycle, and every
         yielded access is keyed by the same count, as in the reference
         loop (:func:`repro.sim.reference.gpu_steps`). Warp mode decodes
         into :meth:`step_warp`, which still yields once per instruction.
@@ -186,13 +186,16 @@ class GpuCore:
     ) -> int:
         """Execute a whole compiled segment; returns GPU cycles consumed.
 
-        A batch of one through :func:`run_compiled_batch`. The benchmark's
-        ``gpu.run`` span (``perfbench/layers.py``) wraps this method and
-        :attr:`run_compiled`, so both names stay.
+        A drain of :meth:`step_compiled`, as
+        :meth:`repro.sim.cpu.core.CpuCore.run_segment` is of the CPU's.
         """
-        return run_compiled_batch([self], compiled, [start_seconds])[0]
+        cycles = 0.0
+        for cycles in self.step_compiled(compiled, start_seconds):
+            pass
+        return int(cycles)
 
-    #: Alias of :meth:`run_segment`, kept for the ``gpu.run`` span hook.
+    #: Alias of :meth:`run_segment`, kept for the benchmark's ``gpu.run``
+    #: span (``perfbench/layers.py``), which wraps both names.
     run_compiled = run_segment
 
     def push(self, base: int, size: int) -> None:
@@ -216,81 +219,9 @@ def run_compiled_batch(
     compiled: CompiledSegment,
     start_seconds: Sequence[float],
 ) -> List[int]:
-    """Run one compiled event stream through N GPU cores in a single pass.
+    """Each core's :meth:`GpuCore.run_segment`, in core order.
 
-    The GPU side of :func:`repro.sim.cpu.core.run_compiled_batch` (same
-    float-exactness rules): event records are decoded once and applied to
-    every per-point core state, operation-for-operation the reference
-    heuristic loop (:func:`repro.sim.reference.gpu_steps`). Any core in
-    warp mode makes the whole batch drain :meth:`GpuCore.step_warp` per
-    core instead (warp latency hiding depends on per-instruction scheduler
-    state that cannot share a decode pass).
-
-    Returns each core's cycle count, in core order.
+    Kept as a name for the benchmark's ``gpu.batch`` span
+    (``perfbench/layers.py``); no simulator path calls it.
     """
-    n = len(cores)
-    if len(start_seconds) != n:
-        raise SimulationError(
-            f"need one start time per core: {n} cores, {len(start_seconds)} times"
-        )
-    if any(core.mode == "warp" for core in cores):
-        out = []
-        for core, start in zip(cores, start_seconds):
-            cycles = 0.0
-            for cycles in core.step_compiled(compiled, start):
-                pass
-            out.append(int(cycles))
-        return out
-
-    hertz = [core.config.frequency.hertz for core in cores]
-    branch_stall = [
-        core.config.branch_stall_cycles if core.config.stall_on_branch else 0
-        for core in cores
-    ]
-    hit_latency = [
-        core.config.frequency.cycles_to_seconds(core.config.l1d.latency)
-        for core in cores
-    ]
-    warps = [core.warps for core in cores]
-    access = [core.memory.access for core in cores]
-    scratchpad = [core.scratchpad.access for core in cores]
-
-    cycles = [0.0] * n
-    for kind, a, b, c in compiled.events:
-        if kind == EV_COMPUTE_RUN:
-            for i in range(n):
-                cy = cycles[i]
-                if cy.is_integer():
-                    cycles[i] = cy + a
-                else:
-                    for _ in range(a):
-                        cy += 1.0
-                    cycles[i] = cy
-        elif kind == EV_MEMORY:
-            is_write = bool(c)
-            for i in range(n):
-                cy = cycles[i] + 1.0
-                smem = scratchpad[i](a)
-                if smem is not None:
-                    cores[i].scratchpad_hits += 1
-                    cy += max(smem - 1, 0)
-                    cycles[i] = cy
-                    continue
-                latency = access[i](a, is_write, start_seconds[i] + int(cy) / hertz[i])
-                hit = hit_latency[i]
-                if latency > hit:
-                    stall = (latency - hit) / warps[i]
-                    stall_cycles = stall * hertz[i]
-                    cy += stall_cycles
-                    cores[i].memory_stall_cycles += stall_cycles
-                cycles[i] = cy
-        else:  # EV_BRANCH
-            for i in range(n):
-                cycles[i] += 1.0
-                cycles[i] += branch_stall[i]
-                cores[i].branch_stall_cycles += branch_stall[i]
-    out: List[int] = []
-    for i in range(n):
-        cores[i].instructions_retired += compiled.length
-        out.append(int(cycles[i]))
-    return out
+    return [core.run_segment(compiled, start) for core, start in zip(cores, start_seconds)]

@@ -10,8 +10,9 @@ access; the interleaving engine merges both in the same access order. It
 is slow and simple on purpose. Production never runs it (lint rule L007 keeps
 every module of :mod:`repro` from importing it);
 ``tests/perf/test_parity.py`` checks the production walk
-(:func:`repro.perf.sweep.walk_phases`) against it bit for bit, and the
-core model-property tests feed it hand-built instruction lists.
+(:func:`repro.perf.sweep.walk_phases`) and each core's whole-segment run
+against it bit for bit, and the core model-property tests feed it
+hand-built instruction lists.
 
 Both sides share the machine (:func:`repro.sim.system.build_machine`),
 the channels, the warp scheduler (:meth:`repro.sim.gpu.core.GpuCore.step_warp`)
@@ -22,7 +23,7 @@ cycle steppers by wall-clock time.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from repro.comm.base import CommChannel
 from repro.errors import SimulationError
@@ -150,17 +151,13 @@ class ReferenceSimulator(DetailedSimulator):
     """:class:`~repro.sim.detailed.DetailedSimulator` with the reference walk.
 
     Same knobs, machine, staging and counters; only the phase walk differs:
-    one point, segments expanded through the generator path and stepped
-    per instruction. The compile cache goes unused.
+    segments expanded through the generator path and stepped per
+    instruction.
     """
 
     def _walk(
-        self,
-        trace: KernelTrace,
-        machines: Sequence[Machine],
-        channels: Sequence[CommChannel],
-    ) -> List[Tuple[TimeBreakdown, Tuple[PhaseTiming, ...]]]:
-        (machine,), (channel,) = machines, channels  # a run is one point
+        self, trace: KernelTrace, machine: Machine, channel: CommChannel
+    ) -> Tuple[TimeBreakdown, Tuple[PhaseTiming, ...]]:
         cpu, gpu = machine.cpu_core, machine.gpu_core
         cpu_freq, gpu_freq = cpu.config.frequency, gpu.config.frequency
         sequential = parallel = communication = 0.0
@@ -198,21 +195,13 @@ class ReferenceSimulator(DetailedSimulator):
                     )
                 )
             elif isinstance(phase, ParallelPhase):
-                if self.interleave_parallel:
-                    outcome = run_parallel_interleaved(
-                        cpu_steps(cpu, phase.cpu.instructions(), now),
-                        gpu_steps(gpu, phase.gpu.instructions(), now),
-                        cpu_freq,
-                        gpu_freq,
-                    )
-                    cpu_seconds = outcome.cpu_seconds
-                    gpu_seconds = outcome.gpu_seconds
-                else:
-                    cpu_cycles = run_segment(cpu, phase.cpu.instructions(), now)
-                    gpu_cycles = run_segment(gpu, phase.gpu.instructions(), now)
-                    cpu_seconds = cpu_freq.cycles_to_seconds(cpu_cycles)
-                    gpu_seconds = gpu_freq.cycles_to_seconds(gpu_cycles)
-                seconds = max(cpu_seconds, gpu_seconds)
+                outcome = run_parallel_interleaved(
+                    cpu_steps(cpu, phase.cpu.instructions(), now),
+                    gpu_steps(gpu, phase.gpu.instructions(), now),
+                    cpu_freq,
+                    gpu_freq,
+                )
+                seconds = outcome.seconds
                 # Deferred H2D copies overlap with this phase.
                 for comm in pending_h2d:
                     communicate(comm, seconds)
@@ -225,8 +214,8 @@ class ReferenceSimulator(DetailedSimulator):
                         label=phase.label,
                         kind="parallel",
                         seconds=seconds,
-                        cpu_seconds=cpu_seconds,
-                        gpu_seconds=gpu_seconds,
+                        cpu_seconds=outcome.cpu_seconds,
+                        gpu_seconds=outcome.gpu_seconds,
                     )
                 )
             elif isinstance(phase, CommPhase):
@@ -243,4 +232,4 @@ class ReferenceSimulator(DetailedSimulator):
         breakdown = TimeBreakdown(
             sequential=sequential, parallel=parallel, communication=communication
         )
-        return [(breakdown, tuple(timings))]
+        return breakdown, tuple(timings)

@@ -19,7 +19,6 @@ from repro.mem.cache.hierarchy import build_cpu_hierarchy, build_gpu_hierarchy
 from repro.mem.cache.replacement import HybridLocalityPolicy, ReplacementPolicy
 from repro.mem.coherence.api import CoherenceProtocol, protocol_for
 from repro.mem.coherence.directory import Directory
-from repro.mem.coherence.protocol import set_block_state
 from repro.mem.dram.controller import DramSystem
 from repro.mem.interconnect.ring import REQUEST_BYTES, RingNetwork, RingPath
 from repro.mem.level import MemoryLevel
@@ -39,10 +38,7 @@ class CoherentFront(MemoryLevel):
     when the peer holds a conflicting copy, its private caches are
     invalidated and the protocol messages are charged as ring traversals
     on the critical path, each one PU-to-PU leg priced once at
-    construction. The requester's new MESI state
-    (:attr:`~repro.mem.coherence.api.CoherenceAction.new_state`) is
-    mirrored onto the local L1's
-    :class:`~repro.mem.cache.block.CacheBlock` after each access.
+    construction.
 
     Below the shared window the peer never touches this PU's caches, so
     :meth:`private_hit` hands those addresses to the wrapped L1.
@@ -68,9 +64,6 @@ class CoherentFront(MemoryLevel):
         self._step = protocol.accessor(pu)
         #: The latency of one protocol message to the peer PU.
         self._message_leg = ring.leg_seconds(str(pu), str(pu.other), REQUEST_BYTES)
-        #: The local L1's block lookup, when the wrapped level exposes one
-        #: (it always does in the standard topology).
-        self._block_for = getattr(below, "block_for", None)
 
     def private_hit(self, addr: int, is_write: bool) -> "float | None":
         if addr >= self.shared_base:
@@ -92,12 +85,7 @@ class CoherentFront(MemoryLevel):
             self.ring.record(1, REQUEST_BYTES)
             extra = action.extra_latency_messages * self._message_leg
             self.coherence_latency += extra
-        below = self.below.access(addr, is_write, issue_time, explicit)
-        if self._block_for is not None:
-            block = self._block_for(addr)
-            if block is not None:
-                set_block_state(block, action.new_state)
-        return below + extra
+        return self.below.access(addr, is_write, issue_time, explicit) + extra
 
     def stats(self) -> Dict[str, float]:
         data = dict(self.protocol.stats())

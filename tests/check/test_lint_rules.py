@@ -296,23 +296,3 @@ class TestChannelFactoryCalls:
     def test_comm_package_and_tests_may_call(self):
         assert self.library_violations("src/repro/comm/__init__.py") == []
         assert self.library_violations("tests/comm/test_channels.py") == []
-
-
-class TestMesiStateOwnership:
-    def test_state_assignment_flagged_outside_coherence(self):
-        assert violations("block.state = MESIState.MODIFIED\n") == [("L004", 1)]
-
-    def test_annotated_and_augmented_assignments_flagged(self):
-        assert violations("block.state: MESIState = s\n") == [("L004", 1)]
-        assert violations("block.state |= s\n") == [("L004", 1)]
-
-    def test_coherence_package_may_assign(self):
-        source = "block.state = MESIState.INVALID\n"
-        path = Path("src/repro/mem/coherence/protocol.py")
-        assert lint_rules.lint_source(source, path) == []
-
-    def test_reading_state_allowed(self):
-        assert violations("if block.state is MESIState.MODIFIED:\n    pass\n") == []
-
-    def test_local_variable_named_state_allowed(self):
-        assert violations("state = compute()\n") == []

@@ -207,10 +207,10 @@ class TestWorkerSupervision:
 
 class TestGracefulDegradation:
     def test_detailed_failure_degrades_to_the_fast_model(self, monkeypatch):
-        def broken_run(self, *args, **kwargs):
+        def broken_walk(*args, **kwargs):
             raise SimulationError("detailed machine exploded")
 
-        monkeypatch.setattr("repro.sim.detailed.DetailedSimulator.run", broken_run)
+        monkeypatch.setattr("repro.perf.sweep.walk_phases", broken_walk)
         job = SimJob(
             trace=kernel("reduction").trace().scaled(0.02),
             case=case_study("CPU+GPU"),

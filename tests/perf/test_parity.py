@@ -1,25 +1,29 @@
 """Bit-identity of the production detailed walk against the reference oracle.
 
-Production runs one phase walk (:func:`repro.perf.sweep.walk_phases`, a
-batch of one for :class:`~repro.sim.detailed.DetailedSimulator`) over
-compiled segments. It is only allowed to exist because it changes
-nothing: every timing (to the last float bit) and every counter of the
+Production runs one phase walk (:func:`repro.perf.sweep.walk_phases`)
+per design point over compiled segments. It is only allowed to exist
+because it changes nothing: every timing (to the last float bit) and every counter of the
 :class:`~repro.sim.results.SimulationResult` must match the reference
 oracle (:class:`~repro.sim.reference.ReferenceSimulator`, the
 per-instruction generator expansion), for all six paper kernels across
-all five case-study systems, in both interleaved and serial parallel-phase
-modes, and for every batched sweep point against its own run.
+all five case-study systems, and for every batched sweep point against
+its own run. Each core's whole-segment run is checked against the
+reference loop on its own.
 """
 
 import pytest
 
 from repro.config.presets import case_study, case_study_names
 from repro.kernels.registry import all_kernels, kernel
+from repro.perf.compiled import compile_segment
 from repro.sim.detailed import DetailedSimulator
 from repro.sim.reference import ReferenceSimulator
-from repro.taxonomy import AddressSpaceKind
+from repro.sim.reference import run_segment as reference_run_segment
+from repro.sim.system import build_machine
+from repro.taxonomy import AddressSpaceKind, ProcessingUnit
+from repro.trace.phase import ParallelPhase, SequentialPhase
 
-#: Small enough to keep the full 6x5x2 sweep under ~10 s, large enough
+#: Small enough to keep the full 6x5 sweep under ~10 s, large enough
 #: that every kernel exercises branches, cache misses, and both PUs.
 SCALE = 0.002
 
@@ -49,13 +53,66 @@ class TestKernelsBySystem:
         reference, production = run_pair(trace, case_study(case_name))
         assert_identical(reference, production)
 
-    @pytest.mark.parametrize("kernel_name", KERNELS)
-    def test_serial_bit_identical(self, kernel_name):
+
+class TestWholeSegmentRuns:
+    """Each core's whole-segment run (``run_segment``, a drain of its
+    ``step_compiled``) against the reference loop, each side on a fresh
+    machine: the first sequential segment and the first parallel phase's
+    CPU and GPU segments of every kernel. Sequential phases reach the CPU
+    loop only this way; the GPU's is also run with a scratchpad region
+    pushed before the run, and in warp mode."""
+
+    #: A non-zero start, so every access's issue time depends on it.
+    START_SECONDS = 1e-6
+
+    @staticmethod
+    def _segments(kernel_name):
         trace = kernel(kernel_name).build().scaled(SCALE)
-        reference, production = run_pair(
-            trace, case_study("CPU+GPU"), interleave_parallel=False
-        )
-        assert_identical(reference, production)
+        sequential = next(p for p in trace.phases if isinstance(p, SequentialPhase))
+        parallel = next(p for p in trace.phases if isinstance(p, ParallelPhase))
+        return sequential.segment, parallel.cpu, parallel.gpu
+
+    def _run_both(self, segment, gpu_mode="heuristic", push=None):
+        """``(cycles, core stats, L1 stats)`` of production and reference."""
+        outcomes = []
+        for production in (True, False):
+            machine = build_machine(gpu_mode=gpu_mode)
+            if segment.pu is ProcessingUnit.CPU:
+                core, l1 = machine.cpu_core, machine.cpu_l1d
+            else:
+                core, l1 = machine.gpu_core, machine.gpu_l1d
+            if push is not None:
+                core.push(*push)
+            if production:
+                cycles = core.run_segment(compile_segment(segment), self.START_SECONDS)
+            else:
+                cycles = reference_run_segment(
+                    core, segment.instructions(), self.START_SECONDS
+                )
+            outcomes.append((cycles, core.stats(), l1.stats()))
+        return outcomes
+
+    @pytest.mark.parametrize("kernel_name", KERNELS)
+    def test_segments_bit_identical(self, kernel_name):
+        for segment in self._segments(kernel_name):
+            production, reference = self._run_both(segment)
+            assert production == reference
+            assert production[0] > 0
+
+    @pytest.mark.parametrize("kernel_name", KERNELS)
+    def test_gpu_with_pushed_region_bit_identical(self, kernel_name):
+        gpu = self._segments(kernel_name)[2]
+        region = (gpu.base_addr, min(gpu.footprint_bytes, 8 * 1024))
+        production, reference = self._run_both(gpu, push=region)
+        assert production == reference
+        # The pushed region served some of the segment's accesses.
+        assert production[1]["scratchpad_hits"] > 0
+
+    @pytest.mark.parametrize("kernel_name", KERNELS)
+    def test_gpu_warp_mode_bit_identical(self, kernel_name):
+        gpu = self._segments(kernel_name)[2]
+        production, reference = self._run_both(gpu, gpu_mode="warp")
+        assert production == reference
 
 
 class TestVariantModes:

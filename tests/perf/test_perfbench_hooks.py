@@ -67,3 +67,16 @@ def test_install_wraps_and_uninstall_restores(layers):
         recorder.uninstall()
     after = [layers._raw(owner, attr) for owner, attr in targets]
     assert all(a is b for a, b in zip(after, before))
+
+
+def test_benchmark_only_names_alias_the_one_loop():
+    """The names kept only for the benchmark's spans stay bound to the one
+    implementation, so no second core loop grows back behind them."""
+    from repro.perf import sweep
+    from repro.sim.cpu import core as cpu
+    from repro.sim.gpu import core as gpu
+
+    assert cpu.CpuCore.run_compiled is cpu.CpuCore.run_segment
+    assert gpu.GpuCore.run_compiled is gpu.GpuCore.run_segment
+    assert sweep.cpu_run_compiled_batch is cpu.run_compiled_batch
+    assert sweep.gpu_run_compiled_batch is gpu.run_compiled_batch

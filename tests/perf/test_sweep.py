@@ -3,8 +3,8 @@
 The sweep engine (:mod:`repro.perf.sweep`) is only allowed to exist
 because it changes nothing: for every point of a batch, the returned
 :class:`~repro.sim.results.SimulationResult` must equal — to the last
-float bit and counter — what ``DetailedSimulator`` (a walk with N=1)
-produces for that point alone. Pinned here for all six paper kernels across the
+float bit and counter — what ``DetailedSimulator`` produces for that
+point alone. Pinned here for all six paper kernels across the
 five case-study systems, for rank-style mechanism/address-space batches
 (including duplicate-label relabel-on-scatter), for the variant machine
 modes, and as a hypothesis property over singleton batches.
@@ -95,26 +95,16 @@ class TestCaseStudyBatchParity:
         for point, result in zip(points, batched):
             assert_identical(run_single(trace, point), result)
 
-    def test_serial_parallel_phases_bit_identical(self):
-        trace = kernel("merge sort").build().scaled(SCALE)
-        points = case_points()
-        batched = SweepSimulator(interleave_parallel=False).run(trace, points)
-        for point, result in zip(points, batched):
-            single = run_single(trace, point, interleave_parallel=False)
-            assert_identical(single, result)
-
 
 class TestRankStyleBatchParity:
     """Mechanism/address-space batches — the rank fan-out's shape."""
 
-    @pytest.mark.parametrize("interleave", [True, False])
-    def test_batch_bit_identical(self, interleave):
+    def test_batch_bit_identical(self):
         trace = kernel("reduction").build().scaled(SCALE)
         points = rank_style_points()
-        batched = SweepSimulator(interleave_parallel=interleave).run(trace, points)
+        batched = SweepSimulator().run(trace, points)
         for point, result in zip(points, batched):
-            single = run_single(trace, point, interleave_parallel=interleave)
-            assert_identical(single, result)
+            assert_identical(run_single(trace, point), result)
 
     def test_duplicate_timing_keys_share_one_simulation(self):
         trace = kernel("reduction").build().scaled(SCALE)
@@ -195,22 +185,16 @@ class TestBatchedDesignPoints:
 
 
 class TestSingletonBatchProperty:
-    """Satellite: a singleton batch IS the single-point compiled path."""
+    """A singleton batch is the single-point path."""
 
-    @given(
-        k=st.sampled_from(all_kernels()),
-        interleave=st.booleans(),
-    )
+    @given(k=st.sampled_from(all_kernels()))
     @settings(max_examples=12, deadline=None)
-    def test_singleton_batch_reproduces_single_point(self, k, interleave):
+    def test_singleton_batch_reproduces_single_point(self, k):
         trace = k.build().scaled(SCALE)
         point = SweepPoint(case=case_study("CPU+GPU"))
-        batched = SweepSimulator(interleave_parallel=interleave).run(
-            trace, [point]
-        )
+        batched = SweepSimulator().run(trace, [point])
         assert len(batched) == 1
-        single = run_single(trace, point, interleave_parallel=interleave)
-        assert_identical(single, batched[0])
+        assert_identical(run_single(trace, point), batched[0])
 
 
 class TestExplorerSweepAxis:

@@ -2,13 +2,10 @@
 
 import pytest
 
-from repro.config.presets import case_study
 from repro.config.system import CpuConfig, GpuConfig
-from repro.kernels.registry import kernel
 from repro.mem.level import FixedLatencyMemory
 from repro.perf.compiled import compile_segment
 from repro.sim.cpu.core import CpuCore
-from repro.sim.detailed import DetailedSimulator
 from repro.sim.engine import ParallelOutcome, run_parallel_interleaved
 from repro.sim.gpu.core import GpuCore
 from repro.taxonomy import ProcessingUnit
@@ -86,18 +83,3 @@ class TestInterleaving:
         assert outcome.cpu_seconds == 0.0
         assert outcome.gpu_seconds > 0.0
 
-
-class TestDetailedIntegration:
-    def test_interleaved_close_to_sequential_on_real_machine(self):
-        trace = kernel("reduction").trace().scaled(0.03)
-        inter = DetailedSimulator(interleave_parallel=True).run(
-            trace, case=case_study("CPU+GPU")
-        )
-        seq = DetailedSimulator(interleave_parallel=False).run(
-            trace, case=case_study("CPU+GPU")
-        )
-        ratio = inter.total_seconds / seq.total_seconds
-        assert 0.7 < ratio < 1.3
-
-    def test_interleaving_is_the_default(self):
-        assert DetailedSimulator().interleave_parallel

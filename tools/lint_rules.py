@@ -14,11 +14,6 @@
   access; building one inside them silently reintroduces the overhead
   the compiled path removed. Allocate outside the loop, use the array
   records, or return an interned action instead.
-- **L004 — no ``.state`` assignment outside the coherence package.**
-  ``CacheBlock.state`` is the MESI coherence state, owned entirely by
-  :mod:`repro.mem.coherence`; assigning it anywhere else bypasses the
-  protocol's transition functions and silently breaks the single-writer
-  invariant the sweep's traffic model depends on.
 - **L005 — every check rule is seeded and documented.** Each ``Rule``
   in ``repro/check/rules.py`` must have a fixture in
   ``repro/check/fixtures.py`` (the checker's ground truth — an
@@ -72,10 +67,6 @@ HOT_LOOP_PREFIXES = ("run_compiled", "step_compiled", "private_hit")
 #: inside a batched hot loop (L003).
 HOT_LOOP_FORBIDDEN = frozenset({"Instruction", "CacheBlock", "CoherenceAction"})
 
-#: The package that owns MESI state transitions; ``.state`` attribute
-#: assignment in any file outside it is L004.
-COHERENCE_PACKAGE = "repro/mem/coherence"
-
 #: The checker's rule catalog; whenever it is part of the linted set,
 #: L005 cross-checks it against the fixtures and the docs.
 RULE_CATALOG = "repro/check/rules.py"
@@ -125,7 +116,6 @@ def lint_source(source: str, path: Path) -> List[Violation]:
     """All violations in one python source file."""
     violations: List[Violation] = []
     tree = ast.parse(source, filename=str(path))
-    owns_mesi_state = COHERENCE_PACKAGE in path.as_posix()
     guards_reference = "repro" in path.parts
     guards_channel = (
         "repro" in path.parts
@@ -161,25 +151,6 @@ def lint_source(source: str, path: Path) -> List[Violation]:
                     f"({CHANNEL_CALLER}) only",
                 )
             )
-        if not owns_mesi_state:
-            targets: List[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            for target in targets:
-                for sub in ast.walk(target):
-                    if isinstance(sub, ast.Attribute) and sub.attr == "state":
-                        violations.append(
-                            (
-                                path,
-                                sub.lineno,
-                                "L004",
-                                "direct .state assignment outside "
-                                "repro.mem.coherence; MESI transitions go "
-                                "through the protocol module only",
-                            )
-                        )
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)

@@ -39,7 +39,7 @@ import time
 from typing import Dict, List, Optional
 
 #: The workloads that drive the compiled core loops (``detailed-grid``
-#: walks one point at a time, ``detailed-sweep`` the batched sweep) and
+#: walks one point at a time, ``detailed-sweep`` the deduplicated sweep) and
 #: every coherence protocol.
 WORKLOADS = ("detailed-grid", "detailed-sweep")
 #: Runs per side and workload. Odd, so each median is one run's value;
