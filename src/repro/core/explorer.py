@@ -98,24 +98,25 @@ class DesignPointEvaluation:
         """
         return (-self.locality_options, self.comm_lines_total, self.mean_seconds)
 
-    @classmethod
-    def of(
-        cls, point: DesignPoint, mean_seconds: float, mean_comm_fraction: float
-    ) -> "DesignPointEvaluation":
-        """An evaluation from a point's simulated means.
 
-        The analytic columns — Table V comm lines and the locality option
-        count — depend only on the address space, so simulated and stored
-        evaluations alike are rebuilt here, from one table lookup.
-        """
-        comm_lines_total, locality_options = _space_columns()[point.address_space]
-        return cls(
-            point=point,
-            mean_seconds=mean_seconds,
-            mean_comm_fraction=mean_comm_fraction,
-            comm_lines_total=comm_lines_total,
-            locality_options=locality_options,
-        )
+def _ranked(evaluations: Iterable[DesignPointEvaluation]) -> List[DesignPointEvaluation]:
+    """``sorted(evaluations, key=DesignPointEvaluation.score)``, sorting
+    only the distinct scores.
+
+    Points that share a timing key share their score, so a full-space
+    rank has ~22 of them. Each tied group keeps its members in input
+    order, and the groups come out in score order: exactly the stable
+    sort's order.
+    """
+    tied: Dict[Tuple[float, float, float], List[DesignPointEvaluation]] = {}
+    for evaluation in evaluations:
+        score = evaluation.score()
+        group = tied.get(score)
+        if group is None:
+            tied[score] = [evaluation]
+        else:
+            group.append(evaluation)
+    return [evaluation for score in sorted(tied) for evaluation in tied[score]]
 
 
 class Explorer:
@@ -446,8 +447,17 @@ class Explorer:
     def _evaluation(
         self, point: DesignPoint, results: Sequence[SimulationResult]
     ) -> DesignPointEvaluation:
-        """Aggregate one point's per-kernel results into an evaluation."""
-        return DesignPointEvaluation.of(point, *sweepjob.mean_metrics(results))
+        """Aggregate one point's per-kernel results into an evaluation.
+
+        The analytic columns (Table V comm lines, locality option count)
+        depend only on the address space, so simulated and stored
+        evaluations alike read them from :func:`_space_columns`.
+        """
+        return DesignPointEvaluation(
+            point,
+            *sweepjob.mean_metrics(results),
+            *_space_columns()[point.address_space],
+        )
 
     def evaluate_design_point(
         self,
@@ -527,11 +537,16 @@ class Explorer:
                     self._gate(trace, config)
         by_label = {point.label: point for point in points}
         evaluations: Dict[str, DesignPointEvaluation] = {}
+        columns = _space_columns()
 
         def adopt(rows: Iterable[Tuple[str, float, float]]) -> None:
             for label, mean_seconds, mean_comm_fraction in rows:
-                evaluations[label] = DesignPointEvaluation.of(
-                    by_label[label], mean_seconds, mean_comm_fraction
+                point = by_label[label]
+                evaluations[label] = DesignPointEvaluation(
+                    point,
+                    mean_seconds,
+                    mean_comm_fraction,
+                    *columns[point.address_space],
                 )
 
         signature = ""
@@ -582,10 +597,7 @@ class Explorer:
                 for key, rows in groups.items():
                     self.store.put_object((signature, key), tuple(rows), kind=SWEEP_KIND)
         self.last_results = ran
-        return sorted(
-            (evaluations[point.label] for point in points),
-            key=DesignPointEvaluation.score,
-        )
+        return _ranked(evaluations[point.label] for point in points)
 
     def _sweep_signature(
         self, points: Sequence[DesignPoint], traces: Sequence[KernelTrace]

@@ -30,7 +30,7 @@ from repro.config.comm import CommParams
 from repro.config.system import SystemConfig
 from repro.comm.base import CommChannel
 from repro.faults.spec import FaultPlan
-from repro.perf.sweep import SweepPoint
+from repro.perf.sweep import ChannelSpec, SweepPoint
 from repro.sim.results import SimulationResult
 
 __all__ = ["SimJob", "run_sim_job", "run_sim_job_counted"]
@@ -70,6 +70,16 @@ class SimJob(SweepPoint):
         if self.channel is not None and not self.system_name:
             return str(self.channel.mechanism)
         return super().label()
+
+    def channel_spec(
+        self, system: SystemConfig, comm_params: CommParams
+    ) -> Optional[ChannelSpec]:
+        """The point's channel spec, or ``None`` when the job's channel is
+        its own: an explicit channel accumulates across runs and a fault
+        plan perturbs every attempt, so neither run may be shared."""
+        if self.channel is not None or self.fault_plan is not None:
+            return None
+        return super().channel_spec(system, comm_params)
 
     def channel_for(self, system: SystemConfig, comm_params: CommParams) -> CommChannel:
         """The explicit channel or a fresh one, wrapped by the fault plan.

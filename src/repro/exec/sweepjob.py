@@ -60,9 +60,12 @@ def plan_shards(points: Sequence[DesignPoint], shards: int) -> List[List[int]]:
     Hypothesis suite pins ∪ = all indices and pairwise ∩ = ∅.
 
     Shards can come back empty when there are fewer key groups than
-    ``shards``; callers skip empty shards rather than padding them.
+    ``shards``; callers skip empty shards rather than padding them. One
+    shard is every index in order, with nothing to group or sort.
     """
     shards = knobs.value("shards", shards, "shards")
+    if shards == 1:
+        return [list(range(len(points)))]
     grouped: "Dict[Tuple[str, str], List[int]]" = {}
     for index, point in enumerate(points):
         grouped.setdefault(timing_key(point), []).append(index)

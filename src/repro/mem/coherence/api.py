@@ -19,15 +19,16 @@ variants cover the design axis:
 
 Both stateful variants tabulate the same pure MESI transition functions
 (:mod:`repro.mem.coherence.protocol`) into one step table per protocol
-instance, over the same bookkeeping (one ``line -> state`` table per PU),
-so they disagree only in *message* cost — which is exactly the quantity
-the design-space sweep compares. All
+class, bound to each instance's counters, over the same bookkeeping (one
+``line -> state`` table per PU), so they disagree only in *message* cost
+— which is exactly the quantity the design-space sweep compares. All
 protocol counters are declared on a :mod:`repro.obs`
 :class:`~repro.obs.metrics.MetricRegistry`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -64,8 +65,8 @@ class CoherenceAction:
     ``new_state``: the requester's MESI state for the line after the
     access, which the system mirrors onto its L1 block.
 
-    A protocol builds one action per entry of its step table, when it is
-    constructed; every access returns one of those.
+    A protocol class builds one action per entry of its step table, when
+    its first instance is constructed; every access returns one of those.
     """
 
     invalidate_peer: bool
@@ -88,17 +89,23 @@ _CODE = {state: code for code, state in enumerate(STATES)}
 #: impossible ``(local, remote, is_write)`` combination.
 StepEntry = Optional[Tuple[int, int, CoherenceAction, Tuple[Counter, ...]]]
 
+#: One entry of a class's step table: a :data:`StepEntry` naming the
+#: counters to bump instead of holding them.
+_ClassEntry = Optional[Tuple[int, int, CoherenceAction, Tuple[str, ...]]]
+
 
 class CoherenceProtocol:
     """Per-line MESI bookkeeping shared by the stateful protocol variants.
 
     Subclasses declare their counters and implement :meth:`_messages`, the
-    per-access message-cost model; :meth:`_tabulate` then derives the
-    whole step from it once, for every ``(local, remote, is_write)``: both
-    PUs' new states from the pure MESI transitions
+    per-access message-cost model; :meth:`_class_table` derives the whole
+    step from it once per class, for every ``(local, remote, is_write)``:
+    both PUs' new states from the pure MESI transitions
     (:func:`~repro.mem.coherence.protocol.next_state`,
     :func:`~repro.mem.coherence.protocol.remote_state_on_snoop`), the
-    action and the counters to bump. An access is then one table lookup.
+    action and the names of the counters to bump. :meth:`_tabulate` binds
+    those names to each instance's counters, so an access is one table
+    lookup.
     The protocol is *not* a :class:`~repro.mem.level.MemoryLevel`: the
     system model consults it on each shared-space access and applies the
     returned action.
@@ -122,26 +129,26 @@ class CoherenceProtocol:
 
     # -- the step table -----------------------------------------------------
 
+    @staticmethod
     def _messages(
-        self,
         local: MESIState,
         remote: MESIState,
         is_write: bool,
         new_local: MESIState,
         invalidate: bool,
-    ) -> Tuple[int, Tuple[Counter, ...]]:
+    ) -> Tuple[int, Tuple[str, ...]]:
         """The variant's message rule for one access: the protocol
-        messages on the critical path and the counters it bumps."""
+        messages on the critical path and the names of the counters it
+        bumps."""
         raise NotImplementedError
 
-    def _tabulate(self) -> None:
-        """Derive the step for every ``(local, remote, is_write)`` and bind
-        one stepper per PU. Subclasses call it once their counters exist.
-
-        Entry ``local * 8 + remote * 2 + is_write`` (state codes) holds
-        that access's step.
-        """
-        table: List[StepEntry] = []
+    @classmethod
+    @functools.lru_cache(maxsize=None)
+    def _class_table(cls) -> Tuple[_ClassEntry, ...]:
+        """The step for every ``(local, remote, is_write)``, derived once
+        per class: entry ``local * 8 + remote * 2 + is_write`` (state
+        codes) holds that access's step."""
+        entries: List[_ClassEntry] = []
         for local in STATES:
             for remote in STATES:
                 others = remote is not MESIState.INVALID
@@ -149,16 +156,28 @@ class CoherenceProtocol:
                     try:
                         new_local, invalidate = next_state(local, is_write, others)
                     except ProtocolError:
-                        table.append(None)
+                        entries.append(None)
                         continue
                     new_remote = (
                         remote_state_on_snoop(remote, is_write) if others else remote
                     )
-                    messages, bumps = self._messages(
+                    messages, bumps = cls._messages(
                         local, remote, is_write, new_local, invalidate
                     )
                     action = CoherenceAction(invalidate, messages, new_local)
-                    table.append((_CODE[new_local], _CODE[new_remote], action, bumps))
+                    entries.append((_CODE[new_local], _CODE[new_remote], action, bumps))
+        return tuple(entries)
+
+    def _tabulate(self) -> None:
+        """Bind the class's step table to this instance's counters, one
+        stepper per PU. Subclasses call it once their counters exist."""
+        counters = self.metrics
+        table: List[StepEntry] = [
+            None
+            if entry is None
+            else (entry[0], entry[1], entry[2], tuple(counters[n] for n in entry[3]))
+            for entry in self._class_table()
+        ]
         self._steps = {pu: self._bind(pu, table) for pu in ProcessingUnit}
 
     def _bind(

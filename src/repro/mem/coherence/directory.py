@@ -23,7 +23,7 @@ from typing import Dict, Tuple
 
 from repro.mem.coherence.api import CoherenceAction, CoherenceProtocol
 from repro.mem.coherence.protocol import MESIState
-from repro.obs.metrics import Counter, MetricRegistry
+from repro.obs.metrics import MetricRegistry
 from repro.taxonomy import ProcessingUnit
 
 __all__ = ["Directory", "SoftwareCoherence", "CoherenceAction"]
@@ -68,26 +68,26 @@ class Directory(CoherenceProtocol):
     def upgrades(self) -> int:
         return self._upgrades.value
 
+    @staticmethod
     def _messages(
-        self,
         local: MESIState,
         remote: MESIState,
         is_write: bool,
         new_local: MESIState,
         invalidate: bool,
-    ) -> Tuple[int, Tuple[Counter, ...]]:
+    ) -> Tuple[int, Tuple[str, ...]]:
         messages = 0
         bumps = []
         if local is MESIState.INVALID:
             messages += 1  # directory lookup / fetch permission
         if invalidate:
-            bumps.append(self._invalidations_sent)
+            bumps.append("invalidations_sent")
             messages += 2  # invalidate + ack
         if not is_write and remote in (MESIState.MODIFIED, MESIState.EXCLUSIVE):
-            bumps.append(self._downgrades)
+            bumps.append("downgrades")
             messages += 1  # writeback / share request
         if local is MESIState.SHARED and new_local is MESIState.MODIFIED:
-            bumps.append(self._upgrades)
+            bumps.append("upgrades")
         return messages, tuple(bumps)
 
 

@@ -20,7 +20,6 @@ from typing import Tuple
 
 from repro.mem.coherence.api import CoherenceProtocol
 from repro.mem.coherence.protocol import MESIState
-from repro.obs.metrics import Counter
 
 __all__ = ["SnoopBus"]
 
@@ -66,30 +65,30 @@ class SnoopBus(CoherenceProtocol):
     def upgrades(self) -> int:
         return self._upgrades.value
 
+    @staticmethod
     def _messages(
-        self,
         local: MESIState,
         remote: MESIState,
         is_write: bool,
         new_local: MESIState,
         invalidate: bool,
-    ) -> Tuple[int, Tuple[Counter, ...]]:
+    ) -> Tuple[int, Tuple[str, ...]]:
         messages = 0
         bumps = []
         if local is MESIState.INVALID:
             # Cold access: probe the bus; a holding peer supplies the line.
-            bumps.append(self._broadcasts)
+            bumps.append("broadcasts")
             messages += 1
             if remote is not MESIState.INVALID:
-                bumps.append(self._snoop_hits)
+                bumps.append("snoop_hits")
                 messages += 1
         elif is_write and local is MESIState.SHARED:
             # Upgrade broadcast; bus order acknowledges it implicitly.
-            bumps.append(self._broadcasts)
+            bumps.append("broadcasts")
             messages += 1
         if invalidate:
             # The kill rode the broadcast — no separate invalidate/ack pair.
-            bumps.append(self._invalidations_sent)
+            bumps.append("invalidations_sent")
         if local is MESIState.SHARED and new_local is MESIState.MODIFIED:
-            bumps.append(self._upgrades)
+            bumps.append("upgrades")
         return messages, tuple(bumps)

@@ -38,7 +38,16 @@ mechanism/space points.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    ClassVar,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.addrspace.base import AddressSpace, make_address_space
 from repro.config.comm import CommParams
@@ -74,6 +83,7 @@ __all__ = [
     "walk_phases",
     "install_translation",
     "merged_counters",
+    "ChannelSpec",
     "SweepPoint",
     "BatchedDesignPoints",
     "MachineSimulator",
@@ -197,6 +207,15 @@ def merged_counters(
     return counters
 
 
+class ChannelSpec(NamedTuple):
+    """What a point's channel is built from (:meth:`SweepPoint.channel_spec`)."""
+
+    mechanism: CommMechanism
+    params: CommParams
+    system: SystemConfig
+    async_overlap: bool
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     """One design point's simulation parameters (pure data, picklable).
@@ -275,18 +294,36 @@ class SweepPoint:
             return self.case.name
         return str(self.mechanism)
 
-    def channel_for(self, system: SystemConfig, comm_params: CommParams) -> CommChannel:
-        """A fresh channel for one run, from the case study or the mechanism.
+    def channel_spec(
+        self, system: SystemConfig, comm_params: CommParams
+    ) -> Optional[ChannelSpec]:
+        """Everything the point's channel is built from, from the case study
+        or the mechanism: equal specs build channels that price every copy
+        alike.
 
         ``system``/``comm_params`` are the simulator's defaults; the
         point's own overrides win.
         """
         case = self.case
-        return make_channel(
+        return ChannelSpec(
             case.comm if case is not None else self.mechanism,
-            params=self.comm_params or comm_params,
-            system=self.system or system,
-            async_overlap=case.async_overlap if case is not None else self.async_overlap,
+            self.comm_params or comm_params,
+            self.system or system,
+            case.async_overlap if case is not None else self.async_overlap,
+        )
+
+    def channel_for(self, system: SystemConfig, comm_params: CommParams) -> CommChannel:
+        """A fresh channel for one run, built from :meth:`channel_spec`.
+
+        Always the point's own spec, even where a subclass withholds it
+        from memoization.
+        """
+        spec = SweepPoint.channel_spec(self, system, comm_params)
+        return make_channel(
+            spec.mechanism,
+            params=spec.params,
+            system=spec.system,
+            async_overlap=spec.async_overlap,
         )
 
     def timing_key(self) -> Tuple:

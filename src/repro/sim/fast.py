@@ -5,8 +5,15 @@ are priced by the analytic core models; communication phases are priced by
 the design point's channel with the Table IV latencies; asynchronous
 channels may hide copy time under the adjacent parallel phase (GMAC).
 Compute phases depend only on the trace and the machine, so they are
-priced once per (trace, system) and memoized on the trace; each design
-point prices only its communications.
+priced once per (trace, system) and memoized on the trace. The channel's
+pass over the communications depends only on that pricing and the
+point's channel spec (mechanism, ``comm_params``, system and async
+overlap; :meth:`~repro.perf.sweep.SweepPoint.channel_spec`), so it is
+memoized beside it, one per spec: a rank prices each kernel's copies
+once per mechanism, not once per (mechanism, address space). A run adds
+only its address-space instructions, any coherence estimate and its
+label. A job with an explicit channel or a fault plan has no spec and
+runs a fresh channel every time.
 
 A point's :class:`~repro.taxonomy.AddressSpaceKind`, when set, adds the
 *extra instructions* each address space needs around communications (the
@@ -16,16 +23,18 @@ communication, which is exactly why that figure is flat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.addrspace.layout import SHARED_BASE
+from repro.comm.base import CommChannel
 from repro.config.comm import CommParams
 from repro.config.system import SystemConfig
 from repro.errors import SimulationError
 from repro.mem.coherence.api import resolve_protocol_kind
-from repro.perf.sweep import SweepPoint
+from repro.obs.metrics import MetricSnapshot
+from repro.perf.sweep import ChannelSpec, SweepPoint
 from repro.sim.analytic import AnalyticTiming
 from repro.sim.results import PhaseTiming, SimulationResult, TimeBreakdown
 from repro.taxonomy import AddressSpaceKind
@@ -70,7 +79,8 @@ class FastSimulator:
         """Simulate ``trace`` at one design point.
 
         The point decides everything beyond the trace: its channel
-        (:meth:`~repro.perf.sweep.SweepPoint.channel_for`), the result's
+        (:meth:`~repro.perf.sweep.SweepPoint.channel_spec`; points with
+        equal specs share one pass over the trace), the result's
         label, the ``address_space`` whose per-communication management
         instructions are charged (Figure 7 experiment), and the
         ``coherence`` variant. Its ``system``/``comm_params`` overrides
@@ -86,33 +96,11 @@ class FastSimulator:
         historical fast-path figure stays byte-identical.
         """
         system = point.system or self.system
-        channel = point.channel_for(self.system, self.comm_params)
         priced = _ComputePricing.of(trace, system)
-
-        # Price communications, offering adjacent parallel phases as
-        # overlap windows to asynchronous channels. Each parallel phase has
-        # a finite overlap budget (its own duration): an H2D copy before it
-        # and a D2H copy after it draw from the *same* budget, so the total
-        # communication hidden under one phase can never exceed the time
-        # that phase actually runs. The channel consumes the budgets, so
-        # every run starts from its own copy.
-        overlap_budget = dict(priced.overlap_budget)
-        phase_timings = list(priced.timings)
-        communication = 0.0
-        for index, phase, target in priced.comms:
-            window = overlap_budget.get(target, 0.0) if target is not None else 0.0
-            result = channel.transfer(phase, overlap_window=window)
-            if target is not None and result.overlapped > 0.0:
-                overlap_budget[target] = max(
-                    0.0, overlap_budget[target] - result.overlapped
-                )
-            communication += result.exposed
-            phase_timings[index] = PhaseTiming(
-                label=phase.label,
-                kind="communication",
-                seconds=result.exposed,
-                overlapped_seconds=result.overlapped,
-            )
+        comms = priced.channel_pass(
+            point.channel_spec(self.system, self.comm_params),
+            lambda: point.channel_for(self.system, self.comm_params),
+        )
 
         # Address-space management instructions (Figure 7 experiment).
         sequential = priced.sequential
@@ -120,26 +108,25 @@ class FastSimulator:
             extra = SPACE_OVERHEAD_INSTRUCTIONS[point.address_space] * len(priced.comms)
             sequential += system.cpu.frequency.cycles_to_seconds(extra)
 
-        mem_ops, est_misses, est_dram = priced.memory_counters
-        counters: Dict[str, float] = dict(channel.stats())
-        counters["cache.memory_ops"] = mem_ops
-        counters["cache.estimated_misses"] = est_misses
-        counters["dram.estimated_accesses"] = est_dram
+        counters: Mapping[str, float] = comms.counters
         if point.coherence is not None:
             kind = resolve_protocol_kind(point.coherence)
             if kind != "none":
-                counters.update(
-                    self.estimated_coherence_counters(trace, kind, system.l3.line_bytes)
-                )
+                counters = {
+                    **counters,
+                    **self.estimated_coherence_counters(
+                        trace, kind, system.l3.line_bytes
+                    ),
+                }
         return SimulationResult(
             kernel=trace.name,
             system=point.label(),
             breakdown=TimeBreakdown(
                 sequential=sequential,
                 parallel=priced.parallel,
-                communication=communication,
+                communication=comms.communication,
             ),
-            phases=tuple(phase_timings),
+            phases=comms.phases,
             counters=counters,
         )
 
@@ -200,10 +187,15 @@ class FastSimulator:
 
 
 #: The attribute of a :class:`KernelTrace` holding its one-slot pricing
-#: memo, ``(system, _ComputePricing)``. ``KernelTrace.__getstate__`` keeps
-#: it (like every non-field attribute) out of pickles, and the
-#: dataclass ``==``/``repr`` read fields only.
+#: memo, ``(system, _ComputePricing)``, channel passes included.
+#: ``KernelTrace.__getstate__`` keeps it (like every non-field attribute)
+#: out of pickles and store keys, and the dataclass ``==``/``repr`` read
+#: fields only.
 _MEMO_SLOT = "_fast_compute_pricing"
+
+#: The most channel passes one pricing keeps. A rank needs one per
+#: mechanism (six); the case studies add their own specs.
+_PASS_LIMIT = 32
 
 
 @dataclass(frozen=True)
@@ -217,7 +209,8 @@ class _ComputePricing:
     ``(index, phase, overlap target)``; ``overlap_budget`` maps each
     parallel phase's index to its duration. ``sequential``, ``parallel``
     and ``memory_counters`` sum in phase order, as a one-pass loop would,
-    so every float matches bit for bit.
+    so every float matches bit for bit. ``passes`` memoizes each channel
+    spec's :class:`_ChannelPass` over this pricing.
     """
 
     sequential: float
@@ -226,6 +219,32 @@ class _ComputePricing:
     timings: Tuple[Optional[PhaseTiming], ...]
     comms: Tuple[Tuple[int, CommPhase, Optional[int]], ...]
     overlap_budget: Mapping[int, float]
+    #: Channel spec -> its :class:`_ChannelPass` over this pricing; at
+    #: most :data:`_PASS_LIMIT` entries.
+    passes: Dict[ChannelSpec, "_ChannelPass"] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    def channel_pass(
+        self, spec: Optional[ChannelSpec], channel: Callable[[], CommChannel]
+    ) -> "_ChannelPass":
+        """The pass of ``spec``'s channel over this pricing, run through
+        ``channel()`` on first use, and on every use without a spec.
+
+        Equal specs build channels that price every copy alike, so every
+        point sharing one (in a rank, every address space of a mechanism)
+        shares its pass. A sweep that varies ``comm_params`` per point
+        adds a spec per point, so a full memo starts over.
+        """
+        if spec is None:
+            return _ChannelPass.run(self, channel())
+        found = self.passes.get(spec)
+        if found is None:
+            found = _ChannelPass.run(self, channel())
+            if len(self.passes) >= _PASS_LIMIT:
+                self.passes.clear()
+            self.passes[spec] = found
+        return found
 
     @classmethod
     def of(cls, trace: KernelTrace, system: SystemConfig) -> "_ComputePricing":
@@ -292,6 +311,65 @@ class _ComputePricing:
             timings=tuple(timings),
             comms=tuple(comms),
             overlap_budget=MappingProxyType(overlap_budget),
+        )
+
+
+@dataclass(frozen=True)
+class _ChannelPass:
+    """One channel's pass over a :class:`_ComputePricing`: everything
+    :meth:`FastSimulator.run` derives from the trace, the system and the
+    channel, independent of the point's address space and label.
+
+    ``phases`` is the run's whole phase-timing tuple (compute phases from
+    the pricing, communications from the channel), ``communication`` the
+    exposed total summed in phase order, and ``counters`` the channel's
+    stats after the pass plus the analytic memory counters. Both are
+    immutable, so every result of the pass shares them; a run with more
+    counters builds its own snapshot.
+    """
+
+    phases: Tuple[PhaseTiming, ...]
+    communication: float
+    counters: MetricSnapshot
+
+    @classmethod
+    def run(cls, priced: _ComputePricing, channel: CommChannel) -> "_ChannelPass":
+        """Price every communication of ``priced`` through ``channel``.
+
+        Adjacent parallel phases are offered as overlap windows to
+        asynchronous channels. Each parallel phase has a finite overlap
+        budget (its own duration): an H2D copy before it and a D2H copy
+        after it draw from the *same* budget, so the total communication
+        hidden under one phase can never exceed the time that phase
+        actually runs. The channel consumes the budgets, so every pass
+        starts from its own copy.
+        """
+        overlap_budget = dict(priced.overlap_budget)
+        phase_timings = list(priced.timings)
+        communication = 0.0
+        for index, phase, target in priced.comms:
+            window = overlap_budget.get(target, 0.0) if target is not None else 0.0
+            result = channel.transfer(phase, overlap_window=window)
+            if target is not None and result.overlapped > 0.0:
+                overlap_budget[target] = max(
+                    0.0, overlap_budget[target] - result.overlapped
+                )
+            communication += result.exposed
+            phase_timings[index] = PhaseTiming(
+                label=phase.label,
+                kind="communication",
+                seconds=result.exposed,
+                overlapped_seconds=result.overlapped,
+            )
+        mem_ops, est_misses, est_dram = priced.memory_counters
+        counters: Dict[str, float] = dict(channel.stats())
+        counters["cache.memory_ops"] = mem_ops
+        counters["cache.estimated_misses"] = est_misses
+        counters["dram.estimated_accesses"] = est_dram
+        return cls(
+            phases=tuple(phase_timings),
+            communication=communication,
+            counters=MetricSnapshot(counters),
         )
 
 

@@ -111,6 +111,54 @@ class TestDesignPointEvaluation:
         assert ranked[0].point.address_space is AddressSpaceKind.PARTIALLY_SHARED
 
 
+class _NoCommKernel:
+    """A kernel whose trace has no communication phase: every mechanism
+    prices it alike, so points tie on score across timing groups."""
+
+    name = "no-comm"
+
+    def trace(self, shape=None):
+        from repro.taxonomy import ProcessingUnit
+        from repro.trace.mix import InstructionMix
+        from repro.trace.phase import Segment, SequentialPhase
+        from repro.trace.stream import KernelTrace
+
+        segment = Segment(pu=ProcessingUnit.CPU, mix=InstructionMix(int_alu=1_000))
+        return KernelTrace(
+            name=self.name,
+            phases=(SequentialPhase(label="work", segment=segment),),
+        )
+
+
+class TestRankOrder:
+    """The ranking is the stable sort of the input points by score, also
+    when points of different timing groups tie."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("shards", [None, 3])
+    def test_ties_across_timing_groups_keep_input_order(self, seed, shards):
+        import random
+
+        from repro.core.explorer import DesignPointEvaluation
+        from repro.core.space import DesignSpace
+        from repro.exec.cache import TraceCache
+
+        points = DesignSpace().feasible_points()
+        random.Random(seed).shuffle(points)
+        ranked = Explorer(trace_cache=TraceCache()).rank_design_points(
+            points, kernels=[_NoCommKernel()], shards=shards
+        )
+        by_label = {e.point.label: e for e in ranked}
+        want = sorted(
+            (by_label[point.label] for point in points),
+            key=DesignPointEvaluation.score,
+        )
+        assert [e.point.label for e in ranked] == [e.point.label for e in want]
+        # Many timing groups tie: every mechanism of an address space.
+        groups = {e.point.timing_key for e in ranked}
+        assert len({e.score() for e in ranked}) < len(groups)
+
+
 class TestCoherenceOverhead:
     @pytest.fixture(scope="class")
     def overhead(self, explorer):

@@ -406,3 +406,127 @@ class TestComputePricingMemo:
         assert traces.misses == len(all_kernels())
         assert repr(again) == repr(a)
         assert repr(b) != repr(a)
+
+
+class TestChannelPassMemo:
+    """A channel's pass over a trace is priced once per channel spec and
+    memoized beside the compute pricing; a run adds only its address-space
+    instructions, any coherence estimate and its label. Every run must
+    still equal the same run on a freshly built trace."""
+
+    POINTS = [
+        SweepPoint(
+            mechanism=mechanism,
+            async_overlap=mechanism is CommMechanism.DMA_ASYNC,
+            address_space=space,
+        )
+        for mechanism in CommMechanism
+        for space in (None, *AddressSpaceKind)
+    ]
+
+    record = staticmethod(TestComputePricingMemo.record)
+
+    @pytest.mark.parametrize("k", all_kernels(), ids=lambda k: k.name)
+    def test_warm_trace_matches_cold_traces(self, k):
+        warm = k.trace()
+        cold = [FastSimulator().run(k.trace(), point) for point in self.POINTS]
+        for _ in range(2):
+            for point, want in zip(self.POINTS, cold):
+                got = FastSimulator().run(warm, point)
+                assert got == want
+                assert self.record(got) == self.record(want)
+
+    def test_points_sharing_a_pass_cannot_change_its_counters(self):
+        trace = kernel("reduction").trace()
+        points = [
+            SweepPoint(mechanism=CommMechanism.PCIE, address_space=space)
+            for space in (AddressSpaceKind.UNIFIED, AddressSpaceKind.DISJOINT)
+        ]
+        want = self.record(FastSimulator().run(kernel("reduction").trace(), points[1]))
+        first = FastSimulator().run(trace, points[0])
+        with pytest.raises(TypeError):
+            first.counters[next(iter(first.counters))] = -1.0
+        assert self.record(FastSimulator().run(trace, points[1])) == want
+
+    def test_points_with_their_own_machine_share_a_trace(self):
+        case = case_study("CPU+GPU")
+        machine = TestOneDesignPointRecord
+        points = [
+            SweepPoint(case=case),
+            SweepPoint(case=case, comm_params=machine.PARAMS),
+            SweepPoint(case=case, system=machine.SYSTEM),
+            SweepPoint(case=case, system=machine.SYSTEM, comm_params=machine.PARAMS),
+        ]
+        solo = [
+            self.record(FastSimulator().run(kernel("k-mean").trace(), point))
+            for point in points
+        ]
+        assert len(set(solo)) == len(points)
+        shared = kernel("k-mean").trace()
+        for order in (points, points[::-1]):
+            for point in order:
+                assert self.record(FastSimulator().run(shared, point)) == solo[
+                    points.index(point)
+                ]
+
+    def test_a_sweep_over_comm_params_keeps_the_memo_bounded(self):
+        from repro.sim.fast import _MEMO_SLOT, _PASS_LIMIT
+
+        shared = kernel("reduction").trace()
+        for extra in range(2 * _PASS_LIMIT + 1):
+            point = SweepPoint(
+                mechanism=CommMechanism.PCIE,
+                comm_params=CommParams(api_pci_base_cycles=30_000 + extra),
+            )
+            want = FastSimulator().run(kernel("reduction").trace(), point)
+            assert self.record(FastSimulator().run(shared, point)) == self.record(want)
+            assert len(shared.__dict__[_MEMO_SLOT][1].passes) <= _PASS_LIMIT
+
+    def test_explicit_channel_accumulates_across_runs(self):
+        from repro.comm.pcie import PcieChannel
+        from repro.exec.job import SimJob, run_sim_job
+
+        trace = kernel("reduction").trace()
+        job = SimJob(trace=trace, channel=PcieChannel())
+        first, second = run_sim_job(job), run_sim_job(job)
+        assert second.counters["transfers"] == 2 * first.counters["transfers"] > 0
+        assert second.breakdown == first.breakdown
+        # A job on the same mechanism without its own channel starts fresh
+        # every run.
+        plain = SimJob(trace=trace, mechanism=CommMechanism.PCIE)
+        assert run_sim_job(plain) == run_sim_job(plain) == first
+
+    def test_fault_plan_attempts_differ(self):
+        from repro.exec.job import SimJob, run_sim_job
+        from repro.faults.spec import FaultPlan
+
+        trace = kernel("reduction").trace()
+        job = SimJob(
+            trace=trace,
+            mechanism=CommMechanism.PCIE,
+            fault_plan=FaultPlan.parse("seed=1;pcie:degrade=0.5"),
+        )
+        attempts = [self.record(run_sim_job(job.for_attempt(a))) for a in range(4)]
+        assert len(set(attempts)) > 1
+        assert self.record(run_sim_job(job.for_attempt(2))) == attempts[2]
+        # Faulted runs leave nothing behind for a clean run of the trace.
+        clean = SimJob(trace=trace, mechanism=CommMechanism.PCIE)
+        fresh = replace(clean, trace=kernel("reduction").trace())
+        assert self.record(run_sim_job(clean)) == self.record(run_sim_job(fresh))
+
+    def test_memo_stays_out_of_pickles_store_keys_and_equality(self):
+        import pickle
+
+        from repro.exec.job import SimJob
+        from repro.store.keys import stable_key
+
+        warm, cold = kernel("dct").trace(), kernel("dct").trace()
+        for point in self.POINTS:
+            FastSimulator().run(warm, point)
+        assert warm == cold
+        assert pickle.dumps(warm) == pickle.dumps(cold)
+        keys = [
+            stable_key(SimJob(trace=trace, mechanism=CommMechanism.PCIE).cache_key())
+            for trace in (warm, cold)
+        ]
+        assert keys[0] == keys[1]

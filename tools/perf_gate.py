@@ -7,9 +7,10 @@ Usage::
 
 Runs ``perfbench/run.py`` from each checkout; each run puts its own
 ``src/`` first on the path, so each side measures its own program. Both
-sides run ``detailed-grid`` and ``detailed-sweep`` with the same seed and
-``--seconds``, in pairs that alternate which side goes first, plus one
-``--trace 1`` run of ``detailed-grid`` per side. The change fails when:
+sides run ``detailed-grid``, ``detailed-sweep`` and ``rank-full`` with
+the same seed and ``--seconds``, in pairs that alternate which side goes
+first, plus one ``--trace 1`` run of ``detailed-grid`` per side. The
+change fails when:
 
 - any run reports ``correct: false``;
 - it fails a larger share of operations than the parent on a workload;
@@ -40,8 +41,9 @@ from typing import Dict, List, Optional
 
 #: The workloads that drive the compiled core loops (``detailed-grid``
 #: walks one point at a time, ``detailed-sweep`` the deduplicated sweep) and
-#: every coherence protocol.
-WORKLOADS = ("detailed-grid", "detailed-sweep")
+#: every coherence protocol, and the full-space fast-model rank
+#: (``rank-full``: channel passes, shard planning, evaluation and order).
+WORKLOADS = ("detailed-grid", "detailed-sweep", "rank-full")
 #: Runs per side and workload. Odd, so each median is one run's value;
 #: five keeps a quiet pair's spread well inside the 0.25 bounds.
 PAIRS = 5
