@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.config.system import CacheConfig
@@ -10,7 +10,7 @@ from repro.mem.cache.block import CacheBlock
 from repro.mem.cache.mshr import MSHRFile
 from repro.mem.cache.prefetch import NextLinePrefetcher
 from repro.mem.cache.replacement import LRUPolicy, ReplacementPolicy
-from repro.mem.level import MemoryLevel
+from repro.mem.level import WHOLE_WINDOW, MemoryLevel, Probe
 from repro.obs.metrics import MetricRegistry
 from repro.units import Frequency
 
@@ -37,11 +37,18 @@ class Cache(MemoryLevel):
     evictable way for an implicit fill), the access bypasses this level:
     the requester still gets its data from below, but nothing is installed.
 
-    Lookup is O(1): alongside the per-set block arrays the cache keeps one
-    ``line -> way`` dict (``_way_of``, keyed by the line number
-    ``addr // line_bytes``), maintained at every fill, invalidation and
-    flush. The invariant is that it maps exactly the valid blocks: line
-    ``n`` lives in set ``n % sets`` with tag ``n // sets``.
+    Lookup is one ``dict.get``: alongside the per-set block arrays the
+    cache keeps one ``line -> block`` dict (``_block_of``, keyed by the
+    line number ``addr // line_bytes``), maintained at every fill,
+    invalidation and flush. The invariant is that it maps exactly the
+    valid blocks, each to the block object itself: line ``n`` lives in set
+    ``n % sets`` with tag ``n // sets``. The set arrays serve only the
+    replacement policy, which picks a victim way within one set.
+
+    A core probes its top cache with :meth:`private_hit` (through
+    :meth:`~repro.mem.level.MemoryLevel.private_window`) and finishes a
+    missed probe with :meth:`miss`, so each access looks its line up once;
+    :meth:`access` is the same probe followed by the same miss body.
 
     Recency is the cache's own: every hit and fill stamps the block's
     ``last_use`` with the access tick, and the policy only reads it when
@@ -71,11 +78,14 @@ class Cache(MemoryLevel):
         total_sets = config.num_sets * config.tiles
         #: Per-set block arrays; ``None`` until the set is first touched.
         self._sets: "List[Optional[List[CacheBlock]]]" = [None] * total_sets
-        #: Line number -> way index of every *valid* block (O(1) lookup).
-        self._way_of: Dict[int, int] = {}
+        #: Line number -> block, for every *valid* block (one-get lookup).
+        self._block_of: Dict[int, CacheBlock] = {}
         self._ways = config.ways
         self._num_sets = total_sets
         self._line = config.line_bytes
+        self._line_mask = ~(config.line_bytes - 1)
+        self._allocate_writes = config.write_allocate
+        self._writes_back = config.write_back
         self._mshr = MSHRFile(config.mshr_entries)
         self._tick = 0
         self._hit_latency = frequency.cycles_to_seconds(config.latency)
@@ -128,13 +138,18 @@ class Cache(MemoryLevel):
     def access(
         self, addr: int, is_write: bool = False, issue_time: float = 0.0, explicit: bool = False
     ) -> float:
-        """Service one access; recurse into the next level on a miss."""
+        """Service one access; recurse into the next level on a miss.
+
+        One :meth:`private_hit` probe, then on a miss :meth:`miss`.
+        """
         latency = self.private_hit(addr, is_write, explicit)
         if latency is not None:
             return latency
-        self._tick += 1
-        line = addr // self._line
-        return self._miss(addr, is_write, issue_time, explicit, line)
+        return self.miss(addr, is_write, issue_time, explicit)
+
+    def private_window(self) -> "Tuple[int, Probe]":
+        """Every address may be probed: a cache's hits are its own."""
+        return WHOLE_WINDOW, self.private_hit
 
     def private_hit(
         self, addr: int, is_write: bool, explicit: bool = False
@@ -146,13 +161,11 @@ class Cache(MemoryLevel):
         all plain ints and attributes, which is what keeps the core loops
         cheap.
         """
-        line = addr // self._line
-        way = self._way_of.get(line)
-        if way is None:
+        block = self._block_of.get(addr // self._line)
+        if block is None:
             return None
         tick = self._tick = self._tick + 1
         self._hits.value += 1
-        block = self._sets[line % self._num_sets][way]
         if block.prefetched:
             block.prefetched = False
             if self.prefetcher is not None:
@@ -164,15 +177,18 @@ class Cache(MemoryLevel):
         block.last_use = tick
         return self._hit_latency
 
-    def _miss(
-        self, addr: int, is_write: bool, issue_time: float, explicit: bool, line: int
+    def miss(
+        self, addr: int, is_write: bool = False, issue_time: float = 0.0, explicit: bool = False
     ) -> float:
-        """Demand-miss path: MSHR merge, fetch from below, fill, prefetch."""
+        """Finish an access whose :meth:`private_hit` probe just returned
+        ``None``, without looking the line up a second time: the demand-miss
+        path of MSHR merge, fetch from below, fill and prefetch."""
+        self._tick += 1
         if addr < 0:
             raise SimulationError(f"negative address {addr:#x}")
         self._misses.value += 1
         # Merged miss? Pay only the residual fill time.
-        line_addr = addr & ~(self._line - 1)
+        line_addr = addr & self._line_mask
         merged = self._mshr.lookup(line_addr, issue_time)
         if merged is not None:
             return self._hit_latency + merged
@@ -183,8 +199,8 @@ class Cache(MemoryLevel):
             addr, is_write, issue_time + self._hit_latency, explicit
         )
         self._mshr.allocate(line_addr, issue_time, latency)
-        if self.config.write_allocate or not is_write:
-            self._install(line, explicit, dirty=is_write)
+        if self._allocate_writes or not is_write:
+            self._install(addr // self._line, explicit, False, is_write)
         if self.prefetcher is not None:
             self._issue_prefetches(line_addr, issue_time)
         return latency
@@ -200,7 +216,7 @@ class Cache(MemoryLevel):
             miss_line_addr, self._line
         ):
             line = line_addr // self._line
-            if line in self._way_of:
+            if line in self._block_of:
                 continue
             self.next_level.access(line_addr, False, issue_time)
             self._install(line, explicit=False, prefetched=True)
@@ -232,24 +248,20 @@ class Cache(MemoryLevel):
             self._bypasses.inc()
             return
         old = blocks[victim]
-        way_of = self._way_of
+        block_of = self._block_of
         if old.valid:
             self._evictions.value += 1
-            if old.dirty and self.config.write_back:
+            if old.dirty and self._writes_back:
                 if write_below:
                     self._write_back(index, old)
                 elif self.next_level is not None:
                     self._writebacks.inc()
-            del way_of[old.tag * num_sets + index]
-        blocks[victim] = CacheBlock(
-            tag=line // num_sets,
-            valid=True,
-            dirty=dirty,
-            explicit=explicit,
-            prefetched=prefetched,
-            last_use=self._tick,
+            del block_of[old.tag * num_sets + index]
+        # Positional: (tag, valid, dirty, explicit, prefetched, last_use).
+        block = blocks[victim] = CacheBlock(
+            line // num_sets, True, dirty, explicit, prefetched, self._tick
         )
-        way_of[line] = victim
+        block_of[line] = block
 
     # -- explicit locality management --------------------------------------
 
@@ -269,21 +281,12 @@ class Cache(MemoryLevel):
 
     def contains(self, addr: int) -> bool:
         """Whether the line holding ``addr`` is resident."""
-        return addr // self._line in self._way_of
+        return addr // self._line in self._block_of
 
     def block_for(self, addr: int) -> Optional[CacheBlock]:
-        """The resident block holding ``addr``, or ``None``.
-
-        A read-only lookup for the coherence layer: the protocol package
-        mirrors its per-line MESI state onto the block it returns (block
-        state mutation itself is confined to ``repro.mem.coherence``,
-        lint rule L004).
-        """
-        line = addr // self._line
-        way = self._way_of.get(line)
-        if way is None:
-            return None
-        return self._sets[line % self._num_sets][way]
+        """The resident block holding ``addr``, or ``None``: one ``get``
+        in the ``line -> block`` map."""
+        return self._block_of.get(addr // self._line)
 
     def is_explicit(self, addr: int) -> bool:
         """Whether the resident line holding ``addr`` carries the locality bit."""
@@ -292,11 +295,10 @@ class Cache(MemoryLevel):
 
     def invalidate_line(self, addr: int) -> bool:
         """Invalidate one line (coherence); returns True if it was present."""
-        line = addr // self._line
-        way = self._way_of.pop(line, None)
-        if way is None:
+        block = self._block_of.pop(addr // self._line, None)
+        if block is None:
             return False
-        self._sets[line % self._num_sets][way].invalidate()
+        block.invalidate()
         self._invalidations.inc()
         return True
 
@@ -315,7 +317,7 @@ class Cache(MemoryLevel):
                         dirty += 1
                         self._write_back(index, block)
                     block.invalidate()
-        self._way_of.clear()
+        self._block_of.clear()
         self._flushes.inc()
         return dirty
 

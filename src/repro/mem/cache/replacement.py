@@ -42,10 +42,22 @@ def _lru_way(blocks: List[CacheBlock], candidates: List[int]) -> int:
 
 
 class LRUPolicy(ReplacementPolicy):
-    """Plain least-recently-used replacement."""
+    """Plain least-recently-used replacement.
+
+    The victim is the first invalid way, else the lowest way among those
+    with the smallest ``last_use``, found in one pass over the set.
+    """
 
     def victim(self, blocks: List[CacheBlock], incoming_explicit: bool) -> Optional[int]:
-        return _lru_way(blocks, list(range(len(blocks))))
+        victim = 0
+        oldest = None
+        for way, block in enumerate(blocks):
+            if not block.valid:
+                return way
+            if oldest is None or block.last_use < oldest:
+                oldest = block.last_use
+                victim = way
+        return victim
 
 
 class HybridLocalityPolicy(ReplacementPolicy):

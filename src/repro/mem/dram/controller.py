@@ -27,6 +27,7 @@ class MemoryController:
 
     ``service`` returns the total controller latency for a line fetch:
     queueing delay (data-bus contention) + bank array latency + burst time.
+    The burst of one line is priced once, at construction.
     """
 
     def __init__(self, config: DramConfig, line_bytes: int = 64) -> None:
@@ -36,6 +37,9 @@ class MemoryController:
         per_channel = config.bandwidth.bytes_per_second / config.num_controllers
         self.channel_bandwidth = Bandwidth(per_channel)
         self.line_bytes = line_bytes
+        self._burst = self.channel_bandwidth.seconds_for(line_bytes)
+        self._row_bytes = config.row_bytes
+        self._num_banks = len(self.banks)
         self._bus_free_at = 0.0
         self.metrics = MetricRegistry("dram.controller")
         self._requests = self.metrics.counter(
@@ -45,25 +49,21 @@ class MemoryController:
             "queue_delay", unit="s", description="data-bus backlog per request"
         )
 
-    def _locate(self, addr: int) -> "tuple[int, int]":
-        """(bank, row) for an address: line-interleaved across banks."""
-        line = addr // self.line_bytes
-        bank = line % len(self.banks)
-        row = addr // self.config.row_bytes
-        return bank, row
-
     def service(self, addr: int, now: float) -> float:
         """Latency in seconds to return the line at ``addr`` requested at
         ``now``."""
-        self._requests.inc()
-        bank_index, row = self._locate(addr)
-        bank = self.banks[bank_index]
-        array = bank.access_latency(row)
-        burst = self.channel_bandwidth.seconds_for(self.line_bytes)
-        # Row hits may bypass a short backlog (the FR part of FR-FCFS).
-        backlog = max(0.0, self._bus_free_at - now)
-        if bank.timing.row_hit == array and backlog > 0:
-            backlog = max(0.0, backlog - self.timing.row_miss)
+        self._requests.value += 1
+        # Lines interleave across banks; rows are row_bytes of addresses.
+        bank = self.banks[addr // self.line_bytes % self._num_banks]
+        array = bank.access_latency(addr // self._row_bytes)
+        burst = self._burst
+        backlog = self._bus_free_at - now
+        if backlog > 0.0:
+            # Row hits may bypass a short backlog (the FR part of FR-FCFS).
+            if bank.timing.row_hit == array:
+                backlog = max(0.0, backlog - self.timing.row_miss)
+        else:
+            backlog = 0.0
         self._queue_delay.observe(backlog)
         start = now + backlog + array
         self._bus_free_at = start + burst
@@ -107,6 +107,7 @@ class DramSystem(MemoryLevel):
         self.controllers: List[MemoryController] = [
             MemoryController(config, line_bytes) for _ in range(config.num_controllers)
         ]
+        self._num_controllers = len(self.controllers)
 
     def controller_for(self, addr: int) -> MemoryController:
         line = addr // self.line_bytes
@@ -115,7 +116,9 @@ class DramSystem(MemoryLevel):
     def access(
         self, addr: int, is_write: bool = False, issue_time: float = 0.0, explicit: bool = False
     ) -> float:
-        return self.controller_for(addr).service(addr, issue_time)
+        # controller_for, inline.
+        controller = self.controllers[addr // self.line_bytes % self._num_controllers]
+        return controller.service(addr, issue_time)
 
     def average_latency_seconds(self) -> float:
         """Unloaded average access latency (used by analytic models)."""

@@ -118,12 +118,15 @@ class RingPath(MemoryLevel):
         self._request_leg = ring.leg_seconds(src, dst, REQUEST_BYTES)
         self._reply_leg = ring.leg_seconds(dst, src, payload_bytes)
         self._round_trip_bytes = REQUEST_BYTES + payload_bytes
-        self._record = ring.record
+        # The ring's two counters, bumped in place by each traversal.
+        self._messages = ring._messages
+        self._bytes_moved = ring._bytes_moved
 
     def access(
         self, addr: int, is_write: bool = False, issue_time: float = 0.0, explicit: bool = False
     ) -> float:
-        self._record(2, self._round_trip_bytes)
+        self._messages.value += 2
+        self._bytes_moved.value += self._round_trip_bytes
         request_leg = self._request_leg
         below = self.below.access(addr, is_write, issue_time + request_leg, explicit)
         return request_leg + below + self._reply_leg

@@ -2,8 +2,9 @@
 
 A :class:`CompiledSegment` is the *batched event encoding* of one
 :class:`~repro.trace.phase.Segment`'s deterministic instruction stream
-(:meth:`~repro.trace.phase.Segment.raw_ops`), built in one pass over it:
-maximal runs of plain compute instructions collapse into a single
+(:meth:`~repro.trace.phase.Segment.raw_ops`), computed in closed form
+from the segment's mix (:meth:`CompiledSegment.from_segment`): maximal
+runs of plain compute instructions collapse into a single
 ``(EV_COMPUTE_RUN, count)`` record, and each memory or branch instruction
 becomes one record. The cores' steppers
 (:meth:`repro.sim.cpu.core.CpuCore.step_compiled` and the GPU's) execute
@@ -31,7 +32,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Tuple
 
-from repro.isa.opcodes import OPCODE_TO_CODE, Opcode
 from repro.trace.instruction import Instruction
 from repro.trace.phase import Segment
 
@@ -59,17 +59,6 @@ EV_BRANCH = 2
 
 Event = Tuple[int, int, int, int]
 
-_STORE_CODES = frozenset(
-    OPCODE_TO_CODE[op] for op in (Opcode.STORE, Opcode.SIMD_STORE)
-)
-_BRANCH_CODE = OPCODE_TO_CODE[Opcode.BRANCH]
-#: Opcodes that get a record of their own (memory and branch); every
-#: other opcode extends the current compute run.
-_RECORD_CODES = frozenset(
-    OPCODE_TO_CODE[op]
-    for op in (Opcode.LOAD, Opcode.STORE, Opcode.SIMD_LOAD, Opcode.SIMD_STORE, Opcode.BRANCH)
-)
-
 #: The process-wide table of shared compute-run and branch records.
 _SHARED_EVENTS: Dict[Event, Event] = {}
 
@@ -83,8 +72,8 @@ class CompiledSegment:
     - ``(EV_COMPUTE_RUN, count, 0, 0)`` — ``count`` consecutive
       issue-slot-only instructions;
     - ``(EV_MEMORY, addr, size, is_write)``;
-    - ``(EV_BRANCH, taken, pc, 0)`` — ``pc`` precomputed for the CPU's
-      gshare predictor (the GPU ignores it).
+    - ``(EV_BRANCH, taken, pc, 0)`` — ``taken`` a bool, ``pc``
+      precomputed for the CPU's gshare predictor (the GPU ignores it).
 
     ``length`` is the number of instructions the events cover.
     """
@@ -98,33 +87,69 @@ class CompiledSegment:
 
     @classmethod
     def from_segment(cls, segment: Segment) -> "CompiledSegment":
-        """Encode ``segment`` (one pass over ``raw_ops``)."""
-        events: List[Event] = []
-        append = events.append
+        """Encode ``segment`` in closed form, in O(memory ops + branches).
+
+        The events equal one pass over
+        :meth:`~repro.trace.phase.Segment.raw_ops`, the expansion's single
+        source of truth (``tests/perf/test_compiled.py`` compares both for
+        every kernel segment), computed from the mix instead of stepped:
+
+        - ``raw_ops`` spreads the compute and branch instructions (the
+          *others*) over ``memory_ops + 1`` slots: ``per_slot`` before each
+          memory op, one more before each of the first ``remainder``, and
+          whatever is left after the last one; a slot stops early once the
+          others run out.
+        - The others come in one fixed order, every compute instruction
+          (SIMD, then FP, then INT) before the first branch. So a slot's
+          others are a compute run, then one record per branch.
+        - Branch ``n`` (from 1) is taken unless ``n % 16 == 0``; after
+          ``k`` memory ops and all ``compute`` others its program counter
+          is ``PC_BASE + 4 * (compute + k + n)``.
+        - Memory op ``k`` reads or writes ``base + (k * elem) % span``,
+          loads before stores 2:1 as ``raw_ops`` schedules them
+          (:func:`_memory_events`).
+
+        Each slot then costs one compute record, its branch records and
+        its memory record; no compute instruction is stepped.
+        """
+        mix = segment.mix
+        total_mem = mix.memory_ops
+        compute = mix.compute_ops
+        total_other = compute + mix.branches
+        if total_mem:
+            per_slot = total_other // (total_mem + 1)
+            remainder = total_other - per_slot * total_mem
+        else:
+            per_slot, remainder = total_other, 0
         share = _SHARED_EVENTS.setdefault
-        record_codes = _RECORD_CODES
-        store_codes = _STORE_CODES
-        branch_code = _BRANCH_CODE
-        run = 0
-        pc = PC_BASE
-        for code, addr, size, taken in segment.raw_ops():
-            pc += 4
-            if code not in record_codes:
-                run += 1
-                continue
-            if run:
+        memory = _memory_events(segment)
+        events: List[Event] = []
+        done = 0  # others emitted so far
+        append = events.append
+        for slot in range(total_mem + 1):
+            if done == total_other:
+                events.extend(memory[slot:])
+                break
+            if slot == total_mem:
+                end = total_other
+            else:
+                end = done + per_slot + (slot < remainder)
+                if end > total_other:
+                    end = total_other
+            if done < compute and done < end:
+                run = (end if end < compute else compute) - done
                 event = (EV_COMPUTE_RUN, run, 0, 0)
                 append(share(event, event))
-                run = 0
-            if code == branch_code:
-                event = (EV_BRANCH, taken, pc, 0)
-                append(share(event, event))
-            else:
-                append((EV_MEMORY, addr, size, code in store_codes))
-        if run:
-            event = (EV_COMPUTE_RUN, run, 0, 0)
-            append(share(event, event))
-        return cls(segment, (pc - PC_BASE) // 4, events)
+                done += run
+            if done < end:
+                pc = PC_BASE + 4 * (compute + slot)
+                for n in range(done - compute + 1, end - compute + 1):
+                    event = (EV_BRANCH, n % 16 != 0, pc + 4 * n, 0)
+                    append(share(event, event))
+                done = end
+            if slot < total_mem:
+                append(memory[slot])
+        return cls(segment, total_mem + total_other, events)
 
     def instructions(self) -> Iterator[Instruction]:
         """The segment's :class:`Instruction` objects, for the paths that
@@ -139,6 +164,34 @@ class CompiledSegment:
             f"<CompiledSegment {self.segment.label!r} x{self.length} "
             f"({len(self.events)} events)>"
         )
+
+
+def _memory_events(segment: Segment) -> List[Event]:
+    """The segment's memory events in order, as ``raw_ops`` schedules
+    them: loads alone while they are at least twice the stores left (or
+    no store is left), then a store in every third position while they
+    are fewer; addresses stride through the footprint."""
+    mix = segment.mix
+    loads, stores = mix.load_ops, mix.store_ops
+    lead = loads if not stores else max(0, loads - 2 * stores + 1)
+    writes = [False] * lead
+    loads -= lead
+    add = writes.append
+    for k in range(lead, lead + loads + stores):
+        if loads and (not stores or loads >= 2 * stores or k % 3 != 2):
+            loads -= 1
+            add(False)
+        else:
+            stores -= 1
+            add(True)
+    base_addr = segment.base_addr
+    elem_bytes = segment.elem_bytes
+    span = max(segment.footprint_bytes, elem_bytes)
+    offsets = range(0, len(writes) * elem_bytes, elem_bytes)
+    return [
+        (EV_MEMORY, base_addr + offset % span, elem_bytes, write)
+        for offset, write in zip(offsets, writes)
+    ]
 
 
 class SegmentCompileCache:

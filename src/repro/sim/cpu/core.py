@@ -53,19 +53,31 @@ class CpuCore:
         may reach state the other PU shares.
 
         Yields the cumulative cycle count just before every access that
-        :meth:`~repro.mem.level.MemoryLevel.private_hit` does not serve;
-        the last yield is the segment's final count, including the
+        the memory's private probe
+        (:meth:`~repro.mem.level.MemoryLevel.private_window`) does not
+        serve; the last yield is the segment's final count, including the
         trailing partial issue group. The interleaving engine
         (:func:`repro.sim.engine.run_parallel_interleaved`) resumes the
         core that is behind, so concurrent accesses reach the shared
         L3/DRAM in timestamp order. Compute runs and branches touch only
-        this core, so they advance without a yield; a compute run is one
-        addition while the count is whole (exact), else one ``+= 1.0`` per
-        issue-group wrap, because float addition is not associative and
-        the reference loop adds one wrap at a time. A private hit (an L1
-        hit below the shared window) touches only that L1, which the peer
-        changes only by invalidating shared-window lines, so it runs in
-        place, before or after any peer access, without a yield either. Each
+        this core, so they advance without a yield.
+
+        The reference loop adds one ``1.0`` per issue-group wrap, and float
+        addition is not associative, so a compute run adds its ``n`` wraps
+        in one addition only when that sum is exact, else one at a time.
+        It holds while the count is whole (every partial sum is then a
+        whole number below 2**53), or when ``cycles >= n`` and
+        ``(cycles + n) - cycles == n``: that subtraction is exact
+        (Sterbenz), so it holds only when ``cycles + n`` is, and an exact
+        ``cycles + n`` below 2**53 makes every partial sum exact too
+        (``cycles`` and ``n`` are multiples of the result's ulp).
+
+        A private hit (an L1 hit below the shared window) touches only that
+        L1, which the peer changes only by invalidating shared-window
+        lines, so it runs in place, before or after any peer access,
+        without a yield either. A probed access that misses resumes with
+        :meth:`~repro.mem.level.MemoryLevel.miss`, so the L1 looks its line
+        up once; an address outside the window takes ``access``. Each
         access is issued at the same cycle, and every yielded access is
         keyed by the same count, as in the reference loop
         (:func:`repro.sim.reference.cpu_steps`), which yields after every
@@ -78,7 +90,8 @@ class CpuCore:
         hit_latency = freq.cycles_to_seconds(self.config.l1d.latency)
         mlp = self.mlp
         access = self.memory.access
-        private_hit = self.memory.private_hit
+        miss = self.memory.miss
+        limit, probe = self.memory.private_window()
         predict_and_update = self.predictor.predict_and_update
 
         cycles = 0.0
@@ -86,17 +99,23 @@ class CpuCore:
         for kind, a, b, c in compiled.events:
             if kind == EV_COMPUTE_RUN:
                 slot += a
-                wraps = slot // issue_width
-                if wraps:
+                if slot >= issue_width:
+                    wraps = slot // issue_width
                     slot -= wraps * issue_width
-                    if cycles.is_integer():
-                        cycles += wraps
+                    total = cycles + wraps
+                    if cycles.is_integer() or (cycles >= wraps and total - cycles == wraps):
+                        cycles = total
                     else:
                         for _ in range(wraps):
                             cycles += 1.0
                 continue
             if kind == EV_MEMORY:
-                latency = private_hit(a, c)
+                if a < limit:
+                    latency = probe(a, c)
+                    finish = miss
+                else:
+                    latency = None
+                    finish = access
                 if latency is None:
                     yield cycles
                 slot += 1
@@ -104,7 +123,7 @@ class CpuCore:
                     cycles += 1.0
                     slot = 0
                 if latency is None:
-                    latency = access(a, c, start_seconds + int(cycles) / hertz)
+                    latency = finish(a, c, start_seconds + int(cycles) / hertz)
                 if latency > hit_latency:
                     stall = (latency - hit_latency) / mlp
                     stall_cycles = stall * hertz
@@ -115,7 +134,7 @@ class CpuCore:
                 if slot >= issue_width:
                     cycles += 1.0
                     slot = 0
-                if not predict_and_update(b, bool(a)):
+                if not predict_and_update(b, a):
                     cycles += penalty
                     self.branch_stall_cycles += penalty
                     slot = 0

@@ -53,8 +53,9 @@ def run_parallel_interleaved(
     cannot serve alone, with the same count as the key. The instructions
     in between touch only their own core: compute runs, branches,
     scratchpad hits, and private hits (L1 hits below the shared window,
-    :meth:`~repro.mem.level.MemoryLevel.private_hit`), which touch only
-    that L1. The peer changes a PU's private caches only by invalidating
+    served by the probe of
+    :meth:`~repro.mem.level.MemoryLevel.private_window`), which touch
+    only that L1. The peer changes a PU's private caches only by invalidating
     shared-window lines, so a private hit gives the same state whether
     it runs before or after any peer access, and its position in the
     merge changes nothing. Both steppers therefore reach the shared

@@ -123,11 +123,14 @@ class GpuCore:
 
         The stepping protocol of
         :meth:`repro.sim.cpu.core.CpuCore.step_compiled`: one yield before
-        each access that :meth:`~repro.mem.level.MemoryLevel.private_hit`
-        does not serve, then the final count. Scratchpad hits, private L1
+        each access that the private probe
+        (:meth:`~repro.mem.level.MemoryLevel.private_window`) does not
+        serve, then the final count; a probed miss resumes with
+        :meth:`~repro.mem.level.MemoryLevel.miss`. Scratchpad hits, private L1
         hits, branches and compute runs are private to this core and need
-        no yield; a compute run is one addition while the count is whole,
-        else one ``+= 1.0`` per instruction, as the reference loop adds.
+        no yield; a compute run is one addition when that sum is exact,
+        else one ``+= 1.0`` per instruction, as the reference loop adds
+        (the exactness test of the CPU's loop).
         Regions are pushed into the scratchpad only between phases, so an
         empty scratchpad is not consulted at all. Each access happens at the same cycle, and every
         yielded access is keyed by the same count, as in the reference
@@ -143,14 +146,16 @@ class GpuCore:
         hit_latency = freq.cycles_to_seconds(self.config.l1d.latency)
         warps = self.warps
         access = self.memory.access
-        private_hit = self.memory.private_hit
+        miss = self.memory.miss
+        limit, probe = self.memory.private_window()
         scratchpad_access = None if self.scratchpad.empty else self.scratchpad.access
 
         cycles = 0.0
         for kind, a, b, c in compiled.events:
             if kind == EV_COMPUTE_RUN:
-                if cycles.is_integer():
-                    cycles += a
+                total = cycles + a
+                if cycles.is_integer() or (cycles >= a and total - cycles == a):
+                    cycles = total
                 else:
                     for _ in range(a):
                         cycles += 1.0
@@ -162,13 +167,18 @@ class GpuCore:
                         cycles += 1.0
                         cycles += max(smem - 1, 0)
                         continue
-                latency = private_hit(a, c)
-                if latency is None:
+                if a < limit:
+                    latency = probe(a, c)
+                    if latency is None:
+                        yield cycles
+                        cycles += 1.0
+                        latency = miss(a, c, start_seconds + int(cycles) / hertz)
+                    else:
+                        cycles += 1.0
+                else:
                     yield cycles
                     cycles += 1.0
                     latency = access(a, c, start_seconds + int(cycles) / hertz)
-                else:
-                    cycles += 1.0
                 if latency > hit_latency:
                     stall = (latency - hit_latency) / warps
                     stall_cycles = stall * hertz

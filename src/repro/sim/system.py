@@ -9,7 +9,7 @@ keeps shared-window data coherent between the PUs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.config.system import SystemConfig
 from repro.errors import SimulationError
@@ -21,7 +21,7 @@ from repro.mem.coherence.api import CoherenceProtocol, protocol_for
 from repro.mem.coherence.directory import Directory
 from repro.mem.dram.controller import DramSystem
 from repro.mem.interconnect.ring import REQUEST_BYTES, RingNetwork, RingPath
-from repro.mem.level import MemoryLevel
+from repro.mem.level import MemoryLevel, Probe
 from repro.sim.cpu.core import CpuCore
 from repro.sim.gpu.core import GpuCore
 from repro.taxonomy import CoherenceKind, ProcessingUnit
@@ -40,8 +40,10 @@ class CoherentFront(MemoryLevel):
     on the critical path, each one PU-to-PU leg priced once at
     construction.
 
-    Below the shared window the peer never touches this PU's caches, so
-    :meth:`private_hit` hands those addresses to the wrapped L1.
+    Below the shared window the peer never invalidates this PU's caches,
+    so :meth:`private_window` hands the wrapped L1's probe to the core for
+    those addresses, and :meth:`miss` finishes their missed probes in the
+    L1.
     """
 
     def __init__(
@@ -65,10 +67,16 @@ class CoherentFront(MemoryLevel):
         #: The latency of one protocol message to the peer PU.
         self._message_leg = ring.leg_seconds(str(pu), str(pu.other), REQUEST_BYTES)
 
-    def private_hit(self, addr: int, is_write: bool) -> "float | None":
-        if addr >= self.shared_base:
-            return None
-        return self.below.private_hit(addr, is_write)
+    def private_window(self) -> "Tuple[int, Probe]":
+        limit, probe = self.below.private_window()
+        return min(limit, self.shared_base), probe
+
+    def miss(
+        self, addr: int, is_write: bool = False, issue_time: float = 0.0, explicit: bool = False
+    ) -> float:
+        if addr < self.shared_base:
+            return self.below.miss(addr, is_write, issue_time, explicit)
+        return self.access(addr, is_write, issue_time, explicit)
 
     def access(
         self, addr: int, is_write: bool = False, issue_time: float = 0.0, explicit: bool = False

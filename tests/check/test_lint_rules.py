@@ -79,6 +79,13 @@ class TestHotLoopAllocations:
         )
         assert violations(source) == [("L003", 2)]
 
+    def test_block_in_miss_entry_flagged(self):
+        source = (
+            "def miss(self, addr, is_write, issue_time, explicit):\n"
+            "    return CacheBlock(addr, True)\n"
+        )
+        assert violations(source) == [("L003", 2)]
+
     def test_other_functions_unrestricted(self):
         source = (
             "def run_stepwise(self, instructions):\n"

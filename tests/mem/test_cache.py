@@ -4,6 +4,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config.system import CacheConfig
 from repro.errors import SimulationError
@@ -76,6 +78,78 @@ class TestHitMiss:
         assert cache.miss_rate == 1.0
 
 
+class TestProbeThenMiss:
+    """A cache driven the way the cores drive it (the ``private_window``
+    probe, then ``miss`` when it misses) against one driven by ``access``
+    alone, on the same stream: the same latencies, counters, traffic
+    below, residency and recency."""
+
+    OPS = ("read", "write", "explicit read", "invalidate", "push", "flush")
+
+    @staticmethod
+    def _build(case):
+        policy = HybridLocalityPolicy(4, max_explicit_ways=2) if case == "hybrid" else LRUPolicy()
+        # 2 KB, 4 ways, 64 B lines: 8 sets; 48 lines make 6 per set.
+        config = CacheConfig("diff", 2 * KB, ways=4, latency=2, mshr_entries=4)
+        backing = _RecordingMemory()
+        prefetcher = NextLinePrefetcher() if case == "lru+prefetch" else None
+        cache = Cache(config, FREQ, next_level=backing, policy=policy, prefetcher=prefetcher)
+        return cache, backing
+
+    @staticmethod
+    def _state(cache):
+        """The tick and every way's block fields, set by set."""
+        return cache._tick, [
+            None
+            if blocks is None
+            else [
+                (b.tag, b.valid, b.dirty, b.explicit, b.prefetched, b.last_use)
+                for b in blocks
+            ]
+            for blocks in cache._sets
+        ]
+
+    @pytest.mark.parametrize("case", ["lru", "hybrid", "lru+prefetch"])
+    @given(
+        stream=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=47),
+                st.integers(min_value=0, max_value=63),
+                st.sampled_from(OPS),
+            ),
+            max_size=250,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_latencies_counters_and_residency(self, case, stream):
+        probed, probed_below = self._build(case)
+        plain, plain_below = self._build(case)
+        limit, probe = probed.private_window()
+        for step, (line, offset, op) in enumerate(stream):
+            addr = line * 64 + offset
+            issue_time = step * 20e-9
+            if op in ("read", "write", "explicit read"):
+                is_write = op == "write"
+                explicit = op == "explicit read"
+                assert addr < limit
+                latency = probe(addr, is_write, explicit)
+                if latency is None:
+                    latency = probed.miss(addr, is_write, issue_time, explicit)
+                assert latency == plain.access(addr, is_write, issue_time, explicit)
+            elif op == "invalidate":
+                assert probed.invalidate_line(addr) == plain.invalidate_line(addr)
+            elif op == "push":
+                probed.push_line(addr)
+                plain.push_line(addr)
+            else:
+                assert probed.flush() == plain.flush()
+            assert self._state(probed) == self._state(plain)
+        assert probed.stats() == plain.stats()
+        assert probed_below.requests == plain_below.requests
+        assert probed_below.stats() == plain_below.stats()
+        TestPinnedStorage._assert_line_map_exact(probed)
+
+
 class TestEvictionAndWriteback:
     def test_eviction_on_conflict(self):
         # 4KB, 4 ways, 64B lines -> 16 sets; addresses 16*64 apart conflict.
@@ -94,6 +168,36 @@ class TestEvictionAndWriteback:
         cache.access(4 * stride)  # evicts line 1 (LRU)
         assert cache.contains(0)
         assert not cache.contains(stride)
+
+    def test_lru_ties_go_to_the_lowest_way(self):
+        def blocks(*uses):
+            return [CacheBlock(tag=i, valid=True, last_use=use) for i, use in enumerate(uses)]
+
+        policy = LRUPolicy()
+        assert policy.victim(blocks(4, 4, 4, 4), False) == 0
+        assert policy.victim(blocks(9, 3, 7, 3), False) == 1
+        assert policy.victim(blocks(9, 8, 7, 7), True) == 2
+        # The first invalid way wins over any valid one, however old.
+        ways = blocks(1, 0, 5, 0)
+        ways[2] = CacheBlock()
+        ways[3] = CacheBlock()
+        assert policy.victim(ways, False) == 2
+
+    @given(
+        ways=st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=0, max_value=6)),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lru_victim_is_first_invalid_else_min_recency(self, ways):
+        blocks = [CacheBlock(tag=i, valid=v, last_use=use) for i, (v, use) in enumerate(ways)]
+        invalid = [i for i, block in enumerate(blocks) if not block.valid]
+        expected = (
+            invalid[0] if invalid else min(range(len(blocks)), key=lambda i: blocks[i].last_use)
+        )
+        assert LRUPolicy().victim(blocks, False) == expected
 
     def test_dirty_eviction_writes_back(self):
         cache, _ = make_cache()
@@ -335,15 +439,24 @@ class TestPinnedStorage:
 
     @staticmethod
     def _assert_line_map_exact(cache):
-        """The ``line -> way`` map holds exactly the valid blocks."""
-        valid = {
-            block.tag * len(cache._sets) + index: way
-            for index, blocks in enumerate(cache._sets)
+        """The ``line -> block`` map holds exactly the valid blocks, and
+        each entry is the very block in set ``line % sets`` whose tag is
+        ``line // sets``."""
+        sets = len(cache._sets)
+        valid = [
+            block
+            for blocks in cache._sets
             if blocks is not None
-            for way, block in enumerate(blocks)
+            for block in blocks
             if block.valid
+        ]
+        assert len(cache._block_of) == len(valid)
+        assert {id(block) for block in cache._block_of.values()} == {
+            id(block) for block in valid
         }
-        assert cache._way_of == valid
+        for line, block in cache._block_of.items():
+            assert block.valid and block.tag == line // sets
+            assert any(way is block for way in cache._sets[line % sets])
 
     @classmethod
     def _drive(cls, case):

@@ -3,14 +3,20 @@
 The compiled hot path is only correct if a :class:`CompiledSegment`
 decodes to *exactly* the stream ``Segment.instructions()`` generates —
 the hypothesis property here pins that for random mixes on both PUs.
+``from_segment`` computes its events in closed form from the mix, so
+:func:`encode_raw_ops` (one pass over ``Segment.raw_ops``, the
+expansion's single source of truth) is its oracle: every kernel segment
+and a property over mix edge cases must encode the same on both.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.isa.opcodes import CODE_TO_OPCODE, OPCODE_TO_CODE, Opcode
+from repro.kernels.registry import all_kernels, kernel
 from repro.perf.compiled import (
+    _SHARED_EVENTS,
     EV_BRANCH,
     EV_COMPUTE_RUN,
     EV_MEMORY,
@@ -55,6 +61,186 @@ def segments(draw):
         elem_bytes=elem_bytes,
         label="prop",
     )
+
+
+_STORE_CODES = {OPCODE_TO_CODE[op] for op in (Opcode.STORE, Opcode.SIMD_STORE)}
+_RECORD_CODES = _STORE_CODES | {
+    OPCODE_TO_CODE[op] for op in (Opcode.LOAD, Opcode.SIMD_LOAD, Opcode.BRANCH)
+}
+
+
+def encode_raw_ops(segment):
+    """``(events, length)`` by one pass over ``segment.raw_ops()``: each
+    memory or branch record becomes one event, each maximal run of the
+    other records one compute-run event, and run and branch events come
+    from the process-wide shared table."""
+    share = _SHARED_EVENTS.setdefault
+    events = []
+    run = 0
+    pc = PC_BASE
+    for code, addr, size, taken in segment.raw_ops():
+        pc += 4
+        if code not in _RECORD_CODES:
+            run += 1
+            continue
+        if run:
+            event = (EV_COMPUTE_RUN, run, 0, 0)
+            events.append(share(event, event))
+            run = 0
+        if code == OPCODE_TO_CODE[Opcode.BRANCH]:
+            event = (EV_BRANCH, taken, pc, 0)
+            events.append(share(event, event))
+        else:
+            events.append((EV_MEMORY, addr, size, code in _STORE_CODES))
+    if run:
+        event = (EV_COMPUTE_RUN, run, 0, 0)
+        events.append(share(event, event))
+    return events, (pc - PC_BASE) // 4
+
+
+def assert_encodes_as_raw_ops(segment):
+    """The closed-form compilation equals the ``raw_ops`` encoding: the
+    same events with the same field types (``True`` is not ``1``), the
+    same length, and the very same shared run and branch tuples."""
+    compiled = CompiledSegment.from_segment(segment)
+    events, length = encode_raw_ops(segment)
+    assert compiled.length == length
+    assert compiled.events == events
+    for got, want in zip(compiled.events, events):
+        assert [type(field) for field in got] == [type(field) for field in want]
+        if got[0] != EV_MEMORY:
+            assert got is want
+
+
+def _trace_segments(trace):
+    for phase in trace.phases:
+        for name in ("segment", "cpu", "gpu"):
+            segment = getattr(phase, name, None)
+            if segment is not None:
+                yield segment
+
+
+#: Kernels small enough to check as built, at scale 1.0 (under 0.5M
+#: instructions); the others' full traces hold 1-17M instructions, too many
+#: to expand twice in a unit test, and reach the same closed form through
+#: the scaled mixes and the mix properties below.
+_FULL_SCALE_KERNELS = ("reduction", "merge sort")
+
+
+@st.composite
+def edge_segments(draw):
+    """A segment whose mix is one of the expansion's edge cases."""
+    shape = draw(
+        st.sampled_from(
+            ["no memory", "remainder past memory", "branches only",
+             "compute ends mid-slot", "simd memory"]
+        )
+    )
+    small = st.integers(min_value=0, max_value=30)
+    positive = st.integers(min_value=1, max_value=30)
+    pu = draw(st.sampled_from([ProcessingUnit.CPU, ProcessingUnit.GPU]))
+    simd = pu is ProcessingUnit.GPU
+    compute = dict(
+        int_alu=draw(small), fp_alu=draw(small), simd_alu=draw(small) if simd else 0
+    )
+    if shape == "no memory":
+        mix = InstructionMix(**compute, branches=draw(small))
+    elif shape == "remainder past memory":
+        # Few memory ops, many others: remainder exceeds memory_ops.
+        mix = InstructionMix(
+            **compute,
+            loads=draw(st.integers(min_value=1, max_value=2)),
+            stores=draw(st.integers(min_value=0, max_value=1)),
+            branches=draw(st.integers(min_value=10, max_value=60)),
+        )
+        m = mix.memory_ops
+        other = mix.compute_ops + mix.branches
+        assume(other - other // (m + 1) * m > m)
+    elif shape == "branches only":
+        mix = InstructionMix(branches=draw(positive), loads=draw(small), stores=draw(small))
+    elif shape == "compute ends mid-slot":
+        # At least two others per slot, and the last compute op lands
+        # inside a slot with branches after it.
+        mix = InstructionMix(
+            **compute,
+            loads=draw(st.integers(min_value=1, max_value=6)),
+            branches=draw(st.integers(min_value=20, max_value=60)),
+        )
+        m = mix.memory_ops
+        per_slot = (mix.compute_ops + mix.branches) // (m + 1)
+        assume(per_slot >= 2 and mix.compute_ops % per_slot)
+    else:
+        pu = ProcessingUnit.GPU
+        mix = InstructionMix(
+            **compute,
+            simd_loads=draw(small),
+            simd_stores=draw(small),
+            loads=draw(small),
+            stores=draw(small),
+            branches=draw(small),
+        )
+        assume(mix.simd_loads or mix.simd_stores)
+    footprint = 256 if mix.memory_ops else 0
+    return Segment(pu=pu, mix=mix, base_addr=4096, footprint_bytes=footprint, label="edge")
+
+
+class TestClosedFormCompile:
+    """Every kernel's segments, as built, scaled and staged into each
+    address space, compile to their ``raw_ops`` encoding."""
+
+    @pytest.mark.parametrize("name", [k.name for k in all_kernels()])
+    def test_kernel_segments_scaled_and_staged(self, name):
+        from repro.addrspace.base import make_address_space
+        from repro.sim.mmu import stage_trace
+        from repro.taxonomy import AddressSpaceKind
+
+        trace = kernel(name).build()
+        smallest = trace.scaled(0.002)
+        variants = [trace.scaled(scale) for scale in (0.002, 0.003, 0.02)]
+        # Staging rewrites base addresses (and so the memory events).
+        variants += [stage_trace(smallest, make_address_space(kind)) for kind in AddressSpaceKind]
+        if name in _FULL_SCALE_KERNELS:
+            variants.append(trace.scaled(1.0))
+        checked = 0
+        for variant in variants:
+            for segment in _trace_segments(variant):
+                assert_encodes_as_raw_ops(segment)
+                checked += 1
+        assert checked >= 3 * len(variants)
+
+    @given(segment=segments())
+    @settings(max_examples=150, deadline=None)
+    def test_random_segments(self, segment):
+        assert_encodes_as_raw_ops(segment)
+
+    @given(segment=edge_segments())
+    @example(segment=Segment(pu=ProcessingUnit.CPU, mix=InstructionMix(int_alu=5, branches=40)))
+    @example(segment=Segment(pu=ProcessingUnit.CPU, mix=InstructionMix()))
+    @example(
+        segment=Segment(
+            pu=ProcessingUnit.CPU,
+            mix=InstructionMix(int_alu=3, loads=1, branches=17),
+            footprint_bytes=64,
+        )
+    )
+    @example(
+        segment=Segment(
+            pu=ProcessingUnit.GPU,
+            mix=InstructionMix(branches=33, loads=2, stores=1),
+            footprint_bytes=64,
+        )
+    )
+    @example(
+        segment=Segment(
+            pu=ProcessingUnit.GPU,
+            mix=InstructionMix(simd_alu=5, fp_alu=1, simd_loads=4, simd_stores=3, branches=9),
+            footprint_bytes=32,
+            elem_bytes=16,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mix_edge_cases(self, segment):
+        assert_encodes_as_raw_ops(segment)
 
 
 class TestDecodeFidelity:

@@ -404,7 +404,9 @@ class TestPrivateHits:
         production = simulator.run(trace, **kwargs)
         assert_identical(reference, production)
         assert production.counters["directory.tracked_lines"] > 0
-        # Every access translates first, so none is a private hit.
+        # Every access translates first, so none is probed for a private hit.
         for core in (simulator.last_machine.cpu_core, simulator.last_machine.gpu_core):
             assert isinstance(core.memory, TranslationFront)
-        assert TranslationFront.private_hit is MemoryLevel.private_hit
+            assert core.memory.private_window()[0] == 0
+        assert TranslationFront.private_window is MemoryLevel.private_window
+        assert TranslationFront.miss is MemoryLevel.miss

@@ -118,6 +118,32 @@ class TestVerdict:
         assert perf_gate.SHARE_METRIC in problem
 
 
+class TestProtocolWork:
+    """Protocol work is judged per unit of simulated work: the traced
+    share over the median detailed-grid throughput."""
+
+    @staticmethod
+    def judge_grid(throughput, change_share):
+        change = runs(*[line()] * perf_gate.PAIRS)
+        change[perf_gate.SHARE_WORKLOAD] = [line(throughput_per_s=throughput)] * perf_gate.PAIRS
+        return judge(change, change_share=change_share)
+
+    def test_share_rise_from_faster_other_layers_passes(self):
+        # Everything but the protocol got faster: the share rose 25% with
+        # the throughput, so protocol seconds per instruction are flat.
+        assert self.judge_grid(100.0 * 1.25, SHARE * 1.25 * 1.01) == []
+
+    def test_protocol_doing_its_work_twice_fails(self):
+        # The protocol's seconds doubled at an unchanged throughput.
+        (problem,) = self.judge_grid(100.0, SHARE * 1.6)
+        assert perf_gate.SHARE_METRIC in problem
+
+    def test_protocol_work_is_share_over_median_throughput(self):
+        grid = [line(throughput_per_s=value) for value in (50.0, 80.0, 100.0, 120.0, 900.0)]
+        cost = perf_gate.protocol_cost({perf_gate.SHARE_WORKLOAD: grid}, traced(0.2))
+        assert cost == pytest.approx(0.2 / 100.0)
+
+
 class TestArguments:
     def test_needs_two_checkouts(self, capsys):
         assert perf_gate.main([]) == 2

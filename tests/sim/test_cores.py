@@ -1,15 +1,23 @@
 """Tests for the CPU and GPU core timing models."""
 
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config.system import CpuConfig, GpuConfig
 from repro.errors import SimulationError
 from repro.mem.level import FixedLatencyMemory
+from repro.perf.compiled import EV_COMPUTE_RUN, EV_MEMORY, CompiledSegment
 from repro.sim.cpu.core import CpuCore
 from repro.sim.gpu.core import GpuCore
 from repro.sim.gpu.smem import Scratchpad
-from repro.sim.reference import run_segment
+from repro.sim.reference import cpu_steps, gpu_steps, run_segment
+from repro.taxonomy import ProcessingUnit
 from repro.trace.instruction import Instruction
+from repro.trace.mix import InstructionMix
+from repro.trace.phase import Segment
 
 
 def compute_stream(n):
@@ -144,3 +152,82 @@ class TestScratchpad:
         pad.push(0x0, 256)
         pad.clear()
         assert not pad.contains(0x0)
+
+
+class TestComputeRunsAddExactly:
+    """A compute run adds its count in one go only when that sum is
+    exact; otherwise one ``1.0`` at a time, as the reference loop does."""
+
+    @given(
+        cycles=st.floats(min_value=0.0, max_value=2.0**52, allow_nan=False),
+        count=st.integers(min_value=1, max_value=64),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_the_one_addition_rule_equals_repeated_addition(self, cycles, count):
+        total = cycles + count
+        looped = cycles
+        for _ in range(count):
+            looped += 1.0
+        if cycles.is_integer() or (cycles >= count and total - cycles == count):
+            assert total == looped
+
+    @pytest.mark.parametrize("leading", [False, True])
+    @pytest.mark.parametrize("pu", [ProcessingUnit.CPU, ProcessingUnit.GPU])
+    @given(
+        latency=st.floats(min_value=1e-10, max_value=1e-7),
+        run=st.integers(min_value=8, max_value=3000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_long_run_after_a_fractional_stall(self, pu, leading, latency, run):
+        # A run longer than the count so far: one addition would round
+        # once where the reference rounds at every power of two crossed.
+        # A leading run starts from a whole count and adds in one step.
+        segment = Segment(pu=pu, mix=InstructionMix(loads=1, int_alu=run), footprint_bytes=64)
+        events = [(EV_MEMORY, 0, 4, False), (EV_COMPUTE_RUN, run, 0, 0)]
+        stream = [Instruction.load(0)] + compute_stream(run)
+        if leading:
+            events.reverse()
+            stream.reverse()
+        outcomes = []
+        for production in (True, False):
+            memory = FixedLatencyMemory(latency)
+            if pu is ProcessingUnit.CPU:
+                core, steps = CpuCore(CpuConfig(), memory), cpu_steps
+            else:
+                core, steps = GpuCore(GpuConfig(), memory), gpu_steps
+            if production:
+                counts = core.step_compiled(CompiledSegment(segment, run + 1, events))
+            else:
+                counts = steps(core, stream)
+            *_, cycles = counts
+            outcomes.append((cycles, core.stats()))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("pu", [ProcessingUnit.CPU, ProcessingUnit.GPU])
+    def test_run_from_a_whole_count_is_one_addition(self, pu):
+        # Counts the stepper's executed lines: adding one wrap at a time
+        # would run its loop body once per wrap.
+        run = 4000
+        segment = Segment(pu=pu, mix=InstructionMix(int_alu=run), footprint_bytes=64)
+        compiled = CompiledSegment(segment, run, [(EV_COMPUTE_RUN, run, 0, 0)])
+        if pu is ProcessingUnit.CPU:
+            core = CpuCore(CpuConfig(), FixedLatencyMemory(FAST_MEM))
+            expected = run // CpuConfig().issue_width
+        else:
+            core = GpuCore(GpuConfig(), FixedLatencyMemory(FAST_MEM))
+            expected = run
+        lines = []
+
+        def tracer(frame, event, arg):
+            if frame.f_code.co_name == "step_compiled":
+                lines.append(event)
+                return tracer
+            return None
+
+        sys.settrace(tracer)
+        try:
+            *_, cycles = core.step_compiled(compiled)
+        finally:
+            sys.settrace(None)
+        assert cycles == float(expected)
+        assert len(lines) < 100

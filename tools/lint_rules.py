@@ -9,11 +9,13 @@
   list across every call; use ``None`` plus an in-body default.
 - **L003 — no per-instruction object construction in batched hot
   loops.** Functions named ``run_compiled*`` / ``step_compiled*`` /
-  ``private_hit*`` exist precisely to avoid allocating ``Instruction`` /
-  ``CacheBlock`` / ``CoherenceAction`` objects per instruction or per
-  access; building one inside them silently reintroduces the overhead
-  the compiled path removed. Allocate outside the loop, use the array
-  records, or return an interned action instead.
+  ``private_hit*`` / ``miss*`` (the per-access probe and its miss entry)
+  exist precisely to avoid allocating ``Instruction`` / ``CacheBlock`` /
+  ``CoherenceAction`` objects per instruction or per access; building
+  one inside them silently reintroduces the overhead the compiled path
+  removed. Allocate outside the loop, use the array records, or return
+  an interned action instead. A fill builds its block in the cache's one
+  install path, which runs once per fill, not per access.
 - **L005 — every check rule is seeded and documented.** Each ``Rule``
   in ``repro/check/rules.py`` must have a fixture in
   ``repro/check/fixtures.py`` (the checker's ground truth — an
@@ -61,7 +63,7 @@ Violation = Tuple[Path, int, str, str]
 MUTABLE_CONSTRUCTORS = ("list", "dict", "set", "bytearray")
 
 #: Hot-path function name prefixes covered by L003.
-HOT_LOOP_PREFIXES = ("run_compiled", "step_compiled", "private_hit")
+HOT_LOOP_PREFIXES = ("run_compiled", "step_compiled", "private_hit", "miss")
 
 #: Per-instruction and per-access record types that must never be built
 #: inside a batched hot loop (L003).

@@ -17,11 +17,17 @@ change fails when:
 - an end-to-end metric's median is worse than the parent's by more than
   the metric's ``bound`` in the parent's ``BENCHMARK.json``, judged in
   the direction of its ``better`` field;
-- detailed-grid ``mem.coherence.share`` rises by more than
-  :data:`SHARE_RISE` relative to the parent. Protocol work is about an
-  eighth of a detailed-grid round, so a slower protocol moves the
-  end-to-end metrics by a fraction of its own slowdown, and the share
-  by most of it.
+- detailed-grid protocol work rises by more than :data:`SHARE_RISE`
+  relative to the parent, judged per unit of simulated work: both
+  ``mem.coherence.share`` and that share over the median
+  ``throughput_per_s`` (protocol seconds per simulated instruction; both
+  sides simulate the same instructions) must rise past it. Protocol work
+  is about an eighth of a detailed-grid round, so a slower protocol moves
+  the end-to-end metrics by a fraction of its own slowdown, and both
+  readings by most of it. The share alone also rises when other layers
+  get faster; the per-instruction reading does not. A change that slows
+  every layer alike raises only the per-instruction reading and is left
+  to the end-to-end bounds.
 
 The bounds come from the parent, so a change cannot loosen the gate it
 is judged by. Exit 0 when the change passes, 1 when it regresses (every
@@ -61,6 +67,8 @@ SECONDS = 5.0
 SHARE_METRIC = "mem.coherence.share"
 SHARE_WORKLOAD = "detailed-grid"
 SHARE_RISE = 0.25
+#: The work rate the share is divided by (the untraced runs' median).
+WORK_METRIC = "throughput_per_s"
 
 
 def bounds(benchmark: dict) -> Dict[str, dict]:
@@ -115,12 +123,22 @@ def regressions(
                 )
     base = metric(parent_traced, SHARE_METRIC)
     now = metric(change_traced, SHARE_METRIC)
-    if now > base * (1.0 + SHARE_RISE):
+    base_cost = protocol_cost(parent, parent_traced)
+    now_cost = protocol_cost(change, change_traced)
+    if now > base * (1.0 + SHARE_RISE) and now_cost > base_cost * (1.0 + SHARE_RISE):
         problems.append(
-            f"{SHARE_WORKLOAD}: {SHARE_METRIC} {now:.3f} rose more than "
-            f"{SHARE_RISE:.0%} above the parent's {base:.3f}"
+            f"{SHARE_WORKLOAD}: {SHARE_METRIC} {now:.3f} and its ratio to the median "
+            f"{WORK_METRIC} {now_cost:.4g} rose more than {SHARE_RISE:.0%} above the "
+            f"parent's {base:.3f} and {base_cost:.4g}"
         )
     return problems
+
+
+def protocol_cost(runs: Dict[str, List[dict]], traced: dict) -> float:
+    """Protocol work per unit of simulated work: the traced run's
+    :data:`SHARE_METRIC` over the median :data:`WORK_METRIC` of the
+    :data:`SHARE_WORKLOAD` runs."""
+    return metric(traced, SHARE_METRIC) / median(runs[SHARE_WORKLOAD], WORK_METRIC)
 
 
 def failed_share(results: List[dict]) -> float:
@@ -166,6 +184,10 @@ def report(limits, parent, change, parent_traced, change_traced) -> None:
     base, now = metric(parent_traced, SHARE_METRIC), metric(change_traced, SHARE_METRIC)
     ratio = now / base if base else float("inf")
     print(f"{SHARE_WORKLOAD:<15} {SHARE_METRIC:<20} {base:>10.4g} {now:>10.4g} {ratio:>7.3f}")
+    base = protocol_cost(parent, parent_traced)
+    now = protocol_cost(change, change_traced)
+    ratio = now / base if base else float("inf")
+    print(f"{SHARE_WORKLOAD:<15} {'share/throughput':<20} {base:>10.4g} {now:>10.4g} {ratio:>7.3f}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
