@@ -157,11 +157,26 @@ class DesignPoint:
         """The axes that can affect simulated timing: ``(comm, space)`` text.
 
         Rank jobs differ only in communication mechanism and address space
-        (locality, coherence, and consistency are scored analytically), so
-        two points sharing this key produce bit-identical per-kernel
-        results — the invariant both :meth:`~repro.exec.job.SimJob.cache_key`
-        dedup and in-shard memoization rely on. Stored sweep records are
-        keyed by it, so its text never changes.
+        (locality, coherence, and consistency are scored analytically).
+        Three keys say when two runs are the same, each finer than the
+        last, so equal finer keys imply equal coarser ones:
+
+        1. :meth:`SweepPoint.channel_spec <repro.perf.sweep.SweepPoint.channel_spec>`
+           (mechanism, comm parameters, machine, overlap): equal specs
+           share one channel pass over a trace, whatever the address space.
+        2. This key (comm, space): on one machine, equal keys give equal
+           channel specs and per-kernel results equal in everything but
+           their ``system`` label, so a rank simulates one point per key
+           (a *timing group*).
+        3. :meth:`SweepPoint.timing_key() <repro.perf.sweep.SweepPoint.timing_key>`
+           and, with the trace and fidelity,
+           :meth:`SimJob.cache_key <repro.exec.job.SimJob.cache_key>`: all a
+           run depends on but its label; equal keys share one simulation in
+           a batch and one memo entry.
+
+        ``tests/core/test_timing_equivalence.py`` checks the chain as a
+        property. Stored sweep records are keyed by this key, so its text
+        never changes.
         """
         return (_TEXT[self.comm], _TEXT[self.address_space])
 

@@ -7,14 +7,21 @@
 - :meth:`Explorer.evaluate_design_point` / :meth:`Explorer.rank_design_points`
   — combine performance, programmability, and option counts into the
   paper's overall judgement.
+
+A rank simulates timing groups, not points: each shard's
+:class:`~repro.exec.sweepjob.ShardOutcome` carries one pair of means per
+unit (a timing group, or a point under a fault plan), and
+:func:`_ranked` expands the units into :class:`DesignPointEvaluation`\\ s
+only as it orders them.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import defaultdict
+from itertools import repeat
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.check import CheckConfig, check_trace
 from repro.config import knobs
@@ -59,18 +66,20 @@ SWEEP_KIND = "sweep"
 
 
 @functools.lru_cache(maxsize=None)
-def _space_columns() -> Mapping[AddressSpaceKind, Tuple[int, int]]:
-    """The analytic columns of every address space: ``(Table V's total
-    comm-handling lines, locality option count)``.
+def _space_columns() -> Mapping[str, Tuple[int, int]]:
+    """The analytic columns of every address space, keyed by its
+    :attr:`~repro.core.design_point.DesignPoint.timing_key` text: ``(Table
+    V's total comm-handling lines, locality option count)``.
 
     Constant for a given repo state, but derived by lowering every
     program spec (~1 ms), so it is computed once per process; the cached
-    mapping is read-only because every caller shares it.
+    mapping is read-only because every caller shares it. Text keys hash in
+    C, where an :class:`AddressSpaceKind` key would run ``Enum.__hash__``.
     """
     table5 = table5_dict()
     return MappingProxyType(
         {
-            space: (
+            str(space): (
                 sum(per_kernel[space] for per_kernel in table5.values()),
                 len(feasible_schemes(space)),
             )
@@ -79,9 +88,12 @@ def _space_columns() -> Mapping[AddressSpaceKind, Tuple[int, int]]:
     )
 
 
-@dataclass(frozen=True)
-class DesignPointEvaluation:
-    """Aggregate metrics for one design point across the kernels."""
+class DesignPointEvaluation(NamedTuple):
+    """Aggregate metrics for one design point across the kernels.
+
+    A named tuple, so a rank builds each of its records in one C-level
+    step (:data:`_evaluation_of`).
+    """
 
     point: DesignPoint
     mean_seconds: float
@@ -99,24 +111,65 @@ class DesignPointEvaluation:
         return (-self.locality_options, self.comm_lines_total, self.mean_seconds)
 
 
-def _ranked(evaluations: Iterable[DesignPointEvaluation]) -> List[DesignPointEvaluation]:
-    """``sorted(evaluations, key=DesignPointEvaluation.score)``, sorting
-    only the distinct scores.
+#: ``(point, mean_seconds, mean_comm_fraction, comm_lines_total,
+#: locality_options)`` -> a :class:`DesignPointEvaluation`, with no
+#: Python-level ``__new__`` in between.
+_evaluation_of = functools.partial(tuple.__new__, DesignPointEvaluation)
 
-    Points that share a timing key share their score, so a full-space
-    rank has ~22 of them. Each tied group keeps its members in input
-    order, and the groups come out in score order: exactly the stable
-    sort's order.
+#: One simulated unit of a rank: the timing key its members share, their
+#: input indices (ascending) and their ``(mean_seconds,
+#: mean_comm_fraction)``.
+_Unit = Tuple[Tuple[str, str], List[int], float, float]
+
+
+def _ranked(
+    points: Sequence[DesignPoint], units: Iterable[_Unit]
+) -> List[DesignPointEvaluation]:
+    """The evaluations of ``points`` in
+    ``sorted(..., key=DesignPointEvaluation.score)`` order, sorting only
+    the distinct scores of the units.
+
+    A unit's members share its score, so a full-space rank sorts ~22 of
+    them. Units that tie on a score have their members merged by input
+    index, and the scores come out in order: exactly the stable sort's
+    order. Each evaluation is built only here, as its bucket is emitted.
     """
-    tied: Dict[Tuple[float, float, float], List[DesignPointEvaluation]] = {}
-    for evaluation in evaluations:
-        score = evaluation.score()
-        group = tied.get(score)
-        if group is None:
-            tied[score] = [evaluation]
+    columns = _space_columns()
+    tied: Dict[Tuple[float, float, float], List[Tuple[List[int], float]]] = {}
+    for key, members, mean_seconds, mean_comm_fraction in units:
+        comm_lines, options = columns[key[1]]
+        score = (-options, comm_lines, mean_seconds)
+        bucket = tied.get(score)
+        if bucket is None:
+            tied[score] = [(members, mean_comm_fraction)]
         else:
-            group.append(evaluation)
-    return [evaluation for score in sorted(tied) for evaluation in tied[score]]
+            bucket.append((members, mean_comm_fraction))
+    ranked: List[DesignPointEvaluation] = []
+    for score in sorted(tied):
+        negative_options, comm_lines, mean_seconds = score
+        bucket = tied[score]
+        if len(bucket) == 1:
+            ((members, mean_comm_fraction),) = bucket
+            fractions = repeat(mean_comm_fraction)
+        else:
+            merged = sorted(
+                (index, fraction) for members, fraction in bucket for index in members
+            )
+            members = [index for index, _ in merged]
+            fractions = (fraction for _, fraction in merged)
+        ranked.extend(
+            map(
+                _evaluation_of,
+                zip(
+                    map(points.__getitem__, members),
+                    repeat(mean_seconds),
+                    fractions,
+                    repeat(comm_lines),
+                    repeat(-negative_options),
+                ),
+            )
+        )
+    return ranked
 
 
 class Explorer:
@@ -456,7 +509,7 @@ class Explorer:
         return DesignPointEvaluation(
             point,
             *sweepjob.mean_metrics(results),
-            *_space_columns()[point.address_space],
+            *_space_columns()[point.timing_key[1]],
         )
 
     def evaluate_design_point(
@@ -499,22 +552,27 @@ class Explorer:
     ) -> List[DesignPointEvaluation]:
         """Evaluate and rank design points (best first).
 
-        The points are partitioned into :meth:`shard_count` timing-key-aware
-        shards (:func:`~repro.exec.sweepjob.plan_shards`; one shard runs
-        in-process) and each shard is evaluated whole by
-        :func:`~repro.exec.sweepjob.run_shard`, in waves of ``jobs``
-        through the runner's persistent pool. Points that differ only in
-        axes that cannot affect timing (locality, coherence, consistency)
-        share one simulation per kernel; under a fault plan every
-        (point, kernel) job runs with its own retries instead. The ranking
-        is identical for every shard and job count.
+        The points are grouped once by timing key: points that differ
+        only in axes that cannot affect timing (locality, coherence,
+        consistency) share one simulation per kernel, so a group is one
+        *unit*; under a fault plan every point is its own unit, with its
+        own fault seeds and retries. The groups are partitioned into
+        :meth:`shard_count` shards (:func:`~repro.exec.sweepjob.plan_shards`,
+        weighed by the units they simulate; one shard runs in-process),
+        each shard ships one representative per unit to
+        :func:`~repro.exec.sweepjob.run_shard` in waves of ``jobs``
+        through the runner's persistent pool, and gets back one pair of
+        means per unit. Only :func:`_ranked` expands the units into
+        evaluations. The ranking is identical for every shard and job
+        count.
 
         The static-check gate runs here, in the parent, before any shard
-        is planned. With a durable store each completed timing-key group
-        is committed as one record keyed by (:meth:`_sweep_signature`,
-        timing key) after its wave; a rerun of the same sweep — at any
-        shard count — takes finished groups from the store and simulates
-        only the rest, so a killed sweep resumes with identical output.
+        is planned. With a durable store each completed timing group is
+        committed as one record keyed by (:meth:`_sweep_signature`, timing
+        key): its members' ``(label, mean_seconds, mean_comm_fraction)``
+        rows in input order. A rerun of the same sweep — at any shard
+        count — takes finished groups from the store and simulates only
+        the rest, so a killed sweep resumes with identical output.
         Distinct results also write through the memo. :attr:`last_results`
         holds the simulations this call actually ran.
         """
@@ -535,37 +593,55 @@ class Explorer:
             for config in configs:
                 for trace in traces:
                     self._gate(trace, config)
-        by_label = {point.label: point for point in points}
-        evaluations: Dict[str, DesignPointEvaluation] = {}
-        columns = _space_columns()
-
-        def adopt(rows: Iterable[Tuple[str, float, float]]) -> None:
-            for label, mean_seconds, mean_comm_fraction in rows:
-                point = by_label[label]
-                evaluations[label] = DesignPointEvaluation(
-                    point,
-                    mean_seconds,
-                    mean_comm_fraction,
-                    *columns[point.address_space],
-                )
-
+        groups: Dict[Tuple[str, str], List[int]] = defaultdict(list)
+        for index, point in enumerate(points):
+            groups[point.timing_key].append(index)
+        per_point = self.faults is not None
+        units: List[_Unit] = []
         signature = ""
         if self.store is not None:
             signature = self._sweep_signature(points, traces)
-            for key in dict.fromkeys(sweepjob.timing_key(p) for p in points):
-                adopt(self.store.get_object((signature, key), kind=SWEEP_KIND) or ())
-        remaining = [p for p in points if p.label not in evaluations]
+            pending = []
+            for key, members in groups.items():
+                rows = self.store.get_object((signature, key), kind=SWEEP_KIND)
+                if rows is None:
+                    pending.append((key, members))
+                elif per_point:
+                    stored = {label: means for label, *means in rows}
+                    units.extend(
+                        (key, [index], *stored[points[index].label])
+                        for index in members
+                    )
+                else:
+                    # One simulation per kernel: every row of the group
+                    # holds the same means.
+                    units.append((key, members, rows[0][1], rows[0][2]))
+        else:
+            pending = list(groups.items())
+        plan = [
+            [pending[position] for position in bucket]
+            for bucket in sweepjob.plan_shards(
+                [points[members[0]] for _, members in pending],
+                shards,
+                weights=[len(members) for _, members in pending] if per_point else None,
+            )
+            if bucket
+        ]
         shard_jobs = [
             sweepjob.ShardJob(
-                points=tuple(remaining[index] for index in bucket),
+                points=tuple(
+                    points[index]
+                    for _, members in shard
+                    for index in (members if per_point else members[:1])
+                ),
                 traces=traces,
+                sizes=() if per_point else tuple(len(m) for _, m in shard),
                 system=self.system,
                 comm_params=self.comm_params,
                 fault_plan=self.faults,
                 retry=self.runner.retry,
             )
-            for bucket in sweepjob.plan_shards(remaining, shards)
-            if bucket
+            for shard in plan
         ]
         ran: List[SimulationResult] = []
         wave = max(1, self.jobs)
@@ -575,7 +651,7 @@ class Explorer:
                 shard_jobs[start : start + wave],
                 stage="rank-shards",
             )
-            for outcome in outcomes:
+            for shard, outcome in zip(plan[start : start + wave], outcomes):
                 self.run_stats.record_cache(outcome.cache_hits, outcome.cache_misses)
                 self.run_stats.record_retry(outcome.retry_sleep, count=outcome.retries)
                 if outcome.error is not None:
@@ -585,19 +661,23 @@ class Explorer:
                     if cache_key is not None:
                         self.result_cache.put(cache_key, result)
                     ran.append(result)
-                adopt(outcome.evaluations)
-                if self.store is None:
-                    continue
-                # plan_shards keeps each timing-key group inside one shard,
-                # so this outcome holds every row of the groups it touches.
-                groups: Dict[Tuple[str, str], List[Tuple[str, float, float]]] = {}
-                for row in outcome.evaluations:
-                    key = sweepjob.timing_key(by_label[row[0]])
-                    groups.setdefault(key, []).append(row)
-                for key, rows in groups.items():
-                    self.store.put_object((signature, key), tuple(rows), kind=SWEEP_KIND)
+                means = iter(outcome.means)
+                for key, members in shard:
+                    group = (
+                        [(key, [index], *next(means)) for index in members]
+                        if per_point
+                        else [(key, members, *next(means))]
+                    )
+                    units.extend(group)
+                    if self.store is not None:
+                        rows = tuple(
+                            (points[index].label, mean_seconds, mean_comm_fraction)
+                            for _, unit, mean_seconds, mean_comm_fraction in group
+                            for index in unit
+                        )
+                        self.store.put_object((signature, key), rows, kind=SWEEP_KIND)
         self.last_results = ran
-        return _ranked(evaluations[point.label] for point in points)
+        return _ranked(points, units)
 
     def _sweep_signature(
         self, points: Sequence[DesignPoint], traces: Sequence[KernelTrace]

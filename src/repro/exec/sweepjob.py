@@ -1,15 +1,18 @@
 """The rank engine's unit of work.
 
-:func:`plan_shards` partitions a design-point list into timing-key-aware
-shards (points that dedup to the same simulation always co-locate, so
-in-shard memoization is as effective as a global memo), :class:`ShardJob`
-is the picklable unit of pool work, and :func:`run_shard` evaluates one
-shard whole — simulating each distinct timing key once (or, under a
-fault plan, every job with its own retries) and aggregating per-point
-means with :func:`mean_metrics` — returning a compact
-:class:`ShardOutcome` instead of thousands of pickled results.
+A rank simulates *units*, not points: one per timing group (the points
+sharing a :attr:`~repro.core.design_point.DesignPoint.timing_key`), or
+one per point under a fault plan, where every point draws its own fault
+seeds. :func:`plan_shards` partitions the timing groups into shards,
+each group whole and weighed by the simulations it runs;
+:class:`ShardJob` is the picklable unit of pool work and ships one
+representative point per unit; :func:`run_shard` simulates each unit
+once per kernel and returns a compact :class:`ShardOutcome` holding one
+``(mean_seconds, mean_comm_fraction)`` pair per unit (from
+:func:`mean_metrics`) instead of thousands of pickled results.
 :meth:`repro.core.explorer.Explorer.rank_design_points` runs every
-ranking this way, one shard in-process by default
+ranking this way, one shard in-process by default, and expands each
+unit into its members' evaluations only when it orders them
 (``tests/exec/test_shard.py`` pins identity across shard and job counts).
 """
 
@@ -33,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - import would cycle through repro.core
     from repro.core.design_point import DesignPoint
 
 __all__ = [
-    "timing_key",
     "plan_shards",
     "ShardJob",
     "ShardOutcome",
@@ -42,24 +44,27 @@ __all__ = [
 ]
 
 
-def timing_key(point: DesignPoint) -> Tuple[str, str]:
-    """The axes of ``point`` that can affect simulated timing: its
-    memoized :attr:`~repro.core.design_point.DesignPoint.timing_key`."""
-    return point.timing_key
-
-
-def plan_shards(points: Sequence[DesignPoint], shards: int) -> List[List[int]]:
+def plan_shards(
+    points: Sequence[DesignPoint],
+    shards: int,
+    weights: Optional[Sequence[int]] = None,
+) -> List[List[int]]:
     """Partition point indices into ``shards`` timing-key-aware shards.
 
-    Points with equal :func:`timing_key` always land in the same shard, so
-    each distinct simulation runs in exactly one worker and in-shard dedup
-    matches the global memo's effectiveness. Key groups are placed
-    largest-first onto the least-loaded shard (ties broken by shard index),
-    which is deterministic; each shard's indices come back sorted, and the
-    returned lists are a true partition of ``range(len(points))`` — the
-    Hypothesis suite pins ∪ = all indices and pairwise ∩ = ∅.
+    Points with equal :attr:`~repro.core.design_point.DesignPoint.timing_key`
+    always land in the same shard, so each distinct simulation runs in
+    exactly one worker. A group is weighed by the simulations it runs:
+    one unit, since its members share one simulation per kernel, or, with
+    ``weights`` (one per point; a fault plan simulates every point on its
+    own), the sum of its members' weights. Groups are placed heaviest-first
+    onto the least-loaded shard (ties broken by timing key, then shard
+    index), which is deterministic and keeps the loads within one
+    heaviest group of each other; each shard's indices come back sorted,
+    and the returned lists are a true partition of
+    ``range(len(points))`` — the Hypothesis suite pins ∪ = all indices and
+    pairwise ∩ = ∅.
 
-    Shards can come back empty when there are fewer key groups than
+    Shards can come back empty when there are fewer groups than
     ``shards``; callers skip empty shards rather than padding them. One
     shard is every index in order, with nothing to group or sort.
     """
@@ -68,15 +73,20 @@ def plan_shards(points: Sequence[DesignPoint], shards: int) -> List[List[int]]:
         return [list(range(len(points)))]
     grouped: "Dict[Tuple[str, str], List[int]]" = {}
     for index, point in enumerate(points):
-        grouped.setdefault(timing_key(point), []).append(index)
+        grouped.setdefault(point.timing_key, []).append(index)
+    weighed = sorted(
+        (
+            (1 if weights is None else sum(weights[i] for i in indices), key, indices)
+            for key, indices in grouped.items()
+        ),
+        key=lambda item: (-item[0], item[1]),
+    )
     plan: List[List[int]] = [[] for _ in range(shards)]
     loads = [0] * shards
-    for key, indices in sorted(
-        grouped.items(), key=lambda item: (-len(item[1]), item[0])
-    ):
+    for weight, _, indices in weighed:
         target = loads.index(min(loads))
         plan[target].extend(indices)
-        loads[target] += len(indices)
+        loads[target] += weight
     for bucket in plan:
         bucket.sort()
     return plan
@@ -86,16 +96,18 @@ def plan_shards(points: Sequence[DesignPoint], shards: int) -> List[List[int]]:
 class ShardJob:
     """One shard of a rank sweep — a picklable unit of pool work.
 
-    Carries the shard's points, the kernel traces themselves (all six
-    pickle to ~5 KB, and shipping them means a worker and an in-process
-    shard read the very traces the parent's trace cache built), the
-    machine parameters, and the resilience knobs: an active
-    ``fault_plan`` and the ``retry`` policy of the parent's runner,
-    applied to each job.
+    Carries one representative point per unit and, in ``sizes``, how many
+    points each one stands for (empty: one each; only the dedup counts
+    read it), the kernel traces themselves (all six pickle to ~5 KB, and
+    shipping them means a worker and an in-process shard read the very
+    traces the parent's trace cache built), the machine parameters, and
+    the resilience knobs: an active ``fault_plan`` and the ``retry``
+    policy of the parent's runner, applied to each job.
     """
 
     points: Tuple[DesignPoint, ...]
     traces: Tuple[KernelTrace, ...]
+    sizes: Tuple[int, ...] = ()
     system: Optional[SystemConfig] = None
     comm_params: Optional[CommParams] = None
     fault_plan: Optional[FaultPlan] = None
@@ -104,21 +116,22 @@ class ShardJob:
 
 @dataclass(frozen=True)
 class ShardOutcome:
-    """What a shard sends back: evaluations, not result objects.
+    """What a shard sends back: means, not result objects.
 
-    ``evaluations`` holds one ``(label, mean_seconds, mean_comm_fraction)``
-    tuple per point. ``ran`` carries one ``(cache_key, result)`` pair per
-    simulation the shard actually ran — a few per timing key without
-    faults, every (point, kernel) job with them (``cache_key`` is then
-    ``None``: fault-injected results are never memoized) — so the parent
-    can write them through its memo/durable store. ``cache_hits`` /
-    ``cache_misses`` are the in-shard dedup counts, ``retries`` /
-    ``retry_sleep`` the per-job re-attempts, and ``error`` the message of
-    a job that failed every attempt (the shard's evaluations are then
+    ``means`` holds one ``(mean_seconds, mean_comm_fraction)`` pair per
+    unit, in the order of :attr:`ShardJob.points`. ``ran`` carries one
+    ``(cache_key, result)`` pair per simulation the shard ran — one per
+    (unit, kernel) (``cache_key`` is ``None`` under a fault plan:
+    fault-injected results are never memoized) — so the parent can write
+    them through its memo/durable store. ``cache_hits`` /
+    ``cache_misses`` are the dedup counts (every member beyond a unit's
+    representative is a hit per kernel; zero under a fault plan),
+    ``retries`` / ``retry_sleep`` the per-job re-attempts, and ``error``
+    the message of a job that failed every attempt (``means`` is then
     empty).
     """
 
-    evaluations: Tuple[Tuple[str, float, float], ...]
+    means: Tuple[Tuple[float, float], ...]
     ran: Tuple[Tuple[Optional[Hashable], SimulationResult], ...]
     cache_hits: int = 0
     cache_misses: int = 0
@@ -142,28 +155,20 @@ def mean_metrics(results: Sequence[SimulationResult]) -> Tuple[float, float]:
 def run_shard(shard: ShardJob) -> ShardOutcome:
     """Evaluate one shard (in a worker, or in-process for a single shard).
 
-    Without faults each distinct :func:`timing_key` simulates once per
-    kernel and every point sharing it reuses those results. A fault plan
-    seeds each job's faults from its own label, so under faults every
-    (point, kernel) job runs on its own. Either way the jobs go through
-    an in-shard :class:`~repro.exec.runner.ParallelRunner` carrying the
-    shard's retry policy, so each job sees the attempts and fault seeds
-    the parent's runner would give it.
+    Each point of the shard is a unit and simulates once per kernel. The
+    jobs go through an in-shard :class:`~repro.exec.runner.ParallelRunner`
+    carrying the shard's retry policy, so each job sees the attempts and
+    fault seeds the parent's runner would give it.
     """
-    dedup = shard.fault_plan is None
-    groups: "Dict[Hashable, List[DesignPoint]]" = {}
-    for point in shard.points:
-        key = timing_key(point) if dedup else point.label
-        groups.setdefault(key, []).append(point)
     jobs = [
         SimJob.from_design_point(
-            first,
+            point,
             trace=trace,
             system=shard.system,
             comm_params=shard.comm_params,
             fault_plan=shard.fault_plan,
         )
-        for first in (members[0] for members in groups.values())
+        for point in shard.points
         for trace in shard.traces
     ]
     runner = ParallelRunner(jobs=1, retry=shard.retry)
@@ -171,25 +176,22 @@ def run_shard(shard: ShardJob) -> ShardOutcome:
         results = runner.map(run_sim_job, jobs, stage="shard")
     except SimulationError as exc:
         return ShardOutcome(
-            evaluations=(),
+            means=(),
             ran=(),
             retries=runner.stats.retry_attempts,
             retry_sleep=runner.stats.retry_sleep_seconds,
             error=str(exc),
         )
     width = len(shard.traces)
-    evaluations: List[Tuple[str, float, float]] = []
-    for index, members in enumerate(groups.values()):
-        mean_seconds, mean_comm_fraction = mean_metrics(
-            results[index * width : (index + 1) * width]
-        )
-        evaluations.extend(
-            (point.label, mean_seconds, mean_comm_fraction) for point in members
-        )
+    dedup = shard.fault_plan is None
+    members = sum(shard.sizes) if shard.sizes else len(shard.points)
     return ShardOutcome(
-        evaluations=tuple(evaluations),
+        means=tuple(
+            mean_metrics(results[start : start + width])
+            for start in range(0, len(results), width)
+        ),
         ran=tuple((job.cache_key(), result) for job, result in zip(jobs, results)),
-        cache_hits=len(shard.points) * width - len(jobs) if dedup else 0,
+        cache_hits=(members - len(shard.points)) * width if dedup else 0,
         cache_misses=len(jobs) if dedup else 0,
         retries=runner.stats.retry_attempts,
         retry_sleep=runner.stats.retry_sleep_seconds,

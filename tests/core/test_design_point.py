@@ -7,7 +7,6 @@ import pytest
 from repro.core.design_point import DesignPoint
 from repro.core.space import DesignSpace
 from repro.errors import DesignSpaceError
-from repro.exec.sweepjob import timing_key
 from repro.locality.schemes import Feasibility, feasibility
 from repro.taxonomy import (
     AddressSpaceKind,
@@ -223,7 +222,6 @@ class TestMemo:
             assert str(p) == label
             assert p.violations() == _reference_violations(p)
             assert p.timing_key == _reference_timing_key(p)
-            assert timing_key(p) == _reference_timing_key(p)
 
     def test_memo_is_out_of_eq_hash_repr_and_pickle(self):
         for fresh in DesignSpace().enumerate(feasible_only=False):

@@ -85,6 +85,27 @@ class TestDesignPointEvaluation:
         assert ev.comm_lines_total > 0
         assert ev.locality_options > 1
 
+    def test_record_shape(self, explorer, two_kernels):
+        """Field names and order, repr, hash and immutability are those
+        of the frozen record the rank output and serve payloads read."""
+        ev = explorer.evaluate_design_point(self.lrb_point(), kernels=two_kernels)
+        names = (
+            "point",
+            "mean_seconds",
+            "mean_comm_fraction",
+            "comm_lines_total",
+            "locality_options",
+        )
+        values = tuple(getattr(ev, name) for name in names)
+        assert ev._fields == names
+        assert repr(ev) == "DesignPointEvaluation(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(names, values)
+        ) + ")"
+        assert hash(ev) == hash(values)
+        assert ev.score() == (-values[4], values[3], values[1])
+        with pytest.raises(AttributeError):
+            ev.mean_seconds = 0.0
+
     def test_infeasible_point_rejected(self, explorer, two_kernels):
         from repro.errors import DesignSpaceError
 

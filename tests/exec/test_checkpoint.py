@@ -8,12 +8,16 @@ behind, recovery of a torn store, and that a killed-and-resumed sweep
 ranks exactly like an uninterrupted one.
 """
 
+import random
 from pathlib import Path
+
+import pytest
 
 from repro.core.explorer import SWEEP_KIND, Explorer
 from repro.core.space import DesignSpace
 from repro.exec.cache import ResultCache, TraceCache
-from repro.exec.sweepjob import timing_key
+from repro.exec.retry import RetryPolicy
+from repro.faults.spec import FaultPlan
 from repro.kernels.registry import all_kernels
 from repro.store import ResultStore
 
@@ -61,7 +65,7 @@ def _groups(root, points=POINTS, kernels=KERNELS):
     with ResultStore(root) as store:
         return {
             key: store.get_object((signature, key), kind=SWEEP_KIND)
-            for key in dict.fromkeys(timing_key(p) for p in points)
+            for key in dict.fromkeys(p.timing_key for p in points)
         }
 
 
@@ -93,6 +97,41 @@ class TestStore:
         assert stored == {
             e.point.label: (e.mean_seconds, e.mean_comm_fraction) for e in evaluations
         }
+
+    @pytest.mark.parametrize("faults", [None, "seed=3;pcie:fail=0.2"])
+    def test_records_are_group_rows_in_input_order(self, tmp_path, faults):
+        """One record per timing group: its members' ``(label,
+        mean_seconds, mean_comm_fraction)`` rows in input order, as a
+        tuple of tuples (under faults each member has its own means)."""
+        points = DesignSpace().feasible_points()
+        random.Random(7).shuffle(points)
+        plan = FaultPlan.parse(faults) if faults else None
+        with ResultStore(tmp_path / "cp") as store:
+            explorer = Explorer(
+                trace_cache=TraceCache(),
+                store=store,
+                faults=plan,
+                retry=RetryPolicy(retries=3, base_delay=0.0),
+            )
+            ranked = explorer.rank_design_points(points, KERNELS, shards=3)
+            means = {
+                e.point.label: (e.mean_seconds, e.mean_comm_fraction) for e in ranked
+            }
+            traces = [explorer.trace_cache.get(kernel) for kernel in KERNELS]
+            signature = explorer._sweep_signature(points, traces)
+            groups = {}
+            for point in points:
+                groups.setdefault(point.timing_key, []).append(point)
+            records = [
+                store.get_object((signature, key), kind=SWEEP_KIND) for key in groups
+            ]
+        for members, rows in zip(groups.values(), records):
+            assert type(rows) is tuple
+            assert all(type(row) is tuple for row in rows)
+            assert rows == tuple((p.label, *means[p.label]) for p in members)
+        # Faults give some group's members means of their own.
+        split = any(len({row[1:] for row in rows}) > 1 for rows in records)
+        assert split == (plan is not None)
 
     def test_missing_file_loads_empty(self, tmp_path):
         assert set(_groups(tmp_path / "absent").values()) == {None}

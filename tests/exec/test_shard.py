@@ -20,12 +20,7 @@ from repro.errors import ConfigError, SimulationError
 from repro.exec.cache import SHARED_TRACE_CACHE, ResultCache, TraceCache
 from repro.exec.retry import RetryPolicy
 from repro.exec.runner import ParallelRunner
-from repro.exec.sweepjob import (
-    ShardJob,
-    plan_shards,
-    run_shard,
-    timing_key,
-)
+from repro.exec.sweepjob import ShardJob, plan_shards, run_shard
 from repro.faults.spec import FaultPlan
 from repro.kernels.registry import all_kernels
 from repro.store import ResultStore
@@ -76,7 +71,7 @@ class TestPlanShards:
         home = {}
         for shard_index, bucket in enumerate(plan):
             for index in bucket:
-                key = timing_key(points[index])
+                key = points[index].timing_key
                 assert home.setdefault(key, shard_index) == shard_index
 
     @given(
@@ -98,9 +93,31 @@ class TestPlanShards:
         with pytest.raises(ConfigError):
             plan_shards(POINTS[:4], -2)
 
+    @pytest.mark.parametrize("shards", [2, 4, 8])
+    def test_full_space_balances_units(self, shards):
+        """Without faults a timing group costs one simulation per kernel
+        whatever its size, so the groups spread evenly over the shards."""
+        units = [
+            len({POINTS[index].timing_key for index in bucket})
+            for bucket in plan_shards(POINTS, shards)
+        ]
+        assert sum(units) == len({p.timing_key for p in POINTS})
+        assert max(units) - min(units) <= 1
+
+    def test_weights_balance_points_under_faults(self):
+        """With a weight per point (a fault plan simulates every point),
+        a group weighs its member count."""
+        weights = [1] * len(POINTS)
+        loads = [len(bucket) for bucket in plan_shards(POINTS, 4, weights=weights)]
+        largest = max(
+            sum(1 for p in POINTS if p.timing_key == key)
+            for key in {p.timing_key for p in POINTS}
+        )
+        assert max(loads) - min(loads) <= largest
+
     def test_more_shards_than_keys_leaves_empties(self):
         points = POINTS[:3]
-        keys = {timing_key(p) for p in points}
+        keys = {p.timing_key for p in points}
         plan = plan_shards(points, 12)
         assert sum(1 for bucket in plan if bucket) <= len(keys)
 
@@ -108,18 +125,28 @@ class TestPlanShards:
 class TestRunShard:
     def test_dedup_counts_and_evaluations(self):
         points = POINTS[:12]
+        groups = {}
+        for point in points:
+            groups.setdefault(point.timing_key, []).append(point)
         shard = ShardJob(
-            points=tuple(points),
+            points=tuple(members[0] for members in groups.values()),
             traces=tuple(SHARED_TRACE_CACHE.get(k) for k in KERNELS),
+            sizes=tuple(len(members) for members in groups.values()),
         )
         outcome = run_shard(shard)
-        assert len(outcome.evaluations) == len(points)
-        distinct_keys = {timing_key(p) for p in points}
+        # One pair of means per unit (timing group), not per point.
+        assert len(outcome.means) == len(groups)
+        distinct_keys = {p.timing_key for p in points}
         assert outcome.cache_misses == len(distinct_keys) * len(KERNELS)
         assert outcome.cache_hits == (len(points) - len(distinct_keys)) * len(
             KERNELS
         )
         assert len(outcome.ran) == outcome.cache_misses
+        explorer = Explorer(trace_cache=TraceCache(), result_cache=ResultCache())
+        for members, means in zip(groups.values(), outcome.means):
+            for point in members:
+                evaluation = explorer.evaluate_design_point(point, KERNELS)
+                assert (evaluation.mean_seconds, evaluation.mean_comm_fraction) == means
 
     def test_exhausted_retries_raise_in_the_parent(self):
         explorer = Explorer(
@@ -182,7 +209,7 @@ class TestShardedRankIdentity:
         explorer = Explorer(jobs=2, trace_cache=TraceCache())
         points = POINTS[:40]
         explorer.rank_design_points(points, KERNELS, shards=4)
-        distinct = {timing_key(p) for p in points}
+        distinct = {p.timing_key for p in points}
         assert explorer.run_stats.cache_misses == len(distinct) * len(KERNELS)
         assert explorer.run_stats.cache_hits == (
             (len(points) - len(distinct)) * len(KERNELS)
@@ -223,7 +250,7 @@ class TestStoreResume:
         journal = (tmp_path / "full" / "journal.jsonl").read_bytes()
         lines = journal.splitlines(keepends=True)
         # One commit per distinct result plus one per timing-key group.
-        groups = {timing_key(p) for p in self.POINTS}
+        groups = {p.timing_key for p in self.POINTS}
         assert len(groups) > 1
         assert len(lines) == len(groups) * (len(KERNELS) + 1)
         for keep in range(len(lines) + 1):
@@ -239,7 +266,7 @@ class TestStoreResume:
 class TestCheckpointInterop:
     """A store written at one shard count resumes at any other."""
 
-    GROUPS = len({timing_key(p) for p in SPREAD})
+    GROUPS = len({p.timing_key for p in SPREAD})
 
     def _kill_late(self, root):
         """Drop the last commits, so half the group records are lost."""
