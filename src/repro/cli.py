@@ -187,16 +187,19 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    explorer = _explorer_from_args(args)
     builders = {
         "5": figures.figure5_text,
         "6": figures.figure6_text,
         "7": figures.figure7_text,
         "coherence": figures.coherence_text,
     }
-    _out(builders[args.number](explorer))
-    _print_stats(args, explorer)
-    _write_observability(args, explorer)
+    explorer = _explorer_from_args(args)
+    # Shut the worker pool down while the interpreter is whole: left to
+    # the runner's finalizer at exit, its wakeup pipe may already be shut.
+    with explorer.runner:
+        _out(builders[args.number](explorer))
+        _print_stats(args, explorer)
+        _write_observability(args, explorer)
     return EXIT_OK
 
 
@@ -211,30 +214,31 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     explorer = _explorer_from_args(args)
-    points = DesignSpace().feasible_sample(args.sample)
-    shards = explorer.shard_count(args.shards)
-    if shards > 1 and explorer.jobs > 1:
-        explorer.runner.prestart()
-    evaluations = explorer.rank_design_points(points, shards=shards)[: args.top]
-    rows = [
-        (
-            e.point.label,
-            f"{e.mean_seconds * 1e6:.1f}",
-            f"{e.mean_comm_fraction:.1%}",
-            e.comm_lines_total,
-            e.locality_options,
+    with explorer.runner:  # see _cmd_figure
+        points = DesignSpace().feasible_sample(args.sample)
+        shards = explorer.shard_count(args.shards)
+        if shards > 1 and explorer.jobs > 1:
+            explorer.runner.prestart()
+        evaluations = explorer.rank_design_points(points, shards=shards)[: args.top]
+        rows = [
+            (
+                e.point.label,
+                f"{e.mean_seconds * 1e6:.1f}",
+                f"{e.mean_comm_fraction:.1%}",
+                e.comm_lines_total,
+                e.locality_options,
+            )
+            for e in evaluations
+        ]
+        _out(
+            format_table(
+                ("design point", "mean us", "comm%", "comm lines", "locality options"),
+                rows,
+                title=f"Top {len(rows)} design points",
+            )
         )
-        for e in evaluations
-    ]
-    _out(
-        format_table(
-            ("design point", "mean us", "comm%", "comm lines", "locality options"),
-            rows,
-            title=f"Top {len(rows)} design points",
-        )
-    )
-    _print_stats(args, explorer)
-    _write_observability(args, explorer)
+        _print_stats(args, explorer)
+        _write_observability(args, explorer)
     return EXIT_OK
 
 

@@ -18,8 +18,8 @@ is converted from seconds to CPU cycles at the CPU clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, Tuple
 
 from repro.errors import ConfigError
 from repro.units import GHZ, Bandwidth, Frequency
@@ -46,6 +46,21 @@ class CommParams:
         for name in ("api_pci_base_cycles", "api_acq_cycles", "api_tr_cycles", "lib_pf_cycles"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
+
+    def __hash__(self) -> int:
+        """The field-tuple hash, computed once per instance: every job's
+        memo key carries the run's parameters."""
+        value = self.__dict__.get("_hash")
+        if value is None:
+            value = self.__dict__["_hash"] = hash(
+                tuple(self.__dict__[name] for name in _COMM_FIELDS)
+            )
+        return value
+
+    def __getstate__(self) -> Dict[str, object]:
+        """The fields only: the stored hash never reaches a pickle or a
+        store key."""
+        return {name: self.__dict__[name] for name in _COMM_FIELDS}
 
     def api_pci_cycles(self, num_bytes: int) -> int:
         """Cycles for a PCI-E memcpy of ``num_bytes``: base + size/rate."""
@@ -84,5 +99,7 @@ class CommParams:
             ("lib-pf", "page fault", "LRB", str(self.lib_pf_cycles)),
         )
 
+
+_COMM_FIELDS = tuple(f.name for f in fields(CommParams))
 
 DEFAULT_COMM_PARAMS = CommParams()

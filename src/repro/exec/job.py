@@ -162,7 +162,7 @@ def run_sim_job(job: SimJob) -> SimulationResult:
 
     try:
         # A job is a point: it decides its own label, protocol and channel.
-        return DetailedSimulator()._simulate(job.trace, job)
+        return DetailedSimulator()._simulate(job.trace, [job])[0]
     except SimulationError:
         # Graceful degradation: the fast model prices the same trace
         # analytically (through a fresh channel); the result is flagged

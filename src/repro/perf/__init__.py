@@ -10,7 +10,8 @@ segment so every (system x locality x fault-rate) design point that
 replays the same trace shares one compilation.
 
 :mod:`repro.perf.sweep` holds the one phase walk of the detailed machine
-over these compiled segments, one design point at a time, and the one
+over these compiled segments, every point of a machine group sharing
+each compute phase while their clocks agree, and the one
 design-point record, :class:`~repro.perf.sweep.SweepPoint` (a runner
 job, :class:`~repro.exec.job.SimJob`, is a point plus a trace);
 :class:`~repro.sim.detailed.DetailedSimulator` and

@@ -1,12 +1,18 @@
 """The detailed machine's phase walk, and the design-point axis it runs on.
 
 :func:`walk_phases` is the one production phase walk of the detailed
-Table II machine, over one design point's machine and channel:
+Table II machine. It walks one machine for every point on it (a
+*walker*: the point's channel, clock, sums and deferred copies):
 sequential phases run the CPU core's whole-segment loop
 (:meth:`repro.sim.cpu.core.CpuCore.run_segment`, a drain of its
-``step_compiled``); parallel phases step the point's two cores in
+``step_compiled``); parallel phases step the machine's two cores in
 timestamp order through
-:func:`~repro.sim.engine.run_parallel_interleaved`.
+:func:`~repro.sim.engine.run_parallel_interleaved`. Copy phases touch
+only a walker's channel and clock, never the machine, so a compute phase
+runs once for every walker whose clock reads the same start instant.
+Where clocks split, the walk keeps the first walker's instant; the
+others restart on a fresh machine with fresh channels.
+:class:`~repro.sim.detailed.DetailedSimulator` is the one-walker case.
 
 The design-point axis on top of it:
 
@@ -20,11 +26,13 @@ The design-point axis on top of it:
   one simulation, mirroring :class:`~repro.exec.cache.ResultCache`
   relabel-on-hit);
 - :class:`MachineSimulator` — the detailed machine's knobs and the
-  per-point machine, address space, MMU and result set-up around one walk,
-  shared by :class:`~repro.sim.detailed.DetailedSimulator` (one point)
-  and :class:`SweepSimulator`;
+  machine, address space, MMU and result set-up around each walk of a
+  machine group, restarts included, shared by
+  :class:`~repro.sim.detailed.DetailedSimulator` (one point) and
+  :class:`SweepSimulator`;
 - :class:`SweepSimulator` — evaluates one trace against every point of a
-  batch, one walk per timing-distinct point.
+  batch, the timing-distinct points walked together per machine group
+  (:meth:`BatchedDesignPoints.groups`), each point walked once.
 
 Bit-identity contract: for every point, the returned
 :class:`~repro.sim.results.SimulationResult` equals what the reference
@@ -81,8 +89,9 @@ if TYPE_CHECKING:  # pragma: no cover - repro.core imports this module
 
 __all__ = [
     "walk_phases",
+    "Dropped",
     "install_translation",
-    "merged_counters",
+    "machine_counters",
     "ChannelSpec",
     "SweepPoint",
     "BatchedDesignPoints",
@@ -94,32 +103,50 @@ __all__ = [
 Mmus = Dict[ProcessingUnit, TranslationFront]
 
 
-def walk_phases(
-    trace: KernelTrace, machine: Machine, channel: CommChannel
-) -> Tuple[TimeBreakdown, Tuple[PhaseTiming, ...]]:
-    """Walk ``trace``'s phases over one point's machine and channel.
+#: One walker's ``(breakdown, phase timings)``.
+Walk = Tuple[TimeBreakdown, Tuple[PhaseTiming, ...]]
 
-    ``machine`` has its MMU fronts already installed, if any. Returns the
-    point's ``(breakdown, phase timings)``.
 
-    H2D copies are deferred: an asynchronous channel overlaps them with the
-    parallel phase that *follows* the copy. Every other transfer overlaps
-    with the parallel phase before it.
-    """
-    cpu, gpu = machine.cpu_core, machine.gpu_core
-    cpu_freq, gpu_freq = cpu.config.frequency, gpu.config.frequency
-    sequential = parallel = communication = 0.0
-    now = 0.0
-    last_parallel_seconds = 0.0
-    pending_h2d: List[CommPhase] = []
-    timings: List[PhaseTiming] = []
+class Dropped(NamedTuple):
+    """Where a walker left a shared walk: before phase ``phase``, with its
+    clock at ``now``. Walkers dropped at the same place agree on every
+    start instant so far; walkers dropped at different places would
+    split again there."""
 
-    def communicate(comm: CommPhase, window: float) -> None:
-        nonlocal communication, now
-        result = channel.transfer(comm, overlap_window=window)
-        communication += result.exposed
-        now += result.exposed
-        timings.append(
+    phase: int
+    now: float
+
+
+class _Walker:
+    """One point's side of a shared walk: its channel, its clock, its sums,
+    its deferred H2D copies and its phase timings."""
+
+    __slots__ = (
+        "channel",
+        "now",
+        "sequential",
+        "parallel",
+        "communication",
+        "last_parallel_seconds",
+        "pending_h2d",
+        "timings",
+        "dropped",
+    )
+
+    def __init__(self, channel: CommChannel) -> None:
+        self.channel = channel
+        self.now = 0.0
+        self.sequential = self.parallel = self.communication = 0.0
+        self.last_parallel_seconds = 0.0
+        self.pending_h2d: List[CommPhase] = []
+        self.timings: List[PhaseTiming] = []
+        self.dropped: Optional[Dropped] = None
+
+    def communicate(self, comm: CommPhase, window: float) -> None:
+        result = self.channel.transfer(comm, overlap_window=window)
+        self.communication += result.exposed
+        self.now += result.exposed
+        self.timings.append(
             PhaseTiming(
                 label=comm.label,
                 kind="communication",
@@ -128,21 +155,77 @@ def walk_phases(
             )
         )
 
-    for phase in trace.phases:
+    def walk(self) -> Walk:
+        breakdown = TimeBreakdown(
+            sequential=self.sequential,
+            parallel=self.parallel,
+            communication=self.communication,
+        )
+        return breakdown, tuple(self.timings)
+
+
+def _same_start(walkers: List[_Walker], phase: int) -> List[_Walker]:
+    """The walkers whose clock reads exactly the first walker's; the others
+    are dropped before ``phase``."""
+    now = walkers[0].now
+    kept = []
+    for walker in walkers:
+        if walker.now == now:
+            kept.append(walker)
+        else:
+            walker.dropped = Dropped(phase, walker.now)
+    return kept
+
+
+def walk_phases(
+    trace: KernelTrace, machine: Machine, channels: Sequence[CommChannel]
+) -> List["Walk | Dropped"]:
+    """Walk ``trace``'s phases over one machine for every channel on it.
+
+    Each channel is one walker: one point that shares the machine (system,
+    address space and protocol). ``machine`` has its MMU fronts already
+    installed, if any. Copy phases are priced per walker, on its own
+    channel and clock. A sequential or parallel phase runs once, starting
+    at the walkers' common clock, and its timing goes to each of them:
+    a compute phase touches only the machine, and its effect depends only
+    on the machine's state and its start instant, so walkers that agree on
+    every start have bit-identical machine trajectories. Where clocks
+    split before a compute phase, the walk keeps the walkers of the first
+    walker's instant and drops the rest.
+
+    Returns, per channel, its point's ``(breakdown, phase timings)``, or
+    for a dropped walker where it was dropped (:class:`Dropped`). A
+    dropped walker must be walked again on a fresh machine with a fresh
+    channel, together with the walkers dropped at the same place. The
+    first walker is never dropped.
+
+    H2D copies are deferred: an asynchronous channel overlaps them with the
+    parallel phase that *follows* the copy. Every other transfer overlaps
+    with the parallel phase before it.
+    """
+    cpu, gpu = machine.cpu_core, machine.gpu_core
+    cpu_freq, gpu_freq = cpu.config.frequency, gpu.config.frequency
+    walkers = [_Walker(channel) for channel in channels]
+    active = walkers
+
+    for index, phase in enumerate(trace.phases):
         if isinstance(phase, SequentialPhase):
-            cycles = cpu.run_segment(compile_segment(phase.segment), now)
+            active = _same_start(active, index)
+            cycles = cpu.run_segment(compile_segment(phase.segment), active[0].now)
             seconds = cpu_freq.cycles_to_seconds(cycles)
-            sequential += seconds
-            now += seconds
-            timings.append(
-                PhaseTiming(
-                    label=phase.label,
-                    kind="sequential",
-                    seconds=seconds,
-                    cpu_seconds=seconds,
-                )
+            timing = PhaseTiming(
+                label=phase.label,
+                kind="sequential",
+                seconds=seconds,
+                cpu_seconds=seconds,
             )
+            for walker in active:
+                walker.sequential += seconds
+                walker.now += seconds
+                walker.timings.append(timing)
         elif isinstance(phase, ParallelPhase):
+            active = _same_start(active, index)
+            now = active[0].now
             outcome = run_parallel_interleaved(
                 cpu.step_compiled(compile_segment(phase.cpu), now),
                 gpu.step_compiled(compile_segment(phase.gpu), now),
@@ -150,34 +233,33 @@ def walk_phases(
                 gpu_freq,
             )
             seconds = outcome.seconds
-            for comm in pending_h2d:
-                communicate(comm, seconds)
-            pending_h2d.clear()
-            parallel += seconds
-            now += seconds
-            last_parallel_seconds = seconds
-            timings.append(
-                PhaseTiming(
-                    label=phase.label,
-                    kind="parallel",
-                    seconds=seconds,
-                    cpu_seconds=outcome.cpu_seconds,
-                    gpu_seconds=outcome.gpu_seconds,
-                )
+            timing = PhaseTiming(
+                label=phase.label,
+                kind="parallel",
+                seconds=seconds,
+                cpu_seconds=outcome.cpu_seconds,
+                gpu_seconds=outcome.gpu_seconds,
             )
+            for walker in active:
+                for comm in walker.pending_h2d:
+                    walker.communicate(comm, seconds)
+                walker.pending_h2d.clear()
+                walker.parallel += seconds
+                walker.now += seconds
+                walker.last_parallel_seconds = seconds
+                walker.timings.append(timing)
         elif isinstance(phase, CommPhase):
-            if phase.direction is Direction.H2D:
-                pending_h2d.append(phase)
-                continue
-            communicate(phase, last_parallel_seconds)
+            for walker in active:
+                if phase.direction is Direction.H2D:
+                    walker.pending_h2d.append(phase)
+                else:
+                    walker.communicate(phase, walker.last_parallel_seconds)
         else:
             raise SimulationError(f"unknown phase type {type(phase).__name__}")
-    for comm in pending_h2d:
-        communicate(comm, 0.0)
-    breakdown = TimeBreakdown(
-        sequential=sequential, parallel=parallel, communication=communication
-    )
-    return breakdown, tuple(timings)
+    for walker in active:
+        for comm in walker.pending_h2d:
+            walker.communicate(comm, 0.0)
+    return [walker.dropped or walker.walk() for walker in walkers]
 
 
 def install_translation(machine: Machine, space: AddressSpace) -> Mmus:
@@ -191,12 +273,12 @@ def install_translation(machine: Machine, space: AddressSpace) -> Mmus:
     return mmus
 
 
-def merged_counters(
-    channel: CommChannel, machine: Machine, mmus: Optional[Mmus] = None
-) -> Dict[str, float]:
-    """One run's counters: the channel's, then each machine component's
-    (``component.key``), then each MMU front's (``mmu.<pu>.key``)."""
-    counters: Dict[str, float] = dict(channel.stats())
+def machine_counters(machine: Machine, mmus: Optional[Mmus] = None) -> Dict[str, float]:
+    """A walk's machine counters, shared by every point it finished: each
+    machine component's (``component.key``), then each MMU front's
+    (``mmu.<pu>.key``). A point's result counters are its channel's
+    followed by these."""
+    counters: Dict[str, float] = {}
     for component, stats in machine.stats().items():
         for key, value in stats.items():
             counters[f"{component}.{key}"] = value
@@ -238,7 +320,7 @@ class SweepPoint:
     #: ``None`` runs without translation. A prebuilt
     #: :class:`~repro.addrspace.base.AddressSpace` is staged into as
     #: given (:meth:`~repro.sim.detailed.DetailedSimulator.run` passes one
-    #: through); a kind builds a fresh one per run.
+    #: through); a kind builds a fresh one per walk.
     address_space: "AddressSpaceKind | AddressSpace | None" = None
     system_name: Optional[str] = None
     system: Optional[SystemConfig] = None
@@ -380,12 +462,13 @@ class BatchedDesignPoints:
         return len(self.points)
 
     def groups(self) -> List[List[int]]:
-        """The distinct representatives grouped by machine parameters,
-        address-space kind and coherence: lists of positions into
-        :attr:`distinct`.
+        """The distinct representatives grouped by machine: system,
+        address space and coherence protocol. Lists of positions into
+        :attr:`distinct`, each in point order.
 
-        No simulator path reads it; the benchmark's detailed-sweep
-        workload reports the group count (``perfbench/workloads.py``).
+        The :class:`SweepSimulator` walks by this grouping: the points of
+        one group run on one machine, sharing each compute phase while
+        their clocks agree (:func:`walk_phases`).
         """
         grouped: Dict[Tuple, List[int]] = {}
         for position, index in enumerate(self.distinct):
@@ -417,55 +500,80 @@ class MachineSimulator:
         #: GPU scheduler: "heuristic" (warp-divided stalls) or "warp" (a
         #: real greedy warp scheduler).
         self.gpu_mode = gpu_mode
-        #: The last point's machine and MMU fronts, inspectable after a run.
+        #: The last walk's machine and MMU fronts, inspectable after a run.
         self.last_machine: Optional[Machine] = None
         self.last_mmus: Optional[Mmus] = None
 
     def _simulate(
         self,
         trace: KernelTrace,
-        point: SweepPoint,
+        points: Sequence[SweepPoint],
         channel: Optional[CommChannel] = None,
-    ) -> SimulationResult:
-        """Build ``point``'s machine, address space and MMU fronts, walk
-        them once through :meth:`_walk`, and return the point's result.
+    ) -> List[SimulationResult]:
+        """Simulate ``points``, which share one machine (system, address
+        space and protocol: one :meth:`BatchedDesignPoints.groups` group),
+        and return their results in order.
 
-        ``channel`` (default: the point's own, under this simulator's
-        defaults) carries the point's communication. With an address
-        space, the trace is first staged into its page tables, which the
-        MMU fronts translate against.
+        Each walk builds the points' machine, address space and MMU fronts
+        once, gives each of its points a fresh channel, and walks them all
+        through :meth:`_walk`. The points it drops, where their clocks
+        split from the first point's, are walked again from a fresh
+        machine, one walk for the points dropped at each place, until
+        none is left; so no point is walked more than once. With an
+        address space, the trace is first staged into its page tables,
+        which the MMU fronts translate against.
+
+        ``channel`` replaces the point's own (built under this simulator's
+        defaults) in a one-point call.
         """
-        system = point.system or self.system
-        if channel is None:
-            channel = point.channel_for(self.system, self.comm_params)
-        space = point.address_space
-        if space is not None:
-            if not isinstance(space, AddressSpace):
-                space = make_address_space(space, system)
-            trace = stage_trace(trace, space)
-        machine = build_machine(
-            system,
-            l3_policy=self.l3_policy,
-            coherence=point.protocol_kind,
-            l1_prefetch=self.l1_prefetch,
-            gpu_mode=self.gpu_mode,
-        )
-        mmus = install_translation(machine, space) if space is not None else None
-        self.last_machine, self.last_mmus = machine, mmus
-        breakdown, phases = self._walk(trace, machine, channel)
-        return SimulationResult(
-            kernel=trace.name,
-            system=point.label(),
-            breakdown=breakdown,
-            phases=phases,
-            counters=merged_counters(channel, machine, mmus),
-        )
+        lead = points[0]
+        system = lead.system or self.system
+        results: List[Optional[SimulationResult]] = [None] * len(points)
+        pending = [list(range(len(points)))]
+        while pending:
+            left = pending.pop(0)
+            space = lead.address_space
+            staged = trace
+            if space is not None:
+                if not isinstance(space, AddressSpace):
+                    space = make_address_space(space, system)
+                staged = stage_trace(trace, space)
+            machine = build_machine(
+                system,
+                l3_policy=self.l3_policy,
+                coherence=lead.protocol_kind,
+                l1_prefetch=self.l1_prefetch,
+                gpu_mode=self.gpu_mode,
+            )
+            mmus = install_translation(machine, space) if space is not None else None
+            self.last_machine, self.last_mmus = machine, mmus
+            channels = [
+                channel or points[index].channel_for(self.system, self.comm_params)
+                for index in left
+            ]
+            walks = self._walk(staged, machine, channels)
+            shared = machine_counters(machine, mmus)
+            restarts: Dict[Dropped, List[int]] = {}
+            for index, walker_channel, walk in zip(left, channels, walks):
+                if isinstance(walk, Dropped):
+                    restarts.setdefault(walk, []).append(index)
+                    continue
+                breakdown, phases = walk
+                results[index] = SimulationResult(
+                    kernel=trace.name,
+                    system=points[index].label(),
+                    breakdown=breakdown,
+                    phases=phases,
+                    counters={**walker_channel.stats(), **shared},
+                )
+            pending.extend(restarts.values())
+        return results
 
     def _walk(
-        self, trace: KernelTrace, machine: Machine, channel: CommChannel
-    ) -> Tuple[TimeBreakdown, Tuple[PhaseTiming, ...]]:
-        """The phase walk over the point's machine: :func:`walk_phases`."""
-        return walk_phases(trace, machine, channel)
+        self, trace: KernelTrace, machine: Machine, channels: Sequence[CommChannel]
+    ) -> List["Walk | Dropped"]:
+        """The phase walk over the points' machine: :func:`walk_phases`."""
+        return walk_phases(trace, machine, channels)
 
 
 class SweepSimulator(MachineSimulator):
@@ -483,11 +591,14 @@ class SweepSimulator(MachineSimulator):
     ) -> List[SimulationResult]:
         """Simulate ``trace`` for every point; results in point order.
 
-        Each timing-distinct point is simulated exactly once, one
-        :meth:`_simulate` each; duplicates receive the shared result
-        re-labeled to their own ``system_name`` (determinism makes the
-        shared result bit-identical to a dedicated run, the same argument
-        :class:`~repro.exec.cache.ResultCache` relies on).
+        The timing-distinct points are simulated by machine group
+        (:meth:`BatchedDesignPoints.groups`), one :meth:`_simulate` per
+        group, so points whose compute phases start at the same instants
+        share one walk; each is walked exactly once. Duplicates receive
+        the shared result re-labeled to their own ``system_name``
+        (determinism makes the shared result bit-identical to a dedicated
+        run, the same argument :class:`~repro.exec.cache.ResultCache`
+        relies on).
         """
         batch = (
             points
@@ -496,9 +607,11 @@ class SweepSimulator(MachineSimulator):
         )
         if scale != 1.0:
             trace = trace.scaled(scale)
-        distinct_results = [
-            self._simulate(trace, batch.points[index]) for index in batch.distinct
-        ]
+        distinct_results: List[SimulationResult] = [None] * len(batch.distinct)
+        for group in batch.groups():
+            points = [batch.points[batch.distinct[position]] for position in group]
+            for position, result in zip(group, self._simulate(trace, points)):
+                distinct_results[position] = result
         results: List[SimulationResult] = []
         for point, rep in zip(batch.points, batch.inverse):
             result = distinct_results[rep]

@@ -8,11 +8,13 @@ compute phases (communication sizes are preserved — see
 :meth:`repro.trace.KernelTrace.scaled`); ablation C cross-checks this
 model against the fast simulator.
 
-A run is one point of :class:`repro.perf.sweep.MachineSimulator`: the
-one production phase walk, :func:`repro.perf.sweep.walk_phases`, over
-the point's machine. The per-instruction generator expansion survives
-only as the reference oracle in :mod:`repro.sim.reference`, which
-overrides the ``_walk`` hook.
+A run is the one-point case of :class:`repro.perf.sweep.MachineSimulator`:
+the one production phase walk, :func:`repro.perf.sweep.walk_phases`,
+with a single walker on the point's machine, so it never splits or
+restarts (:class:`~repro.perf.sweep.SweepSimulator` walks many points
+per machine). The per-instruction generator expansion survives only as
+the reference oracle in :mod:`repro.sim.reference`, which overrides the
+``_walk`` hook with a plain single-point walk.
 """
 
 from __future__ import annotations
@@ -81,4 +83,4 @@ class DetailedSimulator(MachineSimulator):
         )
         if scale != 1.0:
             trace = trace.scaled(scale)
-        return self._simulate(trace, point, channel)
+        return self._simulate(trace, [point], channel)[0]

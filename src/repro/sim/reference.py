@@ -23,7 +23,7 @@ cycle steppers by wall-clock time.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.comm.base import CommChannel
 from repro.errors import SimulationError
@@ -156,8 +156,9 @@ class ReferenceSimulator(DetailedSimulator):
     """
 
     def _walk(
-        self, trace: KernelTrace, machine: Machine, channel: CommChannel
-    ) -> Tuple[TimeBreakdown, Tuple[PhaseTiming, ...]]:
+        self, trace: KernelTrace, machine: Machine, channels: Sequence[CommChannel]
+    ) -> List[Tuple[TimeBreakdown, Tuple[PhaseTiming, ...]]]:
+        (channel,) = channels  # a run is one point
         cpu, gpu = machine.cpu_core, machine.gpu_core
         cpu_freq, gpu_freq = cpu.config.frequency, gpu.config.frequency
         sequential = parallel = communication = 0.0
@@ -232,4 +233,4 @@ class ReferenceSimulator(DetailedSimulator):
         breakdown = TimeBreakdown(
             sequential=sequential, parallel=parallel, communication=communication
         )
-        return breakdown, tuple(timings)
+        return [(breakdown, tuple(timings))]

@@ -1,10 +1,15 @@
 """Tests for the Table IV communication parameters."""
 
+import pickle
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.config.comm import CommParams
 from repro.errors import ConfigError
-from repro.units import GHZ, Frequency
+from repro.store.keys import PICKLE_PROTOCOL, stable_key
+from repro.store.store import ResultStore
+from repro.units import GHZ, Bandwidth, Frequency
 
 
 class TestDefaultsMatchTable4:
@@ -70,3 +75,43 @@ class TestValidation:
         assert len(rows) == 4
         names = [row[0] for row in rows]
         assert names == ["api-pci", "api-acq", "api-tr", "lib-pf"]
+
+
+#: Store keys of ``("comm-params", params)`` as written before the hash
+#: was stored on the instance: a store from then must still hit.
+STORED_KEYS = {
+    "default": "result/85377b5c3b054886a58af19abf10d4fff7ad78c13995663e8d67ad2b6b4a988d",
+    "custom": "result/19a1b117a2f7dd916a58998329d04fb2d3fb139953d69b371e6007feef596408",
+}
+
+
+class TestHash:
+    """The stored hash equals the field-tuple hash and stays out of
+    equality, repr, pickles and store keys."""
+
+    PARAMS = {
+        "default": CommParams(),
+        "custom": CommParams(
+            api_acq_cycles=2000, pci_bandwidth=Bandwidth.from_gb_per_s(32.0)
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PARAMS))
+    def test_memo_is_out_of_eq_repr_and_pickle(self, name):
+        params = replace(self.PARAMS[name])
+        before = (pickle.dumps(params, protocol=PICKLE_PROTOCOL), repr(params))
+        assert hash(params) == hash(tuple(getattr(params, f.name) for f in fields(params)))
+        assert "_hash" in vars(params)
+        assert (pickle.dumps(params, protocol=PICKLE_PROTOCOL), repr(params)) == before
+        copy = pickle.loads(before[0])
+        assert "_hash" not in vars(copy)
+        assert copy == params and hash(copy) == hash(params)
+
+    @pytest.mark.parametrize("name", sorted(PARAMS))
+    def test_store_written_before_the_memo_still_hits(self, name, tmp_path):
+        params = replace(self.PARAMS[name])
+        hash(params)
+        with ResultStore(tmp_path / "store") as store:
+            store.put_bytes(STORED_KEYS[name], pickle.dumps(name))
+            assert stable_key(("comm-params", params)) == STORED_KEYS[name]
+            assert store.get_object(("comm-params", params)) == name

@@ -83,6 +83,10 @@ class TestService:
         assert canonical["kernels"] == [k.name for k in all_kernels()]
 
     def test_deadline_exceeded_is_typed(self, service):
+        # Occupy the dispatcher with a detailed job over every kernel
+        # (~0.5 s): the queue is FIFO, so the 1 ms request cannot finish
+        # before its deadline, however fast its own detailed run is.
+        service.submit({"point": POINT, "fidelity": "detailed"})
         with pytest.raises(DeadlineExceededError):
             service.evaluate(
                 {

@@ -40,6 +40,40 @@ class TestJobsFlag:
         parallel = capsys.readouterr().out
         assert parallel == serial
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["rank", "--top", "3", "--sample", "0", "--jobs", "2", "--shards", "auto"],
+            ["figure", "5", "--jobs", "2"],
+        ],
+        ids=["rank", "figure"],
+    )
+    def test_worker_pool_is_shut_down_before_main_returns(
+        self, args, capsys, monkeypatch
+    ):
+        import repro.cli as cli_mod
+        from repro.exec.runner import ParallelRunner
+
+        built, pools = [], []
+
+        def explorer_from_args(parsed):
+            built.append(build_explorer(parsed))
+            return built[-1]
+
+        def ensure_pool(runner):
+            pools.append(ensure(runner))
+            return pools[-1]
+
+        build_explorer = cli_mod._explorer_from_args
+        ensure = ParallelRunner._ensure_pool
+        monkeypatch.setattr(cli_mod, "_explorer_from_args", explorer_from_args)
+        monkeypatch.setattr(ParallelRunner, "_ensure_pool", ensure_pool)
+        assert main(args) == 0
+        capsys.readouterr()
+        (explorer,) = built
+        assert pools, "the command never used its worker pool"
+        assert explorer.runner._pool is None
+
     def test_rejects_invalid_jobs(self, capsys):
         from repro.cli import EXIT_CONFIG_ERROR
 
